@@ -14,9 +14,7 @@ from .cover import (
     VerifyReport,
     certificate_from_dict,
     cover_maps,
-    descend_point_group,
-    descend_translation,
-    r_family,
+    descend,
     torus_area,
     verify_covering,
     vt_cover,
@@ -79,8 +77,7 @@ __all__ = [
     "cosets",
     "cover_exponent",
     "cover_maps",
-    "descend_point_group",
-    "descend_translation",
+    "descend",
     "enumerate_hnf",
     "euler_characteristic",
     "exists_automorphism_mapping",
@@ -91,7 +88,6 @@ __all__ = [
     "map_summary",
     "orbit_report",
     "parse_tiling",
-    "r_family",
     "random_nonsingular",
     "render_svg",
     "scaled_identity",

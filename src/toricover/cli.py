@@ -23,9 +23,10 @@ from .cover import (
     cover_maps,
     verify_covering,
 )
-from .lattice import SublatticeMat, cover_exponent
+from .lattice import SublatticeMat, cover_exponent, random_nonsingular
 from .map_core import (
     QuotientSpec,
+    VertexTypeSig,
     build_quotient,
     euler_characteristic,
     is_polyhedral,
@@ -156,13 +157,8 @@ def _batch_sample(tiling: TilingId, rng: random.Random, max_entry: int) -> Subla
     tpl = template(tiling)
     per_cell_flags = 2 * tpl.degree * tpl.rep_count
     while True:
-        a, b, c, d = (rng.randint(-max_entry, max_entry) for _ in range(4))
-        det = a * d - b * c
-        if det == 0:
-            continue
-        mat = SublatticeMat(a, b, c, d)
-        m = cover_exponent(mat)
-        if per_cell_flags * m * m <= BATCH_COVER_FLAG_CAP:
+        mat = random_nonsingular(rng, max_entry)
+        if per_cell_flags * cover_exponent(mat) ** 2 <= BATCH_COVER_FLAG_CAP:
             return mat
 
 
@@ -179,15 +175,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         report = verify_covering(y, x, cert)
         sig_x = is_semi_equivelar(x)
         sig_y = is_semi_equivelar(y)
-        want = tiling.signature
         checks = {
             "verify_covering": report.ok,
             "euler": euler_characteristic(x) == 0 and euler_characteristic(y) == 0,
-            "signature": (
-                sig_x is not None
-                and sig_y is not None
-                and sig_x.expanded() == sig_y.expanded() == _canon(want)
-            ),
+            "signature": sig_x == sig_y == VertexTypeSig.from_cycle(tiling.signature),
             "fold_arithmetic": (
                 cert.fold * mat.index() == cert.exponent**2
                 and mat.index() % cert.exponent == 0
@@ -241,18 +232,19 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
-def _canon(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    from .map_core import VertexTypeSig
-
-    return VertexTypeSig.from_cycle(cycle).expanded()
-
-
 def _cmd_render(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     doc = render_svg(template(spec.tiling), spec.mat)
     with open(args.out, "w") as fh:
         fh.write(doc)
     return 0
+
+
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
 
 
 def _add_spec_arguments(p: argparse.ArgumentParser) -> None:
@@ -299,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_search_nonvt)
 
     p = sub.add_parser("batch", help="randomized cover sweep across all tilings")
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=_count, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-entry", type=int, default=6)
     p.add_argument("--vt-flag-cap", type=int, default=BATCH_VT_FLAG_CAP)

@@ -3,9 +3,11 @@
 Given X = tiling / K with K the row lattice of M, the cover is
 Y = tiling / mZ^2 where m is the least scale with m Z^2 inside K.  The
 covering map sends the Y-vertex (rep, w mod m) to the X-vertex
-(rep, w mod K); scalar lattices are normalized by every point symmetry
-of the tiling (R (m Z^2) = m Z^2 for any integer R with |det R| = 1),
-so the tiling's point group descends to honest map automorphisms of Y.
+(rep, w mod K).  A tiling symmetry descends to a quotient exactly when
+its matrix R preserves the lattice (R K = K); translations (R = I) do
+on every quotient, and scalar lattices are preserved by every point
+symmetry (R (m Z^2) = m Z^2 for any integer R with |det R| = 1), so the
+tiling's point group descends to honest map automorphisms of Y.
 Together with the translations of Z^2 / m Z^2 those act transitively on
 Y's vertices, which is what makes the cover vertex-transitive.
 """
@@ -16,14 +18,14 @@ from dataclasses import dataclass
 
 from .lattice import (
     SublatticeMat,
-    cosets,
+    contains_scaled_identity,
     cover_exponent,
     is_scaled_identity,
     scaled_identity,
 )
 from .map_core import FlagMap, QuotientSpec, build_quotient, is_polyhedral
 from .symmetry import MapAutomorphism
-from .tilings import PointGroupElem, TilingId, parse_tiling, template
+from .tilings import PointGroupElem, TilingId, dihedral, parse_tiling, template
 
 
 @dataclass(frozen=True)
@@ -97,30 +99,28 @@ def cover_maps(
     if rem:
         raise AssertionError("fold count is not integral")
 
-    cs = cosets(spec.mat)
-    ncos = cs.size()
-    deg = template(spec.tiling).degree
-    assert y.labels is not None
-    vmap = [r_ * ncos + cs.index_of(w) for r_, w in y.labels]
-
-    def x_dart(d: int) -> int:
-        return vmap[d // deg] * deg + (d % deg)
+    vmap = [x.vertex_at(r_, w) for r_, w in y.labels]
+    # Dart k of a Y-vertex goes to dart k of its image.
+    dmap = [0] * y.n_darts
+    for v, ds in enumerate(y.vertex_darts):
+        for d, xd in zip(ds, x.vertex_darts[vmap[v]]):
+            dmap[d] = xd
 
     # The dart map must commute with reversal, otherwise the template or
     # coset bookkeeping is broken; cheap to confirm, so always confirm.
     for d in range(y.n_darts):
-        if x_dart(y.dart_rev[d]) != x.dart_rev[x_dart(d)]:
+        if dmap[y.dart_rev[d]] != x.dart_rev[dmap[d]]:
             raise AssertionError(f"projection breaks dart reversal at dart {d}")
 
-    emap = [x.dart_edge[x_dart(ds[0])] for ds in y.edge_darts]
+    emap = [x.dart_edge[dmap[ds[0]]] for ds in y.edge_darts]
     fmap = []
     for walk in y.face_darts:
-        images = {x.dart_face_left[x_dart(d)] for d in walk}
+        images = {x.dart_face_left[dmap[d]] for d in walk}
         if len(images) != 1:
             raise AssertionError("projection splits a face")
         fmap.append(images.pop())
 
-    tpl = template(spec.tiling)
+    area_value, area_factor = torus_area(spec)
     cert = CoverCertificate(
         tiling=spec.tiling,
         base_mat=spec.mat,
@@ -130,23 +130,17 @@ def cover_maps(
         vertex_map=tuple(vmap),
         edge_map=tuple(emap),
         face_map=tuple(fmap),
-        area_value=spec.mat.index(),
-        area_factor=tpl.cell_area_factor,
+        area_value=area_value,
+        area_factor=area_factor,
         base_polyhedral=is_polyhedral(x).ok,
         cover_polyhedral=is_polyhedral(y).ok,
     )
     return y, x, cert
 
 
-def vt_cover(spec: QuotientSpec) -> tuple[QuotientSpec, CoverCertificate]:
-    """The vertex-transitive cover Y of X = quotient(spec)."""
-    _, _, cert = cover_maps(spec, r=1)
-    return QuotientSpec(spec.tiling, cert.cover_mat), cert
-
-
-def r_family(spec: QuotientSpec, r: int) -> tuple[QuotientSpec, CoverCertificate]:
-    """The r-th member of the infinite cover family (scale r*m); r = 1
-    is vt_cover itself."""
+def vt_cover(spec: QuotientSpec, r: int = 1) -> tuple[QuotientSpec, CoverCertificate]:
+    """The vertex-transitive cover Y of X = quotient(spec); r > 1 gives
+    the r-th member of the infinite cover family (scale r*m)."""
     _, _, cert = cover_maps(spec, r=r)
     return QuotientSpec(spec.tiling, cert.cover_mat), cert
 
@@ -188,10 +182,7 @@ def verify_covering(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> VerifyRep
     # No divisibility-chain test here: n | m | |det| holds for the
     # minimal cover but not for the scaled family members (exponent rm),
     # and the lattice containment below is the condition that matters.
-    if not (
-        cert.base_mat.contains((cert.exponent, 0))
-        and cert.base_mat.contains((0, cert.exponent))
-    ):
+    if not contains_scaled_identity(cert.base_mat, cert.exponent):
         return fail("arithmetic: cover lattice is not inside the base lattice")
     passed.append("arithmetic")
 
@@ -240,93 +231,43 @@ def verify_covering(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> VerifyRep
         around_x = [
             (x.dart_edge[d], x.dart_face_left[d]) for d in x.vertex_darts[xv]
         ]
-        if len(around_y) != len(around_x) or not _cyclic_match(around_y, around_x):
+        if around_y not in dihedral(around_x):
             return fail(f"local: face-cycle at vertex {v} does not match vertex {xv}")
     passed.append("local-isomorphism")
 
     return VerifyReport(ok=True, failure=None, checks_passed=tuple(passed))
 
 
-def _cyclic_match(a: list, b: list) -> bool:
-    n = len(b)
-    if len(a) != n:
-        return False
-    bb = b + b
-    if any(a == bb[i : i + n] for i in range(n)):
-        return True
-    rev = list(reversed(b))
-    rr = rev + rev
-    return any(a == rr[i : i + n] for i in range(n))
+def descend(spec: QuotientSpec, elem: PointGroupElem) -> MapAutomorphism:
+    """The map automorphism of X = tiling / K induced by a tiling symmetry.
 
-
-def descend_point_group(spec: QuotientSpec, elem: PointGroupElem) -> MapAutomorphism:
-    """The map automorphism of Y = tiling / (m I) induced by a point
-    symmetry of the tiling.
-
-    Only scalar lattices are accepted: those are exactly the ones every
-    integer matrix of determinant +-1 normalizes, so the action on
-    lattice cosets is well defined.  The result is verified to commute
-    with the flag involutions; a failure there would mean corrupt
-    template data and raises.
+    Defined exactly when R maps K into itself (then R K = K, since R is
+    unimodular), so that the action on Z^2 / K is well defined:
+    translations (R = I) descend to every quotient, and every point
+    symmetry to scalar ones.  The result is verified to commute with the
+    flag involutions; a failure there would mean corrupt template data
+    and raises.
     """
-    if not is_scaled_identity(spec.mat):
-        raise ValueError("point-group descent needs a scalar lattice (m, 0; 0, m)")
+    (r00, r01), (r10, r11) = elem.matrix
+    k = spec.mat
+    if not all(k.contains((r00 * a + r01 * b, r10 * a + r11 * b)) for a, b in k.rows):
+        raise ValueError(f"{elem.name} does not preserve the lattice of {spec.mat.as_tuple()}")
     y = build_quotient(spec)
-    cs = cosets(spec.mat)
-    ncos = cs.size()
-    deg = template(spec.tiling).degree
-    assert y.labels is not None
-
-    vperm = []
-    for r, w in y.labels:
-        r2, w2 = elem.apply_vertex(r, w)
-        vperm.append(r2 * ncos + cs.index_of(w2))
-
-    flip = elem.reverses_orientation
+    side = 1 if elem.reverses_orientation else 0
     perm = [0] * y.n_flags
-    for v in range(y.n_vertices):
-        r, _ = y.labels[v]
-        for k in range(deg):
-            d = v * deg + k
-            d2 = vperm[v] * deg + elem.slot_maps[r][k]
-            if flip:
-                perm[2 * d] = 2 * d2 + 1
-                perm[2 * d + 1] = 2 * d2
-            else:
-                perm[2 * d] = 2 * d2
-                perm[2 * d + 1] = 2 * d2 + 1
+    for (r, w), ds in zip(y.labels, y.vertex_darts):
+        r2, w2 = elem.apply_vertex(r, w)
+        image = y.vertex_darts[y.vertex_at(r2, w2)]
+        for d, k in zip(ds, elem.slot_maps[r]):
+            d2 = image[k]
+            perm[2 * d] = 2 * d2 + side
+            perm[2 * d + 1] = 2 * d2 + 1 - side
 
     auto = MapAutomorphism(tuple(perm))
     if not auto.commutes_with_involutions(y):
         raise RuntimeError(
             f"descended {elem.name} is not a map automorphism; template data corrupt"
         )
-    return auto
-
-
-def descend_translation(spec: QuotientSpec, delta: tuple[int, int]) -> MapAutomorphism:
-    """The automorphism of the quotient induced by translation by delta
-    (in lattice coordinates).  Defined for every quotient, scalar or
-    not, since translations commute with each other."""
-    y = build_quotient(spec)
-    cs = cosets(spec.mat)
-    ncos = cs.size()
-    deg = template(spec.tiling).degree
-    assert y.labels is not None
-    vperm = [
-        r * ncos + cs.index_of((w[0] + delta[0], w[1] + delta[1]))
-        for r, w in y.labels
-    ]
-    perm = [0] * y.n_flags
-    for v in range(y.n_vertices):
-        for k in range(deg):
-            d = v * deg + k
-            d2 = vperm[v] * deg + k
-            perm[2 * d] = 2 * d2
-            perm[2 * d + 1] = 2 * d2 + 1
-    auto = MapAutomorphism(tuple(perm))
-    if not auto.commutes_with_involutions(y):
-        raise RuntimeError("translation failed to descend; quotient bookkeeping corrupt")
     return auto
 
 

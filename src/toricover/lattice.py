@@ -1,7 +1,7 @@
 """Exact arithmetic for finite-index sublattices of Z^2.
 
 A sublattice is stored as an integer matrix whose *rows* span it.  All
-quotient bookkeeping (coset representatives, membership, reduction) is
+quotient bookkeeping (coset representatives, membership, coset indices) is
 done with a 2x2 Smith normal form, so every operation is exact integer
 arithmetic; no floats enter this module.
 """
@@ -9,7 +9,7 @@ arithmetic; no floats enter this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 
 # Entries beyond this bound are almost certainly a caller bug (and make
 # coset tables explode), so constructors refuse them loudly.
@@ -62,10 +62,6 @@ class SublatticeMat:
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return self.a, self.b, self.c, self.d
-
-
-def det(mat: SublatticeMat) -> int:
-    return mat.det()
 
 
 def cover_exponent(mat: SublatticeMat) -> int:
@@ -194,15 +190,15 @@ class CosetSystem:
     """Coset bookkeeping for Z^2 modulo the row lattice of `mat`.
 
     `representatives` is a fixed tuple of |det| vectors, one per coset,
-    and `reduce` maps any integer vector to the representative of its
-    coset.  Built once per quotient map and reused for every vertex.
+    and `index_of` maps any integer vector to the position of its
+    coset's representative.  Built once per quotient map and reused for
+    every vertex.
     """
 
     mat: SublatticeMat
     s1: int
     s2: int
     v: tuple[tuple[int, int], tuple[int, int]]
-    v_inv: tuple[tuple[int, int], tuple[int, int]]
     representatives: tuple[Vec, ...]
 
     def size(self) -> int:
@@ -218,17 +214,6 @@ class CosetSystem:
     def index_of(self, vec: Vec) -> int:
         i, j = self._box_coords(vec)
         return i * self.s2 + j
-
-    def reduce(self, vec: Vec) -> Vec:
-        """Canonical representative of the coset of `vec`."""
-        i, j = self._box_coords(vec)
-        return (
-            i * self.v_inv[0][0] + j * self.v_inv[1][0],
-            i * self.v_inv[0][1] + j * self.v_inv[1][1],
-        )
-
-    def same_coset(self, u: Vec, w: Vec) -> bool:
-        return self.mat.contains((u[0] - w[0], u[1] - w[1]))
 
 
 def cosets(mat: SublatticeMat) -> CosetSystem:
@@ -249,7 +234,6 @@ def cosets(mat: SublatticeMat) -> CosetSystem:
         s1=s1,
         s2=s2,
         v=(tuple(v[0]), tuple(v[1])),
-        v_inv=(tuple(v_inv[0]), tuple(v_inv[1])),
         representatives=tuple(reps),
     )
 
@@ -272,6 +256,8 @@ def enumerate_hnf(max_index: int) -> list[SublatticeMat]:
 
 def random_nonsingular(rng, max_entry: int) -> SublatticeMat:
     """Draw a uniform nonzero-determinant matrix with entries in [-max_entry, max_entry]."""
+    if max_entry < 1:
+        raise ValueError(f"entry bound must be positive, got {max_entry}")
     while True:
         a, b, c, d = (rng.randint(-max_entry, max_entry) for _ in range(4))
         if a * d - b * c != 0:
@@ -286,10 +272,3 @@ def scaled_identity(m: int) -> SublatticeMat:
 
 def is_scaled_identity(mat: SublatticeMat) -> bool:
     return mat.b == 0 and mat.c == 0 and mat.a == mat.d and mat.a > 0
-
-
-def perfect_square_root(n: int) -> int | None:
-    if n < 0:
-        return None
-    r = isqrt(n)
-    return r if r * r == n else None

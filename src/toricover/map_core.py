@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import SublatticeMat, cosets
-from .tilings import TilingId, template
+from .lattice import CosetSystem, SublatticeMat, cosets
+from .tilings import TilingId, dihedral, template
 
 IVec = tuple[int, int]
 
@@ -45,6 +45,9 @@ class QuotientSpec:
 
 class FlagMap:
     """Immutable-after-construction flag map; see module docstring."""
+
+    # Set by build_quotient: the coset system its vertex numbering uses.
+    coset_system: CosetSystem | None = None
 
     def __init__(
         self,
@@ -174,6 +177,11 @@ class FlagMap:
     def face_edges(self, f: int) -> tuple[int, ...]:
         return tuple(self.dart_edge[d] for d in self.face_darts[f])
 
+    def vertex_at(self, rep: int, cell: IVec) -> int:
+        """The vertex (rep, cell mod K) of a map from build_quotient."""
+        cs = self.coset_system
+        return rep * cs.size() + cs.index_of(cell)
+
     def flags_at_vertex(self, v: int) -> tuple[int, ...]:
         out = []
         for d in self.vertex_darts[v]:
@@ -201,7 +209,8 @@ def build_quotient(spec: QuotientSpec) -> FlagMap:
     """The quotient of the tiling by the row lattice of spec.mat.
 
     Vertices are (rep, coset) pairs, numbered rep-major in the coset
-    system's canonical order; dart k of a vertex is dart k of its rep.
+    system's canonical order (`FlagMap.vertex_at`); dart k of a vertex
+    is dart k of its rep.
     """
     tpl = template(spec.tiling)
     cs = cosets(spec.mat)
@@ -222,68 +231,9 @@ def build_quotient(spec: QuotientSpec) -> FlagMap:
             dart_vertex.append(v)
             dart_rev.append(tv * deg + tpl.reverse_slots[r][k])
     vertex_darts = [tuple(range(v * deg, v * deg + deg)) for v in range(nv)]
-    return FlagMap(dart_vertex, dart_rev, vertex_darts, labels=tuple(labels), spec=spec)
-
-
-def from_faces(faces: list[list[int]]) -> FlagMap:
-    """Build a map from counterclockwise face boundaries (test helper).
-
-    Each face is a vertex cycle; every directed edge must occur exactly
-    once over all faces, and the darts at each vertex must close into a
-    single rotation (disc neighborhoods).
-    """
-    darts = []  # (tail, head, face, position)
-    for fi, cycle in enumerate(faces):
-        n = len(cycle)
-        for i, v in enumerate(cycle):
-            darts.append((v, cycle[(i + 1) % n], fi, i))
-    by_arc: dict[tuple[int, int], list[int]] = {}
-    for idx, (u, w, _, _) in enumerate(darts):
-        by_arc.setdefault((u, w), []).append(idx)
-    for arc, ids in by_arc.items():
-        if len(ids) != 1:
-            raise ValueError(f"directed edge {arc} occurs {len(ids)} times")
-    rev = []
-    for u, w, _, _ in darts:
-        opp = by_arc.get((w, u))
-        if opp is None:
-            raise ValueError(f"directed edge {(w, u)} missing")
-        rev.append(opp[0])
-
-    # Next dart of a face, then rotation: cw(d) = next_face(rev(d)).
-    face_index: dict[tuple[int, int], int] = {}
-    for idx, (_, _, fi, pos) in enumerate(darts):
-        face_index[(fi, pos)] = idx
-    nd = len(darts)
-    next_face = [0] * nd
-    for idx, (_, _, fi, pos) in enumerate(darts):
-        size = len(faces[fi])
-        next_face[idx] = face_index[(fi, (pos + 1) % size)]
-    cw = [next_face[rev[d]] for d in range(nd)]
-
-    nv = 1 + max(max(cycle) for cycle in faces)
-    tails: dict[int, list[int]] = {v: [] for v in range(nv)}
-    for idx, (u, _, _, _) in enumerate(darts):
-        tails[u].append(idx)
-    vertex_darts = []
-    for v in range(nv):
-        ds = tails[v]
-        if not ds:
-            raise ValueError(f"vertex {v} occurs in no face")
-        start = ds[0]
-        cycle = [start]
-        cur = cw[start]
-        while cur != start:
-            cycle.append(cur)
-            if len(cycle) > len(ds):
-                raise ValueError(f"rotation at vertex {v} does not close")
-            cur = cw[cur]
-        if len(cycle) != len(ds):
-            raise ValueError(f"vertex {v} has a disconnected rotation (pinch point)")
-        cycle.reverse()  # cw cycle reversed is the ccw rotation
-        vertex_darts.append(tuple(cycle))
-    dart_vertex = [u for u, _, _, _ in darts]
-    return FlagMap(dart_vertex, rev, vertex_darts)
+    m = FlagMap(dart_vertex, dart_rev, vertex_darts, labels=tuple(labels), spec=spec)
+    m.coset_system = cs
+    return m
 
 
 def euler_characteristic(m: FlagMap) -> int:
@@ -310,9 +260,7 @@ class VertexTypeSig:
     def from_cycle(cls, sizes: tuple[int, ...]) -> "VertexTypeSig":
         if not sizes:
             raise ValueError("empty face cycle")
-        runs = _cyclic_runs(tuple(sizes))
-        best = min(_rotations(runs) + _rotations(tuple(reversed(runs))))
-        return cls(runs=best)
+        return cls(runs=min(dihedral(_cyclic_runs(tuple(sizes)))))
 
     def expanded(self) -> tuple[int, ...]:
         out = []
@@ -345,10 +293,6 @@ def _cyclic_runs(sizes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
         else:
             runs.append([x, 1])
     return tuple((p, c) for p, c in runs)
-
-
-def _rotations(runs: tuple[tuple[int, int], ...]) -> list[tuple[tuple[int, int], ...]]:
-    return [runs[i:] + runs[:i] for i in range(len(runs))]
 
 
 def vertex_type(m: FlagMap, v: int) -> VertexTypeSig:

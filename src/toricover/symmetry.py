@@ -34,23 +34,9 @@ class MapAutomorphism:
         """self after other."""
         return MapAutomorphism(tuple(self.flag_perm[g] for g in other.flag_perm))
 
-    def inverse(self) -> "MapAutomorphism":
-        inv = [0] * len(self.flag_perm)
-        for i, g in enumerate(self.flag_perm):
-            inv[g] = i
-        return MapAutomorphism(tuple(inv))
-
     @property
     def is_identity(self) -> bool:
         return all(i == g for i, g in enumerate(self.flag_perm))
-
-    def order(self) -> int:
-        n = 1
-        cur = self
-        while not cur.is_identity:
-            cur = cur.compose(self)
-            n += 1
-        return n
 
     def commutes_with_involutions(self, m: FlagMap) -> bool:
         p = self.flag_perm
@@ -196,28 +182,12 @@ def is_vertex_transitive(m: FlagMap) -> bool:
 
 
 def automorphism_group(m: FlagMap) -> list[MapAutomorphism]:
-    """All automorphisms, ordered by the image of flag 0."""
-    nf = m.n_flags
-    flags = _DSU(nf)
-    bad = bytearray(nf)
+    """All automorphisms, ordered by the image of flag 0: every extension
+    of flag 0 to a flag with the same key that succeeds.  Shares no
+    pruning with the orbit scan, so each can check the other."""
     keys = _candidate_keys(m)
-    base_key = keys[0]
-    out = []
-    for g in range(nf):
-        if bad[flags.find(g)] or keys[g] != base_key:
-            continue
-        img = flag_extension(m, m, 0, g)
-        if img is None:
-            bad[flags.find(g)] = 1
-            continue
-        out.append(MapAutomorphism(tuple(img)))
-        for x in range(nf):
-            ra, rb = flags.find(x), flags.find(img[x])
-            if ra != rb:
-                merged_bad = bad[ra] | bad[rb]
-                flags.union(ra, rb)
-                bad[flags.find(ra)] = merged_bad
-    return out
+    images = (flag_extension(m, m, 0, g) for g in range(m.n_flags) if keys[g] == keys[0])
+    return [MapAutomorphism(tuple(img)) for img in images if img is not None]
 
 
 def exists_automorphism_mapping(m: FlagMap, v0: int, v1: int) -> bool:

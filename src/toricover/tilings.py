@@ -28,14 +28,17 @@ B - A, i.e. A plus the 120-degree direction vector equals B).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Iterator
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import TypeVar
 
 Vec2 = tuple[float, float]
 IVec = tuple[int, int]
 IMat = tuple[tuple[int, int], tuple[int, int]]
 Dart = tuple[int, IVec]
+Cycle = TypeVar("Cycle", tuple, list)
 
 _TOL = 1e-9
 _MATCH_TOL = 1e-6
@@ -141,7 +144,7 @@ class PointGroupElem:
     """
 
     name: str
-    kind: str  # "rotation" or "reflection"
+    kind: str  # "rotation" or "reflection"; "translation" for translation()
     order: int
     sigma: tuple[int, ...]
     matrix: IMat
@@ -192,6 +195,21 @@ class TilingTemplate:
         if self.cell_area_factor != "sqrt(3)/2":
             return None
         return (self.basis_b[0] - self.basis_a[0], self.basis_b[1] - self.basis_a[1])
+
+
+def translation(tpl: TilingTemplate, delta: IVec) -> PointGroupElem:
+    """Translation by delta (lattice coordinates) as an element with
+    R = I: it fixes every rep and slot and shifts every cell by delta."""
+    reps = range(tpl.rep_count)
+    return PointGroupElem(
+        name=f"translation{delta}",
+        kind="translation",
+        order=0,  # infinite on the tiling
+        sigma=tuple(reps),
+        matrix=((1, 0), (0, 1)),
+        shifts=(delta,) * tpl.rep_count,
+        slot_maps=tuple(tuple(range(tpl.degree)) for _ in reps),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -471,14 +489,13 @@ def face_sizes_at_rep(tpl: TilingTemplate, rep: int) -> tuple[int, ...]:
     return tuple(len(_face_trace(tpl, rep, k)) for k in range(len(tpl.neighbors[rep])))
 
 
-def _cyclic_equal(seq: tuple[int, ...], ref: tuple[int, ...]) -> bool:
-    if len(seq) != len(ref):
-        return False
-    doubled = ref + ref
-    rev = tuple(reversed(ref))
-    return any(
-        seq == doubled[i : i + len(ref)] for i in range(len(ref))
-    ) or any(seq == (rev + rev)[i : i + len(ref)] for i in range(len(ref)))
+def dihedral(seq: Cycle) -> Iterator[Cycle]:
+    """Every rotation of a tuple or list, then every rotation of its
+    reversal.  Lazy, so `x in dihedral(seq)` stops at the first match."""
+    n = len(seq)
+    for s in (seq, seq[::-1]):
+        for i in range(n):
+            yield s[i:] + s[:i]
 
 
 # --------------------------------------------------------------------------
@@ -515,7 +532,7 @@ def validate_template(tpl: TilingTemplate) -> list[str]:
     # Face tracing must reproduce the vertex type at every rep.
     for r in range(nreps):
         sizes = face_sizes_at_rep(tpl, r)
-        if not _cyclic_equal(sizes, tpl.signature):
+        if sizes not in dihedral(tpl.signature):
             problems.append(f"face sizes {sizes} at rep {r} do not match {tpl.signature}")
 
     for elem in tpl.point_group:
@@ -665,7 +682,7 @@ def parse_tiling(text: str) -> TilingId:
     if upper.startswith("T") and upper[1:].isdigit():
         digits = upper[1:]
         for tid in TilingId:
-            if _matches_signature_digits(digits, tid.signature):
+            if digits in ("".join(map(str, s)) for s in dihedral(tid.signature)):
                 return tid
     if "." in raw:
         try:
@@ -673,20 +690,9 @@ def parse_tiling(text: str) -> TilingId:
         except ValueError:
             cycle = ()
         for tid in TilingId:
-            if cycle and _cyclic_equal(cycle, tid.signature):
+            if cycle in dihedral(tid.signature):
                 return tid
     raise ValueError(f"unknown tiling name: {text!r}")
-
-
-def _matches_signature_digits(digits: str, signature: tuple[int, ...]) -> bool:
-    doubled = signature + signature
-    rev = tuple(reversed(signature))
-    n = len(signature)
-    for base in (doubled, rev + rev):
-        for i in range(n):
-            if "".join(str(p) for p in base[i : i + n]) == digits:
-                return True
-    return False
 
 
 def template_as_dict(tpl: TilingTemplate) -> dict:
@@ -726,11 +732,3 @@ def template_as_dict(tpl: TilingTemplate) -> dict:
             for e in tpl.point_group
         ],
     }
-
-
-def corrupt_dart(tpl: TilingTemplate, rep: int, slot: int, offset: IVec) -> TilingTemplate:
-    """Copy of the template with one dart offset replaced (test hook)."""
-    darts = [list(d) for d in tpl.neighbors]
-    s, _ = darts[rep][slot]
-    darts[rep][slot] = (s, offset)
-    return replace(tpl, neighbors=tuple(tuple(d) for d in darts))

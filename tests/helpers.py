@@ -1,0 +1,92 @@
+"""Test-only constructions: maps from face lists, corrupted templates,
+and group-element arithmetic on flag permutations."""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+from toricover import FlagMap, MapAutomorphism
+from toricover.tilings import IVec, TilingTemplate
+
+
+def from_faces(faces: list[list[int]]) -> FlagMap:
+    """Build a map from counterclockwise face boundaries.
+
+    Each face is a vertex cycle; every directed edge must occur exactly
+    once over all faces, and the darts at each vertex must close into a
+    single rotation (disc neighborhoods).
+    """
+    darts = []  # (tail, head, face, position)
+    for fi, cycle in enumerate(faces):
+        n = len(cycle)
+        for i, v in enumerate(cycle):
+            darts.append((v, cycle[(i + 1) % n], fi, i))
+    by_arc: dict[tuple[int, int], list[int]] = {}
+    for idx, (u, w, _, _) in enumerate(darts):
+        by_arc.setdefault((u, w), []).append(idx)
+    for arc, ids in by_arc.items():
+        if len(ids) != 1:
+            raise ValueError(f"directed edge {arc} occurs {len(ids)} times")
+    rev = []
+    for u, w, _, _ in darts:
+        opp = by_arc.get((w, u))
+        if opp is None:
+            raise ValueError(f"directed edge {(w, u)} missing")
+        rev.append(opp[0])
+
+    # Next dart of a face, then rotation: cw(d) = next_face(rev(d)).
+    face_index: dict[tuple[int, int], int] = {}
+    for idx, (_, _, fi, pos) in enumerate(darts):
+        face_index[(fi, pos)] = idx
+    nd = len(darts)
+    next_face = [0] * nd
+    for idx, (_, _, fi, pos) in enumerate(darts):
+        size = len(faces[fi])
+        next_face[idx] = face_index[(fi, (pos + 1) % size)]
+    cw = [next_face[rev[d]] for d in range(nd)]
+
+    nv = 1 + max(max(cycle) for cycle in faces)
+    tails: dict[int, list[int]] = {v: [] for v in range(nv)}
+    for idx, (u, _, _, _) in enumerate(darts):
+        tails[u].append(idx)
+    vertex_darts = []
+    for v in range(nv):
+        ds = tails[v]
+        if not ds:
+            raise ValueError(f"vertex {v} occurs in no face")
+        start = ds[0]
+        cycle = [start]
+        cur = cw[start]
+        while cur != start:
+            cycle.append(cur)
+            if len(cycle) > len(ds):
+                raise ValueError(f"rotation at vertex {v} does not close")
+            cur = cw[cur]
+        if len(cycle) != len(ds):
+            raise ValueError(f"vertex {v} has a disconnected rotation (pinch point)")
+        cycle.reverse()  # cw cycle reversed is the ccw rotation
+        vertex_darts.append(tuple(cycle))
+    dart_vertex = [u for u, _, _, _ in darts]
+    return FlagMap(dart_vertex, rev, vertex_darts)
+
+
+def corrupt_dart(tpl: TilingTemplate, rep: int, slot: int, offset: IVec) -> TilingTemplate:
+    """Copy of the template with one dart offset replaced."""
+    darts = [list(d) for d in tpl.neighbors]
+    s, _ = darts[rep][slot]
+    darts[rep][slot] = (s, offset)
+    return replace(tpl, neighbors=tuple(tuple(d) for d in darts))
+
+
+def inverse(g: MapAutomorphism) -> MapAutomorphism:
+    inv = [0] * len(g.flag_perm)
+    for i, x in enumerate(g.flag_perm):
+        inv[x] = i
+    return MapAutomorphism(tuple(inv))
+
+
+def order(g: MapAutomorphism) -> int:
+    n, cur = 1, g
+    while not cur.is_identity:
+        cur, n = cur.compose(g), n + 1
+    return n

@@ -24,8 +24,7 @@ from toricover import (
     build_quotient,
     cover_exponent,
     cover_maps,
-    descend_point_group,
-    descend_translation,
+    descend,
     enumerate_hnf,
     euler_characteristic,
     exists_automorphism_mapping,
@@ -37,6 +36,7 @@ from toricover import (
     template,
 )
 from toricover.cli import main
+from toricover.tilings import translation
 
 NONTRIVIAL = [parse_tiling(f"E{i}") for i in range(1, 8)]
 TRIVIAL = [parse_tiling(c) for c in ("T333333", "T4444", "T666", "T33344")]
@@ -227,12 +227,12 @@ def test_criterion_6_point_group_descends_and_acts_transitively():
             y = _track(build_quotient(spec))
             autos = []
             for elem in tpl.point_group:
-                auto = descend_point_group(spec, elem)  # raises if not an automorphism
+                auto = descend(spec, elem)  # raises if not an automorphism
                 if not auto.commutes_with_involutions(y):
                     failures.append((tid.code, k, elem.name))
                 autos.append(auto)
-            autos.append(descend_translation(spec, (1, 0)))
-            autos.append(descend_translation(spec, (0, 1)))
+            autos.append(descend(spec, translation(tpl, (1, 0))))
+            autos.append(descend(spec, translation(tpl, (0, 1))))
             # orbit of vertex 0 under the generated group
             seen = {0}
             frontier = [0]

@@ -7,7 +7,11 @@ schemas/.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -179,6 +183,27 @@ def test_invalid_inputs_exit_two(capsys):
     assert main(["cover", "E1", "2", "0", "0", "99999999"]) == 2
 
 
+def test_batch_rejects_empty_entry_range():
+    # A subprocess with a timeout, so a sampler that never stops fails
+    # the test instead of hanging the suite.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricover.cli", "batch", "--samples", "1", "--max-entry", "0"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "entry bound" in proc.stderr
+
+
+def test_batch_rejects_negative_sample_count(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["batch", "--samples", "-3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_argparse_errors_use_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "E1", "one", "0", "0", "1"])
@@ -217,3 +242,32 @@ def test_all_shipped_schemas_are_well_formed():
     }
     for name in names:
         jsonschema.Draft202012Validator.check_schema(load_schema(name.removesuffix(".schema.json")))
+
+
+# Default-output fingerprints, recorded from the package before the
+# single-implementation refactor; any byte of drift in these commands
+# changes a hash.
+GOLDEN_STDOUT = [
+    (["info", "E7"], "295e810a54234053ea1a8d4c4ac0f53d03b29b199c5f4b5838fdda5c7c112f57"),
+    (["analyze", "T44", "3", "0", "0", "3"], "f4270599131252aeba83e50b232289f007ad96b2799a2f2b265fe82a326f5b54"),
+    (["analyze", "E2", "1", "2", "0", "6"], "0c129a536b48dc8f5069cefb5a858b17b9e1d4d7794c3dcf152e5317e6f4cacd"),
+    (["cover", "E1", "1", "0", "0", "2"], "4f16070206e6440be2c4093da6a8ccc5bbbde36f41dad42dfaf3b43c2cda946a"),
+    (["cover", "E6", "1", "0", "0", "3", "--r", "2"], "7a71fc5afae3ae75ce34e32048b859c9493bcca90de936321516b60efd01d10f"),
+    (["verify", "cover.json"], "fdfacba321b38c5932fbc4c1f9085d7b513a42e19690636d5797ba51de62f37b"),
+    (["search-nonvt", "E2", "--det-bound", "12"], "603b543e2700017dcea20d7a5a4f3240ea6b181b74e7cd98304cf7dd8561a83b"),
+    (["batch", "--samples", "50", "--seed", "7"], "a6cba58ba19b38d819c6a4901adf98ca2b14ed873af09a0895e702e316fd1145"),
+]
+GOLDEN_RENDER_E5 = "9efb24309046aa620d47b99bc068ddd68df9e6efffdd920bbdf0dbb79bce147b"
+
+
+def test_default_outputs_match_golden_hashes(tmp_path, monkeypatch, capsys):
+    # Relative paths, because `verify` echoes the certificate path.
+    monkeypatch.chdir(tmp_path)
+    for argv, want in GOLDEN_STDOUT:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if argv[:2] == ["cover", "E6"]:
+            Path("cover.json").write_text(out)
+        assert hashlib.sha256(out.encode()).hexdigest() == want, argv
+    assert main(["render", "E5", "2", "1", "0", "2", "--out", "e5.svg"]) == 0
+    assert hashlib.sha256(Path("e5.svg").read_bytes()).hexdigest() == GOLDEN_RENDER_E5

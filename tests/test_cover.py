@@ -1,5 +1,5 @@
 """Tests for cover construction, certificates, verification, and the
-descent of tiling symmetries to scalar quotients."""
+descent of tiling symmetries to lattice-preserving quotients."""
 
 from __future__ import annotations
 
@@ -17,17 +17,18 @@ from toricover import (
     certificate_from_dict,
     cover_exponent,
     cover_maps,
-    descend_point_group,
-    descend_translation,
+    descend,
     is_vertex_transitive,
     parse_tiling,
-    r_family,
     scaled_identity,
     template,
     torus_area,
     verify_covering,
     vt_cover,
 )
+from toricover.tilings import translation
+
+from helpers import order
 
 VT_FLAG_CAP = 800
 
@@ -94,15 +95,15 @@ def test_vt_cover_returns_buildable_spec():
 def test_r_family_scales_exponent_linearly():
     base = spec_of("E6", (1, 0, 0, 3))
     assert cover_exponent(base.mat) == 3
-    spec1, cert1 = r_family(base, 1)
+    spec1, cert1 = vt_cover(base, 1)
     assert (cert1.exponent, cert1.fold) == (3, 3)
-    spec2, cert2 = r_family(base, 2)
+    spec2, cert2 = vt_cover(base, 2)
     assert (cert2.exponent, cert2.fold) == (6, 12)
     assert spec2.mat == scaled_identity(6)
     y, x, _ = cover_maps(base, r=2)
     assert verify_covering(y, x, cert2).ok
     with pytest.raises(ValueError):
-        r_family(base, 0)
+        vt_cover(base, 0)
 
 
 def test_r_family_members_cover_the_same_base():
@@ -207,16 +208,16 @@ def test_rotation_descends_to_scalar_quotient():
     spec = spec_of("E3", (2, 0, 0, 2))
     rho = max(template(spec.tiling).point_group, key=lambda e: e.order)
     assert rho.order == 6 and rho.kind == "rotation"
-    auto = descend_point_group(spec, rho)
-    assert auto.order() == 6
+    auto = descend(spec, rho)
+    assert order(auto) == 6
     assert auto.commutes_with_involutions(build_quotient(spec))
 
 
 def test_reflection_descends_on_truncated_trihexagonal():
     spec = spec_of("E7", (3, 0, 0, 3))
     tau = next(e for e in template(spec.tiling).point_group if e.kind == "reflection")
-    auto = descend_point_group(spec, tau)
-    assert auto.order() == 2
+    auto = descend(spec, tau)
+    assert order(auto) == 2
     assert not auto.is_identity
 
 
@@ -224,26 +225,39 @@ def test_point_group_needs_scalar_lattice():
     spec = spec_of("E3", (2, 1, 0, 2))
     rho = template(spec.tiling).point_group[0]
     with pytest.raises(ValueError):
-        descend_point_group(spec, rho)
+        descend(spec, rho)
+
+
+def test_rotation_descends_to_preserved_non_scalar_lattice():
+    # The checkerboard lattice (1, 1; 1, -1) is not scalar, but the
+    # quarter turn maps its rows to -(1, -1) and (1, 1), so it descends.
+    spec = spec_of("T4444", (1, 1, 1, -1))
+    rot4 = template(spec.tiling).point_group[0]
+    assert rot4.order == 4 and rot4.kind == "rotation"
+    auto = descend(spec, rot4)
+    assert auto.commutes_with_involutions(build_quotient(spec))
+    assert order(auto) == 4
 
 
 def test_translations_descend_on_any_quotient():
     spec = spec_of("E2", (2, 1, 0, 3))
-    t10 = descend_translation(spec, (1, 0))
-    t01 = descend_translation(spec, (0, 1))
+    tpl = template(spec.tiling)
+    t10 = descend(spec, translation(tpl, (1, 0)))
+    t01 = descend(spec, translation(tpl, (0, 1)))
     y = build_quotient(spec)
     for t in (t10, t01):
         assert t.commutes_with_involutions(y)
     # translating by a lattice vector is the identity on the quotient
-    assert descend_translation(spec, (2, 1)).is_identity
-    assert descend_translation(spec, (0, 3)).is_identity
+    assert descend(spec, translation(tpl, (2, 1))).is_identity
+    assert descend(spec, translation(tpl, (0, 3))).is_identity
     assert not t10.is_identity
 
 
 def test_translation_group_is_abelian_here():
     spec = spec_of("E4", (2, 0, 0, 2))
-    t10 = descend_translation(spec, (1, 0))
-    t01 = descend_translation(spec, (0, 1))
+    tpl = template(spec.tiling)
+    t10 = descend(spec, translation(tpl, (1, 0)))
+    t01 = descend(spec, translation(tpl, (0, 1)))
     assert t10.compose(t01).flag_perm == t01.compose(t10).flag_perm
     assert t10.compose(t10).is_identity  # delta (2,0) is in the lattice
 

@@ -22,7 +22,6 @@ from toricover.lattice import (
     contains_scaled_identity,
     cosets,
     cover_exponent,
-    det,
     enumerate_hnf,
     fold_index,
     random_nonsingular,
@@ -62,7 +61,7 @@ def nonsingular(bound: int = 30):
 
 def test_det_and_index():
     m = SublatticeMat(2, 1, -1, 3)
-    assert det(m) == 7
+    assert m.det() == 7
     assert m.index() == 7
     assert SublatticeMat(0, 1, -1, 0).det() == 1
 
@@ -165,18 +164,18 @@ def test_cosets_count_and_uniqueness_exhaustive():
         assert cs.size() == m.index()
         for i, u in enumerate(cs.representatives):
             for w in cs.representatives[i + 1 :]:
-                assert not cs.same_coset(u, w), (m, u, w)
+                assert not m.contains((u[0] - w[0], u[1] - w[1])), (m, u, w)
 
 
 @given(nonsingular(bound=9), st.integers(-40, 40), st.integers(-40, 40))
 @settings(max_examples=200, deadline=None)
 def test_reduce_is_canonical(m, x, y):
     cs = cosets(m)
-    r = cs.reduce((x, y))
+    r = cs.representatives[cs.index_of((x, y))]
     # The representative is in the table, in the coset of the input, and fixed.
     assert r in cs.representatives
-    assert cs.same_coset(r, (x, y))
-    assert cs.reduce(r) == r
+    assert m.contains((r[0] - x, r[1] - y))
+    assert cs.representatives[cs.index_of(r)] == r
     assert cs.index_of((x, y)) == cs.index_of(r) == cs.representatives.index(r)
 
 
@@ -185,9 +184,9 @@ def test_reduce_is_canonical(m, x, y):
 def test_reduce_respects_translation_by_lattice(m, x, y):
     cs = cosets(m)
     shifted = (x + m.a, y + m.b)
-    assert cs.reduce((x, y)) == cs.reduce(shifted)
+    assert cs.index_of((x, y)) == cs.index_of(shifted)
     shifted2 = (x - m.c, y - m.d)
-    assert cs.reduce((x, y)) == cs.reduce(shifted2)
+    assert cs.index_of((x, y)) == cs.index_of(shifted2)
 
 
 def test_index_of_is_a_bijection_on_representatives():
@@ -225,6 +224,12 @@ def test_random_nonsingular_is_seeded_and_in_range():
     assert ms1 == ms2
     assert all(abs(e) <= 6 for m in ms1 for e in m.as_tuple())
     assert all(m.det() != 0 for m in ms1)
+
+
+def test_random_nonsingular_rejects_empty_range():
+    for bound in (0, -1):
+        with pytest.raises(ValueError):
+            random_nonsingular(random.Random(0), bound)
 
 
 def test_gcd_closed_form_shape():

@@ -29,8 +29,10 @@ from toricover import (
     template,
     vertex_type,
 )
-from toricover.map_core import face_cycle, from_faces
+from toricover.map_core import face_cycle
 from toricover.symmetry import are_isomorphic
+
+from helpers import from_faces
 
 SWEEP_MATS = [
     SublatticeMat(1, 0, 0, 1),

@@ -25,6 +25,8 @@ from toricover import (
 )
 from toricover.symmetry import flag_extension
 
+from helpers import inverse, order
+
 
 def small_map(code: str, mat: tuple[int, int, int, int]):
     return build_quotient(QuotientSpec(parse_tiling(code), SublatticeMat(*mat)))
@@ -51,8 +53,8 @@ def test_group_axioms_and_freeness():
     assert any(g.is_identity for g in group)
     for g in group:
         assert g.commutes_with_involutions(m)
-        assert g.inverse().flag_perm in perms
-        assert g.order() >= 1
+        assert inverse(g).flag_perm in perms
+        assert order(g) >= 1
         # free action: only the identity fixes a flag
         if not g.is_identity:
             assert all(g.flag_perm[t] != t for t in range(m.n_flags))

@@ -8,7 +8,6 @@ import pytest
 
 from toricover.tilings import (
     TilingId,
-    corrupt_dart,
     face_sizes_at_rep,
     parse_tiling,
     point_group_rep_orbits,
@@ -16,6 +15,8 @@ from toricover.tilings import (
     template_as_dict,
     validate_template,
 )
+
+from helpers import corrupt_dart
 
 REP_COUNTS = {
     TilingId.TRIANGULAR: 1,
