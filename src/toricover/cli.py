@@ -103,7 +103,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     with open(args.certificate) as fh:
         data = json.load(fh)
-    if "certificate" in data:  # accept a whole `cover` output document
+    if isinstance(data, dict) and "certificate" in data:  # a whole `cover` output document
         data = data["certificate"]
     cert = certificate_from_dict(data)
     x = build_quotient(QuotientSpec(cert.tiling, cert.base_mat))
@@ -311,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

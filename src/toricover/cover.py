@@ -60,6 +60,8 @@ class CoverCertificate:
 
 
 def certificate_from_dict(data: dict) -> CoverCertificate:
+    if not isinstance(data, dict):
+        raise ValueError("malformed certificate: not a JSON object")
     try:
         tiling = parse_tiling(data["tiling"])
         a, b, c, d = (int(x) for x in data["M"])

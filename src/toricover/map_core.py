@@ -300,10 +300,22 @@ def vertex_type(m: FlagMap, v: int) -> VertexTypeSig:
 
 
 def is_semi_equivelar(m: FlagMap) -> VertexTypeSig | None:
-    """The common vertex type if all vertices agree, else None."""
-    sig = vertex_type(m, 0)
-    for v in range(1, m.n_vertices):
-        if vertex_type(m, v) != sig:
+    """The common vertex type if all vertices agree, else None.
+
+    Vertices with equal raw face cycles have equal types, so each
+    distinct cycle is canonicalised once."""
+    sizes, face_left = m.face_sizes, m.dart_face_left
+    sig = None
+    seen = set()
+    for darts in m.vertex_darts:
+        cycle = tuple([sizes[face_left[d]] for d in darts])
+        if cycle in seen:
+            continue
+        seen.add(cycle)
+        s = VertexTypeSig.from_cycle(cycle)
+        if sig is None:
+            sig = s
+        elif s != sig:
             return None
     return sig
 
@@ -320,9 +332,68 @@ class PolyhedralReport:
 _MAX_VIOLATIONS = 20
 
 
-def is_polyhedral(m: FlagMap) -> PolyhedralReport:
-    """Faces are simple cycles of length >= 3, no loops or parallel
-    edges, and two faces meet in at most one vertex or one edge."""
+# The five rules of polyhedrality, each written once for both scans.
+
+
+def _edge_key(m: FlagMap, e: int) -> tuple[int, int] | None:
+    """The sorted endpoints of edge e, or None if e is a loop; two
+    edges with one key are parallel."""
+    u, w = m.edge_endpoints(e)
+    if u == w:
+        return None
+    return (u, w) if u < w else (w, u)
+
+
+def _face_sets(m: FlagMap, f: int) -> tuple[frozenset[int], frozenset[int], bool]:
+    """Vertex set, edge set and simplicity (no repeated vertex or edge)
+    of face f."""
+    vs = m.face_vertices(f)
+    es = m.face_edges(f)
+    simple = len(set(vs)) == len(vs) and len(set(es)) == len(es)
+    return frozenset(vs), frozenset(es), simple
+
+
+def _faces_meet_properly(m: FlagMap, vf, ef, vg, eg) -> bool:
+    """Two faces share nothing, one vertex, or one edge and its two ends."""
+    shared_e = ef & eg
+    if not shared_e:
+        return len(vf & vg) <= 1
+    if len(shared_e) == 1:
+        (e,) = shared_e
+        return vf & vg == set(m.edge_endpoints(e))
+    return False
+
+
+def _cell_is_clean(m: FlagMap) -> bool:
+    """No rule fails at the vertices of the translation cell (0, 0) of a
+    map from build_quotient."""
+    ncos = m.coset_system.size()
+    anchors = [m.vertex_at(rep, (0, 0)) for rep in range(m.n_vertices // ncos)]
+    face_sets = {}
+    for v in anchors:
+        darts = m.vertex_darts[v]
+        edges = {m.dart_edge[d] for d in darts}
+        keys = {_edge_key(m, e) for e in edges}
+        if None in keys or len(keys) != len(edges):
+            return False
+        faces = sorted({m.dart_face_left[d] for d in darts})
+        for f in faces:
+            if f not in face_sets:
+                vs, es, simple = _face_sets(m, f)
+                if m.face_sizes[f] < 3 or not simple:
+                    return False
+                face_sets[f] = (vs, es)
+        for i, f in enumerate(faces):
+            vf, ef = face_sets[f]
+            for g in faces[i + 1 :]:
+                vg, eg = face_sets[g]
+                if not _faces_meet_properly(m, vf, ef, vg, eg):
+                    return False
+    return True
+
+
+def _full_scan(m: FlagMap) -> PolyhedralReport:
+    """Every rule at every cell; lists up to _MAX_VIOLATIONS violations."""
     violations: list[tuple[str, tuple[int, ...]]] = []
 
     def add(kind: str, cells: tuple[int, ...]) -> bool:
@@ -337,22 +408,20 @@ def is_polyhedral(m: FlagMap) -> PolyhedralReport:
     face_vsets = []
     face_esets = []
     for f in range(m.n_faces):
-        vs = m.face_vertices(f)
-        es = m.face_edges(f)
-        if len(set(vs)) != len(vs) or len(set(es)) != len(es):
+        vs, es, simple = _face_sets(m, f)
+        if not simple:
             if add("face-not-simple", (f,)):
                 return PolyhedralReport(False, tuple(violations))
-        face_vsets.append(frozenset(vs))
-        face_esets.append(frozenset(es))
+        face_vsets.append(vs)
+        face_esets.append(es)
 
     seen_pairs: dict[tuple[int, int], int] = {}
     for e in range(m.n_edges):
-        u, w = m.edge_endpoints(e)
-        if u == w:
+        key = _edge_key(m, e)
+        if key is None:
             if add("loop-edge", (e,)):
                 return PolyhedralReport(False, tuple(violations))
             continue
-        key = (u, w) if u < w else (w, u)
         if key in seen_pairs:
             if add("multi-edge", (seen_pairs[key], e)):
                 return PolyhedralReport(False, tuple(violations))
@@ -371,18 +440,33 @@ def is_polyhedral(m: FlagMap) -> PolyhedralReport:
             for g in fl[i + 1 :]:
                 pairs.add((f, g))
     for f, g in sorted(pairs):
-        shared_v = face_vsets[f] & face_vsets[g]
-        shared_e = face_esets[f] & face_esets[g]
-        if len(shared_e) == 0 and len(shared_v) <= 1:
+        if _faces_meet_properly(m, face_vsets[f], face_esets[f], face_vsets[g], face_esets[g]):
             continue
-        if len(shared_e) == 1:
-            (e,) = shared_e
-            if shared_v == set(m.edge_endpoints(e)):
-                continue
         if add("face-pair", (f, g)):
             return PolyhedralReport(False, tuple(violations))
 
     return PolyhedralReport(not violations, tuple(violations))
+
+
+def is_polyhedral(m: FlagMap) -> PolyhedralReport:
+    """Faces are simple cycles of length >= 3, no loops or parallel
+    edges, and two faces meet in at most one vertex or one edge.
+
+    A map from build_quotient is decided on one translation cell.  Each
+    translation of Z^2 is an automorphism of the quotient, every rule is
+    invariant under automorphisms, and every violation involves a
+    vertex: a small or non-simple face has one, a loop or a pair of
+    parallel edges has an end, and two faces that meet badly share one.
+    The translations act transitively on the vertices of each rep, so a
+    violation anywhere has a translate at a vertex of cell (0, 0).
+    Hence it suffices to check the edges and faces at those vertices and
+    the face pairs that meet there.  A clean cell gives the answer; a
+    dirty cell, or a map without a coset system, gets the full scan,
+    which lists the violations.
+    """
+    if m.coset_system is not None and _cell_is_clean(m):
+        return PolyhedralReport(True, ())
+    return _full_scan(m)
 
 
 def map_summary(m: FlagMap) -> dict:

@@ -13,7 +13,7 @@ import math
 from xml.etree import ElementTree as ET
 
 from .lattice import SublatticeMat
-from .tilings import TilingTemplate, _face_trace
+from .tilings import TilingTemplate, face_trace
 
 _FACE_FILL = {
     3: "#a6cee3",
@@ -32,7 +32,7 @@ def _unique_cell_faces(tpl: TilingTemplate) -> list[tuple[tuple[int, tuple[int, 
     faces = []
     for r in range(tpl.rep_count):
         for k in range(len(tpl.neighbors[r])):
-            walk = _face_trace(tpl, r, k)
+            walk = face_trace(tpl, r, k)
             anchor = min(walk)
             ax, ay = anchor[1]
             norm = tuple(

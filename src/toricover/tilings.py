@@ -465,9 +465,9 @@ def all_templates() -> tuple[TilingTemplate, ...]:
 # Template-level face tracing (on the infinite tiling).
 
 
-def _face_trace(tpl: TilingTemplate, rep: int, slot: int, limit: int = 64) -> list[tuple[int, IVec, int]]:
-    """Walk the face on the left of the given dart; returns its dart list."""
-    deg = len(tpl.neighbors[rep])
+def face_trace(tpl: TilingTemplate, rep: int, slot: int, limit: int = 64) -> list[tuple[int, IVec, int]]:
+    """Walk the face of the infinite tiling on the left of dart `slot`
+    of `rep` in cell (0, 0); returns its darts as (rep, cell, slot)."""
     start = (rep, (0, 0), slot)
     walk = [start]
     cur = start
@@ -486,7 +486,7 @@ def _face_trace(tpl: TilingTemplate, rep: int, slot: int, limit: int = 64) -> li
 def face_sizes_at_rep(tpl: TilingTemplate, rep: int) -> tuple[int, ...]:
     """Sizes of the faces around a rep, counterclockwise; the face at
     index k lies between darts k and k+1."""
-    return tuple(len(_face_trace(tpl, rep, k)) for k in range(len(tpl.neighbors[rep])))
+    return tuple(len(face_trace(tpl, rep, k)) for k in range(len(tpl.neighbors[rep])))
 
 
 def dihedral(seq: Cycle) -> Iterator[Cycle]:

@@ -128,6 +128,25 @@ def test_verify_malformed_file_exits_two(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["5", "[]", '"x"', "null", '"a certificate"', '{"certificate": 5}', '{"certificate": []}',
+     '{"certificate": "x"}', '{"certificate": null}'],
+)
+def test_verify_non_object_document_exits_two(tmp_path, capsys, text):
+    bad = tmp_path / "cert.json"
+    bad.write_text(text)
+    assert main(["verify", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_verify_directory_exits_two(tmp_path, capsys):
+    assert main(["verify", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_search_nonvt_output(capsys):
     code, doc = run_json(capsys, ["search-nonvt", "E2", "--det-bound", "6"])
     assert code == 0
@@ -245,12 +264,17 @@ def test_all_shipped_schemas_are_well_formed():
 
 
 # Default-output fingerprints, recorded from the package before the
-# single-implementation refactor; any byte of drift in these commands
-# changes a hash.
+# single-implementation refactor (the three non-polyhedral `analyze`
+# outputs, which list violations, before polyhedrality was decided on
+# one translation cell); any byte of drift in these commands changes a
+# hash.
 GOLDEN_STDOUT = [
     (["info", "E7"], "295e810a54234053ea1a8d4c4ac0f53d03b29b199c5f4b5838fdda5c7c112f57"),
     (["analyze", "T44", "3", "0", "0", "3"], "f4270599131252aeba83e50b232289f007ad96b2799a2f2b265fe82a326f5b54"),
     (["analyze", "E2", "1", "2", "0", "6"], "0c129a536b48dc8f5069cefb5a858b17b9e1d4d7794c3dcf152e5317e6f4cacd"),
+    (["analyze", "T44", "2", "0", "0", "2"], "7c07191445714f3f01cda33911682b54bb3442ab31d904171109c2a302f44233"),
+    (["analyze", "E1", "1", "0", "0", "1"], "bb6ec59164ebeed8996a2ccf369c0619f4af7d6b3a862e4db3e0d754bccba7b3"),
+    (["analyze", "T666", "1", "0", "0", "1"], "d11125ca5f5705ba3014c1b5732d65b72b80590f9b002315a447b56dceb9df7a"),
     (["cover", "E1", "1", "0", "0", "2"], "4f16070206e6440be2c4093da6a8ccc5bbbde36f41dad42dfaf3b43c2cda946a"),
     (["cover", "E6", "1", "0", "0", "3", "--r", "2"], "7a71fc5afae3ae75ce34e32048b859c9493bcca90de936321516b60efd01d10f"),
     (["verify", "cover.json"], "fdfacba321b38c5932fbc4c1f9085d7b513a42e19690636d5797ba51de62f37b"),

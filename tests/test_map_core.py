@@ -11,7 +11,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricover import (
@@ -29,7 +29,8 @@ from toricover import (
     template,
     vertex_type,
 )
-from toricover.map_core import face_cycle
+from toricover.lattice import enumerate_hnf
+from toricover.map_core import _cell_is_clean, _full_scan, face_cycle
 from toricover.symmetry import are_isomorphic
 
 from helpers import from_faces
@@ -191,6 +192,25 @@ def test_subdividing_one_face_breaks_semi_equivelarity():
     assert vertex_type(m, x) == VertexTypeSig.from_cycle((3, 3, 3, 3))
 
 
+def semi_equivelar_by_definition(m: FlagMap) -> VertexTypeSig | None:
+    types = {vertex_type(m, v) for v in range(m.n_vertices)}
+    return types.pop() if len(types) == 1 else None
+
+
+def test_semi_equivelar_matches_per_vertex_definition():
+    maps = [m for _, _, m in sweep_maps()]
+    maps += [build_quotient(QuotientSpec(tid, mat)) for tid in TilingId for mat in enumerate_hnf(6)]
+    base = build_quotient(QuotientSpec(TilingId.SQUARE, SublatticeMat(3, 0, 0, 3)))
+    faces = [list(base.face_vertices(f)) for f in range(base.n_faces)]
+    maps.append(from_faces(faces))
+    a, b, c, d = faces.pop()
+    x = base.n_vertices
+    maps.append(from_faces(faces + [[a, b, x], [b, c, x], [c, d, x], [d, a, x]]))
+    for m in maps:
+        assert is_semi_equivelar(m) == semi_equivelar_by_definition(m), m.spec
+    assert is_semi_equivelar(maps[-1]) is None
+
+
 # --- from_faces and constructor validation ---
 
 
@@ -265,6 +285,44 @@ def test_polyhedral_report_is_truthy_exactly_when_ok():
     bad = is_polyhedral(build_quotient(QuotientSpec(TilingId.SQUARE, SublatticeMat(1, 0, 0, 1))))
     assert bool(good) and good.ok and not bad.ok and not bool(bad)
     assert bad.violations
+
+
+def assert_cell_decision_matches_full_scan(m: FlagMap) -> bool:
+    full = _full_scan(m)
+    assert _cell_is_clean(m) == full.ok, m.spec
+    assert is_polyhedral(m) == full, m.spec
+    return full.ok
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_cell_decision_matches_full_scan_on_hermite_forms(tid):
+    outcomes = {
+        assert_cell_decision_matches_full_scan(build_quotient(QuotientSpec(tid, mat)))
+        for mat in enumerate_hnf(12)
+    }
+    assert outcomes == {True, False}, tid
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tid=st.sampled_from(list(TilingId)),
+    entries=st.tuples(*[st.integers(min_value=-7, max_value=7)] * 4).filter(
+        lambda t: t[0] * t[3] - t[1] * t[2] != 0
+    ),
+)
+def test_cell_decision_matches_full_scan_on_random_lattices(tid, entries):
+    assert_cell_decision_matches_full_scan(build_quotient(QuotientSpec(tid, SublatticeMat(*entries))))
+
+
+def test_maps_without_coset_system_get_the_full_scan():
+    base = build_quotient(QuotientSpec(TilingId.SQUARE, SublatticeMat(3, 0, 0, 3)))
+    torus = from_faces([list(base.face_vertices(f)) for f in range(base.n_faces)])
+    sphere = from_faces([[0, 1, 2], [2, 1, 0]])
+    assert torus.coset_system is None and sphere.coset_system is None
+    assert is_polyhedral(torus) == _full_scan(torus) == is_polyhedral(base)
+    assert is_polyhedral(torus).ok
+    assert is_polyhedral(sphere) == _full_scan(sphere)
+    assert is_polyhedral(sphere).violations == (("face-pair", (0, 1)),)
 
 
 # --- labels, change of basis, summaries ---
