@@ -14,6 +14,7 @@ Y's vertices, which is what makes the cover vertex-transitive.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .lattice import (
@@ -23,7 +24,7 @@ from .lattice import (
     is_scaled_identity,
     scaled_identity,
 )
-from .map_core import FlagMap, QuotientSpec, build_quotient, is_polyhedral
+from .map_core import FlagMap, QuotientSpec, build_quotient
 from .symmetry import MapAutomorphism
 from .tilings import PointGroupElem, TilingId, dihedral, parse_tiling, template
 
@@ -59,28 +60,43 @@ class CoverCertificate:
         }
 
 
+def _typed(value, kind: type, field: str):
+    """value if its type is exactly kind (so True is not an int and 3.0
+    is not an int), else ValueError."""
+    if type(value) is not kind:
+        raise ValueError(f"{field} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def _int_list(value, field: str) -> tuple[int, ...]:
+    if type(value) is not list or not set(map(type, value)) <= {int}:
+        raise ValueError(f"{field} must be a list of integers")
+    return tuple(value)
+
+
 def certificate_from_dict(data: dict) -> CoverCertificate:
+    """Parse a certificate strictly: integers must be JSON integers and
+    the polyhedral claims JSON booleans, as the schema says."""
     if not isinstance(data, dict):
         raise ValueError("malformed certificate: not a JSON object")
     try:
-        tiling = parse_tiling(data["tiling"])
-        a, b, c, d = (int(x) for x in data["M"])
-        exponent = int(data["m"])
-        fold = int(data["n"])
-        area = data["area"]
+        tiling = parse_tiling(_typed(data["tiling"], str, "tiling"))
+        a, b, c, d = _int_list(data["M"], "M")
+        exponent = _typed(data["m"], int, "m")
+        area, polyhedral = data["area"], data["polyhedral"]
         cert = CoverCertificate(
             tiling=tiling,
             base_mat=SublatticeMat(a, b, c, d),
             exponent=exponent,
-            fold=fold,
+            fold=_typed(data["n"], int, "n"),
             cover_mat=scaled_identity(exponent),
-            vertex_map=tuple(int(x) for x in data["vertex_map"]),
-            edge_map=tuple(int(x) for x in data["edge_map"]),
-            face_map=tuple(int(x) for x in data["face_map"]),
-            area_value=int(area["value"]),
-            area_factor=str(area["factor"]),
-            base_polyhedral=bool(data["polyhedral"]["X"]),
-            cover_polyhedral=bool(data["polyhedral"]["Y"]),
+            vertex_map=_int_list(data["vertex_map"], "vertex_map"),
+            edge_map=_int_list(data["edge_map"], "edge_map"),
+            face_map=_int_list(data["face_map"], "face_map"),
+            area_value=_typed(area["value"], int, "area.value"),
+            area_factor=_typed(area["factor"], str, "area.factor"),
+            base_polyhedral=_typed(polyhedral["X"], bool, "polyhedral.X"),
+            cover_polyhedral=_typed(polyhedral["Y"], bool, "polyhedral.Y"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed certificate: {exc}") from exc
@@ -101,7 +117,11 @@ def cover_maps(
     if rem:
         raise AssertionError("fold count is not integral")
 
-    vmap = [x.vertex_at(r_, w) for r_, w in y.labels]
+    # Both maps number vertices rep-major (build_quotient), so the Y-vertex
+    # (rep, w) goes to X's vertex rep * |det| + (X's index of the cell w).
+    cells = [x.vertex_at(0, w) for w in y.coset_system.representatives]
+    ncos = x.coset_system.size()
+    vmap = [rep * ncos + c for rep in range(y.n_vertices // len(cells)) for c in cells]
     # Dart k of a Y-vertex goes to dart k of its image.
     dmap = [0] * y.n_darts
     for v, ds in enumerate(y.vertex_darts):
@@ -114,13 +134,13 @@ def cover_maps(
         if dmap[y.dart_rev[d]] != x.dart_rev[dmap[d]]:
             raise AssertionError(f"projection breaks dart reversal at dart {d}")
 
-    emap = [x.dart_edge[dmap[ds[0]]] for ds in y.edge_darts]
-    fmap = []
-    for walk in y.face_darts:
-        images = {x.dart_face_left[dmap[d]] for d in walk}
-        if len(images) != 1:
-            raise AssertionError("projection splits a face")
-        fmap.append(images.pop())
+    emap = [x.dart_edge[dmap[d]] for d, _ in y.edge_darts]
+    # A face goes where its first dart's face goes, and every dart of it
+    # must agree.
+    dart_fmap = list(map(x.dart_face_left.__getitem__, dmap))
+    fmap = [dart_fmap[walk[0]] for walk in y.face_darts]
+    if list(map(fmap.__getitem__, y.dart_face_left)) != dart_fmap:
+        raise AssertionError("projection splits a face")
 
     area_value, area_factor = torus_area(spec)
     cert = CoverCertificate(
@@ -134,8 +154,8 @@ def cover_maps(
         face_map=tuple(fmap),
         area_value=area_value,
         area_factor=area_factor,
-        base_polyhedral=is_polyhedral(x).ok,
-        cover_polyhedral=is_polyhedral(y).ok,
+        base_polyhedral=x.polyhedral,
+        cover_polyhedral=y.polyhedral,
     )
     return y, x, cert
 
@@ -169,6 +189,9 @@ def verify_covering(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> VerifyRep
     fibers, adjacency preservation, face sizes, and the local
     isomorphism condition (the face-cycle at every Y-vertex matches the
     face-cycle at its image in cyclic order, allowing either direction).
+    The certificate's claims are checked with the stage they belong to:
+    the area with the arithmetic, polyhedrality of X and Y with the
+    faces.
     """
     passed: list[str] = []
 
@@ -186,6 +209,9 @@ def verify_covering(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> VerifyRep
     # and the lattice containment below is the condition that matters.
     if not contains_scaled_identity(cert.base_mat, cert.exponent):
         return fail("arithmetic: cover lattice is not inside the base lattice")
+    area = torus_area(QuotientSpec(cert.tiling, cert.base_mat))
+    if (cert.area_value, cert.area_factor) != area:
+        return fail(f"arithmetic: area {cert.area_value} * {cert.area_factor} is not {area[0]} * {area[1]}")
     passed.append("arithmetic")
 
     shapes = (
@@ -196,44 +222,52 @@ def verify_covering(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> VerifyRep
     for table, dom, cod, kind in shapes:
         if len(table) != dom:
             return fail(f"shape: {kind}_map has {len(table)} entries, expected {dom}")
-        if any(not (0 <= t < cod) for t in table):
+        if min(table) < 0 or max(table) >= cod:
             return fail(f"shape: {kind}_map has out-of-range entries")
     passed.append("shape")
 
     for table, _, cod, kind in shapes:
-        fibers = [0] * cod
-        for t in table:
-            fibers[t] += 1
-        badcell = next((c for c, size in enumerate(fibers) if size != n), None)
-        if badcell is not None:
+        fibers = Counter(table)
+        if len(fibers) != cod or set(fibers.values()) != {n}:
+            badcell = next(c for c in range(cod) if fibers[c] != n)
             return fail(
                 f"fibers: {kind} {badcell} has {fibers[badcell]} preimages, expected {n}"
             )
     passed.append("fibers")
 
-    vm = cert.vertex_map
-    for e in range(y.n_edges):
-        u, w = y.edge_endpoints(e)
-        xu, xw = x.edge_endpoints(cert.edge_map[e])
-        if sorted((vm[u], vm[w])) != sorted((xu, xw)):
+    vm, em, fm = cert.vertex_map, cert.edge_map, cert.face_map
+    ytail, xtail, xedges = y.dart_vertex, x.dart_vertex, x.edge_darts
+    for e, (d, rd) in enumerate(y.edge_darts):
+        xd, xrd = xedges[em[e]]
+        u, w, xu, xw = vm[ytail[d]], vm[ytail[rd]], xtail[xd], xtail[xrd]
+        if not ((u == xu and w == xw) or (u == xw and w == xu)):
             return fail(f"adjacency: edge {e} endpoints map to non-endpoints")
     passed.append("adjacency")
 
-    for f in range(y.n_faces):
-        if x.face_sizes[cert.face_map[f]] != y.face_sizes[f]:
-            return fail(f"faces: face {f} changes size under the projection")
+    if list(map(x.face_sizes.__getitem__, fm)) != list(y.face_sizes):
+        f = next(f for f in range(y.n_faces) if x.face_sizes[fm[f]] != y.face_sizes[f])
+        return fail(f"faces: face {f} changes size under the projection")
+    for claim, m, name in ((cert.base_polyhedral, x, "X"), (cert.cover_polyhedral, y, "Y")):
+        if claim != m.polyhedral:
+            return fail(f"faces: certificate claims {name} polyhedral={claim}, but it is {m.polyhedral}")
     passed.append("faces")
 
-    em, fm = cert.edge_map, cert.face_map
-    for v in range(y.n_vertices):
-        around_y = [
-            (em[y.dart_edge[d]], fm[y.dart_face_left[d]]) for d in y.vertex_darts[v]
-        ]
+    # An honest projection maps dart k of a Y-vertex to dart k of its
+    # image, so each Y-cycle is first compared with its image's cycle as
+    # is; only if that fails is it looked up among every rotation and
+    # reflection of the image's cycle, a set built once per X-vertex.
+    x_cycles = [
+        tuple([(x.dart_edge[d], x.dart_face_left[d]) for d in ds]) for ds in x.vertex_darts
+    ]
+    images: dict[int, set] = {}
+    for v, ds in enumerate(y.vertex_darts):
+        around_y = tuple([(em[y.dart_edge[d]], fm[y.dart_face_left[d]]) for d in ds])
         xv = vm[v]
-        around_x = [
-            (x.dart_edge[d], x.dart_face_left[d]) for d in x.vertex_darts[xv]
-        ]
-        if around_y not in dihedral(around_x):
+        if around_y == x_cycles[xv]:
+            continue
+        if xv not in images:
+            images[xv] = set(dihedral(x_cycles[xv]))
+        if around_y not in images[xv]:
             return fail(f"local: face-cycle at vertex {v} does not match vertex {xv}")
     passed.append("local-isomorphism")
 

@@ -204,15 +204,19 @@ class CosetSystem:
     def size(self) -> int:
         return len(self.representatives)
 
-    def _box_coords(self, vec: Vec) -> Vec:
-        # Change coordinates so the lattice becomes s1 Z x s2 Z.
+    def box_coords(self, vec: Vec) -> Vec:
+        """Coordinates of vec mod the lattice in the Smith box
+        Z/s1 x Z/s2 (the change of basis `v` maps the lattice to
+        s1 Z x s2 Z).  Representative i*s2 + j has box coordinates
+        (i, j), and the map is additive, so a translation moves every
+        coset by one fixed box shift."""
         x, y = vec
         w1 = x * self.v[0][0] + y * self.v[1][0]
         w2 = x * self.v[0][1] + y * self.v[1][1]
         return w1 % self.s1, w2 % self.s2
 
     def index_of(self, vec: Vec) -> int:
-        i, j = self._box_coords(vec)
+        i, j = self.box_coords(vec)
         return i * self.s2 + j
 
 

@@ -24,6 +24,7 @@ dart sits in exactly one rotation) and that the map is connected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .lattice import CosetSystem, SublatticeMat, cosets
 from .tilings import TilingId, dihedral, template
@@ -106,6 +107,7 @@ class FlagMap:
         self.n_edges = len(edge_darts)
 
         # Faces: orbits of d -> cw(rev(d)), i.e. the face left of each dart.
+        nxt = list(map(cw.__getitem__, dart_rev))
         face_of = [-1] * nd
         face_darts = []
         for d in range(nd):
@@ -117,7 +119,7 @@ class FlagMap:
             while face_of[cur] < 0:
                 face_of[cur] = f
                 walk.append(cur)
-                cur = cw[dart_rev[cur]]
+                cur = nxt[cur]
             if cur != d:
                 raise ValueError(f"face trace from dart {d} did not close")
             face_darts.append(tuple(walk))
@@ -129,32 +131,40 @@ class FlagMap:
         if not self._connected():
             raise ValueError("map is not connected")
 
-        # Flag involutions, closed-form from the dart tables.
-        nf = 2 * nd
-        s0 = [0] * nf
-        s1 = [0] * nf
-        s2 = [0] * nf
-        fv = [0] * nf
-        fe = [0] * nf
-        ff = [0] * nf
-        for d in range(nd):
-            rd = dart_rev[d]
-            s0[2 * d] = 2 * rd + 1
-            s0[2 * d + 1] = 2 * rd
-            s1[2 * d] = 2 * ccw[d] + 1
-            s1[2 * d + 1] = 2 * cw[d]
-            s2[2 * d] = 2 * d + 1
-            s2[2 * d + 1] = 2 * d
-            fv[2 * d] = fv[2 * d + 1] = dart_vertex[d]
-            fe[2 * d] = fe[2 * d + 1] = edge_of[d]
-            ff[2 * d] = face_of[d]
-            ff[2 * d + 1] = face_of[rd]
-        self.s0 = s0
-        self.s1 = s1
-        self.s2 = s2
-        self.flag_vertex = fv
-        self.flag_edge = fe
-        self.flag_face = ff
+    # Flag involutions and incidences, closed-form from the dart tables
+    # (module docstring); built on first use, since only the symmetry
+    # engine reads them.
+
+    @cached_property
+    def s0(self) -> list[int]:
+        return _interleave([2 * r + 1 for r in self.dart_rev], [2 * r for r in self.dart_rev])
+
+    @cached_property
+    def s1(self) -> list[int]:
+        return _interleave([2 * c + 1 for c in self.dart_ccw], [2 * c for c in self.dart_cw])
+
+    @cached_property
+    def s2(self) -> list[int]:
+        nf = self.n_flags
+        return _interleave(range(1, nf, 2), range(0, nf, 2))
+
+    @cached_property
+    def flag_vertex(self) -> list[int]:
+        return _interleave(self.dart_vertex, self.dart_vertex)
+
+    @cached_property
+    def flag_edge(self) -> list[int]:
+        return _interleave(self.dart_edge, self.dart_edge)
+
+    @cached_property
+    def flag_face(self) -> list[int]:
+        left = self.dart_face_left
+        return _interleave(left, [left[r] for r in self.dart_rev])
+
+    @cached_property
+    def polyhedral(self) -> bool:
+        """is_polyhedral(self).ok, decided once: the map never changes."""
+        return is_polyhedral(self).ok
 
     @property
     def n_darts(self) -> int:
@@ -190,19 +200,27 @@ class FlagMap:
         return tuple(out)
 
     def _connected(self) -> bool:
-        nd = self.n_darts
-        seen = [False] * nd
+        """Darts at one vertex are joined by its rotation, so the darts
+        are connected exactly when the vertices are."""
+        head = list(map(self.dart_vertex.__getitem__, self.dart_rev))
+        seen = bytearray(self.n_vertices)
+        seen[0] = 1
         stack = [0]
-        seen[0] = True
-        count = 1
         while stack:
-            d = stack.pop()
-            for nxt in (self.dart_rev[d], self.dart_ccw[d]):
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    count += 1
-                    stack.append(nxt)
-        return count == nd
+            for d in self.vertex_darts[stack.pop()]:
+                w = head[d]
+                if not seen[w]:
+                    seen[w] = 1
+                    stack.append(w)
+        return all(seen)
+
+
+def _interleave(even, odd) -> list[int]:
+    """The flag table with entry 2d from even[d] and 2d + 1 from odd[d]."""
+    out = [0] * (2 * len(even))
+    out[0::2] = even
+    out[1::2] = odd
+    return out
 
 
 def build_quotient(spec: QuotientSpec) -> FlagMap:
@@ -214,24 +232,26 @@ def build_quotient(spec: QuotientSpec) -> FlagMap:
     """
     tpl = template(spec.tiling)
     cs = cosets(spec.mat)
-    ncos = cs.size()
+    s1, s2, ncos = cs.s1, cs.s2, cs.size()
     deg = tpl.degree
-    labels = []
-    for r in range(tpl.rep_count):
-        for w in cs.representatives:
-            labels.append((r, w))
-    nv = len(labels)
-    dart_vertex = []
-    dart_rev = []
-    for v in range(nv):
-        r, w = labels[v]
-        for k in range(deg):
-            s, (ox, oy) = tpl.neighbors[r][k]
-            tv = s * ncos + cs.index_of((w[0] + ox, w[1] + oy))
-            dart_vertex.append(v)
-            dart_rev.append(tv * deg + tpl.reverse_slots[r][k])
-    vertex_darts = [tuple(range(v * deg, v * deg + deg)) for v in range(nv)]
-    m = FlagMap(dart_vertex, dart_rev, vertex_darts, labels=tuple(labels), spec=spec)
+    labels = tuple((r, w) for r in range(tpl.rep_count) for w in cs.representatives)
+    nd = len(labels) * deg
+    block = ncos * deg  # the darts of one rep
+    # Coset i*s2 + j has box coordinates (i, j), so slot k of rep r points
+    # from every coset to the coset one fixed box shift (di, dj) away: the
+    # reverse darts of the column (r, k) are the identity numbering of the
+    # target rep's slot with its box rows and columns rotated.
+    dart_rev = [0] * nd
+    for r, darts in enumerate(tpl.neighbors):
+        for k, (s, offset) in enumerate(darts):
+            di, dj = cs.box_coords(offset)
+            first = s * block + tpl.reverse_slots[r][k]
+            rows = [first + (i + di) % s1 * s2 * deg for i in range(s1)]
+            cols = [(j + dj) % s2 * deg for j in range(s2)]
+            dart_rev[r * block + k : (r + 1) * block : deg] = [a + b for a in rows for b in cols]
+    dart_vertex = [d // deg for d in range(nd)]
+    vertex_darts = [tuple(range(d, d + deg)) for d in range(0, nd, deg)]
+    m = FlagMap(dart_vertex, dart_rev, vertex_darts, labels=labels, spec=spec)
     m.coset_system = cs
     return m
 
@@ -320,13 +340,36 @@ def is_semi_equivelar(m: FlagMap) -> VertexTypeSig | None:
     return sig
 
 
-@dataclass(frozen=True)
 class PolyhedralReport:
-    ok: bool
-    violations: tuple[tuple[str, tuple[int, ...]], ...]
+    """Whether a map is polyhedral, and up to _MAX_VIOLATIONS violations.
+
+    Given a map instead of a list, the report runs that map's full scan
+    the first time `violations` is read, so a caller that only reads
+    `ok` never pays for the list."""
+
+    def __init__(self, ok: bool, violations: tuple = (), scan: FlagMap | None = None):
+        self.ok = ok
+        self._scan = scan
+        if scan is None:
+            self.violations = violations
+
+    @cached_property
+    def violations(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        return _full_scan(self._scan).violations
 
     def __bool__(self) -> bool:
         return self.ok
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PolyhedralReport):
+            return NotImplemented
+        return (self.ok, self.violations) == (other.ok, other.violations)
+
+    def __hash__(self) -> int:
+        return hash((self.ok, self.violations))
+
+    def __repr__(self) -> str:
+        return f"PolyhedralReport(ok={self.ok!r}, violations={self.violations!r})"
 
 
 _MAX_VIOLATIONS = 20
@@ -461,12 +504,15 @@ def is_polyhedral(m: FlagMap) -> PolyhedralReport:
     violation anywhere has a translate at a vertex of cell (0, 0).
     Hence it suffices to check the edges and faces at those vertices and
     the face pairs that meet there.  A clean cell gives the answer; a
-    dirty cell, or a map without a coset system, gets the full scan,
-    which lists the violations.
+    dirty cell is a violation, and the full scan that lists them runs
+    only when the report's `violations` are read.  A map without a
+    coset system gets the full scan at once.
     """
-    if m.coset_system is not None and _cell_is_clean(m):
-        return PolyhedralReport(True, ())
-    return _full_scan(m)
+    if m.coset_system is None:
+        return _full_scan(m)
+    if _cell_is_clean(m):
+        return PolyhedralReport(True)
+    return PolyhedralReport(False, scan=m)
 
 
 def map_summary(m: FlagMap) -> dict:

@@ -1,11 +1,12 @@
 """Test-only constructions: maps from face lists, corrupted templates,
-and group-element arithmetic on flag permutations."""
+per-dart reference tables for quotient maps, and group-element
+arithmetic on flag permutations."""
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from toricover import FlagMap, MapAutomorphism
+from toricover import FlagMap, MapAutomorphism, QuotientSpec, cosets, template
 from toricover.tilings import IVec, TilingTemplate
 
 
@@ -76,6 +77,43 @@ def corrupt_dart(tpl: TilingTemplate, rep: int, slot: int, offset: IVec) -> Tili
     s, _ = darts[rep][slot]
     darts[rep][slot] = (s, offset)
     return replace(tpl, neighbors=tuple(tuple(d) for d in darts))
+
+
+def reference_quotient(spec: QuotientSpec) -> tuple[tuple, list[int], list[int], list[tuple[int, ...]]]:
+    """(labels, dart_vertex, dart_rev, vertex_darts) of the quotient,
+    built dart by dart: every dart's head is looked up with
+    `CosetSystem.index_of`.  The oracle for build_quotient."""
+    tpl = template(spec.tiling)
+    cs = cosets(spec.mat)
+    ncos = cs.size()
+    deg = tpl.degree
+    labels = tuple((r, w) for r in range(tpl.rep_count) for w in cs.representatives)
+    dart_vertex = []
+    dart_rev = []
+    for v, (r, w) in enumerate(labels):
+        for k in range(deg):
+            s, (ox, oy) = tpl.neighbors[r][k]
+            tv = s * ncos + cs.index_of((w[0] + ox, w[1] + oy))
+            dart_vertex.append(v)
+            dart_rev.append(tv * deg + tpl.reverse_slots[r][k])
+    vertex_darts = [tuple(range(v * deg, v * deg + deg)) for v in range(len(labels))]
+    return labels, dart_vertex, dart_rev, vertex_darts
+
+
+def reference_flag_tables(m: FlagMap) -> dict[str, list[int]]:
+    """s0, s1, s2 and the flag incidences filled flag by flag from the
+    closed forms in the map_core docstring."""
+    nf = m.n_flags
+    t = {name: [0] * nf for name in ("s0", "s1", "s2", "flag_vertex", "flag_edge", "flag_face")}
+    for d in range(m.n_darts):
+        rd = m.dart_rev[d]
+        t["s0"][2 * d], t["s0"][2 * d + 1] = 2 * rd + 1, 2 * rd
+        t["s1"][2 * d], t["s1"][2 * d + 1] = 2 * m.dart_ccw[d] + 1, 2 * m.dart_cw[d]
+        t["s2"][2 * d], t["s2"][2 * d + 1] = 2 * d + 1, 2 * d
+        t["flag_vertex"][2 * d] = t["flag_vertex"][2 * d + 1] = m.dart_vertex[d]
+        t["flag_edge"][2 * d] = t["flag_edge"][2 * d + 1] = m.dart_edge[d]
+        t["flag_face"][2 * d], t["flag_face"][2 * d + 1] = m.dart_face_left[d], m.dart_face_left[rd]
+    return t
 
 
 def inverse(g: MapAutomorphism) -> MapAutomorphism:

@@ -119,6 +119,38 @@ def test_verify_rejects_tampered_certificate(tmp_path, capsys):
     assert report["verified"]["failure"]
 
 
+def _cover_certificate(tmp_path) -> dict:
+    out = tmp_path / "cover.json"
+    assert main(["cover", "T44", "1", "0", "0", "2", "--out", str(out)]) == 0
+    return json.loads(out.read_text())["certificate"]
+
+
+def test_verify_rejects_false_claims(tmp_path, capsys):
+    cert = _cover_certificate(tmp_path)
+    assert cert["polyhedral"] == {"X": False, "Y": False}
+    assert cert["area"] == {"value": 2, "factor": "1"}
+    for key, value, stage in (
+        ("polyhedral", {"X": True, "Y": False}, "faces"),
+        ("area", {"value": 999, "factor": "pi"}, "arithmetic"),
+    ):
+        bad = tmp_path / f"{key}.json"
+        bad.write_text(json.dumps({**cert, key: value}))
+        code, report = run_json(capsys, ["verify", str(bad)])
+        assert code == 1, key
+        assert report["verified"]["ok"] is False
+        assert report["verified"]["failure"].startswith(stage + ":")
+
+
+def test_verify_rejects_non_integer_map_entries(tmp_path, capsys):
+    cert = _cover_certificate(tmp_path)
+    bad = tmp_path / "floats.json"
+    bad.write_text(json.dumps({**cert, "vertex_map": [v + 0.4 for v in cert["vertex_map"]]}))
+    assert main(["verify", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed certificate")
+
+
 def test_verify_malformed_file_exits_two(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text('{"tiling": "square"}')

@@ -3,6 +3,7 @@ descent of tiling symmetries to lattice-preserving quotients."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import pytest
@@ -201,6 +202,84 @@ def test_verify_rejects_broken_rotation_order():
     assert report.checks_passed == ("arithmetic", "shape", "fibers", "adjacency", "faces")
 
 
+def test_verify_checks_every_preimage_against_its_dihedral_set():
+    # Composing the projection Y -> X with the quarter turn of X (an
+    # automorphism, since X's lattice 2Z^2 is scalar) gives a valid
+    # certificate in which every Y-cycle is a rotation, not a copy, of its
+    # image's cycle, so each Y-vertex is looked up in its image's dihedral
+    # set.  Exchanging the images of two Y-edges over parallel X-edges
+    # then breaks only later preimages (r = 2 gives four per X-vertex):
+    # the set of the broken vertex's image is already built.
+    spec = spec_of("T4444", (2, 0, 0, 2))
+    y, x, cert = cover_maps(spec, r=2)
+    assert cert.fold == 4
+    g = descend(spec, template(spec.tiling).point_group[0])
+    gv = [x.flag_vertex[g(2 * ds[0])] for ds in x.vertex_darts]
+    ge = [x.flag_edge[g(2 * d)] for d, _ in x.edge_darts]
+    gf = [x.flag_face[g(2 * walk[0])] for walk in x.face_darts]
+    vm = [gv[v] for v in cert.vertex_map]
+    em = [ge[e] for e in cert.edge_map]
+    fm = tuple(gf[f] for f in cert.face_map)
+    turned = dataclasses.replace(cert, vertex_map=tuple(vm), edge_map=tuple(em), face_map=fm)
+    assert verify_covering(y, x, turned).ok
+
+    def cycle(m, v, edge_map=None, face_map=None):
+        return [
+            (edge_map[m.dart_edge[d]] if edge_map else m.dart_edge[d],
+             face_map[m.dart_face_left[d]] if face_map else m.dart_face_left[d])
+            for d in m.vertex_darts[v]
+        ]
+
+    assert all(cycle(y, v, em, fm) != cycle(x, vm[v]) for v in range(y.n_vertices))
+
+    first = {xv: v for v, xv in reversed(list(enumerate(vm)))}
+    late = {v for v, xv in enumerate(vm) if first[xv] != v}
+    swap = next(
+        (e, f)
+        for v in sorted(late)
+        for e in (y.dart_edge[d] for d in y.vertex_darts[v])
+        for f in (y.dart_edge[d] for d in y.vertex_darts[v])
+        if em[e] != em[f]
+        and sorted(x.edge_endpoints(em[e])) == sorted(x.edge_endpoints(em[f]))
+        and set(y.edge_endpoints(e)) | set(y.edge_endpoints(f)) <= late
+    )
+    e, f = swap
+    em[e], em[f] = em[f], em[e]
+    report = verify_covering(y, x, dataclasses.replace(turned, edge_map=tuple(em)))
+    assert report.failure.startswith("local")
+    assert report.checks_passed == ("arithmetic", "shape", "fibers", "adjacency", "faces")
+    broken = int(report.failure.split("vertex ")[1].split()[0])
+    assert broken in late
+
+
+@pytest.mark.parametrize(
+    "area", [(7, "1"), (4, "sqrt(3)/2"), (999, "pi"), (-4, "1")], ids=["value", "factor", "both", "sign"]
+)
+def test_verify_rejects_false_area_claim(area):
+    y, x, cert = cover_maps(spec_of("T4444", (1, 0, 0, 2)))
+    assert (cert.area_value, cert.area_factor) == (2, "1")
+    bad = dataclasses.replace(cert, area_value=area[0], area_factor=area[1])
+    report = verify_covering(y, x, bad)
+    assert not report.ok and report.failure.startswith("arithmetic: area")
+    assert report.checks_passed == ()
+
+
+@pytest.mark.parametrize("field", ["base_polyhedral", "cover_polyhedral"])
+def test_verify_rejects_false_polyhedral_claim(field):
+    # X = T4444 / (1, 0; 0, 2) has loops; its cover, the 2x2 grid, has
+    # parallel edges.  Neither is polyhedral, so a True claim is false.
+    y, x, cert = cover_maps(spec_of("T4444", (1, 0, 0, 2)))
+    assert (cert.base_polyhedral, cert.cover_polyhedral) == (False, False)
+    report = verify_covering(y, x, dataclasses.replace(cert, **{field: True}))
+    assert not report.ok and report.failure.startswith("faces: certificate claims")
+    assert report.checks_passed == ("arithmetic", "shape", "fibers", "adjacency")
+    # and a polyhedral map claimed non-polyhedral
+    y, x, cert = cover_maps(spec_of("T4444", (3, 0, 0, 3)))
+    assert cert.base_polyhedral and cert.cover_polyhedral
+    report = verify_covering(y, x, dataclasses.replace(cert, **{field: False}))
+    assert not report.ok and report.failure.startswith("faces: certificate claims")
+
+
 # --- symmetry descent ---
 
 
@@ -294,6 +373,36 @@ def test_certificate_rejects_malformed_documents():
         breakage(bad)
         with pytest.raises(ValueError):
             certificate_from_dict(bad)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("M", 0), 1.0),
+        (("M", 3), True),
+        (("m",), 2.0),
+        (("n",), "2"),
+        (("vertex_map", 0), 0.4),
+        (("edge_map", 1), "1"),
+        (("face_map", 0), False),
+        (("area", "value"), 2.0),
+        (("area", "factor"), 1),
+        (("polyhedral", "X"), 0),
+        (("polyhedral", "Y"), "false"),
+        (("tiling",), 4),
+    ],
+    ids=lambda v: repr(v),
+)
+def test_certificate_rejects_values_of_the_wrong_json_type(path, value):
+    _, _, cert = cover_maps(spec_of("T4444", (1, 0, 0, 2)))
+    doc = copy.deepcopy(cert.as_dict())
+    *outer, last = path
+    target = doc
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ValueError, match="malformed certificate"):
+        certificate_from_dict(doc)
 
 
 @settings(max_examples=40, deadline=None)

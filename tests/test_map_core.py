@@ -29,11 +29,12 @@ from toricover import (
     template,
     vertex_type,
 )
+from toricover import map_core
 from toricover.lattice import enumerate_hnf
 from toricover.map_core import _cell_is_clean, _full_scan, face_cycle
 from toricover.symmetry import are_isomorphic
 
-from helpers import from_faces
+from helpers import from_faces, reference_flag_tables, reference_quotient
 
 SWEEP_MATS = [
     SublatticeMat(1, 0, 0, 1),
@@ -134,6 +135,51 @@ def test_involutions_preserve_the_right_incidences():
             d = t // 2
             faces = {m.dart_face_left[d], m.dart_face_left[m.dart_rev[d]]}
             assert {m.flag_face[t], m.flag_face[m.s2[t]]} == faces
+
+
+FLAG_TABLES = ("s0", "s1", "s2", "flag_vertex", "flag_edge", "flag_face")
+
+
+def test_flag_tables_are_built_on_first_use_and_match_closed_forms():
+    maps = [m for _, _, m in sweep_maps()]
+    base = build_quotient(QuotientSpec(TilingId.SQUARE, SublatticeMat(3, 0, 0, 3)))
+    maps.append(from_faces([list(base.face_vertices(f)) for f in range(base.n_faces)]))
+    maps.append(from_faces([[0, 1, 2], [2, 1, 0]]))
+    for m in maps:
+        assert not any(name in vars(m) for name in FLAG_TABLES), m.spec
+        want = reference_flag_tables(m)
+        for name in FLAG_TABLES:
+            assert getattr(m, name) == want[name], (m.spec, name)
+            assert getattr(m, name) is getattr(m, name)  # built once
+
+
+# --- build_quotient against the per-dart construction ---
+
+
+def assert_matches_reference(spec: QuotientSpec) -> None:
+    m = build_quotient(spec)
+    labels, dart_vertex, dart_rev, vertex_darts = reference_quotient(spec)
+    assert m.labels == labels, spec
+    assert m.dart_vertex == dart_vertex, spec
+    assert m.dart_rev == dart_rev, spec
+    assert list(m.vertex_darts) == vertex_darts, spec
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_build_quotient_matches_per_dart_reference_on_hermite_forms(tid):
+    for mat in enumerate_hnf(12):
+        assert_matches_reference(QuotientSpec(tid, mat))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tid=st.sampled_from(list(TilingId)),
+    entries=st.tuples(*[st.integers(min_value=-9, max_value=9)] * 4).filter(
+        lambda t: t[2] != 0 and t[0] * t[3] - t[1] * t[2] != 0
+    ),
+)
+def test_build_quotient_matches_per_dart_reference_on_random_matrices(tid, entries):
+    assert_matches_reference(QuotientSpec(tid, SublatticeMat(*entries)))
 
 
 # --- vertex types ---
@@ -323,6 +369,38 @@ def test_maps_without_coset_system_get_the_full_scan():
     assert is_polyhedral(torus).ok
     assert is_polyhedral(sphere) == _full_scan(sphere)
     assert is_polyhedral(sphere).violations == (("face-pair", (0, 1)),)
+
+
+def test_violations_are_listed_only_when_read(monkeypatch):
+    scans = []
+
+    def counting_scan(m):
+        scans.append(m)
+        return _full_scan(m)
+
+    monkeypatch.setattr(map_core, "_full_scan", counting_scan)
+    m = build_quotient(QuotientSpec(TilingId.SQUARE, SublatticeMat(2, 0, 0, 2)))
+    report = is_polyhedral(m)
+    assert not report.ok and not m.polyhedral
+    assert scans == []
+    assert report.violations == _full_scan(m).violations
+    assert report.violations
+    assert scans == [m]
+    assert map_summary(m)["polyhedral_violations"]
+
+
+def test_polyhedral_property_is_decided_once(monkeypatch):
+    calls = []
+
+    def counting_is_polyhedral(m):
+        calls.append(m)
+        return is_polyhedral(m)
+
+    monkeypatch.setattr(map_core, "is_polyhedral", counting_is_polyhedral)
+    for k, ok in ((2, False), (3, True)):
+        m = build_quotient(QuotientSpec(TilingId.SQUARE, SublatticeMat(k, 0, 0, k)))
+        assert m.polyhedral is ok and m.polyhedral is ok
+        assert calls.count(m) == 1
 
 
 # --- labels, change of basis, summaries ---
