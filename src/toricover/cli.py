@@ -2,8 +2,11 @@
 
 Subcommands mirror the library: info, analyze, cover, verify,
 search-nonvt, batch, render.  Output is deterministic JSON (sorted
-keys); exit status is 0 on success, 1 when a verification fails, and 2
-on invalid input.
+keys); exit status is 0 on success, 1 when a verification fails, 2
+on invalid input, and 3 on an internal error (an `AssertionError` or
+`RuntimeError` raised by the library, such as a failed consistency
+check of a quotient's translations), reported as one `internal error:`
+line on stderr.
 
 The batch sweep uses one PRNG per sample, seeded with the string
 "{seed}:{index}", so runs are reproducible and samples independent of
@@ -34,7 +37,7 @@ from .map_core import (
     map_summary,
 )
 from .render import render_svg
-from .symmetry import is_vertex_transitive, orbit_report, search_non_vt
+from .symmetry import is_vertex_transitive, non_vt_witnesses, orbit_report
 from .tilings import TilingId, parse_tiling, template, template_as_dict
 
 # Default ceilings for the randomized sweep: covers larger than this are
@@ -126,20 +129,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_search_nonvt(args: argparse.Namespace) -> int:
     tiling = parse_tiling(args.tiling)
-    witnesses = search_non_vt(tiling, args.det_bound)
-    items = []
-    for spec in witnesses:
-        m = build_quotient(spec)
-        rep = orbit_report(m)
-        items.append(
-            {
-                "matrix": list(spec.mat.as_tuple()),
-                "det": spec.mat.det(),
-                "vertices": m.n_vertices,
-                "vertex_orbit_count": len(rep.vertex_orbits),
-                "group_order": rep.group_order,
-            }
-        )
+    items = [
+        {
+            "matrix": list(spec.mat.as_tuple()),
+            "det": spec.mat.det(),
+            "vertices": n_vertices,
+            "vertex_orbit_count": len(rep.vertex_orbits),
+            "group_order": rep.group_order,
+        }
+        for spec, n_vertices, rep in non_vt_witnesses(tiling, args.det_bound)
+    ]
     _emit(
         args,
         {
@@ -294,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_count, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-entry", type=int, default=6)
-    p.add_argument("--vt-flag-cap", type=int, default=BATCH_VT_FLAG_CAP)
+    p.add_argument("--vt-flag-cap", type=_count, default=BATCH_VT_FLAG_CAP)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_batch)
 
@@ -314,6 +313,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, RuntimeError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

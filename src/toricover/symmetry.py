@@ -6,16 +6,20 @@ the attempt either closes into a bijection or hits a contradiction.
 The group is recovered by trying every candidate image of a fixed base
 flag (worst case O(|flags|^2)).
 
-Orbit computations fold successes into a union-find as they appear,
-which allows two prunings without changing results: a candidate already
-in the base flag's orbit is a known success, and a candidate in the
-orbit of a failed one is a known failure (compose with the group found
-so far).  Output order is by candidate flag index, so results are
-deterministic.
+The orbit scan works on translation classes.  In a quotient T/K from
+`build_quotient`, with D darts per vertex and ncos cosets, flag x lies
+in class (x // (2·D·ncos))·2D + x % 2D: the ncos flags (rep, slot,
+side), one Z²/K-orbit.  The scan first checks that the Smith-generator
+translations are the automorphisms this numbering says, then tries one
+extension of flag 0 per class, and spreads each verdict through the
+automorphisms found so far (an automorphism maps a class onto a class
+with the same verdict).  A map without a coset system is the case
+ncos = 1, one class per flag.  Results do not depend on the pruning.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .lattice import enumerate_hnf
@@ -85,88 +89,89 @@ def flag_extension(
     return img
 
 
-class _DSU:
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
-def _candidate_keys(m: FlagMap) -> list[tuple[int, int]]:
+def _candidate_keys(m: FlagMap, flags: Iterable[int]) -> list[tuple[int, int]]:
     # An automorphism must preserve vertex degree and the size of the
     # flag's own face, so mismatched candidates are skipped up front.
-    return [
-        (len(m.vertex_darts[m.flag_vertex[x]]), m.face_sizes[m.flag_face[x]])
-        for x in range(m.n_flags)
-    ]
+    fv, ff, vd, fs = m.flag_vertex, m.flag_face, m.vertex_darts, m.face_sizes
+    return [(len(vd[fv[x]]), fs[ff[x]]) for x in flags]
+
+
+def _translation_cell(m: FlagMap) -> tuple[int, int]:
+    """(ncos, cell) of a quotient: its number of translations and its
+    flags per vertex 2D, after checking that the Smith-generator box
+    shifts are the automorphisms the index formula says (RuntimeError
+    otherwise).  A map without a coset system gets (1, n_flags)."""
+    cs = m.coset_system
+    if cs is None or cs.size() == 1:
+        return 1, m.n_flags
+    s1, s2, ncos = cs.s1, cs.s2, cs.size()
+    cell = 2 * len(m.vertex_darts[0])
+    block = cell * ncos
+    if m.n_flags % block:
+        raise RuntimeError(f"{m.n_flags} flags do not split into {ncos} translates")
+    for di, dj, order in ((1, 0, s1), (0, 1, s2)):
+        if order == 1:
+            continue
+        moved = [((i + di) % s1 * s2 + (j + dj) % s2) * cell for i in range(s1) for j in range(s2)]
+        perm = [b + t + q for b in range(0, m.n_flags, block) for t in moved for q in range(cell)]
+        if flag_extension(m, m, 0, perm[0]) != perm:
+            raise RuntimeError(f"box shift ({di}, {dj}) of {cs.mat} is not an automorphism")
+    return ncos, cell
 
 
 def _orbit_scan(m: FlagMap, stop_when_vertex_transitive: bool) -> OrbitReport | bool:
-    nf = m.n_flags
-    flags = _DSU(nf)
-    verts = _DSU(m.n_vertices)
-    vertex_classes = m.n_vertices
-    bad = bytearray(nf)  # consulted/stored at DSU roots
-    keys = _candidate_keys(m)
-    base_key = keys[0]
-
-    if stop_when_vertex_transitive and m.n_vertices == 1:
+    ncos, cell = _translation_cell(m)
+    block = cell * ncos
+    # Vertex v = rep·ncos + coset, so the reps are the translation orbits;
+    # orbit_of labels each rep with its vertex orbit found so far.
+    orbit_of = list(range(m.n_vertices // ncos))
+    if stop_when_vertex_transitive and len(orbit_of) == 1:
         return True
 
-    for g in range(nf):
-        root = flags.find(g)
-        if root == flags.find(0):
-            continue  # known success: g is already an image of the base flag
-        if bad[root] or keys[g] != base_key:
+    firsts = [c // cell * block + c % cell for c in range(m.n_flags // ncos)]
+    keys = _candidate_keys(m, firsts)
+    verdict = bytearray(len(firsts))  # 1: in the orbit of flag 0, 2: not
+    verdict[0] = 1
+    found: list[list[int]] = []
+    fv = m.flag_vertex
+    vertex_flags = [2 * ds[0] for ds in m.vertex_darts]
+    for c, f in enumerate(firsts):
+        if verdict[c] or keys[c] != keys[0]:
             continue
-        img = flag_extension(m, m, 0, g)
+        img = flag_extension(m, m, 0, f)
         if img is None:
-            bad[flags.find(g)] = 1
-            continue
-        fv = m.flag_vertex
-        for x in range(nf):
-            y = img[x]
-            ra, rb = flags.find(x), flags.find(y)
-            if ra != rb:
-                merged_bad = bad[ra] | bad[rb]
-                flags.union(ra, rb)
-                bad[flags.find(ra)] = merged_bad
-            va, vb = verts.find(fv[x]), verts.find(fv[y])
-            if va != vb:
-                verts.union(va, vb)
-                vertex_classes -= 1
-        if stop_when_vertex_transitive and vertex_classes == 1:
-            return True
+            verdict[c] = 2
+            todo = [c]
+        else:
+            verdict[c] = 1
+            found.append(img)
+            todo = [k for k in range(len(firsts)) if verdict[k]]
+            for a, b in {(v // ncos, fv[img[x]] // ncos) for v, x in enumerate(vertex_flags)}:
+                la, lb = orbit_of[a], orbit_of[b]
+                if la != lb:
+                    orbit_of = [la if o == lb else o for o in orbit_of]
+            if stop_when_vertex_transitive and len(set(orbit_of)) == 1:
+                return True
+        # An automorphism maps a class onto a class with the same verdict.
+        while todo:
+            k = todo.pop()
+            for g in found:
+                y = g[firsts[k]]
+                j = y // block * cell + y % cell
+                if not verdict[j]:
+                    verdict[j] = verdict[k]
+                    todo.append(j)
 
     if stop_when_vertex_transitive:
-        return vertex_classes == 1
+        return len(set(orbit_of)) == 1
 
     orbit_members: dict[int, list[int]] = {}
     for v in range(m.n_vertices):
-        orbit_members.setdefault(verts.find(v), []).append(v)
-    vertex_orbits = tuple(tuple(sorted(o)) for o in sorted(orbit_members.values()))
-    flag_roots = {flags.find(x) for x in range(nf)}
-    group_order = flags.size[flags.find(0)]
+        orbit_members.setdefault(orbit_of[v // ncos], []).append(v)
+    group_order = ncos * verdict.count(1)
     return OrbitReport(
-        vertex_orbits=vertex_orbits,
-        flag_orbit_count=len(flag_roots),
+        vertex_orbits=tuple(tuple(o) for o in sorted(orbit_members.values())),
+        flag_orbit_count=m.n_flags // group_order,
         group_order=group_order,
     )
 
@@ -185,7 +190,7 @@ def automorphism_group(m: FlagMap) -> list[MapAutomorphism]:
     """All automorphisms, ordered by the image of flag 0: every extension
     of flag 0 to a flag with the same key that succeeds.  Shares no
     pruning with the orbit scan, so each can check the other."""
-    keys = _candidate_keys(m)
+    keys = _candidate_keys(m, range(m.n_flags))
     images = (flag_extension(m, m, 0, g) for g in range(m.n_flags) if keys[g] == keys[0])
     return [MapAutomorphism(tuple(img)) for img in images if img is not None]
 
@@ -208,8 +213,8 @@ def are_isomorphic(m1: FlagMap, m2: FlagMap) -> tuple[int, ...] | None:
         return None
     if sorted(map(len, m1.vertex_darts)) != sorted(map(len, m2.vertex_darts)):
         return None
-    keys2 = _candidate_keys(m2)
-    key1 = _candidate_keys(m1)[0]
+    keys2 = _candidate_keys(m2, range(m2.n_flags))
+    key1 = _candidate_keys(m1, (0,))[0]
     for target in range(m2.n_flags):
         if keys2[target] != key1:
             continue
@@ -219,9 +224,12 @@ def are_isomorphic(m1: FlagMap, m2: FlagMap) -> tuple[int, ...] | None:
     return None
 
 
-def search_non_vt(tiling: TilingId, det_bound: int) -> list[QuotientSpec]:
-    """All polyhedral Hermite-form quotients of the tiling with
-    |det| <= det_bound that are not vertex-transitive.
+def non_vt_witnesses(
+    tiling: TilingId, det_bound: int
+) -> Iterator[tuple[QuotientSpec, int, OrbitReport]]:
+    """(spec, vertex count, orbit report) of every polyhedral Hermite-form
+    quotient of the tiling with |det| <= det_bound that is not
+    vertex-transitive.  Each quotient is built and scanned once.
 
     The four trivially vertex-transitive tilings have none, so the
     search is skipped for them by construction.
@@ -229,13 +237,17 @@ def search_non_vt(tiling: TilingId, det_bound: int) -> list[QuotientSpec]:
     if det_bound < 1:
         raise ValueError(f"determinant bound must be positive, got {det_bound}")
     if tiling.trivially_vertex_transitive:
-        return []
-    out = []
+        return
     for mat in enumerate_hnf(det_bound):
         spec = QuotientSpec(tiling, mat)
         m = build_quotient(spec)
         if not is_polyhedral(m).ok:
             continue
-        if not is_vertex_transitive(m):
-            out.append(spec)
-    return out
+        report = orbit_report(m)
+        if len(report.vertex_orbits) > 1:
+            yield spec, m.n_vertices, report
+
+
+def search_non_vt(tiling: TilingId, det_bound: int) -> list[QuotientSpec]:
+    """The specs of `non_vt_witnesses`."""
+    return [spec for spec, _, _ in non_vt_witnesses(tiling, det_bound)]

@@ -19,6 +19,7 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
+from toricover import SublatticeMat, build_quotient, cli, cosets
 from toricover.cli import main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
@@ -327,3 +328,37 @@ def test_default_outputs_match_golden_hashes(tmp_path, monkeypatch, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == want, argv
     assert main(["render", "E5", "2", "1", "0", "2", "--out", "e5.svg"]) == 0
     assert hashlib.sha256(Path("e5.svg").read_bytes()).hexdigest() == GOLDEN_RENDER_E5
+
+
+def test_batch_rejects_negative_vt_flag_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["batch", "--samples", "1", "--vt-flag-cap", "-5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("error", [AssertionError, RuntimeError])
+def test_internal_errors_exit_three(monkeypatch, capsys, error):
+    def broken(*args, **kwargs):
+        raise error("broken invariant")
+
+    monkeypatch.setattr(cli, "cover_maps", broken)
+    assert main(["cover", "E1", "1", "0", "0", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: broken invariant\n"
+
+
+def test_failed_translation_check_exits_three(monkeypatch, capsys):
+    # A quotient whose coset system is that of another lattice of the same
+    # index: the orbit scan's translation check must fail, not answer.
+    def mislabelled(spec):
+        m = build_quotient(spec)
+        m.coset_system = cosets(SublatticeMat(1, 0, 0, 4))
+        return m
+
+    monkeypatch.setattr(cli, "build_quotient", mislabelled)
+    assert main(["analyze", "T4444", "2", "0", "0", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")

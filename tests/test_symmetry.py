@@ -8,6 +8,8 @@ directly, with no reliance on the orbit bookkeeping under test.
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toricover import (
     QuotientSpec,
@@ -16,6 +18,8 @@ from toricover import (
     are_isomorphic,
     automorphism_group,
     build_quotient,
+    cosets,
+    enumerate_hnf,
     exists_automorphism_mapping,
     is_polyhedral,
     is_vertex_transitive,
@@ -25,7 +29,7 @@ from toricover import (
 )
 from toricover.symmetry import flag_extension
 
-from helpers import inverse, order
+from helpers import from_faces, inverse, order
 
 
 def small_map(code: str, mat: tuple[int, int, int, int]):
@@ -142,3 +146,69 @@ def test_non_isomorphic_same_size_quotients():
 
 def test_isomorphism_rejects_different_sizes():
     assert are_isomorphic(small_map("T4444", (2, 0, 0, 2)), small_map("T4444", (3, 0, 0, 3))) is None
+
+
+# --- the translation-class orbit scan against the definition ---
+
+
+def orbits_by_definition(m):
+    """(group order, vertex orbits, flag-orbit count) read off the full
+    automorphism group, with no translation classes and no pruning."""
+    group = automorphism_group(m)
+    vertex_orbits = {
+        tuple(sorted({m.flag_vertex[g(2 * m.vertex_darts[v][0])] for g in group}))
+        for v in range(m.n_vertices)
+    }
+    flag_orbits = {frozenset(g(x) for g in group) for x in range(m.n_flags)}
+    return len(group), tuple(sorted(vertex_orbits)), len(flag_orbits)
+
+
+def assert_scan_matches_definition(m):
+    rep = orbit_report(m)
+    assert (rep.group_order, rep.vertex_orbits, rep.flag_orbit_count) == orbits_by_definition(m), m.spec
+    assert is_vertex_transitive(m) == (len(rep.vertex_orbits) == 1), m.spec
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_orbit_scan_matches_group_on_hermite_forms(tid):
+    for mat in enumerate_hnf(6):
+        assert_scan_matches_definition(build_quotient(QuotientSpec(tid, mat)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tid=st.sampled_from(list(TilingId)),
+    entries=st.tuples(*[st.integers(min_value=-6, max_value=6)] * 4).filter(
+        lambda t: t[2] != 0 and t[0] * t[3] - t[1] * t[2] != 0
+    ),
+)
+def test_orbit_scan_matches_group_on_random_lattices(tid, entries):
+    m = build_quotient(QuotientSpec(tid, SublatticeMat(*entries)))
+    assume(m.n_flags <= 1500)
+    assert_scan_matches_definition(m)
+
+
+def test_orbit_scan_of_maps_without_coset_system():
+    base = small_map("T4444", (3, 0, 0, 3))
+    faces = [list(base.face_vertices(f)) for f in range(base.n_faces)]
+    torus = from_faces(faces)
+    a, b, c, d = faces.pop()
+    x = base.n_vertices
+    subdivided = from_faces(faces + [[a, b, x], [b, c, x], [c, d, x], [d, a, x]])
+    for m in (torus, subdivided):
+        assert m.coset_system is None
+        assert_scan_matches_definition(m)
+    assert orbit_report(torus).group_order == 72
+    assert not is_vertex_transitive(subdivided)
+
+
+@pytest.mark.parametrize("code", ["T4444", "E2"])
+def test_orbit_scan_rejects_a_numbering_that_is_not_a_translation(code):
+    # Same index 4, but Z/4 instead of Z/2 x Z/2: the index formula's
+    # box shift is no automorphism of the map.
+    m = small_map(code, (2, 0, 0, 2))
+    m.coset_system = cosets(SublatticeMat(1, 0, 0, 4))
+    with pytest.raises(RuntimeError):
+        orbit_report(m)
+    with pytest.raises(RuntimeError):
+        is_vertex_transitive(m)
