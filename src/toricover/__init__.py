@@ -50,6 +50,7 @@ from .symmetry import (
     exists_automorphism_mapping,
     is_vertex_transitive,
     orbit_report,
+    quotient_report,
     search_non_vt,
 )
 from .tilings import TilingId, TilingTemplate, all_templates, parse_tiling, template
@@ -88,6 +89,7 @@ __all__ = [
     "map_summary",
     "orbit_report",
     "parse_tiling",
+    "quotient_report",
     "random_nonsingular",
     "render_svg",
     "scaled_identity",

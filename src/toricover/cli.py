@@ -45,6 +45,9 @@ from .tilings import TilingId, parse_tiling, template, template_as_dict
 # below the second bound (automorphism cost).
 BATCH_COVER_FLAG_CAP = 20_000
 BATCH_VT_FLAG_CAP = 800
+# Draws per sample before the sweep gives up on an entry bound whose
+# matrices almost never give a cover under the flag cap.
+BATCH_MAX_DRAWS = 100_000
 
 
 def _emit(args: argparse.Namespace, payload: dict) -> None:
@@ -155,10 +158,14 @@ def _cmd_search_nonvt(args: argparse.Namespace) -> int:
 def _batch_sample(tiling: TilingId, rng: random.Random, max_entry: int) -> SublatticeMat:
     tpl = template(tiling)
     per_cell_flags = 2 * tpl.degree * tpl.rep_count
-    while True:
+    for _ in range(BATCH_MAX_DRAWS):
         mat = random_nonsingular(rng, max_entry)
         if per_cell_flags * cover_exponent(mat) ** 2 <= BATCH_COVER_FLAG_CAP:
             return mat
+    raise ValueError(
+        f"no {tiling.code} matrix with entries up to {max_entry} gave a cover of at most "
+        f"{BATCH_COVER_FLAG_CAP} flags in {BATCH_MAX_DRAWS} draws"
+    )
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:

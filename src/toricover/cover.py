@@ -284,9 +284,7 @@ def descend(spec: QuotientSpec, elem: PointGroupElem) -> MapAutomorphism:
     flag involutions; a failure there would mean corrupt template data
     and raises.
     """
-    (r00, r01), (r10, r11) = elem.matrix
-    k = spec.mat
-    if not all(k.contains((r00 * a + r01 * b, r10 * a + r11 * b)) for a, b in k.rows):
+    if not spec.mat.preserved_by(elem.matrix):
         raise ValueError(f"{elem.name} does not preserve the lattice of {spec.mat.as_tuple()}")
     y = build_quotient(spec)
     side = 1 if elem.reverses_orientation else 0

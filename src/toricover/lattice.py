@@ -60,6 +60,12 @@ class SublatticeMat:
         q_num = y * self.a - x * self.b
         return p_num % det == 0 and q_num % det == 0
 
+    def preserved_by(self, r: tuple[Vec, Vec]) -> bool:
+        """Does the integer matrix r map the lattice into itself?  Tested
+        on the rows; for a unimodular r this means r K = K."""
+        (r00, r01), (r10, r11) = r
+        return all(self.contains((r00 * x + r01 * y, r10 * x + r11 * y)) for x, y in self.rows)
+
     def as_tuple(self) -> tuple[int, int, int, int]:
         return self.a, self.b, self.c, self.d
 

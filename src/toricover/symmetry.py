@@ -15,16 +15,23 @@ extension of flag 0 per class, and spreads each verdict through the
 automorphisms found so far (an automorphism maps a class onto a class
 with the same verdict).  A map without a coset system is the case
 ncos = 1, one class per flag.  Results do not depend on the pruning.
+
+`quotient_report` answers the same question for a quotient without
+building it: Aut(T/K) = N(K)/K, from the full group G/T of the tiling
+modulo translations, which `full_point_group` reads off the flag engine
+once per tiling.  `search-nonvt` uses it; `analyze`, `batch` and the
+tests keep the scan, the independent path.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
-from .lattice import enumerate_hnf
+from .lattice import enumerate_hnf, scaled_identity
 from .map_core import FlagMap, QuotientSpec, build_quotient, is_polyhedral
-from .tilings import TilingId
+from .tilings import PointGroupElem, TilingId, _validate_element, template
 
 
 @dataclass(frozen=True)
@@ -224,12 +231,110 @@ def are_isomorphic(m1: FlagMap, m2: FlagMap) -> tuple[int, ...] | None:
     return None
 
 
+# The full group is read off T/(5·I): every element has a representative
+# whose per-rep shifts lie in [-2, 2], so they survive reduction mod 5.
+_PROBE_SCALE = 5
+
+
+@lru_cache(maxsize=None)
+def full_point_group(tiling: TilingId) -> tuple[PointGroupElem, ...]:
+    """Every element of G/T, the tiling's symmetry group modulo its
+    translations, with shifts[0] = (0, 0); the identity comes first.
+
+    Read off the flag engine: one extension of flag 0 per translation
+    class of T/(5·I) gives one automorphism per element.  Its sigma,
+    slot maps and shifts (lifted to [-2, 2]) are read at the reps of
+    cell (0, 0), and R from g t_w g^-1 = t_(Rw).  Each element is
+    checked on the infinite tiling (`_validate_element`); a failure
+    raises AssertionError.  Glide reflections have order 0 (infinite),
+    like `tilings.translation`.
+    """
+    tpl = template(tiling)
+    n, deg = _PROBE_SCALE, tpl.degree
+    m = build_quotient(QuotientSpec(tiling, scaled_identity(n)))
+    ncos, cell = _translation_cell(m)
+    block = cell * ncos
+    cells = m.coset_system.representatives
+
+    def lift(x: int) -> int:
+        return (x + n // 2) % n - n // 2
+
+    def cell_of(flag: int) -> tuple[int, int]:
+        return tuple(lift(x) for x in cells[m.flag_vertex[flag] % ncos])
+
+    firsts = [c // cell * block + c % cell for c in range(m.n_flags // ncos)]
+    keys = _candidate_keys(m, firsts)
+    elems: list[PointGroupElem] = []
+    for c, f in enumerate(firsts):
+        img = flag_extension(m, m, 0, f) if keys[c] == keys[0] else None
+        if img is None:
+            continue
+        # Rep r of cell (0, 0) is vertex r·ncos; flag 0 goes to cell (0, 0),
+        # so the cells of the images of (0, e1) and (0, e2) are R's columns.
+        rows = [img[2 * r * ncos * deg : 2 * (r * ncos + 1) * deg : 2] for r in range(tpl.rep_count)]
+        cols = [cell_of(img[2 * m.vertex_at(0, e) * deg]) for e in ((1, 0), (0, 1))]
+        elem = PointGroupElem(
+            name=f"g{len(elems)}",
+            kind="",
+            order=0,
+            sigma=tuple(row[0] // (2 * deg * ncos) for row in rows),
+            matrix=tuple(zip(*cols)),
+            shifts=tuple(cell_of(row[0]) for row in rows),
+            slot_maps=tuple(tuple(x // 2 % deg for x in row) for row in rows),
+        )
+        kind = "reflection" if elem.reverses_orientation else "rotation"
+        elem = replace(elem, kind=kind, order=_order(elem))
+        problems = _validate_element(tpl, elem)
+        if problems:
+            raise AssertionError(f"element read off {tiling.code}/({n}·I) is not a tiling symmetry: {problems}")
+        elems.append(elem)
+    return tuple(elems)
+
+
+def _order(elem: PointGroupElem) -> int:
+    """The order of elem as a tiling symmetry, or 0 when it is infinite
+    (a glide reflection).  A power that fixes vertex (0, w) for w = 0,
+    e1, e2 has R^k = I and fixes a point, so it is the identity."""
+    start = [(0, w) for w in ((0, 0), (1, 0), (0, 1))]
+    cur = start
+    for k in range(1, 13):
+        cur = [elem.apply_vertex(*v) for v in cur]
+        if cur == start:
+            return k
+    return 0
+
+
+def quotient_report(spec: QuotientSpec) -> OrbitReport:
+    """`orbit_report(build_quotient(spec))` in closed form, with no map.
+
+    Every automorphism of X = T/K lifts to a symmetry of T that
+    normalises K, so Aut X = N(K)/K: the |det K| translations times the
+    stabiliser S = {g in G/T : R_g K = K}.  Vertex (rep, coset) is
+    numbered rep·|det K| + coset, the translations are transitive on the
+    cosets of a rep, and S is a group, so the vertex orbits are the
+    sigma-orbits of S on the reps.  The action on flags is free, so
+    there are 2·degree·reps / |S| flag orbits.
+    """
+    tpl = template(spec.tiling)
+    ncos = spec.mat.index()
+    stab = [g for g in full_point_group(spec.tiling) if spec.mat.preserved_by(g.matrix)]
+    rep_orbits = sorted({tuple(sorted({g.sigma[r] for g in stab})) for r in range(tpl.rep_count)})
+    return OrbitReport(
+        vertex_orbits=tuple(
+            tuple(v for r in orbit for v in range(r * ncos, (r + 1) * ncos)) for orbit in rep_orbits
+        ),
+        flag_orbit_count=2 * tpl.degree * tpl.rep_count // len(stab),
+        group_order=ncos * len(stab),
+    )
+
+
 def non_vt_witnesses(
     tiling: TilingId, det_bound: int
 ) -> Iterator[tuple[QuotientSpec, int, OrbitReport]]:
     """(spec, vertex count, orbit report) of every polyhedral Hermite-form
     quotient of the tiling with |det| <= det_bound that is not
-    vertex-transitive.  Each quotient is built and scanned once.
+    vertex-transitive.  The report is `quotient_report`; a map is built
+    only to decide polyhedrality of a quotient that is not transitive.
 
     The four trivially vertex-transitive tilings have none, so the
     search is skipped for them by construction.
@@ -240,11 +345,11 @@ def non_vt_witnesses(
         return
     for mat in enumerate_hnf(det_bound):
         spec = QuotientSpec(tiling, mat)
-        m = build_quotient(spec)
-        if not is_polyhedral(m).ok:
+        report = quotient_report(spec)
+        if len(report.vertex_orbits) == 1:
             continue
-        report = orbit_report(m)
-        if len(report.vertex_orbits) > 1:
+        m = build_quotient(spec)
+        if is_polyhedral(m).ok:
             yield spec, m.n_vertices, report
 
 

@@ -7,19 +7,27 @@ schemas/.
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import dataclasses
+import functools
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from referencing import Registry, Resource
 
-from toricover import SublatticeMat, build_quotient, cli, cosets
+from toricover import SublatticeMat, build_quotient, certificate_from_dict, cli, cosets, symmetry
 from toricover.cli import main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
@@ -235,15 +243,18 @@ def test_invalid_inputs_exit_two(capsys):
     assert main(["cover", "E1", "2", "0", "0", "99999999"]) == 2
 
 
-def test_batch_rejects_empty_entry_range():
-    # A subprocess with a timeout, so a sampler that never stops fails
-    # the test instead of hanging the suite.
+def cli_subprocess(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a subprocess with a timeout, so a sampler that never
+    stops fails the test instead of hanging the suite."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "toricover.cli", "batch", "--samples", "1", "--max-entry", "0"],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "toricover.cli", *argv], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+def test_batch_rejects_empty_entry_range():
+    proc = cli_subprocess("batch", "--samples", "1", "--max-entry", "0")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "entry bound" in proc.stderr
@@ -362,3 +373,133 @@ def test_failed_translation_check_exits_three(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: ")
+
+
+def test_batch_gives_up_on_an_entry_bound_with_no_small_covers():
+    # Almost no matrix with entries up to 10000 has a cover under the flag
+    # cap, so the sampler must stop drawing.
+    proc = cli_subprocess("batch", "--samples", "3", "--seed", "1", "--max-entry", "10000")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and f"{cli.BATCH_MAX_DRAWS} draws" in proc.stderr
+
+
+def test_failed_group_derivation_exits_three(monkeypatch, capsys):
+    # Read off T/(4·I), a shift of 2 comes back as -2 and the derived
+    # trihexagonal group fails its check on the infinite tiling.
+    symmetry.full_point_group.cache_clear()
+    monkeypatch.setattr(symmetry, "_PROBE_SCALE", 4)
+    try:
+        assert main(["search-nonvt", "E4", "--det-bound", "3"]) == 3
+    finally:
+        symmetry.full_point_group.cache_clear()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: element read off E4/(4·I)")
+
+
+# --- mutation fuzz of certificates through `verify` ---
+
+# Polyhedral X and Y, so no two different cell maps are both coverings
+# (in a map with loops or parallel edges a swap can be one).
+FUZZ_SPECS = {"E2": ["E2", "2", "1", "0", "3"], "E5": ["E5", "2", "1", "0", "2"]}
+MAPS = ("vertex_map", "edge_map", "face_map")
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+    st.lists(st.integers(min_value=-3, max_value=3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(min_value=-3, max_value=3), max_size=2),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_certificate(name: str) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "cover.json"
+        assert main(["cover", *FUZZ_SPECS[name], "--out", str(out)]) == 0
+        return json.dumps(json.loads(out.read_text())["certificate"])
+
+
+def parent_of(doc: dict, path: tuple):
+    """The container that holds the last key of path."""
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutations(draw, doc: dict):
+    """(description, mutated document)."""
+    doc = copy.deepcopy(doc)
+    nested = [("area", "value"), ("area", "factor"), ("polyhedral", "X"), ("polyhedral", "Y")]
+    entries = [(name, draw(st.integers(0, len(doc[name]) - 1))) for name in MAPS]
+    paths = [(k,) for k in doc] + nested + [("M", i) for i in range(4)] + entries
+    kind = draw(st.sampled_from(["drop", "flip", "retype", "swap", "set_int", "tiling", "extra"]))
+    if kind == "swap":
+        name = draw(st.sampled_from(MAPS))
+        i, j = (draw(st.integers(0, len(doc[name]) - 1)) for _ in range(2))
+        doc[name][i], doc[name][j] = doc[name][j], doc[name][i]
+        return f"swap {name}[{i}] and [{j}]", doc
+    if kind == "set_int":
+        # m stays at most 40: verify builds Y = T/(m·I) before any check,
+        # and a certificate-size budget is not enforced yet.
+        path, values = draw(st.sampled_from([
+            (("m",), st.integers(-2, 40)),
+            (("n",), st.integers(-50, 50)),
+            *[(("M", i), st.integers(-12, 12)) for i in range(4)],
+            *[((name, i), st.integers(-3, len(doc[name]) + 3)) for name, i in entries],
+        ]))
+        value = draw(values)
+    elif kind == "tiling":
+        path, value = ("tiling",), draw(st.sampled_from(["E1", "E2", "E5", "E7", "T4444", "square", "3.3.4.3.4", "E9", ""]))
+    elif kind == "extra":
+        path, value = ("comment",), draw(JSON_VALUES)
+    else:
+        path = draw(st.sampled_from(paths))
+        if kind == "drop":
+            del parent_of(doc, path)[path[-1]]
+            return f"drop {path}", doc
+        old = parent_of(doc, path)[path[-1]]
+        if kind == "flip":
+            if not isinstance(old, (bool, int)):
+                return f"flip {path} (not a boolean or integer: unchanged)", doc
+            value = (not old) if isinstance(old, bool) else -old
+        else:
+            value = draw(JSON_VALUES.filter(lambda v: type(v) is not type(old)))
+    parent_of(doc, path)[path[-1]] = value
+    return f"{kind} {path} = {value!r}", doc
+
+
+def same_meaning(doc: dict, original: dict) -> bool:
+    """Does doc parse to the original certificate, up to a matrix M that
+    spans the same lattice?"""
+    try:
+        cert = certificate_from_dict(doc)
+    except ValueError:
+        return False
+    want = certificate_from_dict(original)
+    k = want.base_mat
+    same_lattice = cert.base_mat.index() == k.index() and all(map(k.contains, cert.base_mat.rows))
+    return same_lattice and dataclasses.replace(cert, base_mat=k) == want
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_verify_survives_certificate_mutations(tmp_path, data):
+    name = data.draw(st.sampled_from(sorted(FUZZ_SPECS)))
+    original = json.loads(fuzz_certificate(name))
+    what, doc = data.draw(mutations(original))
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path)])  # any other exception is a traceback
+    if json.dumps(doc, sort_keys=True) == json.dumps(original, sort_keys=True):
+        assert code == 0, what
+    elif code == 0:
+        assert same_meaning(doc, original), what
+    else:
+        assert code in (1, 2), (what, code, err.getvalue())

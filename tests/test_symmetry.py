@@ -19,15 +19,20 @@ from toricover import (
     automorphism_group,
     build_quotient,
     cosets,
+    descend,
     enumerate_hnf,
     exists_automorphism_mapping,
     is_polyhedral,
     is_vertex_transitive,
     orbit_report,
     parse_tiling,
+    quotient_report,
+    scaled_identity,
     search_non_vt,
+    template,
 )
-from toricover.symmetry import flag_extension
+from toricover import symmetry
+from toricover.symmetry import flag_extension, full_point_group
 
 from helpers import from_faces, inverse, order
 
@@ -212,3 +217,88 @@ def test_orbit_scan_rejects_a_numbering_that_is_not_a_translation(code):
         orbit_report(m)
     with pytest.raises(RuntimeError):
         is_vertex_transitive(m)
+
+
+# --- the closed form Aut(T/K) = N(K)/K against the flag engine ---
+
+GROUP_ORDERS = {
+    "T333333": 12, "T4444": 8, "T666": 12, "T33344": 4,
+    "E1": 8, "E2": 8, "E3": 6, "E4": 12, "E5": 12, "E6": 12, "E7": 12,
+}
+
+
+def compose(g, h):
+    """(sigma, R, shifts, slot maps) of g after h on the tiling."""
+    (a, b), (c, d) = g.matrix
+    (p, q), (r, s) = h.matrix
+    sigma = tuple(g.sigma[x] for x in h.sigma)
+    matrix = ((a * p + b * r, a * q + b * s), (c * p + d * r, c * q + d * s))
+    shifts = tuple(
+        (a * x + b * y + g.shifts[t][0], c * x + d * y + g.shifts[t][1])
+        for (x, y), t in zip(h.shifts, h.sigma)
+    )
+    slot_maps = tuple(
+        tuple(g.slot_maps[t][k] for k in row) for row, t in zip(h.slot_maps, h.sigma)
+    )
+    return sigma, matrix, shifts, slot_maps
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_full_point_group_is_a_group_of_the_expected_order(tid):
+    group = full_point_group(tid)
+    assert len(group) == GROUP_ORDERS[tid.code]
+    by_matrix = {g.matrix: g for g in group}
+    assert len(by_matrix) == len(group)  # R alone names a class of G/T
+    assert group[0].matrix == ((1, 0), (0, 1)) and group[0].sigma == tuple(range(len(group[0].sigma)))
+    for g in group:
+        for h in group:
+            sigma, matrix, shifts, slot_maps = compose(g, h)
+            gh = by_matrix[matrix]
+            assert (gh.sigma, gh.slot_maps) == (sigma, slot_maps)
+            # The composite is gh followed by one translation.
+            assert len({(x - u, y - w) for (x, y), (u, w) in zip(shifts, gh.shifts)}) == 1
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_full_point_group_descends_to_scalar_quotients(tid):
+    # descend checks that each image commutes with the flag involutions.
+    for scale in (2, 3):
+        spec = QuotientSpec(tid, scaled_identity(scale))
+        perms = {descend(spec, g).flag_perm for g in full_point_group(tid)}
+        assert len(perms) == len(full_point_group(tid))
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_quotient_report_matches_scan_on_hermite_forms(tid):
+    for mat in enumerate_hnf(8):
+        spec = QuotientSpec(tid, mat)
+        assert quotient_report(spec) == orbit_report(build_quotient(spec)), mat
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tid=st.sampled_from(list(TilingId)),
+    entries=st.tuples(*[st.integers(min_value=-9, max_value=9)] * 4).filter(
+        lambda t: t[2] != 0 and t[0] * t[3] - t[1] * t[2] != 0
+    ),
+)
+def test_quotient_report_matches_scan_on_random_lattices(tid, entries):
+    spec = QuotientSpec(tid, SublatticeMat(*entries))
+    tpl = template(tid)
+    assume(2 * tpl.degree * tpl.rep_count * spec.mat.index() <= 1500)
+    assert quotient_report(spec) == orbit_report(build_quotient(spec))
+
+
+@pytest.fixture
+def fresh_point_groups():
+    full_point_group.cache_clear()
+    yield
+    full_point_group.cache_clear()
+
+
+def test_group_read_off_too_small_a_probe_is_rejected(monkeypatch, fresh_point_groups):
+    # Mod 4, a shift of 2 is lifted to -2, so one element of the
+    # trihexagonal group comes out wrong and fails the tiling check.
+    monkeypatch.setattr(symmetry, "_PROBE_SCALE", 4)
+    with pytest.raises(AssertionError, match="not a tiling symmetry"):
+        full_point_group(parse_tiling("E4"))
