@@ -21,6 +21,7 @@ from .lattice import (
     SublatticeMat,
     contains_scaled_identity,
     cover_exponent,
+    fold_index,
     is_scaled_identity,
     scaled_identity,
 )
@@ -113,9 +114,7 @@ def cover_maps(
     y_spec = QuotientSpec(spec.tiling, scaled_identity(m_exp))
     x = build_quotient(spec)
     y = build_quotient(y_spec)
-    fold, rem = divmod(m_exp * m_exp, spec.mat.index())
-    if rem:
-        raise AssertionError("fold count is not integral")
+    fold = r * r * fold_index(spec.mat)
 
     # Both maps number vertices rep-major (build_quotient), so the Y-vertex
     # (rep, w) goes to X's vertex rep * |det| + (X's index of the cell w).

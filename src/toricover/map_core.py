@@ -23,13 +23,18 @@ dart sits in exactly one rotation) and that the map is connected.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations, islice
 
 from .lattice import CosetSystem, SublatticeMat, cosets
 from .tilings import TilingId, dihedral, template
 
 IVec = tuple[int, int]
+
+# The largest map build_quotient makes: about 1.4 GB at ~350 bytes per flag.
+MAX_FLAGS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -174,9 +179,6 @@ class FlagMap:
     def n_flags(self) -> int:
         return 2 * self.n_darts
 
-    def degree(self, v: int) -> int:
-        return len(self.vertex_darts[v])
-
     def edge_endpoints(self, e: int) -> tuple[int, int]:
         d, rd = self.edge_darts[e]
         return self.dart_vertex[d], self.dart_vertex[rd]
@@ -228,9 +230,13 @@ def build_quotient(spec: QuotientSpec) -> FlagMap:
 
     Vertices are (rep, coset) pairs, numbered rep-major in the coset
     system's canonical order (`FlagMap.vertex_at`); dart k of a vertex
-    is dart k of its rep.
+    is dart k of its rep.  A map of more than MAX_FLAGS flags is refused
+    with ValueError before anything is allocated.
     """
     tpl = template(spec.tiling)
+    flags = 2 * tpl.degree * tpl.rep_count * spec.mat.index()
+    if flags > MAX_FLAGS:
+        raise ValueError(f"the quotient would have {flags} flags, over the limit of {MAX_FLAGS}")
     cs = cosets(spec.mat)
     s1, s2, ncos = cs.s1, cs.s2, cs.size()
     deg = tpl.degree
@@ -341,21 +347,18 @@ def is_semi_equivelar(m: FlagMap) -> VertexTypeSig | None:
 
 
 class PolyhedralReport:
-    """Whether a map is polyhedral, and up to _MAX_VIOLATIONS violations.
+    """Whether a map is polyhedral, and up to _MAX_VIOLATIONS violations,
+    listed by a scan of every vertex the first time they are read, so a
+    caller that only reads `ok` never pays for the list."""
 
-    Given a map instead of a list, the report runs that map's full scan
-    the first time `violations` is read, so a caller that only reads
-    `ok` never pays for the list."""
-
-    def __init__(self, ok: bool, violations: tuple = (), scan: FlagMap | None = None):
+    def __init__(self, m: FlagMap, ok: bool):
+        self._map = m
         self.ok = ok
-        self._scan = scan
-        if scan is None:
-            self.violations = violations
 
     @cached_property
     def violations(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        return _full_scan(self._scan).violations
+        m = self._map
+        return tuple(islice(_violations(m, range(m.n_vertices)), _MAX_VIOLATIONS))
 
     def __bool__(self) -> bool:
         return self.ok
@@ -375,27 +378,6 @@ class PolyhedralReport:
 _MAX_VIOLATIONS = 20
 
 
-# The five rules of polyhedrality, each written once for both scans.
-
-
-def _edge_key(m: FlagMap, e: int) -> tuple[int, int] | None:
-    """The sorted endpoints of edge e, or None if e is a loop; two
-    edges with one key are parallel."""
-    u, w = m.edge_endpoints(e)
-    if u == w:
-        return None
-    return (u, w) if u < w else (w, u)
-
-
-def _face_sets(m: FlagMap, f: int) -> tuple[frozenset[int], frozenset[int], bool]:
-    """Vertex set, edge set and simplicity (no repeated vertex or edge)
-    of face f."""
-    vs = m.face_vertices(f)
-    es = m.face_edges(f)
-    simple = len(set(vs)) == len(vs) and len(set(es)) == len(es)
-    return frozenset(vs), frozenset(es), simple
-
-
 def _faces_meet_properly(m: FlagMap, vf, ef, vg, eg) -> bool:
     """Two faces share nothing, one vertex, or one edge and its two ends."""
     shared_e = ef & eg
@@ -407,88 +389,43 @@ def _faces_meet_properly(m: FlagMap, vf, ef, vg, eg) -> bool:
     return False
 
 
-def _cell_is_clean(m: FlagMap) -> bool:
-    """No rule fails at the vertices of the translation cell (0, 0) of a
-    map from build_quotient."""
-    ncos = m.coset_system.size()
-    anchors = [m.vertex_at(rep, (0, 0)) for rep in range(m.n_vertices // ncos)]
+def _violations(m: FlagMap, vertices: Sequence[int]) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Every violation of the five rules that involves one of the
+    vertices, rule by rule and in index order: faces too small, faces
+    not simple, loops and parallel edges, face pairs that meet badly.
+
+    The faces and edges checked are those at the vertices, and the face
+    pairs those that meet at one of them.  Parallel edges share both
+    ends, so all edges parallel to one at a vertex are at it too.
+    """
+    faces_at = [{m.dart_face_left[d] for d in m.vertex_darts[v]} for v in vertices]
+    faces = sorted(set().union(*faces_at))
+    for f in faces:
+        if m.face_sizes[f] < 3:
+            yield "face-too-small", (f,)
+
     face_sets = {}
-    for v in anchors:
-        darts = m.vertex_darts[v]
-        edges = {m.dart_edge[d] for d in darts}
-        keys = {_edge_key(m, e) for e in edges}
-        if None in keys or len(keys) != len(edges):
-            return False
-        faces = sorted({m.dart_face_left[d] for d in darts})
-        for f in faces:
-            if f not in face_sets:
-                vs, es, simple = _face_sets(m, f)
-                if m.face_sizes[f] < 3 or not simple:
-                    return False
-                face_sets[f] = (vs, es)
-        for i, f in enumerate(faces):
-            vf, ef = face_sets[f]
-            for g in faces[i + 1 :]:
-                vg, eg = face_sets[g]
-                if not _faces_meet_properly(m, vf, ef, vg, eg):
-                    return False
-    return True
+    for f in faces:
+        vs, es = m.face_vertices(f), m.face_edges(f)
+        vset, eset = set(vs), set(es)
+        if len(vset) < len(vs) or len(eset) < len(es):
+            yield "face-not-simple", (f,)
+        face_sets[f] = (vset, eset)
 
-
-def _full_scan(m: FlagMap) -> PolyhedralReport:
-    """Every rule at every cell; lists up to _MAX_VIOLATIONS violations."""
-    violations: list[tuple[str, tuple[int, ...]]] = []
-
-    def add(kind: str, cells: tuple[int, ...]) -> bool:
-        violations.append((kind, cells))
-        return len(violations) >= _MAX_VIOLATIONS
-
-    for f, size in enumerate(m.face_sizes):
-        if size < 3:
-            if add("face-too-small", (f,)):
-                return PolyhedralReport(False, tuple(violations))
-
-    face_vsets = []
-    face_esets = []
-    for f in range(m.n_faces):
-        vs, es, simple = _face_sets(m, f)
-        if not simple:
-            if add("face-not-simple", (f,)):
-                return PolyhedralReport(False, tuple(violations))
-        face_vsets.append(vs)
-        face_esets.append(es)
-
-    seen_pairs: dict[tuple[int, int], int] = {}
-    for e in range(m.n_edges):
-        key = _edge_key(m, e)
-        if key is None:
-            if add("loop-edge", (e,)):
-                return PolyhedralReport(False, tuple(violations))
-            continue
-        if key in seen_pairs:
-            if add("multi-edge", (seen_pairs[key], e)):
-                return PolyhedralReport(False, tuple(violations))
+    first_with_ends: dict[tuple[int, int], int] = {}
+    for e in sorted({m.dart_edge[d] for v in vertices for d in m.vertex_darts[v]}):
+        ends = tuple(sorted(m.edge_endpoints(e)))
+        if ends[0] == ends[1]:
+            yield "loop-edge", (e,)
+        elif ends in first_with_ends:
+            yield "multi-edge", (first_with_ends[ends], e)
         else:
-            seen_pairs[key] = e
+            first_with_ends[ends] = e
 
-    # Candidate face pairs: those sharing at least one vertex.
-    incident: dict[int, set[int]] = {}
-    for f in range(m.n_faces):
-        for v in face_vsets[f]:
-            incident.setdefault(v, set()).add(f)
-    pairs = set()
-    for fs in incident.values():
-        fl = sorted(fs)
-        for i, f in enumerate(fl):
-            for g in fl[i + 1 :]:
-                pairs.add((f, g))
+    pairs = {pair for fs in faces_at for pair in combinations(sorted(fs), 2)}
     for f, g in sorted(pairs):
-        if _faces_meet_properly(m, face_vsets[f], face_esets[f], face_vsets[g], face_esets[g]):
-            continue
-        if add("face-pair", (f, g)):
-            return PolyhedralReport(False, tuple(violations))
-
-    return PolyhedralReport(not violations, tuple(violations))
+        if not _faces_meet_properly(m, *face_sets[f], *face_sets[g]):
+            yield "face-pair", (f, g)
 
 
 def is_polyhedral(m: FlagMap) -> PolyhedralReport:
@@ -502,17 +439,15 @@ def is_polyhedral(m: FlagMap) -> PolyhedralReport:
     parallel edges has an end, and two faces that meet badly share one.
     The translations act transitively on the vertices of each rep, so a
     violation anywhere has a translate at a vertex of cell (0, 0).
-    Hence it suffices to check the edges and faces at those vertices and
-    the face pairs that meet there.  A clean cell gives the answer; a
-    dirty cell is a violation, and the full scan that lists them runs
-    only when the report's `violations` are read.  A map without a
-    coset system gets the full scan at once.
+    Hence it suffices to scan those vertices, one per rep; a map without
+    a coset system scans every vertex.  The violations themselves are
+    listed only when the report's `violations` are read.
     """
     if m.coset_system is None:
-        return _full_scan(m)
-    if _cell_is_clean(m):
-        return PolyhedralReport(True)
-    return PolyhedralReport(False, scan=m)
+        anchors = range(m.n_vertices)
+    else:
+        anchors = [m.vertex_at(rep, (0, 0)) for rep in range(m.n_vertices // m.coset_system.size())]
+    return PolyhedralReport(m, next(_violations(m, anchors), None) is None)
 
 
 def map_summary(m: FlagMap) -> dict:

@@ -190,12 +190,6 @@ class TilingTemplate:
     def signature(self) -> tuple[int, ...]:
         return self.id.signature
 
-    def basis_f(self) -> Vec2 | None:
-        """Third hexagonal direction (B - A), defined for rhombic bases only."""
-        if self.cell_area_factor != "sqrt(3)/2":
-            return None
-        return (self.basis_b[0] - self.basis_a[0], self.basis_b[1] - self.basis_a[1])
-
 
 def translation(tpl: TilingTemplate, delta: IVec) -> PointGroupElem:
     """Translation by delta (lattice coordinates) as an element with

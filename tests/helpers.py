@@ -1,6 +1,6 @@
 """Test-only constructions: maps from face lists, corrupted templates,
-per-dart reference tables for quotient maps, and group-element
-arithmetic on flag permutations."""
+per-dart reference tables for quotient maps, the per-face polyhedrality
+scan, and group-element arithmetic on flag permutations."""
 
 from __future__ import annotations
 
@@ -114,6 +114,96 @@ def reference_flag_tables(m: FlagMap) -> dict[str, list[int]]:
         t["flag_edge"][2 * d] = t["flag_edge"][2 * d + 1] = m.dart_edge[d]
         t["flag_face"][2 * d], t["flag_face"][2 * d + 1] = m.dart_face_left[d], m.dart_face_left[rd]
     return t
+
+
+_MAX_VIOLATIONS = 20
+
+
+def _edge_key(m: FlagMap, e: int) -> tuple[int, int] | None:
+    """The sorted endpoints of edge e, or None if e is a loop; two
+    edges with one key are parallel."""
+    u, w = m.edge_endpoints(e)
+    if u == w:
+        return None
+    return (u, w) if u < w else (w, u)
+
+
+def _face_sets(m: FlagMap, f: int) -> tuple[frozenset[int], frozenset[int], bool]:
+    """Vertex set, edge set and simplicity (no repeated vertex or edge)
+    of face f."""
+    vs = m.face_vertices(f)
+    es = m.face_edges(f)
+    simple = len(set(vs)) == len(vs) and len(set(es)) == len(es)
+    return frozenset(vs), frozenset(es), simple
+
+
+def _faces_meet_properly(m: FlagMap, vf, ef, vg, eg) -> bool:
+    """Two faces share nothing, one vertex, or one edge and its two ends."""
+    shared_e = ef & eg
+    if not shared_e:
+        return len(vf & vg) <= 1
+    if len(shared_e) == 1:
+        (e,) = shared_e
+        return vf & vg == set(m.edge_endpoints(e))
+    return False
+
+
+def full_scan(m: FlagMap) -> tuple[bool, tuple[tuple[str, tuple[int, ...]], ...]]:
+    """(ok, violations) of every rule at every face, edge and face pair,
+    listing up to _MAX_VIOLATIONS violations.  The reference for
+    is_polyhedral: it walks faces, edges and face pairs, not vertices."""
+    violations: list[tuple[str, tuple[int, ...]]] = []
+
+    def add(kind: str, cells: tuple[int, ...]) -> bool:
+        violations.append((kind, cells))
+        return len(violations) >= _MAX_VIOLATIONS
+
+    for f, size in enumerate(m.face_sizes):
+        if size < 3:
+            if add("face-too-small", (f,)):
+                return False, tuple(violations)
+
+    face_vsets = []
+    face_esets = []
+    for f in range(m.n_faces):
+        vs, es, simple = _face_sets(m, f)
+        if not simple:
+            if add("face-not-simple", (f,)):
+                return False, tuple(violations)
+        face_vsets.append(vs)
+        face_esets.append(es)
+
+    seen_pairs: dict[tuple[int, int], int] = {}
+    for e in range(m.n_edges):
+        key = _edge_key(m, e)
+        if key is None:
+            if add("loop-edge", (e,)):
+                return False, tuple(violations)
+            continue
+        if key in seen_pairs:
+            if add("multi-edge", (seen_pairs[key], e)):
+                return False, tuple(violations)
+        else:
+            seen_pairs[key] = e
+
+    # Candidate face pairs: those sharing at least one vertex.
+    incident: dict[int, set[int]] = {}
+    for f in range(m.n_faces):
+        for v in face_vsets[f]:
+            incident.setdefault(v, set()).add(f)
+    pairs = set()
+    for fs in incident.values():
+        fl = sorted(fs)
+        for i, f in enumerate(fl):
+            for g in fl[i + 1 :]:
+                pairs.add((f, g))
+    for f, g in sorted(pairs):
+        if _faces_meet_properly(m, face_vsets[f], face_esets[f], face_vsets[g], face_esets[g]):
+            continue
+        if add("face-pair", (f, g)):
+            return False, tuple(violations)
+
+    return not violations, tuple(violations)
 
 
 def inverse(g: MapAutomorphism) -> MapAutomorphism:

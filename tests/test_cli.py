@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from referencing import Registry, Resource
 
-from toricover import SublatticeMat, build_quotient, certificate_from_dict, cli, cosets, symmetry
+from toricover import SublatticeMat, build_quotient, certificate_from_dict, cli, cosets, map_core, symmetry
 from toricover.cli import main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
@@ -382,6 +382,20 @@ def test_batch_gives_up_on_an_entry_bound_with_no_small_covers():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and f"{cli.BATCH_MAX_DRAWS} draws" in proc.stderr
+
+
+def test_maps_over_the_flag_budget_exit_two(tmp_path):
+    # E7/(1000·I) would have 36 million flags, and the cover of a
+    # T4444 certificate claiming m = 5000 over 200 million: both are refused
+    # before the coset system is allocated.
+    cert = tmp_path / "huge.json"
+    cert.write_text(json.dumps({**_cover_certificate(tmp_path), "m": 5000}))
+    for argv in (("analyze", "E7", "1000", "0", "0", "1000"), ("verify", str(cert))):
+        proc = cli_subprocess(*argv)
+        assert proc.returncode == 2, argv
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert f"limit of {map_core.MAX_FLAGS}" in proc.stderr
 
 
 def test_failed_group_derivation_exits_three(monkeypatch, capsys):

@@ -31,10 +31,10 @@ from toricover import (
 )
 from toricover import map_core
 from toricover.lattice import enumerate_hnf
-from toricover.map_core import _cell_is_clean, _full_scan, face_cycle
+from toricover.map_core import face_cycle
 from toricover.symmetry import are_isomorphic
 
-from helpers import from_faces, reference_flag_tables, reference_quotient
+from helpers import from_faces, full_scan, reference_flag_tables, reference_quotient
 
 SWEEP_MATS = [
     SublatticeMat(1, 0, 0, 1),
@@ -333,11 +333,17 @@ def test_polyhedral_report_is_truthy_exactly_when_ok():
     assert bad.violations
 
 
+def listed(report) -> tuple[bool, tuple]:
+    """A PolyhedralReport as full_scan's (ok, violations)."""
+    return report.ok, report.violations
+
+
 def assert_cell_decision_matches_full_scan(m: FlagMap) -> bool:
-    full = _full_scan(m)
-    assert _cell_is_clean(m) == full.ok, m.spec
-    assert is_polyhedral(m) == full, m.spec
-    return full.ok
+    ok, violations = full_scan(m)
+    report = is_polyhedral(m)
+    assert report.ok == ok, m.spec
+    assert listed(report) == (ok, violations), m.spec
+    return ok
 
 
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
@@ -365,25 +371,27 @@ def test_maps_without_coset_system_get_the_full_scan():
     torus = from_faces([list(base.face_vertices(f)) for f in range(base.n_faces)])
     sphere = from_faces([[0, 1, 2], [2, 1, 0]])
     assert torus.coset_system is None and sphere.coset_system is None
-    assert is_polyhedral(torus) == _full_scan(torus) == is_polyhedral(base)
+    assert listed(is_polyhedral(torus)) == full_scan(torus) == listed(is_polyhedral(base))
     assert is_polyhedral(torus).ok
-    assert is_polyhedral(sphere) == _full_scan(sphere)
+    assert listed(is_polyhedral(sphere)) == full_scan(sphere)
     assert is_polyhedral(sphere).violations == (("face-pair", (0, 1)),)
 
 
 def test_violations_are_listed_only_when_read(monkeypatch):
     scans = []
+    violations = map_core._violations
 
-    def counting_scan(m):
-        scans.append(m)
-        return _full_scan(m)
+    def counting_violations(m, vertices):
+        if len(vertices) == m.n_vertices:
+            scans.append(m)
+        return violations(m, vertices)
 
-    monkeypatch.setattr(map_core, "_full_scan", counting_scan)
+    monkeypatch.setattr(map_core, "_violations", counting_violations)
     m = build_quotient(QuotientSpec(TilingId.SQUARE, SublatticeMat(2, 0, 0, 2)))
     report = is_polyhedral(m)
     assert not report.ok and not m.polyhedral
     assert scans == []
-    assert report.violations == _full_scan(m).violations
+    assert report.violations == full_scan(m)[1]
     assert report.violations
     assert scans == [m]
     assert map_summary(m)["polyhedral_violations"]

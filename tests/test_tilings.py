@@ -127,22 +127,15 @@ def test_corrupted_dart_is_reported():
 
 
 def test_hexagonal_family_basis_relation():
-    """A + F = B for the rhombic-basis tilings, F the 120-degree vector."""
+    """The rhombic-basis tilings rotate by 120 degrees, whose matrix in
+    lattice coordinates is [[0,-1],[1,1]]; the square-basis ones by 90
+    or 180 degrees."""
     for tid in TilingId:
         tpl = template(tid)
-        f = tpl.basis_f()
+        rot = next(e for e in tpl.point_group if e.kind == "rotation")
         if tpl.cell_area_factor == "sqrt(3)/2":
-            assert f is not None
-            ax, ay = tpl.basis_a
-            assert abs(ax + f[0] - tpl.basis_b[0]) < 1e-12
-            assert abs(ay + f[1] - tpl.basis_b[1]) < 1e-12
-            # F really is A rotated by 120 degrees: same length, and the
-            # rotation matrix in lattice coordinates is [[0,-1],[1,1]].
-            rot = next(e for e in tpl.point_group if e.kind == "rotation")
             assert rot.matrix == ((0, -1), (1, 1))
         else:
-            assert f is None
-            rot = next(e for e in tpl.point_group if e.kind == "rotation")
             assert rot.matrix in (((0, -1), (1, 0)), ((-1, 0), (0, -1)))
 
 
