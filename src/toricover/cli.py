@@ -37,7 +37,7 @@ from .map_core import (
     map_summary,
 )
 from .render import render_svg
-from .symmetry import is_vertex_transitive, non_vt_witnesses, orbit_report
+from .symmetry import is_vertex_transitive, orbit_report, search_non_vt
 from .tilings import TilingId, parse_tiling, template, template_as_dict
 
 # Default ceilings for the randomized sweep: covers larger than this are
@@ -140,7 +140,7 @@ def _cmd_search_nonvt(args: argparse.Namespace) -> int:
             "vertex_orbit_count": len(rep.vertex_orbits),
             "group_order": rep.group_order,
         }
-        for spec, n_vertices, rep in non_vt_witnesses(tiling, args.det_bound)
+        for spec, n_vertices, rep in search_non_vt(tiling, args.det_bound)
     ]
     _emit(
         args,

@@ -23,6 +23,9 @@ _FACE_FILL = {
     12: "#fb9a99",
 }
 _SCALE = 60.0
+# Translation cells one drawing may hold.  Memory and output grow with the
+# cell count: E7 at 138·I (19,881 cells) peaks at 240 MiB and writes 18.6 MB.
+MAX_RENDER_CELLS = 20_000
 
 
 def _unique_cell_faces(tpl: TilingTemplate) -> list[tuple[tuple[int, tuple[int, int], int], ...]]:
@@ -75,6 +78,9 @@ def render_svg(tpl: TilingTemplate, mat: SublatticeMat) -> str:
     hi_i = max(i for i, _ in corners_lat) + 1
     lo_j = min(j for _, j in corners_lat) - 1
     hi_j = max(j for _, j in corners_lat) + 1
+    n_cells = (hi_i - lo_i + 1) * (hi_j - lo_j + 1)
+    if n_cells > MAX_RENDER_CELLS:
+        raise ValueError(f"drawing needs {n_cells} tiling cells, over the limit of {MAX_RENDER_CELLS}")
 
     cell_faces = _unique_cell_faces(tpl)
     polys = []

@@ -25,13 +25,13 @@ tests keep the scan, the independent path.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .lattice import enumerate_hnf, scaled_identity
 from .map_core import FlagMap, QuotientSpec, build_quotient, is_polyhedral
-from .tilings import PointGroupElem, TilingId, _validate_element, template
+from .tilings import PointGroupElem, TilingId, _validate_element, rep_orbits, template
 
 
 @dataclass(frozen=True)
@@ -129,10 +129,10 @@ def _translation_cell(m: FlagMap) -> tuple[int, int]:
 def _orbit_scan(m: FlagMap, stop_when_vertex_transitive: bool) -> OrbitReport | bool:
     ncos, cell = _translation_cell(m)
     block = cell * ncos
-    # Vertex v = rep·ncos + coset, so the reps are the translation orbits;
-    # orbit_of labels each rep with its vertex orbit found so far.
-    orbit_of = list(range(m.n_vertices // ncos))
-    if stop_when_vertex_transitive and len(orbit_of) == 1:
+    # Vertex v = rep·ncos + coset, so the reps are the translation orbits,
+    # and an automorphism permutes them as it moves the vertices rep·ncos.
+    nreps = m.n_vertices // ncos
+    if stop_when_vertex_transitive and nreps == 1:
         return True
 
     firsts = [c // cell * block + c % cell for c in range(m.n_flags // ncos)]
@@ -140,8 +140,9 @@ def _orbit_scan(m: FlagMap, stop_when_vertex_transitive: bool) -> OrbitReport | 
     verdict = bytearray(len(firsts))  # 1: in the orbit of flag 0, 2: not
     verdict[0] = 1
     found: list[list[int]] = []
+    sigmas: list[list[int]] = []
     fv = m.flag_vertex
-    vertex_flags = [2 * ds[0] for ds in m.vertex_darts]
+    rep_flags = [2 * m.vertex_darts[r * ncos][0] for r in range(nreps)]
     for c, f in enumerate(firsts):
         if verdict[c] or keys[c] != keys[0]:
             continue
@@ -152,12 +153,9 @@ def _orbit_scan(m: FlagMap, stop_when_vertex_transitive: bool) -> OrbitReport | 
         else:
             verdict[c] = 1
             found.append(img)
+            sigmas.append([fv[img[x]] // ncos for x in rep_flags])
             todo = [k for k in range(len(firsts)) if verdict[k]]
-            for a, b in {(v // ncos, fv[img[x]] // ncos) for v, x in enumerate(vertex_flags)}:
-                la, lb = orbit_of[a], orbit_of[b]
-                if la != lb:
-                    orbit_of = [la if o == lb else o for o in orbit_of]
-            if stop_when_vertex_transitive and len(set(orbit_of)) == 1:
+            if stop_when_vertex_transitive and len(rep_orbits(nreps, sigmas)) == 1:
                 return True
         # An automorphism maps a class onto a class with the same verdict.
         while todo:
@@ -169,18 +167,21 @@ def _orbit_scan(m: FlagMap, stop_when_vertex_transitive: bool) -> OrbitReport | 
                     verdict[j] = verdict[k]
                     todo.append(j)
 
+    orbits = rep_orbits(nreps, sigmas)
     if stop_when_vertex_transitive:
-        return len(set(orbit_of)) == 1
+        return len(orbits) == 1
 
-    orbit_members: dict[int, list[int]] = {}
-    for v in range(m.n_vertices):
-        orbit_members.setdefault(orbit_of[v // ncos], []).append(v)
     group_order = ncos * verdict.count(1)
     return OrbitReport(
-        vertex_orbits=tuple(tuple(o) for o in sorted(orbit_members.values())),
+        vertex_orbits=_vertex_orbits(orbits, ncos),
         flag_orbit_count=m.n_flags // group_order,
         group_order=group_order,
     )
+
+
+def _vertex_orbits(orbits: tuple[tuple[int, ...], ...], ncos: int) -> tuple[tuple[int, ...], ...]:
+    """The vertex orbits of rep orbits, vertex v = rep·ncos + coset."""
+    return tuple(tuple(v for r in orbit for v in range(r * ncos, (r + 1) * ncos)) for orbit in orbits)
 
 
 def orbit_report(m: FlagMap) -> OrbitReport:
@@ -318,19 +319,14 @@ def quotient_report(spec: QuotientSpec) -> OrbitReport:
     tpl = template(spec.tiling)
     ncos = spec.mat.index()
     stab = [g for g in full_point_group(spec.tiling) if spec.mat.preserved_by(g.matrix)]
-    rep_orbits = sorted({tuple(sorted({g.sigma[r] for g in stab})) for r in range(tpl.rep_count)})
     return OrbitReport(
-        vertex_orbits=tuple(
-            tuple(v for r in orbit for v in range(r * ncos, (r + 1) * ncos)) for orbit in rep_orbits
-        ),
+        vertex_orbits=_vertex_orbits(rep_orbits(tpl.rep_count, [g.sigma for g in stab]), ncos),
         flag_orbit_count=2 * tpl.degree * tpl.rep_count // len(stab),
         group_order=ncos * len(stab),
     )
 
 
-def non_vt_witnesses(
-    tiling: TilingId, det_bound: int
-) -> Iterator[tuple[QuotientSpec, int, OrbitReport]]:
+def search_non_vt(tiling: TilingId, det_bound: int) -> list[tuple[QuotientSpec, int, OrbitReport]]:
     """(spec, vertex count, orbit report) of every polyhedral Hermite-form
     quotient of the tiling with |det| <= det_bound that is not
     vertex-transitive.  The report is `quotient_report`; a map is built
@@ -342,7 +338,8 @@ def non_vt_witnesses(
     if det_bound < 1:
         raise ValueError(f"determinant bound must be positive, got {det_bound}")
     if tiling.trivially_vertex_transitive:
-        return
+        return []
+    witnesses = []
     for mat in enumerate_hnf(det_bound):
         spec = QuotientSpec(tiling, mat)
         report = quotient_report(spec)
@@ -350,9 +347,5 @@ def non_vt_witnesses(
             continue
         m = build_quotient(spec)
         if is_polyhedral(m).ok:
-            yield spec, m.n_vertices, report
-
-
-def search_non_vt(tiling: TilingId, det_bound: int) -> list[QuotientSpec]:
-    """The specs of `non_vt_witnesses`."""
-    return [spec for spec, _, _ in non_vt_witnesses(tiling, det_bound)]
+            witnesses.append((spec, m.n_vertices, report))
+    return witnesses

@@ -28,8 +28,8 @@ B - A, i.e. A plus the 120-degree direction vector equals B).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from typing import TypeVar
@@ -163,6 +163,14 @@ class PointGroupElem:
             r00 * cell[0] + r01 * cell[1] + sx,
             r10 * cell[0] + r11 * cell[1] + sy,
         )
+
+    def apply_dart(self, rep: int, dart: Dart) -> Dart:
+        """The image of dart (s, offset) at rep: the image of its head
+        under apply_vertex, minus the image cell of (rep, (0, 0))."""
+        s, offset = dart
+        t, (hx, hy) = self.apply_vertex(s, offset)
+        tx, ty = self.shifts[rep]
+        return t, (hx - tx, hy - ty)
 
 
 @dataclass(frozen=True)
@@ -347,72 +355,29 @@ def _derive_point_group(
     seed: _Seed, neighbors: tuple[tuple[Dart, ...], ...]
 ) -> tuple[PointGroupElem, ...]:
     ba, bb = seed.basis_a, seed.basis_b
-    det = ba[0] * bb[1] - ba[1] * bb[0]
+    x0, y0 = seed.reps[0]
+    # The vertices (r, (0, 0)) of every rep, then (0, e1) and (0, e2).
+    points = (*seed.reps, (x0 + ba[0], y0 + ba[1]), (x0 + bb[0], y0 + bb[1]))
     elems = []
     for name, kind, order, mat in seed.gens:
-        ga = _apply_mat(mat, ba)
-        gb = _apply_mat(mat, bb)
-        # Columns of R are the (A, B) coordinates of the transformed basis.
-        cols = []
-        for g in (ga, gb):
-            wa = (g[0] * bb[1] - g[1] * bb[0]) / det
-            wb = (g[1] * ba[0] - g[0] * ba[1]) / det
-            ia, ib = round(wa), round(wb)
-            if abs(wa - ia) > _TOL or abs(wb - ib) > _TOL:
-                raise AssertionError(f"{name}: basis image not integral: {wa}, {wb}")
-            cols.append((ia, ib))
-        r_mat: IMat = ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
-        sigma = []
-        shifts = []
-        for rp in seed.reps:
-            hit = _solve_cell(ba, bb, seed.reps, _apply_mat(mat, rp))
-            if hit is None:
-                raise AssertionError(f"{name}: image of rep at {rp} is not a vertex")
-            sigma.append(hit[0])
-            shifts.append(hit[1])
-        slot_maps = _derive_slot_maps(seed, neighbors, mat, tuple(sigma), r_mat, tuple(shifts))
-        elems.append(
-            PointGroupElem(
-                name=name,
-                kind=kind,
-                order=order,
-                sigma=tuple(sigma),
-                matrix=r_mat,
-                shifts=tuple(shifts),
-                slot_maps=slot_maps,
-            )
-        )
-    return tuple(elems)
-
-
-def _derive_slot_maps(
-    seed: _Seed,
-    neighbors: tuple[tuple[Dart, ...], ...],
-    mat: tuple[Vec2, Vec2],
-    sigma: tuple[int, ...],
-    r_mat: IMat,
-    shifts: tuple[IVec, ...],
-) -> tuple[tuple[int, ...], ...]:
-    (r00, r01), (r10, r11) = r_mat
-    slot_maps = []
-    for r, darts in enumerate(neighbors):
-        row = []
-        image_rep = sigma[r]
-        tx, ty = shifts[r]
-        for s, (ox, oy) in darts:
-            sx, sy = shifts[s]
-            img = (
-                sigma[s],
-                (r00 * ox + r01 * oy + sx - tx, r10 * ox + r11 * oy + sy - ty),
-            )
+        hits = [_solve_cell(ba, bb, seed.reps, _apply_mat(mat, p)) for p in points]
+        if None in hits:
+            raise AssertionError(f"{name}: image of vertex {points[hits.index(None)]} is not a vertex")
+        *cells, (_, e1), (_, e2) = hits
+        sigma = tuple(r for r, _ in cells)
+        shifts = tuple(w for _, w in cells)
+        # R's columns are the cells of the images of (0, e1) and (0, e2),
+        # taken relative to the image of (0, (0, 0)).
+        cols = [(w[0] - shifts[0][0], w[1] - shifts[0][1]) for w in (e1, e2)]
+        elem = PointGroupElem(name, kind, order, sigma, tuple(zip(*cols)), shifts, slot_maps=())
+        slot_maps = []
+        for r, darts in enumerate(neighbors):
             try:
-                row.append(neighbors[image_rep].index(img))
+                slot_maps.append(tuple(neighbors[sigma[r]].index(elem.apply_dart(r, d)) for d in darts))
             except ValueError as exc:
-                raise AssertionError(
-                    f"point-group image dart {img} missing at rep {image_rep}"
-                ) from exc
-        slot_maps.append(tuple(row))
-    return tuple(slot_maps)
+                raise AssertionError(f"{name}: a point-group image dart is missing at rep {sigma[r]}") from exc
+        elems.append(replace(elem, slot_maps=tuple(slot_maps)))
+    return tuple(elems)
 
 
 def _derive_reverse_slots(neighbors: tuple[tuple[Dart, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -534,7 +499,7 @@ def validate_template(tpl: TilingTemplate) -> list[str]:
 
     # The stored generators must reach every rep (vertex-transitivity of
     # the tiling's symmetry group at template level).
-    orbits = point_group_rep_orbits(tpl, use_reflection=True)
+    orbits = rep_orbits(nreps, [elem.sigma for elem in tpl.point_group])
     if len(orbits) != 1:
         problems.append(f"point group fixes {len(orbits)} rep orbits, expected 1")
 
@@ -566,20 +531,12 @@ def _validate_element(tpl: TilingTemplate, elem: PointGroupElem) -> list[str]:
 
     # Adjacency preservation: the image of every dart is a dart, at the
     # slot recorded in slot_maps, and the slot map is a bijection.
-    (r00, r01), (r10, r11) = elem.matrix
     for r, darts in enumerate(tpl.neighbors):
         if sorted(elem.slot_maps[r]) != list(range(len(darts))):
             problems.append(f"{label}: slot map at rep {r} is not a bijection")
             continue
-        tx, ty = elem.shifts[r]
-        for k, (s, (ox, oy)) in enumerate(darts):
-            sx, sy = elem.shifts[s]
-            img = (
-                elem.sigma[s],
-                (r00 * ox + r01 * oy + sx - tx, r10 * ox + r11 * oy + sy - ty),
-            )
-            slot = elem.slot_maps[r][k]
-            if tpl.neighbors[elem.sigma[r]][slot] != img:
+        for k, dart in enumerate(darts):
+            if tpl.neighbors[elem.sigma[r]][elem.slot_maps[r][k]] != elem.apply_dart(r, dart):
                 problems.append(f"{label}: dart ({r},{k}) image mismatch")
 
     # Applying the element `order` times must come back to the identity
@@ -632,28 +589,23 @@ def _check_geometry(elem: PointGroupElem, tpl: TilingTemplate) -> str | None:
     return None
 
 
-def point_group_rep_orbits(tpl: TilingTemplate, use_reflection: bool) -> tuple[tuple[int, ...], ...]:
-    """Orbits of reps under the sigma parts of selected point-group
-    elements (rotations always; reflections only if requested)."""
-    parent = list(range(tpl.rep_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for elem in tpl.point_group:
-        if elem.kind == "reflection" and not use_reflection:
+def rep_orbits(n: int, sigmas: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The orbits of range(n) under the group the permutations `sigmas`
+    generate, each sorted, ordered by least element."""
+    seen = [False] * n
+    orbits = []
+    for r in range(n):
+        if seen[r]:
             continue
-        for r in range(tpl.rep_count):
-            a, b = find(r), find(elem.sigma[r])
-            if a != b:
-                parent[a] = b
-    groups: dict[int, list[int]] = {}
-    for r in range(tpl.rep_count):
-        groups.setdefault(find(r), []).append(r)
-    return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
+        seen[r] = True
+        orbit = [r]
+        for x in orbit:  # grows while it is walked
+            for sigma in sigmas:
+                if not seen[sigma[x]]:
+                    seen[sigma[x]] = True
+                    orbit.append(sigma[x])
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
 
 
 # --------------------------------------------------------------------------

@@ -167,7 +167,7 @@ def test_criterion_4_nonvt_witnesses_dual_confirmation():
             ok = False
             summary.append(f"{tid.code}:none")
             continue
-        spec = found[0]
+        spec, _, _ = found[0]
         m = _track(build_quotient(spec))
         rep = orbit_report(m)
         two_orbits = len(rep.vertex_orbits) >= 2

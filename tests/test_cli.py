@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from referencing import Registry, Resource
 
-from toricover import SublatticeMat, build_quotient, certificate_from_dict, cli, cosets, map_core, symmetry
+from toricover import SublatticeMat, build_quotient, certificate_from_dict, cli, cosets, map_core, render, symmetry
 from toricover.cli import main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
@@ -311,9 +311,20 @@ def test_all_shipped_schemas_are_well_formed():
 # single-implementation refactor (the three non-polyhedral `analyze`
 # outputs, which list violations, before polyhedrality was decided on
 # one translation cell); any byte of drift in these commands changes a
-# hash.
+# hash.  The `info` outputs of the other ten tilings were recorded before
+# point-group generators were derived through `PointGroupElem.apply_dart`.
 GOLDEN_STDOUT = [
     (["info", "E7"], "295e810a54234053ea1a8d4c4ac0f53d03b29b199c5f4b5838fdda5c7c112f57"),
+    (["info", "T333333"], "5541d661b542c5747194700a276bdfb58a4fe298f88438e705970f593b9c35aa"),
+    (["info", "T4444"], "02a3d27a31aa966f09f840726d1d8c8bc14aca40328138b2ca7fbd5a76ee2529"),
+    (["info", "T666"], "b689d8ba8472df8830afec485edb51d3d30278cdcaa7110d95a4ca3d7e74c555"),
+    (["info", "T33344"], "a9f318a2da74d245d715813c4ccaad152064ed766babdb46b00c7ed796005085"),
+    (["info", "E1"], "11cd773f4daf49d8eec9b988cc0fbb97a268d83833e0d0da5469267ecfc21d3e"),
+    (["info", "E2"], "5f2b46f9ce6dfb13a13b46ececa7019392975141645777b5e1dc8b48f80bf3aa"),
+    (["info", "E3"], "8a4352f91568bca22dc359db0f8090d462572f92d8f759f6077ff295d7b9b636"),
+    (["info", "E4"], "b3a91a034ae76d4c8e7d6a290523efcef09dd496c2d0492807a9da72c1ba2668"),
+    (["info", "E5"], "99d4ff8c062ab120518ec0c1b4f76227dcd360b6b5752b58c6b84b2fc3df8553"),
+    (["info", "E6"], "28412f227789dda9a8b8ee075067a0cda5aa8bc33d2f60738fa94756f59f4d8f"),
     (["analyze", "T44", "3", "0", "0", "3"], "f4270599131252aeba83e50b232289f007ad96b2799a2f2b265fe82a326f5b54"),
     (["analyze", "E2", "1", "2", "0", "6"], "0c129a536b48dc8f5069cefb5a858b17b9e1d4d7794c3dcf152e5317e6f4cacd"),
     (["analyze", "T44", "2", "0", "0", "2"], "7c07191445714f3f01cda33911682b54bb3442ab31d904171109c2a302f44233"),
@@ -396,6 +407,18 @@ def test_maps_over_the_flag_budget_exit_two(tmp_path):
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
         assert f"limit of {map_core.MAX_FLAGS}" in proc.stderr
+
+
+def test_render_over_the_cell_budget_exits_two(tmp_path):
+    # E7 at 10000·I would draw 10^8 translation cells: refused before any
+    # polygon is built, and no file is written.
+    out = tmp_path / "huge.svg"
+    proc = cli_subprocess("render", "E7", "10000", "0", "0", "10000", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert f"limit of {render.MAX_RENDER_CELLS}" in proc.stderr
+    assert not out.exists()
 
 
 def test_failed_group_derivation_exits_three(monkeypatch, capsys):

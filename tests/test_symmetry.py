@@ -7,6 +7,8 @@ directly, with no reliance on the orbit bookkeeping under test.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -33,6 +35,7 @@ from toricover import (
 )
 from toricover import symmetry
 from toricover.symmetry import flag_extension, full_point_group
+from toricover.tilings import _validate_element
 
 from helpers import from_faces, inverse, order
 
@@ -116,9 +119,9 @@ def test_search_nonvt_trivial_tilings_empty():
 
 def test_search_nonvt_snub_square_bound_six():
     found = search_non_vt(parse_tiling("E2"), 6)
-    mats = [spec.mat.as_tuple() for spec in found]
+    mats = [spec.mat.as_tuple() for spec, _, _ in found]
     assert mats == [(1, 2, 0, 6), (1, 4, 0, 6), (2, 1, 0, 3), (2, 2, 0, 3)]
-    for spec in found:
+    for spec, _, _ in found:
         m = build_quotient(spec)
         assert is_polyhedral(m).ok
         assert not is_vertex_transitive(m)
@@ -266,6 +269,31 @@ def test_full_point_group_descends_to_scalar_quotients(tid):
         spec = QuotientSpec(tid, scaled_identity(scale))
         perms = {descend(spec, g).flag_perm for g in full_point_group(tid)}
         assert len(perms) == len(full_point_group(tid))
+
+
+def _corruptions(elem):
+    """Copies of a point-group element that are not tiling symmetries.
+    With one rep a moved shift only composes with a translation, so it
+    is still a symmetry and is not among them."""
+    row = list(elem.slot_maps[0])
+    row[0], row[1] = row[1], row[0]
+    yield "slot map", dataclasses.replace(elem, slot_maps=(tuple(row), *elem.slot_maps[1:]))
+    (a, b), (c, d) = elem.matrix
+    yield "matrix", dataclasses.replace(elem, matrix=((-a, -b), (-c, -d)))
+    if len(elem.sigma) > 1:
+        sigma = (elem.sigma[1], elem.sigma[0], *elem.sigma[2:])
+        yield "sigma", dataclasses.replace(elem, sigma=sigma)
+        x, y = elem.shifts[-1]
+        yield "shift", dataclasses.replace(elem, shifts=(*elem.shifts[:-1], (x + 1, y)))
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_corrupted_point_group_elements_are_reported(tid):
+    tpl = template(tid)
+    for elem in (*tpl.point_group, *full_point_group(tid)):
+        assert _validate_element(tpl, elem) == [], elem.name
+        for what, bad in _corruptions(elem):
+            assert _validate_element(tpl, bad), (elem.name, what)
 
 
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)

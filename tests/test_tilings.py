@@ -10,7 +10,7 @@ from toricover.tilings import (
     TilingId,
     face_sizes_at_rep,
     parse_tiling,
-    point_group_rep_orbits,
+    rep_orbits,
     template,
     template_as_dict,
     validate_template,
@@ -75,7 +75,7 @@ def test_dart_symmetry(tid):
 
 def test_truncated_square_single_rotation_orbit():
     tpl = template(TilingId.TRUNCATED_SQUARE)
-    assert point_group_rep_orbits(tpl, use_reflection=False) == ((0, 1, 2, 3),)
+    assert rep_orbits(tpl.rep_count, [e.sigma for e in tpl.point_group if e.kind == "rotation"]) == ((0, 1, 2, 3),)
 
 
 def test_snub_hexagonal_rotation_cycles_all_six_reps():
@@ -90,17 +90,17 @@ def test_snub_hexagonal_rotation_cycles_all_six_reps():
             break
         seen.append(nxt)
     assert sorted(seen) == list(range(6))
-    assert point_group_rep_orbits(tpl, use_reflection=False) == ((0, 1, 2, 3, 4, 5),)
+    assert rep_orbits(tpl.rep_count, [e.sigma for e in tpl.point_group if e.kind == "rotation"]) == ((0, 1, 2, 3, 4, 5),)
 
 
 def test_truncated_trihexagonal_orbit_fusion():
     """Rotations alone split the 12 reps into two orbits; the mirror
     fuses them into one."""
     tpl = template(TilingId.TRUNCATED_TRIHEXAGONAL)
-    rot_orbits = point_group_rep_orbits(tpl, use_reflection=False)
+    rot_orbits = rep_orbits(tpl.rep_count, [e.sigma for e in tpl.point_group if e.kind == "rotation"])
     assert len(rot_orbits) == 2
     assert sorted(len(o) for o in rot_orbits) == [6, 6]
-    assert point_group_rep_orbits(tpl, use_reflection=True) == (tuple(range(12)),)
+    assert rep_orbits(tpl.rep_count, [e.sigma for e in tpl.point_group]) == (tuple(range(12)),)
     kinds = {e.kind for e in tpl.point_group}
     assert kinds == {"rotation", "reflection"}
 
@@ -115,7 +115,7 @@ def test_reflection_only_on_truncated_trihexagonal():
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.value)
 def test_point_group_acts_transitively_on_reps(tid):
     tpl = template(tid)
-    assert len(point_group_rep_orbits(tpl, use_reflection=True)) == 1
+    assert len(rep_orbits(tpl.rep_count, [e.sigma for e in tpl.point_group])) == 1
 
 
 def test_corrupted_dart_is_reported():
