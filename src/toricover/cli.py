@@ -40,7 +40,7 @@ from .render import render_svg
 from .symmetry import is_vertex_transitive, orbit_report, search_non_vt
 from .tilings import TilingId, parse_tiling, template, template_as_dict
 
-# Default ceilings for the randomized sweep: covers larger than this are
+# Ceilings for the randomized sweep: covers larger than this are
 # resampled (construction cost), and vertex-transitivity is only decided
 # below the second bound (automorphism cost).
 BATCH_COVER_FLAG_CAP = 20_000
@@ -193,7 +193,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             ),
         }
         vt: bool | None = None
-        if cert.cover_polyhedral and y.n_flags <= args.vt_flag_cap:
+        if cert.cover_polyhedral and y.n_flags <= BATCH_VT_FLAG_CAP:
             vt = is_vertex_transitive(y)
             checks["cover_vertex_transitive"] = vt
         ok = all(checks.values())
@@ -222,7 +222,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             "samples": args.samples,
             "seed": args.seed,
             "max_entry": args.max_entry,
-            "vt_flag_cap": args.vt_flag_cap,
+            "vt_flag_cap": BATCH_VT_FLAG_CAP,
             "generator": "random.Random('{seed}:{index}') per sample",
             "version": __version__,
         },
@@ -300,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_count, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-entry", type=int, default=6)
-    p.add_argument("--vt-flag-cap", type=_count, default=BATCH_VT_FLAG_CAP)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_batch)
 

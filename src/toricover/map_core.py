@@ -16,9 +16,11 @@ then have closed forms:
     s2 (change face):   2d + s  ->  2d + (1 - s)
 
 With this encoding s0 and s2 are fixed-point-free involutions that
-commute by construction; what the constructor actually has to verify is
-that the dart tables are consistent (reverse is an involution, each
-dart sits in exactly one rotation) and that the map is connected.
+commute by construction.  The constructor takes the reverse darts and
+the rotation at each vertex, and reads each dart's tail off the
+rotation that lists it; what it has to verify is that reverse is a
+fixed-point-free involution, that each dart sits in exactly one
+rotation, and that the map is connected.
 """
 
 from __future__ import annotations
@@ -57,45 +59,41 @@ class FlagMap:
 
     def __init__(
         self,
-        dart_vertex: list[int],
         dart_rev: list[int],
         vertex_darts: list[tuple[int, ...]],
         labels: tuple[tuple[int, IVec], ...] | None = None,
         spec: QuotientSpec | None = None,
     ):
-        nd = len(dart_vertex)
+        nd = len(dart_rev)
         if nd == 0 or nd % 2:
             raise ValueError("dart count must be positive and even")
-        if len(dart_rev) != nd:
-            raise ValueError("dart table lengths disagree")
         for d in range(nd):
             r = dart_rev[d]
             if r == d or not (0 <= r < nd) or dart_rev[r] != d:
                 raise ValueError(f"reverse is not a fixed-point-free involution at dart {d}")
 
-        self.dart_vertex = list(dart_vertex)
         self.dart_rev = list(dart_rev)
         self.vertex_darts = tuple(tuple(ds) for ds in vertex_darts)
         self.labels = labels
         self.spec = spec
         self.n_vertices = len(vertex_darts)
 
-        seen = [False] * nd
+        # The tail of a dart is the vertex whose rotation lists it.
+        tail = [-1] * nd
         ccw = [0] * nd
         cw = [0] * nd
         for v, ds in enumerate(self.vertex_darts):
             if not ds:
                 raise ValueError(f"vertex {v} has no darts")
             for i, d in enumerate(ds):
-                if seen[d]:
+                if tail[d] >= 0:
                     raise ValueError(f"dart {d} appears in two rotations")
-                if dart_vertex[d] != v:
-                    raise ValueError(f"dart {d} listed at vertex {v} but its tail differs")
-                seen[d] = True
+                tail[d] = v
                 ccw[d] = ds[(i + 1) % len(ds)]
                 cw[d] = ds[(i - 1) % len(ds)]
-        if not all(seen):
-            raise ValueError("some dart belongs to no vertex rotation")
+        if -1 in tail:
+            raise ValueError(f"dart {tail.index(-1)} belongs to no vertex rotation")
+        self.dart_vertex = tail
         self.dart_ccw = ccw
         self.dart_cw = cw
 
@@ -255,11 +253,18 @@ def build_quotient(spec: QuotientSpec) -> FlagMap:
             rows = [first + (i + di) % s1 * s2 * deg for i in range(s1)]
             cols = [(j + dj) % s2 * deg for j in range(s2)]
             dart_rev[r * block + k : (r + 1) * block : deg] = [a + b for a in rows for b in cols]
-    dart_vertex = [d // deg for d in range(nd)]
     vertex_darts = [tuple(range(d, d + deg)) for d in range(0, nd, deg)]
-    m = FlagMap(dart_vertex, dart_rev, vertex_darts, labels=labels, spec=spec)
+    m = FlagMap(dart_rev, vertex_darts, labels=labels, spec=spec)
     m.coset_system = cs
     return m
+
+
+def _anchors(m: FlagMap) -> range:
+    """One vertex per rep, the one in translation cell (0, 0): vertex
+    rep·ncos, since vertex (rep, coset) is rep·ncos + coset and cell
+    (0, 0) is coset 0.  A map without a coset system gets every vertex."""
+    cs = m.coset_system
+    return range(0, m.n_vertices, 1 if cs is None else cs.size())
 
 
 def euler_characteristic(m: FlagMap) -> int:
@@ -328,22 +333,11 @@ def vertex_type(m: FlagMap, v: int) -> VertexTypeSig:
 def is_semi_equivelar(m: FlagMap) -> VertexTypeSig | None:
     """The common vertex type if all vertices agree, else None.
 
-    Vertices with equal raw face cycles have equal types, so each
-    distinct cycle is canonicalised once."""
-    sizes, face_left = m.face_sizes, m.dart_face_left
-    sig = None
-    seen = set()
-    for darts in m.vertex_darts:
-        cycle = tuple([sizes[face_left[d]] for d in darts])
-        if cycle in seen:
-            continue
-        seen.add(cycle)
-        s = VertexTypeSig.from_cycle(cycle)
-        if sig is None:
-            sig = s
-        elif s != sig:
-            return None
-    return sig
+    Decided on the anchors, one vertex per rep: the translations are
+    automorphisms acting transitively on the vertices of each rep (see
+    `is_polyhedral`), so every vertex has its anchor's type."""
+    types = {vertex_type(m, v) for v in _anchors(m)}
+    return types.pop() if len(types) == 1 else None
 
 
 class PolyhedralReport:
@@ -362,14 +356,6 @@ class PolyhedralReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PolyhedralReport):
-            return NotImplemented
-        return (self.ok, self.violations) == (other.ok, other.violations)
-
-    def __hash__(self) -> int:
-        return hash((self.ok, self.violations))
 
     def __repr__(self) -> str:
         return f"PolyhedralReport(ok={self.ok!r}, violations={self.violations!r})"
@@ -439,15 +425,11 @@ def is_polyhedral(m: FlagMap) -> PolyhedralReport:
     parallel edges has an end, and two faces that meet badly share one.
     The translations act transitively on the vertices of each rep, so a
     violation anywhere has a translate at a vertex of cell (0, 0).
-    Hence it suffices to scan those vertices, one per rep; a map without
+    Hence it suffices to scan those vertices, the anchors; a map without
     a coset system scans every vertex.  The violations themselves are
     listed only when the report's `violations` are read.
     """
-    if m.coset_system is None:
-        anchors = range(m.n_vertices)
-    else:
-        anchors = [m.vertex_at(rep, (0, 0)) for rep in range(m.n_vertices // m.coset_system.size())]
-    return PolyhedralReport(m, next(_violations(m, anchors), None) is None)
+    return PolyhedralReport(m, next(_violations(m, _anchors(m)), None) is None)
 
 
 def map_summary(m: FlagMap) -> dict:

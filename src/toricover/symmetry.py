@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .lattice import enumerate_hnf, scaled_identity
-from .map_core import FlagMap, QuotientSpec, build_quotient, is_polyhedral
+from .map_core import FlagMap, QuotientSpec, _anchors, build_quotient
 from .tilings import PointGroupElem, TilingId, _validate_element, rep_orbits, template
 
 
@@ -126,15 +126,12 @@ def _translation_cell(m: FlagMap) -> tuple[int, int]:
     return ncos, cell
 
 
-def _orbit_scan(m: FlagMap, stop_when_vertex_transitive: bool) -> OrbitReport | bool:
+def orbit_report(m: FlagMap) -> OrbitReport:
     ncos, cell = _translation_cell(m)
     block = cell * ncos
     # Vertex v = rep·ncos + coset, so the reps are the translation orbits,
-    # and an automorphism permutes them as it moves the vertices rep·ncos.
-    nreps = m.n_vertices // ncos
-    if stop_when_vertex_transitive and nreps == 1:
-        return True
-
+    # and an automorphism permutes them as it moves the anchors.
+    anchors = _anchors(m)
     firsts = [c // cell * block + c % cell for c in range(m.n_flags // ncos)]
     keys = _candidate_keys(m, firsts)
     verdict = bytearray(len(firsts))  # 1: in the orbit of flag 0, 2: not
@@ -142,7 +139,7 @@ def _orbit_scan(m: FlagMap, stop_when_vertex_transitive: bool) -> OrbitReport | 
     found: list[list[int]] = []
     sigmas: list[list[int]] = []
     fv = m.flag_vertex
-    rep_flags = [2 * m.vertex_darts[r * ncos][0] for r in range(nreps)]
+    rep_flags = [2 * m.vertex_darts[v][0] for v in anchors]
     for c, f in enumerate(firsts):
         if verdict[c] or keys[c] != keys[0]:
             continue
@@ -155,8 +152,6 @@ def _orbit_scan(m: FlagMap, stop_when_vertex_transitive: bool) -> OrbitReport | 
             found.append(img)
             sigmas.append([fv[img[x]] // ncos for x in rep_flags])
             todo = [k for k in range(len(firsts)) if verdict[k]]
-            if stop_when_vertex_transitive and len(rep_orbits(nreps, sigmas)) == 1:
-                return True
         # An automorphism maps a class onto a class with the same verdict.
         while todo:
             k = todo.pop()
@@ -167,13 +162,9 @@ def _orbit_scan(m: FlagMap, stop_when_vertex_transitive: bool) -> OrbitReport | 
                     verdict[j] = verdict[k]
                     todo.append(j)
 
-    orbits = rep_orbits(nreps, sigmas)
-    if stop_when_vertex_transitive:
-        return len(orbits) == 1
-
     group_order = ncos * verdict.count(1)
     return OrbitReport(
-        vertex_orbits=_vertex_orbits(orbits, ncos),
+        vertex_orbits=_vertex_orbits(rep_orbits(len(anchors), sigmas), ncos),
         flag_orbit_count=m.n_flags // group_order,
         group_order=group_order,
     )
@@ -184,14 +175,8 @@ def _vertex_orbits(orbits: tuple[tuple[int, ...], ...], ncos: int) -> tuple[tupl
     return tuple(tuple(v for r in orbit for v in range(r * ncos, (r + 1) * ncos)) for orbit in orbits)
 
 
-def orbit_report(m: FlagMap) -> OrbitReport:
-    report = _orbit_scan(m, stop_when_vertex_transitive=False)
-    assert isinstance(report, OrbitReport)
-    return report
-
-
 def is_vertex_transitive(m: FlagMap) -> bool:
-    return bool(_orbit_scan(m, stop_when_vertex_transitive=True))
+    return len(orbit_report(m).vertex_orbits) == 1
 
 
 def automorphism_group(m: FlagMap) -> list[MapAutomorphism]:
@@ -270,9 +255,9 @@ def full_point_group(tiling: TilingId) -> tuple[PointGroupElem, ...]:
         img = flag_extension(m, m, 0, f) if keys[c] == keys[0] else None
         if img is None:
             continue
-        # Rep r of cell (0, 0) is vertex r·ncos; flag 0 goes to cell (0, 0),
-        # so the cells of the images of (0, e1) and (0, e2) are R's columns.
-        rows = [img[2 * r * ncos * deg : 2 * (r * ncos + 1) * deg : 2] for r in range(tpl.rep_count)]
+        # Flag 0 goes to cell (0, 0), so the cells of the images of
+        # (0, e1) and (0, e2) are R's columns.
+        rows = [img[2 * v * deg : 2 * (v + 1) * deg : 2] for v in _anchors(m)]
         cols = [cell_of(img[2 * m.vertex_at(0, e) * deg]) for e in ((1, 0), (0, 1))]
         elem = PointGroupElem(
             name=f"g{len(elems)}",
@@ -346,6 +331,6 @@ def search_non_vt(tiling: TilingId, det_bound: int) -> list[tuple[QuotientSpec, 
         if len(report.vertex_orbits) == 1:
             continue
         m = build_quotient(spec)
-        if is_polyhedral(m).ok:
+        if m.polyhedral:
             witnesses.append((spec, m.n_vertices, report))
     return witnesses

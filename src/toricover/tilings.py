@@ -423,14 +423,18 @@ def all_templates() -> tuple[TilingTemplate, ...]:
 # --------------------------------------------------------------------------
 # Template-level face tracing (on the infinite tiling).
 
+# A face walk longer than this is a broken template: the largest face of
+# an Archimedean tiling is a 12-gon.
+_FACE_TRACE_LIMIT = 64
 
-def face_trace(tpl: TilingTemplate, rep: int, slot: int, limit: int = 64) -> list[tuple[int, IVec, int]]:
+
+def face_trace(tpl: TilingTemplate, rep: int, slot: int) -> list[tuple[int, IVec, int]]:
     """Walk the face of the infinite tiling on the left of dart `slot`
     of `rep` in cell (0, 0); returns its darts as (rep, cell, slot)."""
     start = (rep, (0, 0), slot)
     walk = [start]
     cur = start
-    for _ in range(limit):
+    for _ in range(_FACE_TRACE_LIMIT):
         r, cell, k = cur
         s, off = tpl.neighbors[r][k]
         rev = tpl.reverse_slots[r][k]
@@ -439,7 +443,7 @@ def face_trace(tpl: TilingTemplate, rep: int, slot: int, limit: int = 64) -> lis
         if cur == start:
             return walk
         walk.append(cur)
-    raise AssertionError(f"face at ({rep}, {slot}) did not close within {limit} steps")
+    raise AssertionError(f"face at ({rep}, {slot}) did not close within {_FACE_TRACE_LIMIT} steps")
 
 
 def face_sizes_at_rep(tpl: TilingTemplate, rep: int) -> tuple[int, ...]:

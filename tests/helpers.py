@@ -67,8 +67,7 @@ def from_faces(faces: list[list[int]]) -> FlagMap:
             raise ValueError(f"vertex {v} has a disconnected rotation (pinch point)")
         cycle.reverse()  # cw cycle reversed is the ccw rotation
         vertex_darts.append(tuple(cycle))
-    dart_vertex = [u for u, _, _, _ in darts]
-    return FlagMap(dart_vertex, rev, vertex_darts)
+    return FlagMap(rev, vertex_darts)
 
 
 def corrupt_dart(tpl: TilingTemplate, rep: int, slot: int, offset: IVec) -> TilingTemplate:

@@ -11,7 +11,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricover import (
@@ -243,9 +243,15 @@ def semi_equivelar_by_definition(m: FlagMap) -> VertexTypeSig | None:
     return types.pop() if len(types) == 1 else None
 
 
+def hermite_maps(det_bound: int):
+    for tid in TilingId:
+        for mat in enumerate_hnf(det_bound):
+            yield build_quotient(QuotientSpec(tid, mat))
+
+
 def test_semi_equivelar_matches_per_vertex_definition():
     maps = [m for _, _, m in sweep_maps()]
-    maps += [build_quotient(QuotientSpec(tid, mat)) for tid in TilingId for mat in enumerate_hnf(6)]
+    maps += list(hermite_maps(12))
     base = build_quotient(QuotientSpec(TilingId.SQUARE, SublatticeMat(3, 0, 0, 3)))
     faces = [list(base.face_vertices(f)) for f in range(base.n_faces)]
     maps.append(from_faces(faces))
@@ -255,6 +261,27 @@ def test_semi_equivelar_matches_per_vertex_definition():
     for m in maps:
         assert is_semi_equivelar(m) == semi_equivelar_by_definition(m), m.spec
     assert is_semi_equivelar(maps[-1]) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tid=st.sampled_from(list(TilingId)),
+    entries=st.tuples(*[st.integers(min_value=-9, max_value=9)] * 4).filter(
+        lambda t: t[2] != 0 and t[0] * t[3] - t[1] * t[2] != 0
+    ),
+)
+def test_semi_equivelar_matches_per_vertex_definition_on_random_lattices(tid, entries):
+    mat = SublatticeMat(*entries)
+    tpl = template(tid)
+    assume(2 * tpl.degree * tpl.rep_count * mat.index() <= 1500)
+    m = build_quotient(QuotientSpec(tid, mat))
+    assert is_semi_equivelar(m) == semi_equivelar_by_definition(m), m.spec
+
+
+def test_anchors_are_the_reps_in_cell_zero():
+    for m in hermite_maps(12):
+        reps = template(m.spec.tiling).rep_count
+        assert list(map_core._anchors(m)) == [m.vertex_at(r, (0, 0)) for r in range(reps)], m.spec
 
 
 # --- from_faces and constructor validation ---
@@ -290,12 +317,17 @@ def test_from_faces_rejects_disconnected():
 
 def test_flagmap_rejects_non_involutive_reverse():
     with pytest.raises(ValueError):
-        FlagMap([0, 0], [0, 1], [(0, 1)])  # reverse fixes both darts
+        FlagMap([0, 1], [(0, 1)])  # reverse fixes both darts
 
 
 def test_flagmap_rejects_dart_in_two_rotations():
     with pytest.raises(ValueError):
-        FlagMap([0, 0], [1, 0], [(0, 1, 0)])
+        FlagMap([1, 0], [(0, 1, 0)])
+
+
+def test_flagmap_rejects_dart_in_no_rotation():
+    with pytest.raises(ValueError, match="no vertex rotation"):
+        FlagMap([1, 0, 3, 2], [(0, 1, 2)])
 
 
 # --- polyhedrality ---
