@@ -18,9 +18,15 @@ then have closed forms:
 With this encoding s0 and s2 are fixed-point-free involutions that
 commute by construction.  The constructor takes the reverse darts and
 the rotation at each vertex, and reads each dart's tail off the
-rotation that lists it; what it has to verify is that reverse is a
-fixed-point-free involution, that each dart sits in exactly one
-rotation, and that the map is connected.
+rotation that lists it; what it has to verify is that every dart id is
+in range, that reverse is a fixed-point-free involution, that each dart
+sits in exactly one rotation, and that the map is connected.
+
+When vertex v's rotation is darts v·deg … v·deg+deg−1 in order, as
+build_quotient makes it, the tail and rotation tables are filled by
+columns, one slot of every vertex at a time, instead of vertex by
+vertex.  The dart ids in them then come from one pool, one int object
+per dart, as do those of the reverse, edge and face tables of any map.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
+from operator import eq
 
 from .lattice import CosetSystem, SublatticeMat, cosets
 from .tilings import TilingId, dihedral, template
@@ -59,77 +66,60 @@ class FlagMap:
 
     def __init__(
         self,
-        dart_rev: list[int],
-        vertex_darts: list[tuple[int, ...]],
+        dart_rev: Sequence[int],
+        vertex_darts: Sequence[Sequence[int]],
         labels: tuple[tuple[int, IVec], ...] | None = None,
         spec: QuotientSpec | None = None,
     ):
         nd = len(dart_rev)
         if nd == 0 or nd % 2:
             raise ValueError("dart count must be positive and even")
-        for d in range(nd):
-            r = dart_rev[d]
-            if r == d or not (0 <= r < nd) or dart_rev[r] != d:
-                raise ValueError(f"reverse is not a fixed-point-free involution at dart {d}")
+        # The pool: one int object per dart.  The tables below take their
+        # numbers from it, not equal copies made by arithmetic; the
+        # rotation tables only in build_quotient's layout.
+        ids = list(range(nd))
+        if min(dart_rev) < 0 or max(dart_rev) >= nd:
+            # A reverse out of range fails the involution check at its
+            # own dart, as a fixed point does, and is never an index.
+            rev = [r if 0 <= r < nd else d for d, r in enumerate(dart_rev)]
+        else:
+            rev = list(map(ids.__getitem__, dart_rev))
 
-        self.dart_rev = list(dart_rev)
-        self.vertex_darts = tuple(tuple(ds) for ds in vertex_darts)
-        self.labels = labels
-        self.spec = spec
-        self.n_vertices = len(vertex_darts)
-
-        # The tail of a dart is the vertex whose rotation lists it.
-        tail = [-1] * nd
-        ccw = [0] * nd
-        cw = [0] * nd
-        for v, ds in enumerate(self.vertex_darts):
-            if not ds:
-                raise ValueError(f"vertex {v} has no darts")
-            for i, d in enumerate(ds):
-                if tail[d] >= 0:
-                    raise ValueError(f"dart {d} appears in two rotations")
-                tail[d] = v
-                ccw[d] = ds[(i + 1) % len(ds)]
-                cw[d] = ds[(i - 1) % len(ds)]
-        if -1 in tail:
-            raise ValueError(f"dart {tail.index(-1)} belongs to no vertex rotation")
-        self.dart_vertex = tail
-        self.dart_ccw = ccw
-        self.dart_cw = cw
-
-        # Edges: the {d, rev d} pairs, indexed by their smaller dart.
+        # Edges: the {d, rev d} pairs, indexed by their smaller dart.  The
+        # involution check runs on the first dart of each pair: the
+        # second passed it as the reverse of the first.
         edge_of = [-1] * nd
         edge_darts = []
-        for d in range(nd):
+        for d in ids:
             if edge_of[d] < 0:
-                e = len(edge_darts)
-                edge_of[d] = edge_of[dart_rev[d]] = e
-                edge_darts.append((d, dart_rev[d]))
+                r = rev[d]
+                if r == d or rev[r] != d:
+                    raise ValueError(f"reverse is not a fixed-point-free involution at dart {d}")
+                edge_of[d] = edge_of[r] = ids[len(edge_darts)]
+                edge_darts.append((d, r))
+
+        # build_quotient's layout: vertex v lists darts v·deg … v·deg+deg−1.
+        nv = len(vertex_darts)
+        deg = nd // nv if nv else 0
+        by_columns = (
+            nv * deg == nd
+            and set(map(len, vertex_darts)) == {deg}
+            and all(map(eq, chain.from_iterable(vertex_darts), ids))
+        )
+        self.dart_vertex, self.dart_ccw, self.dart_cw, self.vertex_darts = (
+            _slot_columns(ids, nv, deg) if by_columns else _rotations(vertex_darts, nd)
+        )
+        self.dart_rev = rev
+        self.labels = labels
+        self.spec = spec
+        self.n_vertices = nv
         self.dart_edge = edge_of
         self.edge_darts = tuple(edge_darts)
         self.n_edges = len(edge_darts)
 
-        # Faces: orbits of d -> cw(rev(d)), i.e. the face left of each dart.
-        nxt = list(map(cw.__getitem__, dart_rev))
-        face_of = [-1] * nd
-        face_darts = []
-        for d in range(nd):
-            if face_of[d] >= 0:
-                continue
-            f = len(face_darts)
-            walk = []
-            cur = d
-            while face_of[cur] < 0:
-                face_of[cur] = f
-                walk.append(cur)
-                cur = nxt[cur]
-            if cur != d:
-                raise ValueError(f"face trace from dart {d} did not close")
-            face_darts.append(tuple(walk))
-        self.dart_face_left = face_of
-        self.face_darts = tuple(face_darts)
-        self.face_sizes = tuple(len(w) for w in face_darts)
-        self.n_faces = len(face_darts)
+        self.dart_face_left, self.face_darts = _faces(ids, rev, self.dart_cw)
+        self.face_sizes = tuple(map(len, self.face_darts))
+        self.n_faces = len(self.face_darts)
 
         if not self._connected():
             raise ValueError("map is not connected")
@@ -215,6 +205,73 @@ class FlagMap:
         return all(seen)
 
 
+def _slot_columns(ids: list[int], nv: int, deg: int):
+    """(dart_vertex, dart_ccw, dart_cw, vertex_darts) when vertex v has
+    darts v·deg … v·deg+deg−1 in ccw order, as in build_quotient: slot k
+    of every vertex is the column ids[k::deg], and each table is deg
+    stride-slice assignments from the pool."""
+    nd = len(ids)
+    cols = [ids[k::deg] for k in range(deg)]
+    vertices = ids[:nv]
+    tail = [0] * nd
+    ccw = [0] * nd
+    cw = [0] * nd
+    for k in range(deg):
+        tail[k::deg] = vertices
+        ccw[k::deg] = cols[(k + 1) % deg]
+        cw[k::deg] = cols[k - 1]
+    return tail, ccw, cw, tuple(zip(*cols))
+
+
+def _rotations(vertex_darts: Sequence[Sequence[int]], nd: int):
+    """(dart_vertex, dart_ccw, dart_cw, vertex_darts) from any rotation
+    system, vertex by vertex: the tail of a dart is the vertex whose
+    rotation lists it.  A dart id out of range, listed twice or not
+    listed at all raises ValueError."""
+    rotations = tuple(tuple(ds) for ds in vertex_darts)
+    tail = [-1] * nd
+    ccw = [0] * nd
+    cw = [0] * nd
+    for v, ds in enumerate(rotations):
+        if not ds:
+            raise ValueError(f"vertex {v} has no darts")
+        for i, d in enumerate(ds):
+            if not 0 <= d < nd:
+                raise ValueError(f"dart {d} at vertex {v} is not in 0..{nd - 1}")
+            if tail[d] >= 0:
+                raise ValueError(f"dart {d} appears in two rotations")
+            tail[d] = v
+            ccw[d] = ds[(i + 1) % len(ds)]
+            cw[d] = ds[(i - 1) % len(ds)]
+    if -1 in tail:
+        raise ValueError(f"dart {tail.index(-1)} belongs to no vertex rotation")
+    return tail, ccw, cw, rotations
+
+
+def _faces(ids: list[int], rev: list[int], cw: list[int]):
+    """(dart_face_left, face_darts): the orbits of d -> cw(rev(d)), i.e.
+    the face left of each dart, numbered by their smallest dart and
+    walked from it.  A walk that does not return to its start raises
+    ValueError."""
+    nxt = list(map(cw.__getitem__, rev))
+    face_of = [-1] * len(ids)
+    face_darts = []
+    for d in ids:
+        if face_of[d] >= 0:
+            continue
+        f = ids[len(face_darts)]
+        walk = []
+        cur = d
+        while face_of[cur] < 0:
+            face_of[cur] = f
+            walk.append(cur)
+            cur = nxt[cur]
+        if cur != d:
+            raise ValueError(f"face trace from dart {d} did not close")
+        face_darts.append(tuple(walk))
+    return face_of, tuple(face_darts)
+
+
 def _interleave(even, odd) -> list[int]:
     """The flag table with entry 2d from even[d] and 2d + 1 from odd[d]."""
     out = [0] * (2 * len(even))
@@ -228,8 +285,9 @@ def build_quotient(spec: QuotientSpec) -> FlagMap:
 
     Vertices are (rep, coset) pairs, numbered rep-major in the coset
     system's canonical order (`FlagMap.vertex_at`); dart k of a vertex
-    is dart k of its rep.  A map of more than MAX_FLAGS flags is refused
-    with ValueError before anything is allocated.
+    is dart k of its rep, so vertex v has darts v·deg … v·deg+deg−1, the
+    layout FlagMap fills by columns.  A map of more than MAX_FLAGS flags
+    is refused with ValueError before anything is allocated.
     """
     tpl = template(spec.tiling)
     flags = 2 * tpl.degree * tpl.rep_count * spec.mat.index()
@@ -253,7 +311,8 @@ def build_quotient(spec: QuotientSpec) -> FlagMap:
             rows = [first + (i + di) % s1 * s2 * deg for i in range(s1)]
             cols = [(j + dj) % s2 * deg for j in range(s2)]
             dart_rev[r * block + k : (r + 1) * block : deg] = [a + b for a in rows for b in cols]
-    vertex_darts = [tuple(range(d, d + deg)) for d in range(0, nd, deg)]
+    # Ranges, not tuples: FlagMap reads them once, to test the layout.
+    vertex_darts = [range(d, d + deg) for d in range(0, nd, deg)]
     m = FlagMap(dart_rev, vertex_darts, labels=labels, spec=spec)
     m.coset_system = cs
     return m

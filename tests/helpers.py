@@ -1,6 +1,7 @@
 """Test-only constructions: maps from face lists, corrupted templates,
-per-dart reference tables for quotient maps, the per-face polyhedrality
-scan, and group-element arithmetic on flag permutations."""
+per-dart reference tables for quotient maps and for the FlagMap
+constructor, the per-face polyhedrality scan, and group-element
+arithmetic on flag permutations."""
 
 from __future__ import annotations
 
@@ -97,6 +98,71 @@ def reference_quotient(spec: QuotientSpec) -> tuple[tuple, list[int], list[int],
             dart_rev.append(tv * deg + tpl.reverse_slots[r][k])
     vertex_darts = [tuple(range(v * deg, v * deg + deg)) for v in range(len(labels))]
     return labels, dart_vertex, dart_rev, vertex_darts
+
+
+def reference_map_tables(dart_rev: list[int], vertex_darts: list[tuple[int, ...]]) -> dict[str, object]:
+    """Every dart, edge and face table of the map with these reverse darts
+    and rotations, built dart by dart: the constructor's loops from before
+    it filled build_quotient's layout by columns.  The oracle for FlagMap."""
+    nd = len(dart_rev)
+    for d in range(nd):
+        r = dart_rev[d]
+        if r == d or not (0 <= r < nd) or dart_rev[r] != d:
+            raise ValueError(f"reverse is not a fixed-point-free involution at dart {d}")
+    vertex_darts = tuple(tuple(ds) for ds in vertex_darts)
+
+    tail = [-1] * nd
+    ccw = [0] * nd
+    cw = [0] * nd
+    for v, ds in enumerate(vertex_darts):
+        if not ds:
+            raise ValueError(f"vertex {v} has no darts")
+        for i, d in enumerate(ds):
+            if tail[d] >= 0:
+                raise ValueError(f"dart {d} appears in two rotations")
+            tail[d] = v
+            ccw[d] = ds[(i + 1) % len(ds)]
+            cw[d] = ds[(i - 1) % len(ds)]
+    if -1 in tail:
+        raise ValueError(f"dart {tail.index(-1)} belongs to no vertex rotation")
+
+    edge_of = [-1] * nd
+    edge_darts = []
+    for d in range(nd):
+        if edge_of[d] < 0:
+            e = len(edge_darts)
+            edge_of[d] = edge_of[dart_rev[d]] = e
+            edge_darts.append((d, dart_rev[d]))
+
+    nxt = list(map(cw.__getitem__, dart_rev))
+    face_of = [-1] * nd
+    face_darts = []
+    for d in range(nd):
+        if face_of[d] >= 0:
+            continue
+        f = len(face_darts)
+        walk = []
+        cur = d
+        while face_of[cur] < 0:
+            face_of[cur] = f
+            walk.append(cur)
+            cur = nxt[cur]
+        if cur != d:
+            raise ValueError(f"face trace from dart {d} did not close")
+        face_darts.append(tuple(walk))
+
+    return {
+        "dart_rev": list(dart_rev),
+        "vertex_darts": vertex_darts,
+        "dart_vertex": tail,
+        "dart_ccw": ccw,
+        "dart_cw": cw,
+        "dart_edge": edge_of,
+        "edge_darts": tuple(edge_darts),
+        "dart_face_left": face_of,
+        "face_darts": tuple(face_darts),
+        "face_sizes": tuple(len(w) for w in face_darts),
+    }
 
 
 def reference_flag_tables(m: FlagMap) -> dict[str, list[int]]:

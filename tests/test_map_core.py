@@ -7,6 +7,8 @@ never touch the dart tables that build_quotient produces.
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -34,7 +36,7 @@ from toricover.lattice import enumerate_hnf
 from toricover.map_core import face_cycle
 from toricover.symmetry import are_isomorphic
 
-from helpers import from_faces, full_scan, reference_flag_tables, reference_quotient
+from helpers import from_faces, full_scan, reference_flag_tables, reference_map_tables, reference_quotient
 
 SWEEP_MATS = [
     SublatticeMat(1, 0, 0, 1),
@@ -180,6 +182,65 @@ def test_build_quotient_matches_per_dart_reference_on_hermite_forms(tid):
 )
 def test_build_quotient_matches_per_dart_reference_on_random_matrices(tid, entries):
     assert_matches_reference(QuotientSpec(tid, SublatticeMat(*entries)))
+
+
+MAP_TABLES = (
+    "dart_rev",
+    "vertex_darts",
+    "dart_vertex",
+    "dart_ccw",
+    "dart_cw",
+    "dart_edge",
+    "edge_darts",
+    "dart_face_left",
+    "face_darts",
+    "face_sizes",
+)
+
+
+def assert_tables_match_per_dart_constructor(spec: QuotientSpec) -> None:
+    m = build_quotient(spec)
+    _, _, dart_rev, vertex_darts = reference_quotient(spec)
+    want = reference_map_tables(dart_rev, vertex_darts)
+    for name in MAP_TABLES:
+        assert getattr(m, name) == want[name], (spec, name)
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_flagmap_tables_match_per_dart_constructor_on_hermite_forms(tid):
+    for mat in enumerate_hnf(12):
+        assert_tables_match_per_dart_constructor(QuotientSpec(tid, mat))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_flagmap_tables_match_per_dart_constructor_on_random_matrices(data):
+    tid = data.draw(st.sampled_from(list(TilingId)))
+    tpl = template(tid)
+    cell_flags = 2 * tpl.degree * tpl.rep_count
+    entries = data.draw(
+        st.tuples(*[st.integers(min_value=-9, max_value=9)] * 4).filter(
+            lambda t: t[2] != 0 and 0 < abs(t[0] * t[3] - t[1] * t[2]) * cell_flags <= 1500
+        )
+    )
+    assert_tables_match_per_dart_constructor(QuotientSpec(tid, SublatticeMat(*entries)))
+
+
+def test_build_quotient_retains_at_most_110_bytes_per_flag():
+    # The tables share one int object per dart.  When each table held
+    # its own equal ints, this map retained 127 bytes per flag (122 on
+    # Python 3.10).
+    spec = QuotientSpec(parse_tiling("E7"), SublatticeMat(20, 0, 0, 20))
+    build_quotient(spec)  # the template and its caches are not the map's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        m = build_quotient(spec)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.n_flags == 28_800
+    assert retained / m.n_flags <= 110
 
 
 # --- vertex types ---
@@ -328,6 +389,20 @@ def test_flagmap_rejects_dart_in_two_rotations():
 def test_flagmap_rejects_dart_in_no_rotation():
     with pytest.raises(ValueError, match="no vertex rotation"):
         FlagMap([1, 0, 3, 2], [(0, 1, 2)])
+
+
+@pytest.mark.parametrize("dart", [5, 2, -1, -2])
+def test_flagmap_rejects_rotation_dart_out_of_range(dart):
+    # -1 and -2 would index from the end of the tables.
+    with pytest.raises(ValueError, match=f"^dart {dart} at vertex 0 is not in 0..1$"):
+        FlagMap([1, 0], [(0, dart)])
+
+
+@pytest.mark.parametrize("dart_rev", [[2, 0], [-1, 0], [1, -1], [1, 2]])
+def test_flagmap_rejects_reverse_out_of_range(dart_rev):
+    # [-1, 0] would read as the involution [1, 0] if -1 wrapped.
+    with pytest.raises(ValueError, match="^reverse is not a fixed-point-free involution at dart 0$"):
+        FlagMap(dart_rev, [(0, 1)])
 
 
 # --- polyhedrality ---
