@@ -50,8 +50,35 @@ BATCH_VT_FLAG_CAP = 800
 BATCH_MAX_DRAWS = 100_000
 
 
+_encode_leaf = json.JSONEncoder().encode
+
+
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), with every line after
+    the first shifted right by `indent`.
+
+    json.dumps leaves its C encoder when `indent` is set and writes each
+    int of a certificate's maps from Python.  This writer makes the same
+    text with the C encoder for the leaves and one `repr` for a list of
+    ints (`type` exactly int, so no bool or float).  A dict with a key
+    that is not a str is left to json.dumps."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        if set(map(type, value)) != {str}:
+            return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+        items = [_encode_leaf(k) + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) == {int}:
+            body = repr(list(value))[1:-1].replace(", ", ",\n" + inner)
+        else:
+            body = (",\n" + inner).join([_json_text(v, inner) for v in value])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return _encode_leaf(value)
+
+
 def _emit(args: argparse.Namespace, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json_text(payload) + "\n"
     if args.out and args.out != "-":
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .lattice import (
     SublatticeMat,
@@ -252,29 +253,53 @@ def verify_covering(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> VerifyRep
     passed.append("faces")
 
     # An honest projection maps dart k of a Y-vertex to dart k of its
-    # image, so each Y-cycle is first compared with its image's cycle as
-    # is; only if that fails is it looked up among every rotation and
-    # reflection of the image's cycle, a set built once per X-vertex.
-    x_cycles = [
-        tuple([(x.dart_edge[d], x.dart_face_left[d]) for d in ds]) for ds in x.vertex_darts
-    ]
-    images: dict[int, set] = {}
-    for v, ds in enumerate(y.vertex_darts):
-        around_y = tuple([(em[y.dart_edge[d]], fm[y.dart_face_left[d]]) for d in ds])
-        xv = vm[v]
-        if around_y == x_cycles[xv]:
-            continue
-        if xv not in images:
-            images[xv] = set(dihedral(x_cycles[xv]))
-        if around_y not in images[xv]:
-            return fail(f"local: face-cycle at vertex {v} does not match vertex {xv}")
+    # image, so first every Y-cycle is compared with its image's cycle as
+    # is, all at once (`_cycles_equal`).  Only if that fails are they
+    # compared vertex by vertex, and a cycle that differs from its
+    # image's is looked up among every rotation and reflection of the
+    # image's cycle, a set built once per X-vertex.
+    if not _cycles_equal(y, x, vm, em, fm):
+        x_cycles = [
+            tuple([(x.dart_edge[d], x.dart_face_left[d]) for d in ds]) for ds in x.vertex_darts
+        ]
+        images: dict[int, set] = {}
+        for v, ds in enumerate(y.vertex_darts):
+            around_y = tuple([(em[y.dart_edge[d]], fm[y.dart_face_left[d]]) for d in ds])
+            xv = vm[v]
+            if around_y == x_cycles[xv]:
+                continue
+            if xv not in images:
+                images[xv] = set(dihedral(x_cycles[xv]))
+            if around_y not in images[xv]:
+                return fail(f"local: face-cycle at vertex {v} does not match vertex {xv}")
     passed.append("local-isomorphism")
 
     return VerifyReport(ok=True, failure=None, checks_passed=tuple(passed))
 
 
-def descend(spec: QuotientSpec, elem: PointGroupElem) -> MapAutomorphism:
-    """The map automorphism of X = tiling / K induced by a tiling symmetry.
+def _cycles_equal(y: FlagMap, x: FlagMap, vm, em, fm) -> bool:
+    """Whether every Y-vertex v has the (edge, face) cycle of vm[v], as
+    is, under the edge and face maps.  When every Y-vertex has its
+    image's degree, this compares two whole columns over the rotations
+    chained in vertex order, edges and then faces, with no tuple per dart."""
+    x_degree = list(map(len, x.vertex_darts))
+    if list(map(len, y.vertex_darts)) != list(map(x_degree.__getitem__, vm)):
+        return False
+    y_darts = list(chain.from_iterable(y.vertex_darts))
+    x_darts = list(chain.from_iterable(map(x.vertex_darts.__getitem__, vm)))
+    return all(
+        list(map(cell_map.__getitem__, map(y_cells.__getitem__, y_darts)))
+        == list(map(x_cells.__getitem__, x_darts))
+        for cell_map, y_cells, x_cells in (
+            (em, y.dart_edge, x.dart_edge),
+            (fm, y.dart_face_left, x.dart_face_left),
+        )
+    )
+
+
+def descend(m: FlagMap, elem: PointGroupElem) -> MapAutomorphism:
+    """The map automorphism of X = tiling / K, a map from build_quotient,
+    induced by a tiling symmetry.
 
     Defined exactly when R maps K into itself (then R K = K, since R is
     unimodular), so that the action on Z^2 / K is well defined:
@@ -283,21 +308,27 @@ def descend(spec: QuotientSpec, elem: PointGroupElem) -> MapAutomorphism:
     flag involutions; a failure there would mean corrupt template data
     and raises.
     """
-    if not spec.mat.preserved_by(elem.matrix):
-        raise ValueError(f"{elem.name} does not preserve the lattice of {spec.mat.as_tuple()}")
-    y = build_quotient(spec)
+    cs = m.coset_system
+    if cs is None:
+        raise ValueError("descend needs a map from build_quotient")
+    if not cs.mat.preserved_by(elem.matrix):
+        raise ValueError(f"{elem.name} does not preserve the lattice of {cs.mat.as_tuple()}")
+    # Vertex v is (rep, cell) = (v // ncos, representative v % ncos), by
+    # build_quotient's rep-major numbering.
+    ncos, cells = cs.size(), cs.representatives
     side = 1 if elem.reverses_orientation else 0
-    perm = [0] * y.n_flags
-    for (r, w), ds in zip(y.labels, y.vertex_darts):
-        r2, w2 = elem.apply_vertex(r, w)
-        image = y.vertex_darts[y.vertex_at(r2, w2)]
+    perm = [0] * m.n_flags
+    for v, ds in enumerate(m.vertex_darts):
+        r = v // ncos
+        r2, w2 = elem.apply_vertex(r, cells[v % ncos])
+        image = m.vertex_darts[m.vertex_at(r2, w2)]
         for d, k in zip(ds, elem.slot_maps[r]):
             d2 = image[k]
             perm[2 * d] = 2 * d2 + side
             perm[2 * d + 1] = 2 * d2 + 1 - side
 
     auto = MapAutomorphism(tuple(perm))
-    if not auto.commutes_with_involutions(y):
+    if not auto.commutes_with_involutions(m):
         raise RuntimeError(
             f"descended {elem.name} is not a map automorphism; template data corrupt"
         )

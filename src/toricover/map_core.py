@@ -68,7 +68,6 @@ class FlagMap:
         self,
         dart_rev: Sequence[int],
         vertex_darts: Sequence[Sequence[int]],
-        labels: tuple[tuple[int, IVec], ...] | None = None,
         spec: QuotientSpec | None = None,
     ):
         nd = len(dart_rev)
@@ -110,7 +109,6 @@ class FlagMap:
             _slot_columns(ids, nv, deg) if by_columns else _rotations(vertex_darts, nd)
         )
         self.dart_rev = rev
-        self.labels = labels
         self.spec = spec
         self.n_vertices = nv
         self.dart_edge = edge_of
@@ -296,8 +294,7 @@ def build_quotient(spec: QuotientSpec) -> FlagMap:
     cs = cosets(spec.mat)
     s1, s2, ncos = cs.s1, cs.s2, cs.size()
     deg = tpl.degree
-    labels = tuple((r, w) for r in range(tpl.rep_count) for w in cs.representatives)
-    nd = len(labels) * deg
+    nd = tpl.rep_count * ncos * deg
     block = ncos * deg  # the darts of one rep
     # Coset i*s2 + j has box coordinates (i, j), so slot k of rep r points
     # from every coset to the coset one fixed box shift (di, dj) away: the
@@ -313,7 +310,7 @@ def build_quotient(spec: QuotientSpec) -> FlagMap:
             dart_rev[r * block + k : (r + 1) * block : deg] = [a + b for a in rows for b in cols]
     # Ranges, not tuples: FlagMap reads them once, to test the layout.
     vertex_darts = [range(d, d + deg) for d in range(0, nd, deg)]
-    m = FlagMap(dart_rev, vertex_darts, labels=labels, spec=spec)
+    m = FlagMap(dart_rev, vertex_darts, spec=spec)
     m.coset_system = cs
     return m
 

@@ -1,14 +1,15 @@
 """Test-only constructions: maps from face lists, corrupted templates,
 per-dart reference tables for quotient maps and for the FlagMap
-constructor, the per-face polyhedrality scan, and group-element
-arithmetic on flag permutations."""
+constructor, the per-vertex local-isomorphism stage of verify_covering,
+the per-face polyhedrality scan, and group-element arithmetic on flag
+permutations."""
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from toricover import FlagMap, MapAutomorphism, QuotientSpec, cosets, template
-from toricover.tilings import IVec, TilingTemplate
+from toricover import CoverCertificate, FlagMap, MapAutomorphism, QuotientSpec, cosets, template
+from toricover.tilings import IVec, TilingTemplate, dihedral
 
 
 def from_faces(faces: list[list[int]]) -> FlagMap:
@@ -163,6 +164,30 @@ def reference_map_tables(dart_rev: list[int], vertex_darts: list[tuple[int, ...]
         "face_darts": tuple(face_darts),
         "face_sizes": tuple(len(w) for w in face_darts),
     }
+
+
+def reference_local_isomorphism(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> str | None:
+    """The failure message of verify_covering's local-isomorphism stage,
+    or None if the stage passes, decided vertex by vertex: the stage's
+    loop from before it compared whole columns first.  Each Y-cycle of
+    (edge, face) pairs is compared with its image's cycle as is, then
+    looked up among every rotation and reflection of it.  The oracle for
+    that stage."""
+    vm, em, fm = cert.vertex_map, cert.edge_map, cert.face_map
+    x_cycles = [
+        tuple([(x.dart_edge[d], x.dart_face_left[d]) for d in ds]) for ds in x.vertex_darts
+    ]
+    images: dict[int, set] = {}
+    for v, ds in enumerate(y.vertex_darts):
+        around_y = tuple([(em[y.dart_edge[d]], fm[y.dart_face_left[d]]) for d in ds])
+        xv = vm[v]
+        if around_y == x_cycles[xv]:
+            continue
+        if xv not in images:
+            images[xv] = set(dihedral(x_cycles[xv]))
+        if around_y not in images[xv]:
+            return f"local: face-cycle at vertex {v} does not match vertex {xv}"
+    return None
 
 
 def reference_flag_tables(m: FlagMap) -> dict[str, list[int]]:

@@ -227,12 +227,12 @@ def test_criterion_6_point_group_descends_and_acts_transitively():
             y = _track(build_quotient(spec))
             autos = []
             for elem in tpl.point_group:
-                auto = descend(spec, elem)  # raises if not an automorphism
+                auto = descend(y, elem)  # raises if not an automorphism
                 if not auto.commutes_with_involutions(y):
                     failures.append((tid.code, k, elem.name))
                 autos.append(auto)
-            autos.append(descend(spec, translation(tpl, (1, 0))))
-            autos.append(descend(spec, translation(tpl, (0, 1))))
+            autos.append(descend(y, translation(tpl, (1, 0))))
+            autos.append(descend(y, translation(tpl, (0, 1))))
             # orbit of vertex 0 under the generated group
             seen = {0}
             frontier = [0]

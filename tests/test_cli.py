@@ -7,6 +7,7 @@ schemas/.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import copy
 import dataclasses
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from referencing import Registry, Resource
 
@@ -282,6 +283,50 @@ def test_stdout_json_is_sorted_and_newline_terminated(capsys):
     assert out.endswith("\n")
     doc = json.loads(out)
     assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# Any JSON value: leaves with escaped and non-ASCII strings, big and
+# negative ints, signed zero and extreme floats; lists, tuples and dicts
+# of them, and lists of ints only, which the writer prints in one piece.
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(),
+    st.sampled_from([-0.0, 1e300, -1e-300, 2.0**63]),
+    st.text(),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(), children, max_size=5),
+        st.lists(st.integers(), min_size=1, max_size=8),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example({"é\u2028\x00\"\\/": "\ud83d\ude00\t", "": [-0.0, 1e300, None, True]})
+@example({"a": [[], {}, ()], "b": ((),), "c": {"d": {}}})
+@example([[True, 1], [1, 2.0], [1, True], [2**64, -(2**70), 0, -1]])
+@example((1,))
+def test_emit_writes_what_json_dumps_writes(value):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit(argparse.Namespace(out="-"), value)
+    assert buf.getvalue() == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_emit_leaves_dicts_with_non_string_keys_to_json(tmp_path):
+    value = {"a": [{1: [2, 3], 2.5: None, True: "t"}], "b": {None: {0: []}}}
+    out = tmp_path / "doc.json"
+    cli._emit(argparse.Namespace(out=str(out)), value)
+    assert out.read_text() == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 def test_verify_output_is_schema_valid(tmp_path, capsys):

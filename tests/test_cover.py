@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricover import (
+    FlagMap,
     QuotientSpec,
     SublatticeMat,
     TilingId,
@@ -29,7 +31,7 @@ from toricover import (
 )
 from toricover.tilings import translation
 
-from helpers import order
+from helpers import order, reference_local_isomorphism
 
 VT_FLAG_CAP = 800
 
@@ -200,6 +202,7 @@ def test_verify_rejects_broken_rotation_order():
     report = verify_covering(y, x, dataclasses.replace(cert, edge_map=tuple(em)))
     assert report.failure.startswith("local")
     assert report.checks_passed == ("arithmetic", "shape", "fibers", "adjacency", "faces")
+    assert_local_stage_matches_reference(y, x, dataclasses.replace(cert, edge_map=tuple(em)))
 
 
 def test_verify_checks_every_preimage_against_its_dihedral_set():
@@ -213,7 +216,7 @@ def test_verify_checks_every_preimage_against_its_dihedral_set():
     spec = spec_of("T4444", (2, 0, 0, 2))
     y, x, cert = cover_maps(spec, r=2)
     assert cert.fold == 4
-    g = descend(spec, template(spec.tiling).point_group[0])
+    g = descend(x, template(spec.tiling).point_group[0])
     gv = [x.flag_vertex[g(2 * ds[0])] for ds in x.vertex_darts]
     ge = [x.flag_edge[g(2 * d)] for d, _ in x.edge_darts]
     gf = [x.flag_face[g(2 * walk[0])] for walk in x.face_darts]
@@ -222,6 +225,7 @@ def test_verify_checks_every_preimage_against_its_dihedral_set():
     fm = tuple(gf[f] for f in cert.face_map)
     turned = dataclasses.replace(cert, vertex_map=tuple(vm), edge_map=tuple(em), face_map=fm)
     assert verify_covering(y, x, turned).ok
+    assert_local_stage_matches_reference(y, x, turned)
 
     def cycle(m, v, edge_map=None, face_map=None):
         return [
@@ -250,6 +254,109 @@ def test_verify_checks_every_preimage_against_its_dihedral_set():
     assert report.checks_passed == ("arithmetic", "shape", "fibers", "adjacency", "faces")
     broken = int(report.failure.split("vertex ")[1].split()[0])
     assert broken in late
+    assert_local_stage_matches_reference(y, x, dataclasses.replace(turned, edge_map=tuple(em)))
+
+
+# --- the local-isomorphism stage against the per-vertex reference ---
+
+FIVE_STAGES = ("arithmetic", "shape", "fibers", "adjacency", "faces")
+
+
+def assert_local_stage_matches_reference(y, x, cert) -> None:
+    """verify_covering reaches the local-isomorphism stage and ends as the
+    per-vertex reference stage does: the same verdict, failure message
+    and stages passed."""
+    report = verify_covering(y, x, cert)
+    assert report.checks_passed[:5] == FIVE_STAGES, report
+    want = reference_local_isomorphism(y, x, cert)
+    assert (report.ok, report.failure) == (want is None, want)
+    assert report.checks_passed == FIVE_STAGES + (("local-isomorphism",) if want is None else ())
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_local_stage_matches_reference_on_honest_certificates(tid):
+    for mat in ((1, 0, 0, 2), (2, 1, 0, 3), (1, -2, 3, 1), (3, 0, 0, 3)):
+        for r in (1, 2):
+            y, x, cert = cover_maps(QuotientSpec(tid, SublatticeMat(*mat)), r=r)
+            assert_local_stage_matches_reference(y, x, cert)
+
+
+def test_local_stage_matches_reference_when_a_degree_differs():
+    # X = T4444 / I has one vertex of degree 4, two loops and one square.
+    # Y has two vertices of degrees 2 and 6, four edges and two squares.
+    # With the numbers of the fold-2 cover of T4444 / (1, 0; 0, 2), whose
+    # maps are not polyhedral either, every stage before the local one
+    # passes, and Y-vertex 0 has fewer darts than its image.
+    x = build_quotient(spec_of("T4444", (1, 0, 0, 1)))
+    y = FlagMap([2, 3, 0, 1, 5, 4, 7, 6], [(0, 1), (2, 4, 6, 3, 5, 7)])
+    assert (y.n_edges, y.face_sizes, x.n_vertices) == (4, (4, 4), 1)
+    _, _, cert = cover_maps(spec_of("T4444", (1, 0, 0, 2)))
+    bad = dataclasses.replace(cert, vertex_map=(0, 0), edge_map=(0, 1, 0, 1), face_map=(0, 0))
+    assert_local_stage_matches_reference(y, x, bad)
+    assert verify_covering(y, x, bad).failure == "local: face-cycle at vertex 0 does not match vertex 0"
+
+
+# Small quotients, some with loops or parallel edges, so that swapping the
+# images of two edges can keep their ends.
+MUTATED_SPECS = (
+    ("T4444", (2, 0, 0, 2)),
+    ("T4444", (1, 0, 0, 2)),
+    ("E1", (1, 0, 0, 2)),
+    ("T333333", (2, 0, 0, 2)),
+    ("T666", (1, 0, 0, 1)),
+    ("E7", (1, 1, 0, 2)),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def cover_and_symmetries(code: str, mat: tuple[int, int, int, int], r: int):
+    """(y, x, cert) and the vertex, edge and face maps of those
+    automorphisms of X that tiling symmetries induce: the translations by
+    e1 and e2 and the point-group elements that preserve X's lattice."""
+    spec = spec_of(code, mat)
+    y, x, cert = cover_maps(spec, r=r)
+    tpl = template(spec.tiling)
+    elems = [translation(tpl, (1, 0)), translation(tpl, (0, 1))]
+    elems += [g for g in tpl.point_group if spec.mat.preserved_by(g.matrix)]
+    actions = []
+    for g in (descend(x, elem) for elem in elems):
+        actions.append((
+            [x.flag_vertex[g(2 * ds[0])] for ds in x.vertex_darts],
+            [x.flag_edge[g(2 * d)] for d, _ in x.edge_darts],
+            [x.flag_face[g(2 * walk[0])] for walk in x.face_darts],
+        ))
+    return y, x, cert, actions
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_local_stage_matches_reference_on_mutated_maps(data):
+    code, mat = data.draw(st.sampled_from(MUTATED_SPECS))
+    y, x, cert, actions = cover_and_symmetries(code, mat, data.draw(st.sampled_from((1, 2))))
+    vm, em, fm = cert.vertex_map, list(cert.edge_map), list(cert.face_map)
+    # Followed by automorphisms of X the projection is still a covering,
+    # but its cycles may be rotated or reflected ones of their images'.
+    for gv, ge, gf in data.draw(st.lists(st.sampled_from(actions), max_size=2)):
+        vm, em, fm = [gv[v] for v in vm], [ge[e] for e in em], [gf[f] for f in fm]
+    # Swaps that keep every earlier stage: the images of two Y-edges whose
+    # images have the same ends, and of two Y-faces whose images have the
+    # same size.
+    x_ends = [sorted(x.edge_endpoints(e)) for e in range(x.n_edges)]
+    for _ in range(data.draw(st.integers(0, 3))):
+        e = data.draw(st.integers(0, y.n_edges - 1))
+        mates = [f for f in range(y.n_edges) if em[f] != em[e] and x_ends[em[f]] == x_ends[em[e]]]
+        if mates:
+            f = data.draw(st.sampled_from(mates))
+            em[e], em[f] = em[f], em[e]
+    for _ in range(data.draw(st.integers(0, 2))):
+        f = data.draw(st.integers(0, y.n_faces - 1))
+        sizes = x.face_sizes
+        mates = [g for g in range(y.n_faces) if fm[g] != fm[f] and sizes[fm[g]] == sizes[fm[f]]]
+        if mates:
+            g = data.draw(st.sampled_from(mates))
+            fm[f], fm[g] = fm[g], fm[f]
+    mutated = dataclasses.replace(cert, vertex_map=tuple(vm), edge_map=tuple(em), face_map=tuple(fm))
+    assert_local_stage_matches_reference(y, x, mutated)
 
 
 @pytest.mark.parametrize(
@@ -287,15 +394,16 @@ def test_rotation_descends_to_scalar_quotient():
     spec = spec_of("E3", (2, 0, 0, 2))
     rho = max(template(spec.tiling).point_group, key=lambda e: e.order)
     assert rho.order == 6 and rho.kind == "rotation"
-    auto = descend(spec, rho)
+    m = build_quotient(spec)
+    auto = descend(m, rho)
     assert order(auto) == 6
-    assert auto.commutes_with_involutions(build_quotient(spec))
+    assert auto.commutes_with_involutions(m)
 
 
 def test_reflection_descends_on_truncated_trihexagonal():
     spec = spec_of("E7", (3, 0, 0, 3))
     tau = next(e for e in template(spec.tiling).point_group if e.kind == "reflection")
-    auto = descend(spec, tau)
+    auto = descend(build_quotient(spec), tau)
     assert order(auto) == 2
     assert not auto.is_identity
 
@@ -304,7 +412,14 @@ def test_point_group_needs_scalar_lattice():
     spec = spec_of("E3", (2, 1, 0, 2))
     rho = template(spec.tiling).point_group[0]
     with pytest.raises(ValueError):
-        descend(spec, rho)
+        descend(build_quotient(spec), rho)
+
+
+def test_descend_needs_a_quotient_map():
+    # A map not made by build_quotient has no coset numbering to act on.
+    loop = FlagMap([1, 0], [(0, 1)])
+    with pytest.raises(ValueError, match="build_quotient"):
+        descend(loop, translation(template(TilingId.SQUARE), (1, 0)))
 
 
 def test_rotation_descends_to_preserved_non_scalar_lattice():
@@ -313,30 +428,32 @@ def test_rotation_descends_to_preserved_non_scalar_lattice():
     spec = spec_of("T4444", (1, 1, 1, -1))
     rot4 = template(spec.tiling).point_group[0]
     assert rot4.order == 4 and rot4.kind == "rotation"
-    auto = descend(spec, rot4)
-    assert auto.commutes_with_involutions(build_quotient(spec))
+    m = build_quotient(spec)
+    auto = descend(m, rot4)
+    assert auto.commutes_with_involutions(m)
     assert order(auto) == 4
 
 
 def test_translations_descend_on_any_quotient():
     spec = spec_of("E2", (2, 1, 0, 3))
     tpl = template(spec.tiling)
-    t10 = descend(spec, translation(tpl, (1, 0)))
-    t01 = descend(spec, translation(tpl, (0, 1)))
     y = build_quotient(spec)
+    t10 = descend(y, translation(tpl, (1, 0)))
+    t01 = descend(y, translation(tpl, (0, 1)))
     for t in (t10, t01):
         assert t.commutes_with_involutions(y)
     # translating by a lattice vector is the identity on the quotient
-    assert descend(spec, translation(tpl, (2, 1))).is_identity
-    assert descend(spec, translation(tpl, (0, 3))).is_identity
+    assert descend(y, translation(tpl, (2, 1))).is_identity
+    assert descend(y, translation(tpl, (0, 3))).is_identity
     assert not t10.is_identity
 
 
 def test_translation_group_is_abelian_here():
     spec = spec_of("E4", (2, 0, 0, 2))
     tpl = template(spec.tiling)
-    t10 = descend(spec, translation(tpl, (1, 0)))
-    t01 = descend(spec, translation(tpl, (0, 1)))
+    y = build_quotient(spec)
+    t10 = descend(y, translation(tpl, (1, 0)))
+    t01 = descend(y, translation(tpl, (0, 1)))
     assert t10.compose(t01).flag_perm == t01.compose(t10).flag_perm
     assert t10.compose(t10).is_identity  # delta (2,0) is in the lattice
 

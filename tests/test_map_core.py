@@ -161,7 +161,7 @@ def test_flag_tables_are_built_on_first_use_and_match_closed_forms():
 def assert_matches_reference(spec: QuotientSpec) -> None:
     m = build_quotient(spec)
     labels, dart_vertex, dart_rev, vertex_darts = reference_quotient(spec)
-    assert m.labels == labels, spec
+    assert [m.vertex_at(r, w) for r, w in labels] == list(range(m.n_vertices)), spec
     assert m.dart_vertex == dart_vertex, spec
     assert m.dart_rev == dart_rev, spec
     assert list(m.vertex_darts) == vertex_darts, spec
@@ -522,12 +522,19 @@ def test_polyhedral_property_is_decided_once(monkeypatch):
 
 
 def test_quotient_labels_enumerate_rep_coset_pairs():
+    # The reference labels vertex v with its (rep, coset representative)
+    # pair; the map numbers them so, and the pair of v is read off v as
+    # (v // ncos, representatives[v % ncos]), as descend reads it.
     spec = QuotientSpec(parse_tiling("E4"), SublatticeMat(2, 1, 0, 3))
     m = build_quotient(spec)
-    assert m.labels is not None and len(m.labels) == m.n_vertices
-    reps = Counter(r for r, _ in m.labels)
+    labels = reference_quotient(spec)[0]
+    assert len(labels) == m.n_vertices
+    reps = Counter(r for r, _ in labels)
     assert reps == {r: spec.mat.index() for r in range(template(spec.tiling).rep_count)}
-    assert len(set(m.labels)) == m.n_vertices
+    assert len(set(labels)) == m.n_vertices
+    assert [m.vertex_at(r, w) for r, w in labels] == list(range(m.n_vertices))
+    ncos, cells = m.coset_system.size(), m.coset_system.representatives
+    assert labels == tuple((v // ncos, cells[v % ncos]) for v in range(m.n_vertices))
 
 
 def test_unimodular_change_of_basis_gives_isomorphic_map():

@@ -266,8 +266,8 @@ def test_full_point_group_is_a_group_of_the_expected_order(tid):
 def test_full_point_group_descends_to_scalar_quotients(tid):
     # descend checks that each image commutes with the flag involutions.
     for scale in (2, 3):
-        spec = QuotientSpec(tid, scaled_identity(scale))
-        perms = {descend(spec, g).flag_perm for g in full_point_group(tid)}
+        m = build_quotient(QuotientSpec(tid, scaled_identity(scale)))
+        perms = {descend(m, g).flag_perm for g in full_point_group(tid)}
         assert len(perms) == len(full_point_group(tid))
 
 
