@@ -43,7 +43,6 @@ from .map_core import (
 )
 from .render import render_svg
 from .symmetry import (
-    MapAutomorphism,
     OrbitReport,
     are_isomorphic,
     automorphism_group,
@@ -61,7 +60,6 @@ __all__ = [
     "CosetSystem",
     "CoverCertificate",
     "FlagMap",
-    "MapAutomorphism",
     "OrbitReport",
     "PolyhedralReport",
     "QuotientSpec",

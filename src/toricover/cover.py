@@ -26,8 +26,7 @@ from .lattice import (
     is_scaled_identity,
     scaled_identity,
 )
-from .map_core import FlagMap, QuotientSpec, build_quotient
-from .symmetry import MapAutomorphism
+from .map_core import FlagMap, QuotientSpec, build_quotient, is_automorphism
 from .tilings import PointGroupElem, TilingId, dihedral, parse_tiling, template
 
 
@@ -297,9 +296,9 @@ def _cycles_equal(y: FlagMap, x: FlagMap, vm, em, fm) -> bool:
     )
 
 
-def descend(m: FlagMap, elem: PointGroupElem) -> MapAutomorphism:
+def descend(m: FlagMap, elem: PointGroupElem) -> list[int]:
     """The map automorphism of X = tiling / K, a map from build_quotient,
-    induced by a tiling symmetry.
+    induced by a tiling symmetry, as the image of each flag.
 
     Defined exactly when R maps K into itself (then R K = K, since R is
     unimodular), so that the action on Z^2 / K is well defined:
@@ -327,12 +326,11 @@ def descend(m: FlagMap, elem: PointGroupElem) -> MapAutomorphism:
             perm[2 * d] = 2 * d2 + side
             perm[2 * d + 1] = 2 * d2 + 1 - side
 
-    auto = MapAutomorphism(tuple(perm))
-    if not auto.commutes_with_involutions(m):
+    if not is_automorphism(m, perm):
         raise RuntimeError(
             f"descended {elem.name} is not a map automorphism; template data corrupt"
         )
-    return auto
+    return perm
 
 
 def torus_area(spec: QuotientSpec) -> tuple[int, str]:

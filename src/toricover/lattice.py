@@ -134,29 +134,21 @@ def _snf_2x2(mat: SublatticeMat) -> tuple[list[list[int]], list[list[int]], int,
 
     # Standard 2x2 reduction: clear the off-diagonal by repeated euclidean
     # steps, restarting when a column operation reintroduces a remainder.
+    # The operations are unimodular, so the first column of the nonsingular
+    # matrix is never zero, and once nonzero the pivot stays nonzero.
     while True:
         if a[0][0] == 0:
-            if a[1][0] != 0:
-                swap_rows()
-            elif a[0][1] != 0:
-                swap_cols()
-            else:
-                swap_rows()
-                swap_cols()
+            swap_rows()
         # Clear below the pivot.
         while a[1][0] != 0:
             if abs(a[1][0]) < abs(a[0][0]):
                 swap_rows()
             row_op(1, 0, a[1][0] // a[0][0])
-            if a[1][0] != 0 and a[0][0] == 0:
-                swap_rows()
         # Clear right of the pivot.
         while a[0][1] != 0:
             if abs(a[0][1]) < abs(a[0][0]):
                 swap_cols()
             col_op(1, 0, a[0][1] // a[0][0])
-            if a[0][1] != 0 and a[0][0] == 0:
-                swap_cols()
         if a[1][0] == 0 and a[0][1] == 0:
             break
 
@@ -166,6 +158,7 @@ def _snf_2x2(mat: SublatticeMat) -> tuple[list[list[int]], list[list[int]], int,
     if a[1][1] < 0:
         row_op(1, 1, 2)
     # Enforce the divisibility s1 | s2 (add col 1 to col 0 and re-reduce).
+    # Column 0 starts as (s1, s2) and the Euclid steps keep it nonnegative.
     if a[1][1] % a[0][0] != 0:
         col_op(0, 1, -1)
         while a[1][0] != 0:
@@ -174,8 +167,6 @@ def _snf_2x2(mat: SublatticeMat) -> tuple[list[list[int]], list[list[int]], int,
             row_op(1, 0, a[1][0] // a[0][0])
         while a[0][1] != 0:
             col_op(1, 0, a[0][1] // a[0][0])
-        if a[0][0] < 0:
-            row_op(0, 0, 2)
         if a[1][1] < 0:
             row_op(1, 1, 2)
 
@@ -256,6 +247,8 @@ def enumerate_hnf(max_index: int) -> list[SublatticeMat]:
     """
     if max_index < 1:
         raise ValueError(f"index bound must be positive, got {max_index}")
+    if max_index > MAX_ENTRY:
+        raise ValueError(f"index bound {max_index} is over the limit of {MAX_ENTRY}")
     out = []
     for a in range(1, max_index + 1):
         for d in range(1, max_index // a + 1):

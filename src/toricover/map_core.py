@@ -180,13 +180,6 @@ class FlagMap:
         cs = self.coset_system
         return rep * cs.size() + cs.index_of(cell)
 
-    def flags_at_vertex(self, v: int) -> tuple[int, ...]:
-        out = []
-        for d in self.vertex_darts[v]:
-            out.append(2 * d)
-            out.append(2 * d + 1)
-        return tuple(out)
-
     def _connected(self) -> bool:
         """Darts at one vertex are joined by its rotation, so the darts
         are connected exactly when the vertices are."""
@@ -321,6 +314,15 @@ def _anchors(m: FlagMap) -> range:
     (0, 0) is coset 0.  A map without a coset system gets every vertex."""
     cs = m.coset_system
     return range(0, m.n_vertices, 1 if cs is None else cs.size())
+
+
+def is_automorphism(m: FlagMap, perm: Sequence[int]) -> bool:
+    """Whether the flag list perm, one image per flag, commutes with s0,
+    s1 and s2.  Such a map of a connected map onto itself is onto, so
+    it is a bijection."""
+    return len(perm) == m.n_flags and all(
+        perm[s[x]] == s[perm[x]] for s in (m.s0, m.s1, m.s2) for x in range(len(perm))
+    )
 
 
 def euler_characteristic(m: FlagMap) -> int:

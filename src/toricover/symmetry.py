@@ -25,35 +25,13 @@ tests keep the scan, the independent path.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .lattice import enumerate_hnf, scaled_identity
 from .map_core import FlagMap, QuotientSpec, _anchors, build_quotient
 from .tilings import PointGroupElem, TilingId, _validate_element, rep_orbits, template
-
-
-@dataclass(frozen=True)
-class MapAutomorphism:
-    flag_perm: tuple[int, ...]
-
-    def __call__(self, flag: int) -> int:
-        return self.flag_perm[flag]
-
-    def compose(self, other: "MapAutomorphism") -> "MapAutomorphism":
-        """self after other."""
-        return MapAutomorphism(tuple(self.flag_perm[g] for g in other.flag_perm))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(i == g for i, g in enumerate(self.flag_perm))
-
-    def commutes_with_involutions(self, m: FlagMap) -> bool:
-        p = self.flag_perm
-        return all(
-            p[s[x]] == s[p[x]] for s in (m.s0, m.s1, m.s2) for x in range(len(p))
-        )
 
 
 @dataclass(frozen=True)
@@ -103,14 +81,25 @@ def _candidate_keys(m: FlagMap, flags: Iterable[int]) -> list[tuple[int, int]]:
     return [(len(vd[fv[x]]), fs[ff[x]]) for x in flags]
 
 
-def _translation_cell(m: FlagMap) -> tuple[int, int]:
-    """(ncos, cell) of a quotient: its number of translations and its
-    flags per vertex 2D, after checking that the Smith-generator box
-    shifts are the automorphisms the index formula says (RuntimeError
-    otherwise).  A map without a coset system gets (1, n_flags)."""
+def _extensions(src: FlagMap, dst: FlagMap, base: int, targets: Iterable[int]) -> Iterator[list[int]]:
+    """The extensions of base -> target that succeed, over the targets in
+    order; a target whose key differs from base's is not tried."""
+    (key,) = _candidate_keys(src, (base,))
+    targets = list(targets)
+    for target, k in zip(targets, _candidate_keys(dst, targets)):
+        if k == key and (img := flag_extension(src, dst, base, target)) is not None:
+            yield img
+
+
+def _translation_cell(m: FlagMap) -> tuple[int, int, Sequence[int]]:
+    """(ncos, cell, firsts) of a quotient: its number of translations,
+    its flags per vertex 2D and the first flag of each translation
+    class, after checking that the Smith-generator box shifts are the
+    automorphisms the index formula says (RuntimeError otherwise).  A
+    map without a coset system gets (1, n_flags, every flag)."""
     cs = m.coset_system
     if cs is None or cs.size() == 1:
-        return 1, m.n_flags
+        return 1, m.n_flags, range(m.n_flags)
     s1, s2, ncos = cs.s1, cs.s2, cs.size()
     cell = 2 * len(m.vertex_darts[0])
     block = cell * ncos
@@ -123,16 +112,15 @@ def _translation_cell(m: FlagMap) -> tuple[int, int]:
         perm = [b + t + q for b in range(0, m.n_flags, block) for t in moved for q in range(cell)]
         if flag_extension(m, m, 0, perm[0]) != perm:
             raise RuntimeError(f"box shift ({di}, {dj}) of {cs.mat} is not an automorphism")
-    return ncos, cell
+    return ncos, cell, [c // cell * block + c % cell for c in range(m.n_flags // ncos)]
 
 
 def orbit_report(m: FlagMap) -> OrbitReport:
-    ncos, cell = _translation_cell(m)
+    ncos, cell, firsts = _translation_cell(m)
     block = cell * ncos
     # Vertex v = rep·ncos + coset, so the reps are the translation orbits,
     # and an automorphism permutes them as it moves the anchors.
     anchors = _anchors(m)
-    firsts = [c // cell * block + c % cell for c in range(m.n_flags // ncos)]
     keys = _candidate_keys(m, firsts)
     verdict = bytearray(len(firsts))  # 1: in the orbit of flag 0, 2: not
     verdict[0] = 1
@@ -179,13 +167,10 @@ def is_vertex_transitive(m: FlagMap) -> bool:
     return len(orbit_report(m).vertex_orbits) == 1
 
 
-def automorphism_group(m: FlagMap) -> list[MapAutomorphism]:
-    """All automorphisms, ordered by the image of flag 0: every extension
-    of flag 0 to a flag with the same key that succeeds.  Shares no
-    pruning with the orbit scan, so each can check the other."""
-    keys = _candidate_keys(m, range(m.n_flags))
-    images = (flag_extension(m, m, 0, g) for g in range(m.n_flags) if keys[g] == keys[0])
-    return [MapAutomorphism(tuple(img)) for img in images if img is not None]
+def automorphism_group(m: FlagMap) -> list[list[int]]:
+    """All automorphisms as flag lists, ordered by the image of flag 0.
+    Shares no pruning with the orbit scan, so each can check the other."""
+    return list(_extensions(m, m, 0, range(m.n_flags)))
 
 
 def exists_automorphism_mapping(m: FlagMap, v0: int, v1: int) -> bool:
@@ -194,27 +179,14 @@ def exists_automorphism_mapping(m: FlagMap, v0: int, v1: int) -> bool:
     base = 2 * m.vertex_darts[v0][0]
     return any(
         flag_extension(m, m, base, target) is not None
-        for target in m.flags_at_vertex(v1)
+        for d in m.vertex_darts[v1]
+        for target in (2 * d, 2 * d + 1)
     )
 
 
-def are_isomorphic(m1: FlagMap, m2: FlagMap) -> tuple[int, ...] | None:
+def are_isomorphic(m1: FlagMap, m2: FlagMap) -> list[int] | None:
     """A flag bijection m1 -> m2 commuting with the involutions, if any."""
-    if m1.n_flags != m2.n_flags:
-        return None
-    if sorted(m1.face_sizes) != sorted(m2.face_sizes):
-        return None
-    if sorted(map(len, m1.vertex_darts)) != sorted(map(len, m2.vertex_darts)):
-        return None
-    keys2 = _candidate_keys(m2, range(m2.n_flags))
-    key1 = _candidate_keys(m1, (0,))[0]
-    for target in range(m2.n_flags):
-        if keys2[target] != key1:
-            continue
-        img = flag_extension(m1, m2, 0, target)
-        if img is not None:
-            return tuple(img)
-    return None
+    return next(_extensions(m1, m2, 0, range(m2.n_flags)), None)
 
 
 # The full group is read off T/(5·I): every element has a representative
@@ -238,8 +210,7 @@ def full_point_group(tiling: TilingId) -> tuple[PointGroupElem, ...]:
     tpl = template(tiling)
     n, deg = _PROBE_SCALE, tpl.degree
     m = build_quotient(QuotientSpec(tiling, scaled_identity(n)))
-    ncos, cell = _translation_cell(m)
-    block = cell * ncos
+    ncos, _, firsts = _translation_cell(m)
     cells = m.coset_system.representatives
 
     def lift(x: int) -> int:
@@ -248,13 +219,8 @@ def full_point_group(tiling: TilingId) -> tuple[PointGroupElem, ...]:
     def cell_of(flag: int) -> tuple[int, int]:
         return tuple(lift(x) for x in cells[m.flag_vertex[flag] % ncos])
 
-    firsts = [c // cell * block + c % cell for c in range(m.n_flags // ncos)]
-    keys = _candidate_keys(m, firsts)
     elems: list[PointGroupElem] = []
-    for c, f in enumerate(firsts):
-        img = flag_extension(m, m, 0, f) if keys[c] == keys[0] else None
-        if img is None:
-            continue
+    for img in _extensions(m, m, 0, firsts):
         # Flag 0 goes to cell (0, 0), so the cells of the images of
         # (0, e1) and (0, e2) are R's columns.
         rows = [img[2 * v * deg : 2 * (v + 1) * deg : 2] for v in _anchors(m)]

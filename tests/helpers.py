@@ -1,14 +1,14 @@
 """Test-only constructions: maps from face lists, corrupted templates,
 per-dart reference tables for quotient maps and for the FlagMap
 constructor, the per-vertex local-isomorphism stage of verify_covering,
-the per-face polyhedrality scan, and group-element arithmetic on flag
-permutations."""
+the per-face polyhedrality scan, and group-element arithmetic on
+automorphisms given as flag lists (the image of each flag)."""
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from toricover import CoverCertificate, FlagMap, MapAutomorphism, QuotientSpec, cosets, template
+from toricover import CoverCertificate, FlagMap, QuotientSpec, cosets, template
 from toricover.tilings import IVec, TilingTemplate, dihedral
 
 
@@ -296,15 +296,24 @@ def full_scan(m: FlagMap) -> tuple[bool, tuple[tuple[str, tuple[int, ...]], ...]
     return not violations, tuple(violations)
 
 
-def inverse(g: MapAutomorphism) -> MapAutomorphism:
-    inv = [0] * len(g.flag_perm)
-    for i, x in enumerate(g.flag_perm):
+def compose(g: list[int], h: list[int]) -> list[int]:
+    """g after h."""
+    return [g[x] for x in h]
+
+
+def is_identity(g: list[int]) -> bool:
+    return all(i == x for i, x in enumerate(g))
+
+
+def inverse(g: list[int]) -> list[int]:
+    inv = [0] * len(g)
+    for i, x in enumerate(g):
         inv[x] = i
-    return MapAutomorphism(tuple(inv))
+    return inv
 
 
-def order(g: MapAutomorphism) -> int:
+def order(g: list[int]) -> int:
     n, cur = 1, g
-    while not cur.is_identity:
-        cur, n = cur.compose(g), n + 1
+    while not is_identity(cur):
+        cur, n = compose(cur, g), n + 1
     return n

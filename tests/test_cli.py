@@ -454,6 +454,15 @@ def test_maps_over_the_flag_budget_exit_two(tmp_path):
         assert f"limit of {map_core.MAX_FLAGS}" in proc.stderr
 
 
+def test_search_nonvt_over_the_entry_limit_exits_two():
+    # Hermite forms of index 10001 include (1, 0; 0, 10001), whose entry is
+    # over the limit: refused before the smaller forms are enumerated.
+    proc = cli_subprocess("search-nonvt", "E7", "--det-bound", "10001")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_render_over_the_cell_budget_exits_two(tmp_path):
     # E7 at 10000·I would draw 10^8 translation cells: refused before any
     # polygon is built, and no file is written.

@@ -29,9 +29,10 @@ from toricover import (
     verify_covering,
     vt_cover,
 )
+from toricover.map_core import is_automorphism
 from toricover.tilings import translation
 
-from helpers import order, reference_local_isomorphism
+from helpers import compose, is_identity, order, reference_local_isomorphism
 
 VT_FLAG_CAP = 800
 
@@ -137,6 +138,16 @@ def test_verify_rejects_wrong_fold():
     assert not report.ok and report.failure.startswith("arithmetic")
 
 
+def test_verify_rejects_cover_lattice_outside_base_lattice():
+    # m = 2, n = 1 passes n·|det| = m² over (1, 0; 0, 4), but (0, 2) of
+    # 2·I is not in the base lattice.
+    y, x, cert = cover_maps(spec_of("T4444", (1, 0, 0, 4)))
+    bad = dataclasses.replace(cert, exponent=2, fold=1, cover_mat=scaled_identity(2))
+    report = verify_covering(y, x, bad)
+    assert report.failure == "arithmetic: cover lattice is not inside the base lattice"
+    assert report.checks_passed == ()
+
+
 def test_verify_rejects_truncated_map():
     y, x, cert = cover_maps(spec_of("E1", (1, 0, 0, 2)))
     bad = dataclasses.replace(cert, vertex_map=cert.vertex_map[:-1])
@@ -217,9 +228,9 @@ def test_verify_checks_every_preimage_against_its_dihedral_set():
     y, x, cert = cover_maps(spec, r=2)
     assert cert.fold == 4
     g = descend(x, template(spec.tiling).point_group[0])
-    gv = [x.flag_vertex[g(2 * ds[0])] for ds in x.vertex_darts]
-    ge = [x.flag_edge[g(2 * d)] for d, _ in x.edge_darts]
-    gf = [x.flag_face[g(2 * walk[0])] for walk in x.face_darts]
+    gv = [x.flag_vertex[g[2 * ds[0]]] for ds in x.vertex_darts]
+    ge = [x.flag_edge[g[2 * d]] for d, _ in x.edge_darts]
+    gf = [x.flag_face[g[2 * walk[0]]] for walk in x.face_darts]
     vm = [gv[v] for v in cert.vertex_map]
     em = [ge[e] for e in cert.edge_map]
     fm = tuple(gf[f] for f in cert.face_map)
@@ -321,9 +332,9 @@ def cover_and_symmetries(code: str, mat: tuple[int, int, int, int], r: int):
     actions = []
     for g in (descend(x, elem) for elem in elems):
         actions.append((
-            [x.flag_vertex[g(2 * ds[0])] for ds in x.vertex_darts],
-            [x.flag_edge[g(2 * d)] for d, _ in x.edge_darts],
-            [x.flag_face[g(2 * walk[0])] for walk in x.face_darts],
+            [x.flag_vertex[g[2 * ds[0]]] for ds in x.vertex_darts],
+            [x.flag_edge[g[2 * d]] for d, _ in x.edge_darts],
+            [x.flag_face[g[2 * walk[0]]] for walk in x.face_darts],
         ))
     return y, x, cert, actions
 
@@ -397,7 +408,7 @@ def test_rotation_descends_to_scalar_quotient():
     m = build_quotient(spec)
     auto = descend(m, rho)
     assert order(auto) == 6
-    assert auto.commutes_with_involutions(m)
+    assert is_automorphism(m, auto)
 
 
 def test_reflection_descends_on_truncated_trihexagonal():
@@ -405,7 +416,7 @@ def test_reflection_descends_on_truncated_trihexagonal():
     tau = next(e for e in template(spec.tiling).point_group if e.kind == "reflection")
     auto = descend(build_quotient(spec), tau)
     assert order(auto) == 2
-    assert not auto.is_identity
+    assert not is_identity(auto)
 
 
 def test_point_group_needs_scalar_lattice():
@@ -413,6 +424,20 @@ def test_point_group_needs_scalar_lattice():
     rho = template(spec.tiling).point_group[0]
     with pytest.raises(ValueError):
         descend(build_quotient(spec), rho)
+
+
+def test_descend_refuses_an_element_that_is_not_a_symmetry():
+    # Two slots of the rotation's slot map exchanged: the flag list it
+    # induces fails is_automorphism, so descend raises instead.
+    spec = spec_of("E3", (2, 0, 0, 2))
+    rho = template(spec.tiling).point_group[0]
+    row = list(rho.slot_maps[0])
+    row[0], row[1] = row[1], row[0]
+    bad = dataclasses.replace(rho, slot_maps=(tuple(row), *rho.slot_maps[1:]))
+    m = build_quotient(spec)
+    with pytest.raises(RuntimeError, match="not a map automorphism"):
+        descend(m, bad)
+    assert not is_automorphism(m, descend(m, rho)[:-1])
 
 
 def test_descend_needs_a_quotient_map():
@@ -430,7 +455,7 @@ def test_rotation_descends_to_preserved_non_scalar_lattice():
     assert rot4.order == 4 and rot4.kind == "rotation"
     m = build_quotient(spec)
     auto = descend(m, rot4)
-    assert auto.commutes_with_involutions(m)
+    assert is_automorphism(m, auto)
     assert order(auto) == 4
 
 
@@ -441,11 +466,11 @@ def test_translations_descend_on_any_quotient():
     t10 = descend(y, translation(tpl, (1, 0)))
     t01 = descend(y, translation(tpl, (0, 1)))
     for t in (t10, t01):
-        assert t.commutes_with_involutions(y)
+        assert is_automorphism(y, t)
     # translating by a lattice vector is the identity on the quotient
-    assert descend(y, translation(tpl, (2, 1))).is_identity
-    assert descend(y, translation(tpl, (0, 3))).is_identity
-    assert not t10.is_identity
+    assert is_identity(descend(y, translation(tpl, (2, 1))))
+    assert is_identity(descend(y, translation(tpl, (0, 3))))
+    assert not is_identity(t10)
 
 
 def test_translation_group_is_abelian_here():
@@ -454,8 +479,8 @@ def test_translation_group_is_abelian_here():
     y = build_quotient(spec)
     t10 = descend(y, translation(tpl, (1, 0)))
     t01 = descend(y, translation(tpl, (0, 1)))
-    assert t10.compose(t01).flag_perm == t01.compose(t10).flag_perm
-    assert t10.compose(t10).is_identity  # delta (2,0) is in the lattice
+    assert compose(t10, t01) == compose(t01, t10)
+    assert is_identity(compose(t10, t10))  # delta (2,0) is in the lattice
 
 
 # --- areas, certificates, serialization ---

@@ -208,6 +208,13 @@ def test_enumerate_hnf_counts():
         assert sum(1 for m in mats if m.index() == n) == sigma(n)
 
 
+def test_enumerate_hnf_refuses_a_bound_over_the_entry_limit():
+    # (1, 0; 0, MAX_ENTRY + 1) has an entry over the limit, so the bound is
+    # refused before any of the smaller forms is built.
+    with pytest.raises(ValueError, match=f"over the limit of {MAX_ENTRY}"):
+        enumerate_hnf(MAX_ENTRY + 1)
+
+
 def test_enumerate_hnf_lattices_are_distinct():
     """Different Hermite forms of index <= 6 give genuinely different lattices."""
     mats = enumerate_hnf(6)

@@ -482,6 +482,15 @@ def test_maps_without_coset_system_get_the_full_scan():
     assert is_polyhedral(torus).ok
     assert listed(is_polyhedral(sphere)) == full_scan(sphere)
     assert is_polyhedral(sphere).violations == (("face-pair", (0, 1)),)
+    # Two vertices joined by two edges: two faces of size 2 that share both.
+    digon = FlagMap([1, 0, 3, 2], [(0, 2), (1, 3)])
+    assert listed(is_polyhedral(digon)) == full_scan(digon)
+    assert is_polyhedral(digon).violations == (
+        ("face-too-small", (0,)),
+        ("face-too-small", (1,)),
+        ("multi-edge", (0, 1)),
+        ("face-pair", (0, 1)),
+    )
 
 
 def test_violations_are_listed_only_when_read(monkeypatch):

@@ -174,6 +174,8 @@ def test_parse_tiling_aliases():
         parse_tiling("dodecagonal")
     with pytest.raises(ValueError):
         parse_tiling("3.3.3")
+    with pytest.raises(ValueError, match="unknown tiling name"):
+        parse_tiling("3.x.4")
 
 
 def test_template_as_dict_shape():
