@@ -133,7 +133,7 @@ def cover_maps(
         if dmap[y.dart_rev[d]] != x.dart_rev[dmap[d]]:
             raise AssertionError(f"projection breaks dart reversal at dart {d}")
 
-    emap = [x.dart_edge[dmap[d]] for d, _ in y.edge_darts]
+    emap = [x.dart_edge[dmap[d]] for d in y.edge_dart]
     # A face goes where its first dart's face goes, and every dart of it
     # must agree.
     dart_fmap = list(map(x.dart_face_left.__getitem__, dmap))
@@ -235,10 +235,10 @@ def verify_covering(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> VerifyRep
     passed.append("fibers")
 
     vm, em, fm = cert.vertex_map, cert.edge_map, cert.face_map
-    ytail, xtail, xedges = y.dart_vertex, x.dart_vertex, x.edge_darts
-    for e, (d, rd) in enumerate(y.edge_darts):
-        xd, xrd = xedges[em[e]]
-        u, w, xu, xw = vm[ytail[d]], vm[ytail[rd]], xtail[xd], xtail[xrd]
+    ytail, yrev, xtail, xrev, xedge = y.dart_vertex, y.dart_rev, x.dart_vertex, x.dart_rev, x.edge_dart
+    for e, d in enumerate(y.edge_dart):
+        xd = xedge[em[e]]
+        u, w, xu, xw = vm[ytail[d]], vm[ytail[yrev[d]]], xtail[xd], xtail[xrev[xd]]
         if not ((u == xu and w == xw) or (u == xw and w == xu)):
             return fail(f"adjacency: edge {e} endpoints map to non-endpoints")
     passed.append("adjacency")

@@ -8,6 +8,7 @@ arithmetic; no floats enter this module.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
 
@@ -101,21 +102,20 @@ def contains_scaled_identity(mat: SublatticeMat, m: int) -> bool:
     return mat.contains((m, 0)) and mat.contains((0, m))
 
 
-def _snf_2x2(mat: SublatticeMat) -> tuple[list[list[int]], list[list[int]], int, int]:
+def _snf_2x2(mat: SublatticeMat) -> tuple[list[list[int]], int, int]:
     """Diagonalize: U @ mat @ V = diag(s1, s2) with U, V unimodular, s1 | s2.
 
-    Returns (U, V, s1, s2).  Row operations act on the left, column
-    operations on the right; both transform matrices are tracked.
+    Returns (V, s1, s2).  Row operations act on the left, column
+    operations on the right; only the column transform V is tracked,
+    since no caller reads U.
     """
     a = [[mat.a, mat.b], [mat.c, mat.d]]
-    u = [[1, 0], [0, 1]]
     v = [[1, 0], [0, 1]]
 
     def row_op(i: int, j: int, k: int) -> None:
         # row i -= k * row j
         for t in range(2):
             a[i][t] -= k * a[j][t]
-            u[i][t] -= k * u[j][t]
 
     def col_op(i: int, j: int, k: int) -> None:
         # col i -= k * col j
@@ -125,7 +125,6 @@ def _snf_2x2(mat: SublatticeMat) -> tuple[list[list[int]], list[list[int]], int,
 
     def swap_rows() -> None:
         a[0], a[1] = a[1], a[0]
-        u[0], u[1] = u[1], u[0]
 
     def swap_cols() -> None:
         for t in range(2):
@@ -172,7 +171,7 @@ def _snf_2x2(mat: SublatticeMat) -> tuple[list[list[int]], list[list[int]], int,
 
     if a[0][1] or a[1][0] or a[0][0] <= 0 or a[1][1] <= 0 or a[1][1] % a[0][0]:
         raise AssertionError(f"smith reduction failed for {mat}: {a}")
-    return u, v, a[0][0], a[1][1]
+    return v, a[0][0], a[1][1]
 
 
 def _inv_unimodular(v: list[list[int]]) -> list[list[int]]:
@@ -219,7 +218,7 @@ class CosetSystem:
 
 def cosets(mat: SublatticeMat) -> CosetSystem:
     """Build the coset system for Z^2 / row-lattice(mat)."""
-    _, v, s1, s2 = _snf_2x2(mat)
+    v, s1, s2 = _snf_2x2(mat)
     v_inv = _inv_unimodular(v)
     reps = []
     for i in range(s1):
@@ -239,8 +238,9 @@ def cosets(mat: SublatticeMat) -> CosetSystem:
     )
 
 
-def enumerate_hnf(max_index: int) -> list[SublatticeMat]:
-    """All sublattices of index <= max_index, one Hermite form each.
+def enumerate_hnf(max_index: int) -> Iterator[SublatticeMat]:
+    """All sublattices of index <= max_index, one Hermite form each, as
+    a generator; the bound is checked when this is called.
 
     Rows (a, b), (0, d) with a, d >= 1 and 0 <= b < d enumerate every
     finite-index sublattice exactly once.
@@ -249,12 +249,12 @@ def enumerate_hnf(max_index: int) -> list[SublatticeMat]:
         raise ValueError(f"index bound must be positive, got {max_index}")
     if max_index > MAX_ENTRY:
         raise ValueError(f"index bound {max_index} is over the limit of {MAX_ENTRY}")
-    out = []
-    for a in range(1, max_index + 1):
-        for d in range(1, max_index // a + 1):
-            for b in range(d):
-                out.append(SublatticeMat(a, b, 0, d))
-    return out
+    return (
+        SublatticeMat(a, b, 0, d)
+        for a in range(1, max_index + 1)
+        for d in range(1, max_index // a + 1)
+        for b in range(d)
+    )
 
 
 def random_nonsingular(rng, max_entry: int) -> SublatticeMat:

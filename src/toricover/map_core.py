@@ -1,8 +1,9 @@
 """Finite toroidal maps as flag systems.
 
 A map is stored as darts (directed edge sides).  Dart d has a tail
-vertex, a reverse dart, and counterclockwise/clockwise successors in
-the rotation at its tail.  Faces are traced with the rule
+vertex, a reverse dart, and a clockwise successor in the rotation at its
+tail; its counterclockwise successor ccw(d) is the dart whose clockwise
+successor is d.  Faces are traced with the rule
 
     next dart of the face left of d  =  clockwise successor of rev(d)
 
@@ -27,6 +28,9 @@ build_quotient makes it, the tail and rotation tables are filled by
 columns, one slot of every vertex at a time, instead of vertex by
 vertex.  The dart ids in them then come from one pool, one int object
 per dart, as do those of the reverse, edge and face tables of any map.
+Each fact is stored once: an edge is its smaller dart (the other is its
+reverse), and ccw is derived from cw by s1 when the symmetry engine
+first reads it.
 """
 
 from __future__ import annotations
@@ -84,18 +88,18 @@ class FlagMap:
         else:
             rev = list(map(ids.__getitem__, dart_rev))
 
-        # Edges: the {d, rev d} pairs, indexed by their smaller dart.  The
-        # involution check runs on the first dart of each pair: the
-        # second passed it as the reverse of the first.
+        # Edges: the {d, rev d} pairs, numbered and stored by their smaller
+        # dart.  The involution check runs on that dart; the other one
+        # passes it as that dart's reverse.
         edge_of = [-1] * nd
-        edge_darts = []
+        edge_dart = []
         for d in ids:
             if edge_of[d] < 0:
                 r = rev[d]
                 if r == d or rev[r] != d:
                     raise ValueError(f"reverse is not a fixed-point-free involution at dart {d}")
-                edge_of[d] = edge_of[r] = ids[len(edge_darts)]
-                edge_darts.append((d, r))
+                edge_of[d] = edge_of[r] = ids[len(edge_dart)]
+                edge_dart.append(d)
 
         # build_quotient's layout: vertex v lists darts v·deg … v·deg+deg−1.
         nv = len(vertex_darts)
@@ -105,15 +109,15 @@ class FlagMap:
             and set(map(len, vertex_darts)) == {deg}
             and all(map(eq, chain.from_iterable(vertex_darts), ids))
         )
-        self.dart_vertex, self.dart_ccw, self.dart_cw, self.vertex_darts = (
+        self.dart_vertex, self.dart_cw, self.vertex_darts = (
             _slot_columns(ids, nv, deg) if by_columns else _rotations(vertex_darts, nd)
         )
         self.dart_rev = rev
         self.spec = spec
         self.n_vertices = nv
         self.dart_edge = edge_of
-        self.edge_darts = tuple(edge_darts)
-        self.n_edges = len(edge_darts)
+        self.edge_dart = edge_dart
+        self.n_edges = len(edge_dart)
 
         self.dart_face_left, self.face_darts = _faces(ids, rev, self.dart_cw)
         self.face_sizes = tuple(map(len, self.face_darts))
@@ -132,7 +136,12 @@ class FlagMap:
 
     @cached_property
     def s1(self) -> list[int]:
-        return _interleave([2 * c + 1 for c in self.dart_ccw], [2 * c for c in self.dart_cw])
+        # cw[d] = c means ccw[c] = d, so the even column is cw inverted.
+        cw = self.dart_cw
+        even = [0] * len(cw)
+        for d, c in enumerate(cw):
+            even[c] = 2 * d + 1
+        return _interleave(even, [2 * c for c in cw])
 
     @cached_property
     def s2(self) -> list[int]:
@@ -142,10 +151,6 @@ class FlagMap:
     @cached_property
     def flag_vertex(self) -> list[int]:
         return _interleave(self.dart_vertex, self.dart_vertex)
-
-    @cached_property
-    def flag_edge(self) -> list[int]:
-        return _interleave(self.dart_edge, self.dart_edge)
 
     @cached_property
     def flag_face(self) -> list[int]:
@@ -166,8 +171,8 @@ class FlagMap:
         return 2 * self.n_darts
 
     def edge_endpoints(self, e: int) -> tuple[int, int]:
-        d, rd = self.edge_darts[e]
-        return self.dart_vertex[d], self.dart_vertex[rd]
+        d = self.edge_dart[e]
+        return self.dart_vertex[d], self.dart_vertex[self.dart_rev[d]]
 
     def face_vertices(self, f: int) -> tuple[int, ...]:
         return tuple(self.dart_vertex[d] for d in self.face_darts[f])
@@ -197,31 +202,28 @@ class FlagMap:
 
 
 def _slot_columns(ids: list[int], nv: int, deg: int):
-    """(dart_vertex, dart_ccw, dart_cw, vertex_darts) when vertex v has
-    darts v·deg … v·deg+deg−1 in ccw order, as in build_quotient: slot k
-    of every vertex is the column ids[k::deg], and each table is deg
+    """(dart_vertex, dart_cw, vertex_darts) when vertex v has darts
+    v·deg … v·deg+deg−1 in ccw order, as in build_quotient: slot k of
+    every vertex is the column ids[k::deg], and each table is deg
     stride-slice assignments from the pool."""
     nd = len(ids)
     cols = [ids[k::deg] for k in range(deg)]
     vertices = ids[:nv]
     tail = [0] * nd
-    ccw = [0] * nd
     cw = [0] * nd
     for k in range(deg):
         tail[k::deg] = vertices
-        ccw[k::deg] = cols[(k + 1) % deg]
         cw[k::deg] = cols[k - 1]
-    return tail, ccw, cw, tuple(zip(*cols))
+    return tail, cw, tuple(zip(*cols))
 
 
 def _rotations(vertex_darts: Sequence[Sequence[int]], nd: int):
-    """(dart_vertex, dart_ccw, dart_cw, vertex_darts) from any rotation
-    system, vertex by vertex: the tail of a dart is the vertex whose
+    """(dart_vertex, dart_cw, vertex_darts) from any rotation system,
+    vertex by vertex: the tail of a dart is the vertex whose
     rotation lists it.  A dart id out of range, listed twice or not
     listed at all raises ValueError."""
     rotations = tuple(tuple(ds) for ds in vertex_darts)
     tail = [-1] * nd
-    ccw = [0] * nd
     cw = [0] * nd
     for v, ds in enumerate(rotations):
         if not ds:
@@ -232,11 +234,10 @@ def _rotations(vertex_darts: Sequence[Sequence[int]], nd: int):
             if tail[d] >= 0:
                 raise ValueError(f"dart {d} appears in two rotations")
             tail[d] = v
-            ccw[d] = ds[(i + 1) % len(ds)]
-            cw[d] = ds[(i - 1) % len(ds)]
+            cw[d] = ds[i - 1]
     if -1 in tail:
         raise ValueError(f"dart {tail.index(-1)} belongs to no vertex rotation")
-    return tail, ccw, cw, rotations
+    return tail, cw, rotations
 
 
 def _faces(ids: list[int], rev: list[int], cw: list[int]):

@@ -167,12 +167,6 @@ def is_vertex_transitive(m: FlagMap) -> bool:
     return len(orbit_report(m).vertex_orbits) == 1
 
 
-def automorphism_group(m: FlagMap) -> list[list[int]]:
-    """All automorphisms as flag lists, ordered by the image of flag 0.
-    Shares no pruning with the orbit scan, so each can check the other."""
-    return list(_extensions(m, m, 0, range(m.n_flags)))
-
-
 def exists_automorphism_mapping(m: FlagMap, v0: int, v1: int) -> bool:
     """Direct search for an automorphism with v0 -> v1; an independent
     code path from the orbit machinery."""
@@ -284,14 +278,14 @@ def search_non_vt(tiling: TilingId, det_bound: int) -> list[tuple[QuotientSpec, 
     only to decide polyhedrality of a quotient that is not transitive.
 
     The four trivially vertex-transitive tilings have none, so the
-    search is skipped for them by construction.
+    search is skipped for them by construction, after the bound is
+    checked as for any tiling.
     """
-    if det_bound < 1:
-        raise ValueError(f"determinant bound must be positive, got {det_bound}")
+    mats = enumerate_hnf(det_bound)
     if tiling.trivially_vertex_transitive:
         return []
     witnesses = []
-    for mat in enumerate_hnf(det_bound):
+    for mat in mats:
         spec = QuotientSpec(tiling, mat)
         report = quotient_report(spec)
         if len(report.vertex_orbits) == 1:

@@ -1,14 +1,17 @@
 """Test-only constructions: maps from face lists, corrupted templates,
 per-dart reference tables for quotient maps and for the FlagMap
 constructor, the per-vertex local-isomorphism stage of verify_covering,
-the per-face polyhedrality scan, and group-element arithmetic on
-automorphisms given as flag lists (the image of each flag)."""
+the per-face polyhedrality scan, the whole automorphism group, and
+group-element arithmetic on automorphisms given as flag lists (the
+image of each flag)."""
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from toricover import CoverCertificate, FlagMap, QuotientSpec, cosets, template
+from toricover import CoverCertificate, FlagMap, QuotientSpec, template
+from toricover.lattice import cosets
+from toricover.symmetry import _extensions
 from toricover.tilings import IVec, TilingTemplate, dihedral
 
 
@@ -113,7 +116,6 @@ def reference_map_tables(dart_rev: list[int], vertex_darts: list[tuple[int, ...]
     vertex_darts = tuple(tuple(ds) for ds in vertex_darts)
 
     tail = [-1] * nd
-    ccw = [0] * nd
     cw = [0] * nd
     for v, ds in enumerate(vertex_darts):
         if not ds:
@@ -122,18 +124,17 @@ def reference_map_tables(dart_rev: list[int], vertex_darts: list[tuple[int, ...]
             if tail[d] >= 0:
                 raise ValueError(f"dart {d} appears in two rotations")
             tail[d] = v
-            ccw[d] = ds[(i + 1) % len(ds)]
             cw[d] = ds[(i - 1) % len(ds)]
     if -1 in tail:
         raise ValueError(f"dart {tail.index(-1)} belongs to no vertex rotation")
 
     edge_of = [-1] * nd
-    edge_darts = []
+    edge_dart = []
     for d in range(nd):
         if edge_of[d] < 0:
-            e = len(edge_darts)
+            e = len(edge_dart)
             edge_of[d] = edge_of[dart_rev[d]] = e
-            edge_darts.append((d, dart_rev[d]))
+            edge_dart.append(d)
 
     nxt = list(map(cw.__getitem__, dart_rev))
     face_of = [-1] * nd
@@ -156,10 +157,9 @@ def reference_map_tables(dart_rev: list[int], vertex_darts: list[tuple[int, ...]
         "dart_rev": list(dart_rev),
         "vertex_darts": vertex_darts,
         "dart_vertex": tail,
-        "dart_ccw": ccw,
         "dart_cw": cw,
         "dart_edge": edge_of,
-        "edge_darts": tuple(edge_darts),
+        "edge_dart": edge_dart,
         "dart_face_left": face_of,
         "face_darts": tuple(face_darts),
         "face_sizes": tuple(len(w) for w in face_darts),
@@ -192,16 +192,20 @@ def reference_local_isomorphism(y: FlagMap, x: FlagMap, cert: CoverCertificate) 
 
 def reference_flag_tables(m: FlagMap) -> dict[str, list[int]]:
     """s0, s1, s2 and the flag incidences filled flag by flag from the
-    closed forms in the map_core docstring."""
+    closed forms in the map_core docstring, with ccw and cw read off the
+    rotations, not off the map's cw table."""
     nf = m.n_flags
-    t = {name: [0] * nf for name in ("s0", "s1", "s2", "flag_vertex", "flag_edge", "flag_face")}
+    ccw, cw = [0] * m.n_darts, [0] * m.n_darts
+    for ds in m.vertex_darts:
+        for i, d in enumerate(ds):
+            ccw[d], cw[d] = ds[(i + 1) % len(ds)], ds[i - 1]
+    t = {name: [0] * nf for name in ("s0", "s1", "s2", "flag_vertex", "flag_face")}
     for d in range(m.n_darts):
         rd = m.dart_rev[d]
         t["s0"][2 * d], t["s0"][2 * d + 1] = 2 * rd + 1, 2 * rd
-        t["s1"][2 * d], t["s1"][2 * d + 1] = 2 * m.dart_ccw[d] + 1, 2 * m.dart_cw[d]
+        t["s1"][2 * d], t["s1"][2 * d + 1] = 2 * ccw[d] + 1, 2 * cw[d]
         t["s2"][2 * d], t["s2"][2 * d + 1] = 2 * d + 1, 2 * d
         t["flag_vertex"][2 * d] = t["flag_vertex"][2 * d + 1] = m.dart_vertex[d]
-        t["flag_edge"][2 * d] = t["flag_edge"][2 * d + 1] = m.dart_edge[d]
         t["flag_face"][2 * d], t["flag_face"][2 * d + 1] = m.dart_face_left[d], m.dart_face_left[rd]
     return t
 
@@ -294,6 +298,12 @@ def full_scan(m: FlagMap) -> tuple[bool, tuple[tuple[str, tuple[int, ...]], ...]
             return False, tuple(violations)
 
     return not violations, tuple(violations)
+
+
+def automorphism_group(m: FlagMap) -> list[list[int]]:
+    """All automorphisms as flag lists, ordered by the image of flag 0.
+    Shares no pruning with the orbit scan, so each can check the other."""
+    return list(_extensions(m, m, 0, range(m.n_flags)))
 
 
 def compose(g: list[int], h: list[int]) -> list[int]:

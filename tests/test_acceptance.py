@@ -22,12 +22,8 @@ from toricover import (
     SublatticeMat,
     TilingId,
     build_quotient,
-    cover_exponent,
     cover_maps,
     descend,
-    enumerate_hnf,
-    euler_characteristic,
-    exists_automorphism_mapping,
     is_polyhedral,
     is_vertex_transitive,
     orbit_report,
@@ -36,7 +32,9 @@ from toricover import (
     template,
 )
 from toricover.cli import main
-from toricover.map_core import is_automorphism
+from toricover.lattice import cover_exponent, enumerate_hnf
+from toricover.map_core import euler_characteristic, is_automorphism
+from toricover.symmetry import exists_automorphism_mapping
 from toricover.tilings import translation
 
 NONTRIVIAL = [parse_tiling(f"E{i}") for i in range(1, 8)]

@@ -28,8 +28,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from referencing import Registry, Resource
 
-from toricover import SublatticeMat, build_quotient, certificate_from_dict, cli, cosets, map_core, render, symmetry
+from toricover import SublatticeMat, build_quotient, certificate_from_dict, cli, map_core, render, symmetry
 from toricover.cli import main
+from toricover.lattice import cosets
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -454,10 +455,12 @@ def test_maps_over_the_flag_budget_exit_two(tmp_path):
         assert f"limit of {map_core.MAX_FLAGS}" in proc.stderr
 
 
-def test_search_nonvt_over_the_entry_limit_exits_two():
+@pytest.mark.parametrize("code", ["E7", "T4444"])
+def test_search_nonvt_over_the_entry_limit_exits_two(code):
     # Hermite forms of index 10001 include (1, 0; 0, 10001), whose entry is
-    # over the limit: refused before the smaller forms are enumerated.
-    proc = cli_subprocess("search-nonvt", "E7", "--det-bound", "10001")
+    # over the limit: refused before the smaller forms are enumerated, and
+    # before the shortcut for a trivially vertex-transitive tiling.
+    proc = cli_subprocess("search-nonvt", code, "--det-bound", "10001")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr

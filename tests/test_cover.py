@@ -18,17 +18,16 @@ from toricover import (
     TilingId,
     build_quotient,
     certificate_from_dict,
-    cover_exponent,
     cover_maps,
     descend,
     is_vertex_transitive,
     parse_tiling,
-    scaled_identity,
     template,
-    torus_area,
     verify_covering,
     vt_cover,
 )
+from toricover.cover import torus_area
+from toricover.lattice import cover_exponent, scaled_identity
 from toricover.map_core import is_automorphism
 from toricover.tilings import translation
 
@@ -229,7 +228,7 @@ def test_verify_checks_every_preimage_against_its_dihedral_set():
     assert cert.fold == 4
     g = descend(x, template(spec.tiling).point_group[0])
     gv = [x.flag_vertex[g[2 * ds[0]]] for ds in x.vertex_darts]
-    ge = [x.flag_edge[g[2 * d]] for d, _ in x.edge_darts]
+    ge = [x.dart_edge[g[2 * d] // 2] for d in x.edge_dart]
     gf = [x.flag_face[g[2 * walk[0]]] for walk in x.face_darts]
     vm = [gv[v] for v in cert.vertex_map]
     em = [ge[e] for e in cert.edge_map]
@@ -333,7 +332,7 @@ def cover_and_symmetries(code: str, mat: tuple[int, int, int, int], r: int):
     for g in (descend(x, elem) for elem in elems):
         actions.append((
             [x.flag_vertex[g[2 * ds[0]]] for ds in x.vertex_darts],
-            [x.flag_edge[g[2 * d]] for d, _ in x.edge_darts],
+            [x.dart_edge[g[2 * d] // 2] for d in x.edge_dart],
             [x.flag_face[g[2 * walk[0]]] for walk in x.face_darts],
         ))
     return y, x, cert, actions

@@ -202,7 +202,7 @@ def test_enumerate_hnf_counts():
     def sigma(n: int) -> int:
         return sum(d for d in range(1, n + 1) if n % d == 0)
 
-    mats = enumerate_hnf(10)
+    mats = list(enumerate_hnf(10))
     assert len(mats) == len(set(mats))
     for n in range(1, 11):
         assert sum(1 for m in mats if m.index() == n) == sigma(n)
@@ -215,9 +215,15 @@ def test_enumerate_hnf_refuses_a_bound_over_the_entry_limit():
         enumerate_hnf(MAX_ENTRY + 1)
 
 
+def test_enumerate_hnf_refuses_a_bound_under_one():
+    # Checked when called, not when the first form is drawn.
+    with pytest.raises(ValueError, match="^index bound must be positive, got 0$"):
+        enumerate_hnf(0)
+
+
 def test_enumerate_hnf_lattices_are_distinct():
     """Different Hermite forms of index <= 6 give genuinely different lattices."""
-    mats = enumerate_hnf(6)
+    mats = list(enumerate_hnf(6))
     probe = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
     fingerprints = {tuple(m.contains(p) for p in probe) for m in mats}
     assert len(fingerprints) == len(mats)

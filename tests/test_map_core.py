@@ -21,19 +21,16 @@ from toricover import (
     QuotientSpec,
     SublatticeMat,
     TilingId,
-    VertexTypeSig,
     build_quotient,
-    euler_characteristic,
     is_polyhedral,
     is_semi_equivelar,
     map_summary,
     parse_tiling,
     template,
-    vertex_type,
 )
 from toricover import map_core
 from toricover.lattice import enumerate_hnf
-from toricover.map_core import face_cycle
+from toricover.map_core import VertexTypeSig, euler_characteristic, face_cycle, vertex_type
 from toricover.symmetry import are_isomorphic
 
 from helpers import from_faces, full_scan, reference_flag_tables, reference_map_tables, reference_quotient
@@ -123,23 +120,23 @@ def test_flag_involution_laws():
 def test_involutions_preserve_the_right_incidences():
     for _, _, m in sweep_maps():
         for t in range(m.n_flags):
-            assert m.flag_edge[m.s0[t]] == m.flag_edge[t]
+            assert m.dart_edge[m.s0[t] // 2] == m.dart_edge[t // 2]
             assert m.flag_face[m.s0[t]] == m.flag_face[t]
             assert m.flag_vertex[m.s1[t]] == m.flag_vertex[t]
             assert m.flag_face[m.s1[t]] == m.flag_face[t]
             assert m.flag_vertex[m.s2[t]] == m.flag_vertex[t]
-            assert m.flag_edge[m.s2[t]] == m.flag_edge[t]
+            assert m.dart_edge[m.s2[t] // 2] == m.dart_edge[t // 2]
             # s0 moves the flag to the other endpoint of its edge, s2 to
             # the face across it; those coincide only on loops and on
             # edges with the same face on both sides.
-            u, w = m.edge_endpoints(m.flag_edge[t])
+            u, w = m.edge_endpoints(m.dart_edge[t // 2])
             assert m.flag_vertex[m.s0[t]] == (w if m.flag_vertex[t] == u else u)
             d = t // 2
             faces = {m.dart_face_left[d], m.dart_face_left[m.dart_rev[d]]}
             assert {m.flag_face[t], m.flag_face[m.s2[t]]} == faces
 
 
-FLAG_TABLES = ("s0", "s1", "s2", "flag_vertex", "flag_edge", "flag_face")
+FLAG_TABLES = ("s0", "s1", "s2", "flag_vertex", "flag_face")
 
 
 def test_flag_tables_are_built_on_first_use_and_match_closed_forms():
@@ -188,10 +185,9 @@ MAP_TABLES = (
     "dart_rev",
     "vertex_darts",
     "dart_vertex",
-    "dart_ccw",
     "dart_cw",
     "dart_edge",
-    "edge_darts",
+    "edge_dart",
     "dart_face_left",
     "face_darts",
     "face_sizes",
@@ -226,10 +222,10 @@ def test_flagmap_tables_match_per_dart_constructor_on_random_matrices(data):
     assert_tables_match_per_dart_constructor(QuotientSpec(tid, SublatticeMat(*entries)))
 
 
-def test_build_quotient_retains_at_most_110_bytes_per_flag():
-    # The tables share one int object per dart.  When each table held
-    # its own equal ints, this map retained 127 bytes per flag (122 on
-    # Python 3.10).
+def test_build_quotient_retains_at_most_70_bytes_per_flag():
+    # The tables share one int object per dart and keep each fact once,
+    # with no ccw table and no tuple per edge: about 60 bytes per flag
+    # (58 on Python 3.10).
     spec = QuotientSpec(parse_tiling("E7"), SublatticeMat(20, 0, 0, 20))
     build_quotient(spec)  # the template and its caches are not the map's
     gc.collect()
@@ -240,7 +236,7 @@ def test_build_quotient_retains_at_most_110_bytes_per_flag():
     finally:
         tracemalloc.stop()
     assert m.n_flags == 28_800
-    assert retained / m.n_flags <= 110
+    assert retained / m.n_flags <= 70
 
 
 # --- vertex types ---
@@ -396,6 +392,19 @@ def test_flagmap_rejects_rotation_dart_out_of_range(dart):
     # -1 and -2 would index from the end of the tables.
     with pytest.raises(ValueError, match=f"^dart {dart} at vertex 0 is not in 0..1$"):
         FlagMap([1, 0], [(0, dart)])
+
+
+@pytest.mark.parametrize(
+    "dart_rev, vertex_darts", [([], []), ([1, 0, 2], [(0, 1, 2)])], ids=["empty", "odd"]
+)
+def test_flagmap_rejects_an_empty_or_odd_dart_count(dart_rev, vertex_darts):
+    with pytest.raises(ValueError, match="^dart count must be positive and even$"):
+        FlagMap(dart_rev, vertex_darts)
+
+
+def test_flagmap_rejects_a_vertex_without_darts():
+    with pytest.raises(ValueError, match="^vertex 1 has no darts$"):
+        FlagMap([1, 0], [(0, 1), ()])
 
 
 @pytest.mark.parametrize("dart_rev", [[2, 0], [-1, 0], [1, -1], [1, 2]])

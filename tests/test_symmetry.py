@@ -17,29 +17,24 @@ from toricover import (
     QuotientSpec,
     SublatticeMat,
     TilingId,
-    are_isomorphic,
-    automorphism_group,
     build_quotient,
-    cosets,
     descend,
-    enumerate_hnf,
-    exists_automorphism_mapping,
     is_polyhedral,
     is_vertex_transitive,
     orbit_report,
     parse_tiling,
     quotient_report,
-    scaled_identity,
     search_non_vt,
     template,
 )
 from toricover import symmetry
+from toricover.lattice import cosets, enumerate_hnf, scaled_identity
 from toricover.map_core import is_automorphism
-from toricover.symmetry import flag_extension, full_point_group
+from toricover.symmetry import are_isomorphic, exists_automorphism_mapping, flag_extension, full_point_group
 from toricover.tilings import _validate_element
 
+from helpers import automorphism_group, from_faces, inverse, is_identity, order
 from helpers import compose as compose_flags
-from helpers import from_faces, inverse, is_identity, order
 
 
 def small_map(code: str, mat: tuple[int, int, int, int]):
