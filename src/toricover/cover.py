@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 from .lattice import (
     SublatticeMat,
@@ -121,23 +121,28 @@ def cover_maps(
     cells = [x.vertex_at(0, w) for w in y.coset_system.representatives]
     ncos = x.coset_system.size()
     vmap = [rep * ncos + c for rep in range(y.n_vertices // len(cells)) for c in cells]
-    # Dart k of a Y-vertex goes to dart k of its image.
-    dmap = [0] * y.n_darts
-    for v, ds in enumerate(y.vertex_darts):
-        for d, xd in zip(ds, x.vertex_darts[vmap[v]]):
-            dmap[d] = xd
+    # Dart k of a Y-vertex goes to dart k of its image.  Y's rotations
+    # list darts 0 … n−1 in order: that is build_quotient's layout, the
+    # one FlagMap checks and the only one it stores as ranges.  So the
+    # image rotations chained in Y's vertex order are the dart map.
+    if set(map(type, y.vertex_darts)) != {range}:
+        raise AssertionError("Y's rotations do not list darts 0..n-1 in order")
+    dmap = list(chain.from_iterable(map(x.vertex_darts.__getitem__, vmap)))
 
     # The dart map must commute with reversal, otherwise the template or
-    # coset bookkeeping is broken; cheap to confirm, so always confirm.
-    for d in range(y.n_darts):
-        if dmap[y.dart_rev[d]] != x.dart_rev[dmap[d]]:
-            raise AssertionError(f"projection breaks dart reversal at dart {d}")
+    # coset bookkeeping is broken; cheap to confirm, so always confirm,
+    # as two whole columns, and dart by dart only to name the first break.
+    if list(map(dmap.__getitem__, y.dart_rev)) != list(map(x.dart_rev.__getitem__, dmap)):
+        for d in range(y.n_darts):
+            if dmap[y.dart_rev[d]] != x.dart_rev[dmap[d]]:
+                raise AssertionError(f"projection breaks dart reversal at dart {d}")
 
-    emap = [x.dart_edge[dmap[d]] for d in y.edge_dart]
+    emap = list(map(x.dart_edge.__getitem__, map(dmap.__getitem__, y.edge_dart)))
     # A face goes where its first dart's face goes, and every dart of it
     # must agree.
     dart_fmap = list(map(x.dart_face_left.__getitem__, dmap))
-    fmap = [dart_fmap[walk[0]] for walk in y.face_darts]
+    first = map(y.face_walks.__getitem__, islice(y.face_offsets, y.n_faces))
+    fmap = list(map(dart_fmap.__getitem__, first))
     if list(map(fmap.__getitem__, y.dart_face_left)) != dart_fmap:
         raise AssertionError("projection splits a face")
 
@@ -280,15 +285,15 @@ def _cycles_equal(y: FlagMap, x: FlagMap, vm, em, fm) -> bool:
     """Whether every Y-vertex v has the (edge, face) cycle of vm[v], as
     is, under the edge and face maps.  When every Y-vertex has its
     image's degree, this compares two whole columns over the rotations
-    chained in vertex order, edges and then faces, with no tuple per dart."""
+    chained in vertex order, edges and then faces, with no tuple per dart.
+    The chains are walked once per column, not kept: a rotation that is a
+    range makes a new int per dart."""
     x_degree = list(map(len, x.vertex_darts))
     if list(map(len, y.vertex_darts)) != list(map(x_degree.__getitem__, vm)):
         return False
-    y_darts = list(chain.from_iterable(y.vertex_darts))
-    x_darts = list(chain.from_iterable(map(x.vertex_darts.__getitem__, vm)))
     return all(
-        list(map(cell_map.__getitem__, map(y_cells.__getitem__, y_darts)))
-        == list(map(x_cells.__getitem__, x_darts))
+        list(map(cell_map.__getitem__, map(y_cells.__getitem__, chain.from_iterable(y.vertex_darts))))
+        == list(map(x_cells.__getitem__, chain.from_iterable(map(x.vertex_darts.__getitem__, vm))))
         for cell_map, y_cells, x_cells in (
             (em, y.dart_edge, x.dart_edge),
             (fm, y.dart_face_left, x.dart_face_left),

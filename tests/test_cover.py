@@ -120,6 +120,51 @@ def test_r_family_members_cover_the_same_base():
     assert folds == [r * r * m * m // base.mat.index() for r in (1, 2, 3)]
 
 
+@pytest.mark.parametrize("code, mat", [("E2", (2, 1, 0, 3)), ("T4444", (3, 1, -1, 2))])
+def test_cover_maps_names_the_first_dart_whose_reversal_breaks(monkeypatch, code, mat):
+    # X's reverses of its first two edges are crossed after construction,
+    # as broken coset bookkeeping would leave them.  The projection is
+    # checked column against column, and the error names the first Y-dart
+    # that the per-dart rule dmap[rev d] == rev dmap[d] rejects.
+    spec = spec_of(code, mat)
+    y, x, cert = cover_maps(spec)
+    (d1, d2), rev = x.edge_dart[:2], list(x.dart_rev)
+    r1, r2 = rev[d1], rev[d2]
+    rev[d1], rev[r2], rev[d2], rev[r1] = r2, d1, r1, d2
+    deg = y.n_darts // y.n_vertices
+    dmap = [x.vertex_darts[cert.vertex_map[d // deg]][d % deg] for d in range(y.n_darts)]
+    first = next(d for d in range(y.n_darts) if dmap[y.dart_rev[d]] != rev[dmap[d]])
+
+    def crossed(s):
+        m = build_quotient(s)
+        if s == spec:
+            m.dart_rev = rev
+        return m
+
+    monkeypatch.setattr("toricover.cover.build_quotient", crossed)
+    with pytest.raises(AssertionError, match=f"projection breaks dart reversal at dart {first}$"):
+        cover_maps(spec)
+
+
+def test_cover_maps_refuses_a_cover_whose_rotations_start_elsewhere(monkeypatch):
+    # The same map with every rotation started at its second dart: dart k
+    # of a Y-vertex is no longer at position k, so the dart map cannot be
+    # read off the chained rotations, and cover_maps says so.
+    spec = spec_of("E2", (2, 1, 0, 3))
+
+    def shifted(s):
+        m = build_quotient(s)
+        if s == spec:
+            return m
+        turned = FlagMap(m.dart_rev, [(*r[1:], r[0]) for r in m.vertex_darts], spec=s)
+        turned.coset_system = m.coset_system
+        return turned
+
+    monkeypatch.setattr("toricover.cover.build_quotient", shifted)
+    with pytest.raises(AssertionError, match="rotations do not list darts 0..n-1 in order"):
+        cover_maps(spec)
+
+
 # --- verification failure kinds, one per check ---
 
 
@@ -229,7 +274,7 @@ def test_verify_checks_every_preimage_against_its_dihedral_set():
     g = descend(x, template(spec.tiling).point_group[0])
     gv = [x.flag_vertex[g[2 * ds[0]]] for ds in x.vertex_darts]
     ge = [x.dart_edge[g[2 * d] // 2] for d in x.edge_dart]
-    gf = [x.flag_face[g[2 * walk[0]]] for walk in x.face_darts]
+    gf = [x.flag_face[g[2 * x.face_walks[i]]] for i in x.face_offsets[:-1]]
     vm = [gv[v] for v in cert.vertex_map]
     em = [ge[e] for e in cert.edge_map]
     fm = tuple(gf[f] for f in cert.face_map)
@@ -333,7 +378,7 @@ def cover_and_symmetries(code: str, mat: tuple[int, int, int, int], r: int):
         actions.append((
             [x.flag_vertex[g[2 * ds[0]]] for ds in x.vertex_darts],
             [x.dart_edge[g[2 * d] // 2] for d in x.edge_dart],
-            [x.flag_face[g[2 * walk[0]]] for walk in x.face_darts],
+            [x.flag_face[g[2 * x.face_walks[i]]] for i in x.face_offsets[:-1]],
         ))
     return y, x, cert, actions
 

@@ -161,7 +161,7 @@ def assert_matches_reference(spec: QuotientSpec) -> None:
     assert [m.vertex_at(r, w) for r, w in labels] == list(range(m.n_vertices)), spec
     assert m.dart_vertex == dart_vertex, spec
     assert m.dart_rev == dart_rev, spec
-    assert list(m.vertex_darts) == vertex_darts, spec
+    assert [tuple(r) for r in m.vertex_darts] == vertex_darts, spec
 
 
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
@@ -189,7 +189,8 @@ MAP_TABLES = (
     "dart_edge",
     "edge_dart",
     "dart_face_left",
-    "face_darts",
+    "face_walks",
+    "face_offsets",
     "face_sizes",
 )
 
@@ -199,7 +200,10 @@ def assert_tables_match_per_dart_constructor(spec: QuotientSpec) -> None:
     _, _, dart_rev, vertex_darts = reference_quotient(spec)
     want = reference_map_tables(dart_rev, vertex_darts)
     for name in MAP_TABLES:
-        assert getattr(m, name) == want[name], (spec, name)
+        got = getattr(m, name)
+        if name == "vertex_darts":
+            got = tuple(tuple(r) for r in got)
+        assert got == want[name], (spec, name)
 
 
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
@@ -222,10 +226,10 @@ def test_flagmap_tables_match_per_dart_constructor_on_random_matrices(data):
     assert_tables_match_per_dart_constructor(QuotientSpec(tid, SublatticeMat(*entries)))
 
 
-def test_build_quotient_retains_at_most_70_bytes_per_flag():
+def test_build_quotient_retains_at_most_60_bytes_per_flag():
     # The tables share one int object per dart and keep each fact once,
-    # with no ccw table and no tuple per edge: about 60 bytes per flag
-    # (58 on Python 3.10).
+    # with no ccw table, no tuple per edge, face or vertex: about 54 bytes
+    # per flag on Python 3.11.
     spec = QuotientSpec(parse_tiling("E7"), SublatticeMat(20, 0, 0, 20))
     build_quotient(spec)  # the template and its caches are not the map's
     gc.collect()
@@ -236,7 +240,31 @@ def test_build_quotient_retains_at_most_70_bytes_per_flag():
     finally:
         tracemalloc.stop()
     assert m.n_flags == 28_800
-    assert retained / m.n_flags <= 70
+    assert retained / m.n_flags <= 60
+
+
+@pytest.mark.parametrize("code", ["E7", "T4444", "E2"])
+def test_quotient_rotations_are_untracked_ranges_and_faces_two_flat_lists(code):
+    # Nothing is stored per vertex or per face that the cyclic garbage
+    # collector tracks: the rotations are ranges over pool ints, and the
+    # faces are one list of darts in walk order plus its offsets.
+    m = build_quotient(QuotientSpec(parse_tiling(code), SublatticeMat(4, 1, 0, 5)))
+    deg = m.n_darts // m.n_vertices
+    assert all(type(r) is range for r in m.vertex_darts)
+    assert not any(map(gc.is_tracked, m.vertex_darts))
+    assert [(r.start, r.stop, r.step) for r in m.vertex_darts] == [
+        (v * deg, v * deg + deg, 1) for v in range(m.n_vertices)
+    ]
+    assert type(m.face_walks) is list and type(m.face_offsets) is list
+    assert sorted(m.face_walks) == list(range(m.n_darts))
+    assert set(map(type, m.face_walks)) == set(map(type, m.face_offsets)) == {int}
+    offsets = m.face_offsets
+    assert (offsets[0], offsets[-1], len(offsets)) == (0, m.n_darts, m.n_faces + 1)
+    for f in range(m.n_faces):
+        walk = m.face_walk(f)
+        assert walk == m.face_walks[offsets[f] : offsets[f + 1]] and len(walk) == m.face_sizes[f]
+        assert walk[0] == min(walk)
+        assert {m.dart_face_left[d] for d in walk} == {f}
 
 
 # --- vertex types ---
