@@ -135,7 +135,10 @@ def _cmd_cover(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     with open(args.certificate) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:  # a RuntimeError, which main maps to exit 3
+            raise ValueError(f"malformed certificate: {exc}") from exc
     if isinstance(data, dict) and "certificate" in data:  # a whole `cover` output document
         data = data["certificate"]
     cert = certificate_from_dict(data)

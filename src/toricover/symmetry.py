@@ -18,20 +18,20 @@ ncos = 1, one class per flag.  Results do not depend on the pruning.
 
 `quotient_report` answers the same question for a quotient without
 building it: Aut(T/K) = N(K)/K, from the full group G/T of the tiling
-modulo translations, which `full_point_group` reads off the flag engine
-once per tiling.  `search-nonvt` uses it; `analyze`, `batch` and the
-tests keep the scan, the independent path.
+modulo translations, which `tilings.full_point_group` reads off the
+template's geometry once per tiling.  It needs no map and no flag
+extension.  `search-nonvt` uses it; `analyze`, `batch` and the tests
+keep the scan, the independent path.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 
-from .lattice import enumerate_hnf, scaled_identity
+from .lattice import enumerate_hnf
 from .map_core import FlagMap, QuotientSpec, _anchors, build_quotient
-from .tilings import PointGroupElem, TilingId, _validate_element, rep_orbits, template
+from .tilings import TilingId, full_point_group, rep_orbits, template
 
 
 @dataclass(frozen=True)
@@ -181,73 +181,6 @@ def exists_automorphism_mapping(m: FlagMap, v0: int, v1: int) -> bool:
 def are_isomorphic(m1: FlagMap, m2: FlagMap) -> list[int] | None:
     """A flag bijection m1 -> m2 commuting with the involutions, if any."""
     return next(_extensions(m1, m2, 0, range(m2.n_flags)), None)
-
-
-# The full group is read off T/(5·I): every element has a representative
-# whose per-rep shifts lie in [-2, 2], so they survive reduction mod 5.
-_PROBE_SCALE = 5
-
-
-@lru_cache(maxsize=None)
-def full_point_group(tiling: TilingId) -> tuple[PointGroupElem, ...]:
-    """Every element of G/T, the tiling's symmetry group modulo its
-    translations, with shifts[0] = (0, 0); the identity comes first.
-
-    Read off the flag engine: one extension of flag 0 per translation
-    class of T/(5·I) gives one automorphism per element.  Its sigma,
-    slot maps and shifts (lifted to [-2, 2]) are read at the reps of
-    cell (0, 0), and R from g t_w g^-1 = t_(Rw).  Each element is
-    checked on the infinite tiling (`_validate_element`); a failure
-    raises AssertionError.  Glide reflections have order 0 (infinite),
-    like `tilings.translation`.
-    """
-    tpl = template(tiling)
-    n, deg = _PROBE_SCALE, tpl.degree
-    m = build_quotient(QuotientSpec(tiling, scaled_identity(n)))
-    ncos, _, firsts = _translation_cell(m)
-    cells = m.coset_system.representatives
-
-    def lift(x: int) -> int:
-        return (x + n // 2) % n - n // 2
-
-    def cell_of(flag: int) -> tuple[int, int]:
-        return tuple(lift(x) for x in cells[m.flag_vertex[flag] % ncos])
-
-    elems: list[PointGroupElem] = []
-    for img in _extensions(m, m, 0, firsts):
-        # Flag 0 goes to cell (0, 0), so the cells of the images of
-        # (0, e1) and (0, e2) are R's columns.
-        rows = [img[2 * v * deg : 2 * (v + 1) * deg : 2] for v in _anchors(m)]
-        cols = [cell_of(img[2 * m.vertex_at(0, e) * deg]) for e in ((1, 0), (0, 1))]
-        elem = PointGroupElem(
-            name=f"g{len(elems)}",
-            kind="",
-            order=0,
-            sigma=tuple(row[0] // (2 * deg * ncos) for row in rows),
-            matrix=tuple(zip(*cols)),
-            shifts=tuple(cell_of(row[0]) for row in rows),
-            slot_maps=tuple(tuple(x // 2 % deg for x in row) for row in rows),
-        )
-        kind = "reflection" if elem.reverses_orientation else "rotation"
-        elem = replace(elem, kind=kind, order=_order(elem))
-        problems = _validate_element(tpl, elem)
-        if problems:
-            raise AssertionError(f"element read off {tiling.code}/({n}·I) is not a tiling symmetry: {problems}")
-        elems.append(elem)
-    return tuple(elems)
-
-
-def _order(elem: PointGroupElem) -> int:
-    """The order of elem as a tiling symmetry, or 0 when it is infinite
-    (a glide reflection).  A power that fixes vertex (0, w) for w = 0,
-    e1, e2 has R^k = I and fixes a point, so it is the identity."""
-    start = [(0, w) for w in ((0, 0), (1, 0), (0, 1))]
-    cur = start
-    for k in range(1, 13):
-        cur = [elem.apply_vertex(*v) for v in cur]
-        if cur == start:
-            return k
-    return 0
 
 
 def quotient_report(spec: QuotientSpec) -> OrbitReport:

@@ -351,33 +351,95 @@ def _derive_neighbors(seed: _Seed) -> tuple[tuple[Dart, ...], ...]:
     return tuple(out)
 
 
+def _affine_element(
+    ba: Vec2, bb: Vec2, reps: Sequence[Vec2], neighbors: Sequence[Sequence[Dart]], g: tuple[Vec2, Vec2], t: Vec2
+) -> PointGroupElem | None:
+    """The unnamed element that the isometry p -> g @ p + t induces on
+    the template with cell (ba, bb), these reps and darts, or None when
+    it is not a symmetry: a rep, (0, e1) or (0, e2) has no vertex for
+    image, the last two are not translates of rep 0's, or a dart has no
+    dart for image."""
+    x0, y0 = reps[0]
+    # The vertices (r, (0, 0)) of every rep, then (0, e1) and (0, e2).
+    points = (*reps, (x0 + ba[0], y0 + ba[1]), (x0 + bb[0], y0 + bb[1]))
+    hits = [_solve_cell(ba, bb, reps, (gx + t[0], gy + t[1])) for gx, gy in (_apply_mat(g, p) for p in points)]
+    if None in hits or {hits[-2][0], hits[-1][0]} != {hits[0][0]}:
+        return None
+    *cells, (_, e1), (_, e2) = hits
+    sigma = tuple(r for r, _ in cells)
+    shifts = tuple(w for _, w in cells)
+    # R's columns are the cells of the images of (0, e1) and (0, e2),
+    # taken relative to the image of (0, (0, 0)).
+    cols = [(w[0] - shifts[0][0], w[1] - shifts[0][1]) for w in (e1, e2)]
+    elem = PointGroupElem("", "", 0, sigma, tuple(zip(*cols)), shifts, slot_maps=())
+    try:
+        slot_maps = tuple(
+            tuple(neighbors[sigma[r]].index(elem.apply_dart(r, d)) for d in darts)
+            for r, darts in enumerate(neighbors)
+        )
+    except ValueError:
+        return None
+    return replace(elem, slot_maps=slot_maps)
+
+
 def _derive_point_group(
     seed: _Seed, neighbors: tuple[tuple[Dart, ...], ...]
 ) -> tuple[PointGroupElem, ...]:
-    ba, bb = seed.basis_a, seed.basis_b
-    x0, y0 = seed.reps[0]
-    # The vertices (r, (0, 0)) of every rep, then (0, e1) and (0, e2).
-    points = (*seed.reps, (x0 + ba[0], y0 + ba[1]), (x0 + bb[0], y0 + bb[1]))
     elems = []
     for name, kind, order, mat in seed.gens:
-        hits = [_solve_cell(ba, bb, seed.reps, _apply_mat(mat, p)) for p in points]
-        if None in hits:
-            raise AssertionError(f"{name}: image of vertex {points[hits.index(None)]} is not a vertex")
-        *cells, (_, e1), (_, e2) = hits
-        sigma = tuple(r for r, _ in cells)
-        shifts = tuple(w for _, w in cells)
-        # R's columns are the cells of the images of (0, e1) and (0, e2),
-        # taken relative to the image of (0, (0, 0)).
-        cols = [(w[0] - shifts[0][0], w[1] - shifts[0][1]) for w in (e1, e2)]
-        elem = PointGroupElem(name, kind, order, sigma, tuple(zip(*cols)), shifts, slot_maps=())
-        slot_maps = []
-        for r, darts in enumerate(neighbors):
-            try:
-                slot_maps.append(tuple(neighbors[sigma[r]].index(elem.apply_dart(r, d)) for d in darts))
-            except ValueError as exc:
-                raise AssertionError(f"{name}: a point-group image dart is missing at rep {sigma[r]}") from exc
-        elems.append(replace(elem, slot_maps=tuple(slot_maps)))
+        elem = _affine_element(seed.basis_a, seed.basis_b, seed.reps, neighbors, mat, (0.0, 0.0))
+        if elem is None:
+            raise AssertionError(f"{name}: not a symmetry of the seed")
+        elems.append(replace(elem, name=name, kind=kind, order=order))
     return tuple(elems)
+
+
+# Every rotation by a multiple of 30 degrees and every mirror at a multiple
+# of 15: the point symmetries of the square and hexagonal lattices, and more.
+_LINEAR_PARTS = (*(_rot(30.0 * k) for k in range(12)), *(_mirror(15.0 * k) for k in range(12)))
+
+
+@lru_cache(maxsize=None)
+def full_point_group(tiling: TilingId) -> tuple[PointGroupElem, ...]:
+    """Every element of G/T, the tiling's symmetry group modulo its
+    translations, with shifts[0] = (0, 0); the identity comes first.
+
+    Read off the template's geometry as its generators are: one element
+    per isometry p -> G @ p + t that `_affine_element` accepts, with G in
+    `_LINEAR_PARTS` and t taking rep 0 onto each rep in turn.  Each
+    element is checked on the infinite tiling (`_validate_element`); a
+    failure raises AssertionError.  Glide reflections have order 0
+    (infinite), like `translation`.
+    """
+    tpl = template(tiling)
+    x0, y0 = tpl.rep_pos[0]
+    elems: list[PointGroupElem] = []
+    for x, y in tpl.rep_pos:
+        for g in _LINEAR_PARTS:
+            gx, gy = _apply_mat(g, (x0, y0))
+            elem = _affine_element(tpl.basis_a, tpl.basis_b, tpl.rep_pos, tpl.neighbors, g, (x - gx, y - gy))
+            if elem is None:
+                continue
+            kind = "reflection" if elem.reverses_orientation else "rotation"
+            elem = replace(elem, name=f"g{len(elems)}", kind=kind, order=_order(elem))
+            problems = _validate_element(tpl, elem)
+            if problems:
+                raise AssertionError(f"element derived for {tiling.code} is not a tiling symmetry: {problems}")
+            elems.append(elem)
+    return tuple(elems)
+
+
+def _order(elem: PointGroupElem) -> int:
+    """The order of elem as a tiling symmetry, or 0 when it is infinite
+    (a glide reflection).  A power that fixes vertex (0, w) for w = 0,
+    e1, e2 has R^k = I and fixes a point, so it is the identity."""
+    start = [(0, w) for w in ((0, 0), (1, 0), (0, 1))]
+    cur = start
+    for k in range(1, 13):
+        cur = [elem.apply_vertex(*v) for v in cur]
+        if cur == start:
+            return k
+    return 0
 
 
 def _derive_reverse_slots(neighbors: tuple[tuple[Dart, ...], ...]) -> tuple[tuple[int, ...], ...]:

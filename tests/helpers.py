@@ -1,19 +1,20 @@
 """Test-only constructions: maps from face lists, corrupted templates,
 per-dart reference tables for quotient maps and for the FlagMap
 constructor, the per-vertex local-isomorphism stage of verify_covering,
-the per-face polyhedrality scan, the whole automorphism group, and
-group-element arithmetic on automorphisms given as flag lists (the
-image of each flag)."""
+the per-face polyhedrality scan, the whole automorphism group, the
+tiling group G/T read off the flag engine, and group-element arithmetic
+on automorphisms given as flag lists (the image of each flag)."""
 
 from __future__ import annotations
 
 from dataclasses import replace
 from itertools import accumulate, chain
 
-from toricover import CoverCertificate, FlagMap, QuotientSpec, template
-from toricover.lattice import cosets
-from toricover.symmetry import _extensions
-from toricover.tilings import IVec, TilingTemplate, dihedral
+from toricover import CoverCertificate, FlagMap, QuotientSpec, TilingId, build_quotient, template
+from toricover.lattice import cosets, scaled_identity
+from toricover.map_core import _anchors
+from toricover.symmetry import _extensions, _translation_cell
+from toricover.tilings import IVec, PointGroupElem, TilingTemplate, _order, dihedral
 
 
 def from_faces(faces: list[list[int]]) -> FlagMap:
@@ -306,6 +307,48 @@ def automorphism_group(m: FlagMap) -> list[list[int]]:
     """All automorphisms as flag lists, ordered by the image of flag 0.
     Shares no pruning with the orbit scan, so each can check the other."""
     return list(_extensions(m, m, 0, range(m.n_flags)))
+
+
+# The probe quotient for the flag-engine G/T: every element has a
+# representative whose per-rep shifts lie in [-2, 2], so they survive
+# reduction mod 5.
+_PROBE_SCALE = 5
+
+
+def probe_point_group(tiling: TilingId) -> list[PointGroupElem]:
+    """Every element of G/T read off the flag engine, with shifts[0] =
+    (0, 0): one extension of flag 0 per translation class of T/(5·I)
+    gives one automorphism per element.  Its sigma, slot maps and shifts
+    (lifted to [-2, 2]) are read at the reps of cell (0, 0), R from
+    g t_w g^-1 = t_(Rw), and the order with `tilings._order`.  Shares no
+    code with the geometry that `full_point_group` reads the group off,
+    so it is the oracle for that group's completeness."""
+    n, deg = _PROBE_SCALE, template(tiling).degree
+    m = build_quotient(QuotientSpec(tiling, scaled_identity(n)))
+    ncos, _, firsts = _translation_cell(m)
+    cells = m.coset_system.representatives
+
+    def cell_of(flag: int) -> tuple[int, int]:
+        return tuple((x + n // 2) % n - n // 2 for x in cells[m.flag_vertex[flag] % ncos])
+
+    elems = []
+    for img in _extensions(m, m, 0, firsts):
+        # Flag 0 goes to cell (0, 0), so the cells of the images of
+        # (0, e1) and (0, e2) are R's columns.
+        rows = [img[2 * v * deg : 2 * (v + 1) * deg : 2] for v in _anchors(m)]
+        cols = [cell_of(img[2 * m.vertex_at(0, e) * deg]) for e in ((1, 0), (0, 1))]
+        elem = PointGroupElem(
+            name=f"g{len(elems)}",
+            kind="",
+            order=0,
+            sigma=tuple(row[0] // (2 * deg * ncos) for row in rows),
+            matrix=tuple(zip(*cols)),
+            shifts=tuple(cell_of(row[0]) for row in rows),
+            slot_maps=tuple(tuple(x // 2 % deg for x in row) for row in rows),
+        )
+        kind = "reflection" if elem.reverses_orientation else "rotation"
+        elems.append(replace(elem, kind=kind, order=_order(elem)))
+    return elems
 
 
 def compose(g: list[int], h: list[int]) -> list[int]:

@@ -28,7 +28,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from referencing import Registry, Resource
 
-from toricover import SublatticeMat, build_quotient, certificate_from_dict, cli, map_core, render, symmetry
+from toricover import SublatticeMat, build_quotient, certificate_from_dict, cli, map_core, render, symmetry, tilings
 from toricover.cli import main
 from toricover.lattice import cosets
 
@@ -183,6 +183,21 @@ def test_verify_non_object_document_exits_two(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_verify_deeply_nested_json_exits_two(tmp_path, capsys):
+    # Decoding recurses once per level of nesting; past the recursion limit
+    # the file is malformed input, not an internal error.
+    cert = json.dumps({**_cover_certificate(tmp_path), "vertex_map": None})
+    nested_map = cert.replace('"vertex_map": null', '"vertex_map": ' + "[" * 100_000 + "]" * 100_000)
+    capsys.readouterr()
+    bad = tmp_path / "deep.json"
+    for text in ("[" * 200_000 + "]" * 200_000, nested_map):
+        bad.write_text(text)
+        assert main(["verify", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed certificate") and captured.err.count("\n") == 1, captured.err
 
 
 def test_verify_directory_exits_two(tmp_path, capsys):
@@ -501,17 +516,18 @@ def test_render_over_the_cell_budget_exits_two(tmp_path):
 
 
 def test_failed_group_derivation_exits_three(monkeypatch, capsys):
-    # Read off T/(4·I), a shift of 2 comes back as -2 and the derived
-    # trihexagonal group fails its check on the infinite tiling.
-    symmetry.full_point_group.cache_clear()
-    monkeypatch.setattr(symmetry, "_PROBE_SCALE", 4)
+    # With a wrong order the derived trihexagonal group fails its check
+    # on the infinite tiling.
+    tilings.full_point_group.cache_clear()
+    monkeypatch.setattr(tilings, "_order", lambda elem: 5)
     try:
         assert main(["search-nonvt", "E4", "--det-bound", "3"]) == 3
     finally:
-        symmetry.full_point_group.cache_clear()
+        tilings.full_point_group.cache_clear()
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("internal error: element read off E4/(4·I)")
+    assert captured.err.startswith("internal error: element derived for E4")
+    assert captured.err.count("\n") == 1, captured.err
 
 
 # --- mutation fuzz of certificates through `verify` ---

@@ -27,13 +27,13 @@ from toricover import (
     search_non_vt,
     template,
 )
-from toricover import symmetry
+from toricover import symmetry, tilings
 from toricover.lattice import cosets, enumerate_hnf, scaled_identity
 from toricover.map_core import is_automorphism
 from toricover.symmetry import are_isomorphic, exists_automorphism_mapping, flag_extension, full_point_group
 from toricover.tilings import _validate_element
 
-from helpers import automorphism_group, from_faces, inverse, is_identity, order
+from helpers import automorphism_group, from_faces, inverse, is_identity, order, probe_point_group
 from helpers import compose as compose_flags
 
 
@@ -321,9 +321,35 @@ def fresh_point_groups():
     full_point_group.cache_clear()
 
 
-def test_group_read_off_too_small_a_probe_is_rejected(monkeypatch, fresh_point_groups):
-    # Mod 4, a shift of 2 is lifted to -2, so one element of the
-    # trihexagonal group comes out wrong and fails the tiling check.
-    monkeypatch.setattr(symmetry, "_PROBE_SCALE", 4)
+def _facts(group):
+    return {(g.sigma, g.matrix, g.shifts, g.slot_maps, g.kind, g.order) for g in group}
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_full_point_group_matches_the_flag_engine_oracle(tid):
+    group = full_point_group(tid)
+    assert _facts(group) == _facts(probe_point_group(tid))
+    assert len(_facts(group)) == len(group)
+    assert all(g.shifts[0] == (0, 0) for g in group)
+    assert group[0].matrix == ((1, 0), (0, 1)) and group[0].sigma == tuple(range(len(group[0].sigma)))
+
+
+def test_quotient_report_needs_neither_a_map_nor_the_flag_engine(monkeypatch, fresh_point_groups):
+    specs = [QuotientSpec(tid, mat) for tid in TilingId for mat in enumerate_hnf(4)]
+    expected = [quotient_report(spec) for spec in specs]
+    full_point_group.cache_clear()
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("the closed form called the flag engine or built a map")
+
+    monkeypatch.setattr(symmetry, "flag_extension", forbidden)
+    monkeypatch.setattr(symmetry, "build_quotient", forbidden)
+    assert [quotient_report(spec) for spec in specs] == expected
+
+
+def test_derived_element_failing_the_tiling_check_is_rejected(monkeypatch, fresh_point_groups):
+    # With a wrong order the identity claims to be a rotation by 72
+    # degrees, which the check on the infinite tiling refuses.
+    monkeypatch.setattr(tilings, "_order", lambda elem: 5)
     with pytest.raises(AssertionError, match="not a tiling symmetry"):
         full_point_group(parse_tiling("E4"))
