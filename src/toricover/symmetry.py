@@ -3,8 +3,9 @@
 An automorphism of a connected map is determined by the image of one
 flag: choose that image and propagate through s0/s1/s2 equivariance;
 the attempt either closes into a bijection or hits a contradiction.
-The group is recovered by trying every candidate image of a fixed base
-flag (worst case O(|flags|^2)).
+The whole group, every candidate image of a fixed base flag tried in
+turn (worst case O(|flags|^2)), is the test helper
+`automorphism_group`; the library only runs the orbit scan below.
 
 The orbit scan works on translation classes.  In a quotient T/K from
 `build_quotient`, with D darts per vertex and ncos cosets, flag x lies
@@ -26,7 +27,7 @@ keep the scan, the independent path.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .lattice import enumerate_hnf
@@ -41,15 +42,11 @@ class OrbitReport:
     group_order: int
 
 
-def flag_extension(
-    src: FlagMap, dst: FlagMap, base: int, target: int
-) -> list[int] | None:
+def flag_extension(m: FlagMap, base: int, target: int) -> list[int] | None:
     """The unique involution-equivariant extension of base -> target, or
-    None when no automorphism/isomorphism takes base to target."""
-    n = src.n_flags
-    if dst.n_flags != n:
-        return None
-    pairs = ((src.s0, dst.s0), (src.s1, dst.s1), (src.s2, dst.s2))
+    None when no automorphism of m takes base to target."""
+    n = m.n_flags
+    involutions = (m.s0, m.s1, m.s2)
     img = [-1] * n
     used = bytearray(n)
     img[base] = target
@@ -58,9 +55,9 @@ def flag_extension(
     while stack:
         x = stack.pop()
         gx = img[x]
-        for sa, sb in pairs:
-            y = sa[x]
-            gy = sb[gx]
+        for s in involutions:
+            y = s[x]
+            gy = s[gx]
             iy = img[y]
             if iy < 0:
                 if used[gy]:
@@ -79,16 +76,6 @@ def _candidate_keys(m: FlagMap, flags: Iterable[int]) -> list[tuple[int, int]]:
     # flag's own face, so mismatched candidates are skipped up front.
     fv, ff, vd, fs = m.flag_vertex, m.flag_face, m.vertex_darts, m.face_sizes
     return [(len(vd[fv[x]]), fs[ff[x]]) for x in flags]
-
-
-def _extensions(src: FlagMap, dst: FlagMap, base: int, targets: Iterable[int]) -> Iterator[list[int]]:
-    """The extensions of base -> target that succeed, over the targets in
-    order; a target whose key differs from base's is not tried."""
-    (key,) = _candidate_keys(src, (base,))
-    targets = list(targets)
-    for target, k in zip(targets, _candidate_keys(dst, targets)):
-        if k == key and (img := flag_extension(src, dst, base, target)) is not None:
-            yield img
 
 
 def _translation_cell(m: FlagMap) -> tuple[int, int, Sequence[int]]:
@@ -110,7 +97,7 @@ def _translation_cell(m: FlagMap) -> tuple[int, int, Sequence[int]]:
             continue
         moved = [((i + di) % s1 * s2 + (j + dj) % s2) * cell for i in range(s1) for j in range(s2)]
         perm = [b + t + q for b in range(0, m.n_flags, block) for t in moved for q in range(cell)]
-        if flag_extension(m, m, 0, perm[0]) != perm:
+        if flag_extension(m, 0, perm[0]) != perm:
             raise RuntimeError(f"box shift ({di}, {dj}) of {cs.mat} is not an automorphism")
     return ncos, cell, [c // cell * block + c % cell for c in range(m.n_flags // ncos)]
 
@@ -131,7 +118,7 @@ def orbit_report(m: FlagMap) -> OrbitReport:
     for c, f in enumerate(firsts):
         if verdict[c] or keys[c] != keys[0]:
             continue
-        img = flag_extension(m, m, 0, f)
+        img = flag_extension(m, 0, f)
         if img is None:
             verdict[c] = 2
             todo = [c]
@@ -165,22 +152,6 @@ def _vertex_orbits(orbits: tuple[tuple[int, ...], ...], ncos: int) -> tuple[tupl
 
 def is_vertex_transitive(m: FlagMap) -> bool:
     return len(orbit_report(m).vertex_orbits) == 1
-
-
-def exists_automorphism_mapping(m: FlagMap, v0: int, v1: int) -> bool:
-    """Direct search for an automorphism with v0 -> v1; an independent
-    code path from the orbit machinery."""
-    base = 2 * m.vertex_darts[v0][0]
-    return any(
-        flag_extension(m, m, base, target) is not None
-        for d in m.vertex_darts[v1]
-        for target in (2 * d, 2 * d + 1)
-    )
-
-
-def are_isomorphic(m1: FlagMap, m2: FlagMap) -> list[int] | None:
-    """A flag bijection m1 -> m2 commuting with the involutions, if any."""
-    return next(_extensions(m1, m2, 0, range(m2.n_flags)), None)
 
 
 def quotient_report(spec: QuotientSpec) -> OrbitReport:

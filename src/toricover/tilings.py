@@ -242,7 +242,9 @@ class _Seed:
     basis_a: Vec2
     basis_b: Vec2
     reps: tuple[Vec2, ...]
-    gens: tuple[tuple[str, str, int, tuple[Vec2, Vec2]], ...]
+    # Linear parts only; names, kinds and orders are derived.  Not taken
+    # from full_point_group, whose T33344 rot2 has another shifts[0].
+    gens: tuple[tuple[Vec2, Vec2], ...]
     area_factor: str
 
 
@@ -256,8 +258,7 @@ _R12 = 1.0 / (2.0 * math.sin(math.radians(15.0)))
 
 
 def _seed(tid: TilingId) -> _Seed:
-    rot6 = ("rot6", "rotation", 6, _rot(60.0))
-    rot4 = ("rot4", "rotation", 4, _rot(90.0))
+    rot6, rot4 = _rot(60.0), _rot(90.0)
     if tid is TilingId.TRIANGULAR:
         return _Seed((1.0, 0.0), (0.5, _SQ3 / 2), ((0.0, 0.0),), (rot6,), "sqrt(3)/2")
     if tid is TilingId.SQUARE:
@@ -269,9 +270,7 @@ def _seed(tid: TilingId) -> _Seed:
         # Origin at a square's center; rows of squares alternate with
         # triangle strips, so the only point rotation is 2-fold.
         reps = ((-0.5, -0.5), (-0.5, 0.5))
-        return _Seed(
-            (1.0, 0.0), (0.5, 1.0 + _SQ3 / 2), reps, (("rot2", "rotation", 2, _rot(180.0)),), "1"
-        )
+        return _Seed((1.0, 0.0), (0.5, 1.0 + _SQ3 / 2), reps, (_rot(180.0),), "1")
     if tid is TilingId.TRUNCATED_SQUARE:
         side = 1.0 + _SQ2
         reps = tuple(_polar(_SQ2 / 2, 90.0 * k) for k in range(4))
@@ -303,8 +302,7 @@ def _seed(tid: TilingId) -> _Seed:
     if tid is TilingId.TRUNCATED_TRIHEXAGONAL:
         a, b = _hex_basis(3.0 + _SQ3)
         reps = tuple(_polar(_R12, 15.0 + 30.0 * k) for k in range(12))
-        tau = ("mirror", "reflection", 2, _mirror(-30.0))
-        return _Seed(a, b, reps, (rot6, tau), "sqrt(3)/2")
+        return _Seed(a, b, reps, (rot6, _mirror(-30.0)), "sqrt(3)/2")
     raise AssertionError(f"no seed for {tid}")
 
 
@@ -355,10 +353,11 @@ def _affine_element(
     ba: Vec2, bb: Vec2, reps: Sequence[Vec2], neighbors: Sequence[Sequence[Dart]], g: tuple[Vec2, Vec2], t: Vec2
 ) -> PointGroupElem | None:
     """The unnamed element that the isometry p -> g @ p + t induces on
-    the template with cell (ba, bb), these reps and darts, or None when
-    it is not a symmetry: a rep, (0, e1) or (0, e2) has no vertex for
-    image, the last two are not translates of rep 0's, or a dart has no
-    dart for image."""
+    the template with cell (ba, bb), these reps and darts, its kind read
+    off R and its order from `_order`, or None when it is not a
+    symmetry: a rep, (0, e1) or (0, e2) has no vertex for image, the
+    last two are not translates of rep 0's, or a dart has no dart for
+    image."""
     x0, y0 = reps[0]
     # The vertices (r, (0, 0)) of every rep, then (0, e1) and (0, e2).
     points = (*reps, (x0 + ba[0], y0 + ba[1]), (x0 + bb[0], y0 + bb[1]))
@@ -379,18 +378,20 @@ def _affine_element(
         )
     except ValueError:
         return None
-    return replace(elem, slot_maps=slot_maps)
+    kind = "reflection" if elem.reverses_orientation else "rotation"
+    return replace(elem, kind=kind, order=_order(elem), slot_maps=slot_maps)
 
 
 def _derive_point_group(
     seed: _Seed, neighbors: tuple[tuple[Dart, ...], ...]
 ) -> tuple[PointGroupElem, ...]:
+    """The seed's generators, named rot<order>, or mirror for a reflection."""
     elems = []
-    for name, kind, order, mat in seed.gens:
+    for k, mat in enumerate(seed.gens):
         elem = _affine_element(seed.basis_a, seed.basis_b, seed.reps, neighbors, mat, (0.0, 0.0))
         if elem is None:
-            raise AssertionError(f"{name}: not a symmetry of the seed")
-        elems.append(replace(elem, name=name, kind=kind, order=order))
+            raise AssertionError(f"seed generator {k}: not a symmetry of the seed")
+        elems.append(replace(elem, name="mirror" if elem.kind == "reflection" else f"rot{elem.order}"))
     return tuple(elems)
 
 
@@ -420,8 +421,7 @@ def full_point_group(tiling: TilingId) -> tuple[PointGroupElem, ...]:
             elem = _affine_element(tpl.basis_a, tpl.basis_b, tpl.rep_pos, tpl.neighbors, g, (x - gx, y - gy))
             if elem is None:
                 continue
-            kind = "reflection" if elem.reverses_orientation else "rotation"
-            elem = replace(elem, name=f"g{len(elems)}", kind=kind, order=_order(elem))
+            elem = replace(elem, name=f"g{len(elems)}")
             problems = _validate_element(tpl, elem)
             if problems:
                 raise AssertionError(f"element derived for {tiling.code} is not a tiling symmetry: {problems}")

@@ -1,19 +1,21 @@
 """Test-only constructions: maps from face lists, corrupted templates,
 per-dart reference tables for quotient maps and for the FlagMap
 constructor, the per-vertex local-isomorphism stage of verify_covering,
-the per-face polyhedrality scan, the whole automorphism group, the
+the per-face polyhedrality scan, the flag-extension search between two
+maps (isomorphisms, the whole automorphism group, one vertex pair), the
 tiling group G/T read off the flag engine, and group-element arithmetic
 on automorphisms given as flag lists (the image of each flag)."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import replace
 from itertools import accumulate, chain
 
 from toricover import CoverCertificate, FlagMap, QuotientSpec, TilingId, build_quotient, template
 from toricover.lattice import cosets, scaled_identity
 from toricover.map_core import _anchors
-from toricover.symmetry import _extensions, _translation_cell
+from toricover.symmetry import _candidate_keys, _translation_cell, flag_extension
 from toricover.tilings import IVec, PointGroupElem, TilingTemplate, _order, dihedral
 
 
@@ -301,6 +303,63 @@ def full_scan(m: FlagMap) -> tuple[bool, tuple[tuple[str, tuple[int, ...]], ...]
             return False, tuple(violations)
 
     return not violations, tuple(violations)
+
+
+def isomorphism_extension(src: FlagMap, dst: FlagMap, base: int, target: int) -> list[int] | None:
+    """The unique involution-equivariant extension of base -> target from
+    src to dst, or None when no isomorphism takes base to target.  The
+    library's `flag_extension` is the case src = dst."""
+    n = src.n_flags
+    if dst.n_flags != n:
+        return None
+    pairs = ((src.s0, dst.s0), (src.s1, dst.s1), (src.s2, dst.s2))
+    img = [-1] * n
+    used = bytearray(n)
+    img[base] = target
+    used[target] = 1
+    stack = [base]
+    while stack:
+        x = stack.pop()
+        gx = img[x]
+        for sa, sb in pairs:
+            y = sa[x]
+            gy = sb[gx]
+            iy = img[y]
+            if iy < 0:
+                if used[gy]:
+                    return None
+                img[y] = gy
+                used[gy] = 1
+                stack.append(y)
+            elif iy != gy:
+                return None
+    return img
+
+
+def _extensions(src: FlagMap, dst: FlagMap, base: int, targets: Iterable[int]) -> Iterator[list[int]]:
+    """The extensions of base -> target that succeed, over the targets in
+    order; a target whose key differs from base's is not tried."""
+    (key,) = _candidate_keys(src, (base,))
+    targets = list(targets)
+    for target, k in zip(targets, _candidate_keys(dst, targets)):
+        if k == key and (img := isomorphism_extension(src, dst, base, target)) is not None:
+            yield img
+
+
+def are_isomorphic(m1: FlagMap, m2: FlagMap) -> list[int] | None:
+    """A flag bijection m1 -> m2 commuting with the involutions, if any."""
+    return next(_extensions(m1, m2, 0, range(m2.n_flags)), None)
+
+
+def exists_automorphism_mapping(m: FlagMap, v0: int, v1: int) -> bool:
+    """Direct search for an automorphism with v0 -> v1; an independent
+    code path from the orbit machinery."""
+    base = 2 * m.vertex_darts[v0][0]
+    return any(
+        flag_extension(m, base, target) is not None
+        for d in m.vertex_darts[v1]
+        for target in (2 * d, 2 * d + 1)
+    )
 
 
 def automorphism_group(m: FlagMap) -> list[list[int]]:

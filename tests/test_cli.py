@@ -517,7 +517,9 @@ def test_render_over_the_cell_budget_exits_two(tmp_path):
 
 def test_failed_group_derivation_exits_three(monkeypatch, capsys):
     # With a wrong order the derived trihexagonal group fails its check
-    # on the infinite tiling.
+    # on the infinite tiling.  The template, whose generators also read
+    # _order, is built before the patch.
+    tilings.template(tilings.parse_tiling("E4"))
     tilings.full_point_group.cache_clear()
     monkeypatch.setattr(tilings, "_order", lambda elem: 5)
     try:

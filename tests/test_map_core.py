@@ -31,9 +31,8 @@ from toricover import (
 from toricover import map_core
 from toricover.lattice import enumerate_hnf
 from toricover.map_core import VertexTypeSig, euler_characteristic, face_cycle, vertex_type
-from toricover.symmetry import are_isomorphic
 
-from helpers import from_faces, full_scan, reference_flag_tables, reference_map_tables, reference_quotient
+from helpers import are_isomorphic, from_faces, full_scan, reference_flag_tables, reference_map_tables, reference_quotient
 
 SWEEP_MATS = [
     SublatticeMat(1, 0, 0, 1),

@@ -30,10 +30,11 @@ from toricover import (
 from toricover import symmetry, tilings
 from toricover.lattice import cosets, enumerate_hnf, scaled_identity
 from toricover.map_core import is_automorphism
-from toricover.symmetry import are_isomorphic, exists_automorphism_mapping, flag_extension, full_point_group
+from toricover.symmetry import flag_extension, full_point_group
 from toricover.tilings import _validate_element
 
-from helpers import automorphism_group, from_faces, inverse, is_identity, order, probe_point_group
+from helpers import are_isomorphic, automorphism_group, exists_automorphism_mapping, from_faces, inverse, is_identity, order
+from helpers import probe_point_group
 from helpers import compose as compose_flags
 
 
@@ -88,7 +89,7 @@ def test_scaled_identity_quotients_are_vertex_transitive():
 
 def test_flag_extension_identity_seed():
     m = small_map("E4", (1, 1, 0, 2))
-    perm = flag_extension(m, m, 0, 0)
+    perm = flag_extension(m, 0, 0)
     assert perm == list(range(m.n_flags))
 
 
@@ -349,7 +350,10 @@ def test_quotient_report_needs_neither_a_map_nor_the_flag_engine(monkeypatch, fr
 
 def test_derived_element_failing_the_tiling_check_is_rejected(monkeypatch, fresh_point_groups):
     # With a wrong order the identity claims to be a rotation by 72
-    # degrees, which the check on the infinite tiling refuses.
+    # degrees, which the check on the infinite tiling refuses.  The
+    # template, whose generators also read _order, is built before the
+    # patch.
+    template(parse_tiling("E4"))
     monkeypatch.setattr(tilings, "_order", lambda elem: 5)
     with pytest.raises(AssertionError, match="not a tiling symmetry"):
         full_point_group(parse_tiling("E4"))

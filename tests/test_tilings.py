@@ -9,6 +9,7 @@ import pytest
 from toricover.tilings import (
     TilingId,
     face_sizes_at_rep,
+    full_point_group,
     parse_tiling,
     rep_orbits,
     template,
@@ -110,6 +111,23 @@ def test_reflection_only_on_truncated_trihexagonal():
         tpl = template(tid)
         has_mirror = any(e.kind == "reflection" for e in tpl.point_group)
         assert has_mirror == (tid is TilingId.TRUNCATED_TRIHEXAGONAL)
+
+
+def test_template_generators_are_group_elements_up_to_a_translation():
+    # Each seeded generator is one element of G/T times one translation:
+    # the same sigma, R and slot maps, and shifts that differ from that
+    # element's by one vector, which is zero except for T33344's rot2.
+    translations = {}
+    for tid in TilingId:
+        group = full_point_group(tid)
+        for g in template(tid).point_group:
+            (h,) = [h for h in group if (h.sigma, h.matrix, h.slot_maps) == (g.sigma, g.matrix, g.slot_maps)]
+            assert (h.kind, h.order) == (g.kind, g.order), (tid.code, g.name)
+            (delta,) = {(x - u, y - w) for (x, y), (u, w) in zip(g.shifts, h.shifts)}
+            translations[tid.code, g.name] = delta
+    assert len(translations) == 12
+    assert translations.pop(("T33344", "rot2")) == (1, 0)
+    assert set(translations.values()) == {(0, 0)}
 
 
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.value)
