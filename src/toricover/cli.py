@@ -24,6 +24,7 @@ from . import __version__
 from .cover import (
     certificate_from_dict,
     cover_maps,
+    quotient_pair,
     verify_covering,
 )
 from .lattice import SublatticeMat, cover_exponent, random_nonsingular
@@ -142,8 +143,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if isinstance(data, dict) and "certificate" in data:  # a whole `cover` output document
         data = data["certificate"]
     cert = certificate_from_dict(data)
-    x = build_quotient(QuotientSpec(cert.tiling, cert.base_mat))
-    y = build_quotient(QuotientSpec(cert.tiling, cert.cover_mat))
+    y, x = quotient_pair(cert.tiling, cert.base_mat, cert.cover_mat)
     report = verify_covering(y, x, cert)
     _emit(
         args,

@@ -26,7 +26,7 @@ from .lattice import (
     is_scaled_identity,
     scaled_identity,
 )
-from .map_core import FlagMap, QuotientSpec, build_quotient, is_automorphism
+from .map_core import FlagMap, QuotientSpec, build_quotient, is_automorphism, slot_degree
 from .tilings import PointGroupElem, TilingId, dihedral, parse_tiling, template
 
 
@@ -111,9 +111,8 @@ def cover_maps(
     if r < 1:
         raise ValueError("r must be a positive integer")
     m_exp = cover_exponent(spec.mat) * r
-    y_spec = QuotientSpec(spec.tiling, scaled_identity(m_exp))
-    x = build_quotient(spec)
-    y = build_quotient(y_spec)
+    cover_mat = scaled_identity(m_exp)
+    y, x = quotient_pair(spec.tiling, spec.mat, cover_mat)
     fold = r * r * fold_index(spec.mat)
 
     # Both maps number vertices rep-major (build_quotient), so the Y-vertex
@@ -122,10 +121,9 @@ def cover_maps(
     ncos = x.coset_system.size()
     vmap = [rep * ncos + c for rep in range(y.n_vertices // len(cells)) for c in cells]
     # Dart k of a Y-vertex goes to dart k of its image.  Y's rotations
-    # list darts 0 … n−1 in order: that is build_quotient's layout, the
-    # one FlagMap checks and the only one it stores as ranges.  So the
-    # image rotations chained in Y's vertex order are the dart map.
-    if set(map(type, y.vertex_darts)) != {range}:
+    # list darts 0 … n−1 in order (`slot_degree`), so the image rotations
+    # chained in Y's vertex order are the dart map.
+    if slot_degree(y) is None:
         raise AssertionError("Y's rotations do not list darts 0..n-1 in order")
     dmap = list(chain.from_iterable(map(x.vertex_darts.__getitem__, vmap)))
 
@@ -152,7 +150,7 @@ def cover_maps(
         base_mat=spec.mat,
         exponent=m_exp,
         fold=fold,
-        cover_mat=y_spec.mat,
+        cover_mat=cover_mat,
         vertex_map=tuple(vmap),
         edge_map=tuple(emap),
         face_map=tuple(fmap),
@@ -162,6 +160,17 @@ def cover_maps(
         cover_polyhedral=y.polyhedral,
     )
     return y, x, cert
+
+
+def quotient_pair(
+    tiling: TilingId, base_mat: SublatticeMat, cover_mat: SublatticeMat
+) -> tuple[FlagMap, FlagMap]:
+    """(Y, X): the quotients of the tiling by cover_mat and by base_mat.
+    build_quotient is deterministic, so when the two matrices are equal
+    (M = m·I, fold 1) one map is both, built once."""
+    x = build_quotient(QuotientSpec(tiling, base_mat))
+    y = x if cover_mat == base_mat else build_quotient(QuotientSpec(tiling, cover_mat))
+    return y, x
 
 
 def vt_cover(spec: QuotientSpec, r: int = 1) -> tuple[QuotientSpec, CoverCertificate]:
@@ -258,11 +267,11 @@ def verify_covering(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> VerifyRep
 
     # An honest projection maps dart k of a Y-vertex to dart k of its
     # image, so first every Y-cycle is compared with its image's cycle as
-    # is, all at once (`_cycles_equal`).  Only if that fails are they
-    # compared vertex by vertex, and a cycle that differs from its
+    # is, slot by slot (`_slot_columns_match`).  Only if that fails are
+    # they compared vertex by vertex, and a cycle that differs from its
     # image's is looked up among every rotation and reflection of the
     # image's cycle, a set built once per X-vertex.
-    if not _cycles_equal(y, x, vm, em, fm):
+    if not _slot_columns_match(y, x, vm, em, fm):
         x_cycles = [
             tuple([(x.dart_edge[d], x.dart_face_left[d]) for d in ds]) for ds in x.vertex_darts
         ]
@@ -281,19 +290,20 @@ def verify_covering(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> VerifyRep
     return VerifyReport(ok=True, failure=None, checks_passed=tuple(passed))
 
 
-def _cycles_equal(y: FlagMap, x: FlagMap, vm, em, fm) -> bool:
+def _slot_columns_match(y: FlagMap, x: FlagMap, vm, em, fm) -> bool:
     """Whether every Y-vertex v has the (edge, face) cycle of vm[v], as
-    is, under the edge and face maps.  When every Y-vertex has its
-    image's degree, this compares two whole columns over the rotations
-    chained in vertex order, edges and then faces, with no tuple per dart.
-    The chains are walked once per column, not kept: a rotation that is a
-    range makes a new int per dart."""
-    x_degree = list(map(len, x.vertex_darts))
-    if list(map(len, y.vertex_darts)) != list(map(x_degree.__getitem__, vm)):
+    is, under the edge and face maps, when both maps have
+    build_quotient's layout with one degree deg: for each slot k, the
+    edges at slot k of the Y-vertices (the column dart_edge[k::deg])
+    under em are X's column k read at vm, and the same for faces.  Each
+    comparison maps one slice, with no int made per dart.  Any other
+    layout gives False."""
+    deg = slot_degree(y)
+    if deg is None or deg != slot_degree(x):
         return False
     return all(
-        list(map(cell_map.__getitem__, map(y_cells.__getitem__, chain.from_iterable(y.vertex_darts))))
-        == list(map(x_cells.__getitem__, chain.from_iterable(map(x.vertex_darts.__getitem__, vm))))
+        list(map(cell_map.__getitem__, y_cells[k::deg])) == list(map(x_cells[k::deg].__getitem__, vm))
+        for k in range(deg)
         for cell_map, y_cells, x_cells in (
             (em, y.dart_edge, x.dart_edge),
             (fm, y.dart_face_left, x.dart_face_left),

@@ -333,6 +333,14 @@ def _anchors(m: FlagMap) -> range:
     return range(0, m.n_vertices, 1 if cs is None else cs.size())
 
 
+def slot_degree(m: FlagMap) -> int | None:
+    """deg when vertex v's rotation is darts v·deg … v·deg+deg−1 in
+    order, build_quotient's layout, so that slot k of every vertex is
+    the dart column k::deg; else None.  FlagMap stores the rotations as
+    ranges in exactly that layout."""
+    return m.n_darts // m.n_vertices if set(map(type, m.vertex_darts)) == {range} else None
+
+
 def is_automorphism(m: FlagMap, perm: Sequence[int]) -> bool:
     """Whether the flag list perm, one image per flag, commutes with s0,
     s1 and s2.  Such a map of a connected map onto itself is onto, so

@@ -424,6 +424,51 @@ def test_default_outputs_match_golden_hashes(tmp_path, monkeypatch, capsys):
         assert hashlib.sha256(Path("large.json").read_bytes()).hexdigest() == want, spec
 
 
+# `cover T4444 3 0 0 3`: M = 3·I, so Y is X.  The hashes were recorded
+# while both maps were still built, so sharing one map changes no byte.
+GOLDEN_SCALAR_COVER = "2e397409b61e18b3326fce0f530054599f748e8438f5e8d2f134f416fbd95275"
+GOLDEN_SCALAR_VERIFY = "b6b3c3f668ca38a51b190b5609dc84b06384c04739bfc23d90278fe5f42cc689"
+
+
+def test_scalar_cover_and_its_verify_match_golden_hashes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    spec = ["T4444", "3", "0", "0", "3"]
+    assert main(["cover", *spec]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_SCALAR_COVER
+    assert main(["cover", *spec, "--out", "t4444.json"]) == 0
+    assert hashlib.sha256(Path("t4444.json").read_bytes()).hexdigest() == GOLDEN_SCALAR_COVER
+    capsys.readouterr()
+    assert main(["verify", "t4444.json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_SCALAR_VERIFY
+
+
+@pytest.mark.parametrize(
+    "spec, builds", [(["T4444", "3", "0", "0", "3"], 1), (["E2", "2", "1", "0", "3"], 2)], ids=["scalar", "skew"]
+)
+def test_verify_builds_each_distinct_quotient_once(tmp_path, monkeypatch, capsys, spec, builds):
+    # verify rebuilds Y and X from the certificate's matrices.  When M is
+    # already m·I they are one matrix, so one map serves as both.
+    path = str(tmp_path / "cert.json")
+    assert main(["cover", *spec, "--out", path]) == 0
+    built, pairs = [], []
+    real_verify = cli.verify_covering
+
+    def counted(s):
+        built.append(s)
+        return build_quotient(s)
+
+    def spy(y, x, cert):
+        pairs.append((y, x))
+        return real_verify(y, x, cert)
+
+    monkeypatch.setattr("toricover.cover.build_quotient", counted)
+    monkeypatch.setattr("toricover.cli.verify_covering", spy)
+    assert main(["verify", path]) == 0
+    assert len(built) == builds
+    ((y, x),) = pairs
+    assert (y is x) == (builds == 1)
+
+
 def test_batch_rejects_negative_vt_flag_cap(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["batch", "--samples", "1", "--vt-flag-cap", "-5"])

@@ -26,12 +26,12 @@ from toricover import (
     verify_covering,
     vt_cover,
 )
-from toricover.cover import torus_area
+from toricover.cover import _slot_columns_match, torus_area
 from toricover.lattice import cover_exponent, scaled_identity
-from toricover.map_core import is_automorphism
+from toricover.map_core import is_automorphism, slot_degree
 from toricover.tilings import translation
 
-from helpers import compose, is_identity, order, reference_local_isomorphism
+from helpers import compose, inverse, is_identity, order, reference_local_isomorphism
 
 VT_FLAG_CAP = 800
 
@@ -72,6 +72,25 @@ def test_scalar_input_covers_itself():
     assert cert.exponent == 3 and cert.fold == 1
     assert y.n_vertices == x.n_vertices
     assert sorted(cert.vertex_map) == list(range(x.n_vertices))
+    assert verify_covering(y, x, cert).ok
+
+
+@pytest.mark.parametrize(
+    "mat, r, builds", [((3, 0, 0, 3), 1, 1), ((3, 0, 0, 3), 2, 2), ((2, 1, 0, 3), 1, 2)], ids=["scalar", "r2", "skew"]
+)
+def test_cover_maps_builds_each_distinct_quotient_once(monkeypatch, mat, r, builds):
+    # Y's matrix is m·I.  When M is m·I already (and r = 1), Y is X, and
+    # the one map serves as both.
+    built = []
+
+    def counted(s):
+        built.append(s)
+        return build_quotient(s)
+
+    monkeypatch.setattr("toricover.cover.build_quotient", counted)
+    y, x, cert = cover_maps(spec_of("T4444", mat), r=r)
+    assert len(built) == builds
+    assert (y is x) == (builds == 1)
     assert verify_covering(y, x, cert).ok
 
 
@@ -412,6 +431,56 @@ def test_local_stage_matches_reference_on_mutated_maps(data):
             fm[f], fm[g] = fm[g], fm[f]
     mutated = dataclasses.replace(cert, vertex_map=tuple(vm), edge_map=tuple(em), face_map=tuple(fm))
     assert_local_stage_matches_reference(y, x, mutated)
+
+
+def test_a_rotated_cycle_fails_the_column_tier_and_passes_the_per_vertex_tier():
+    # Y's darts renumbered so that the rotation of vertex v starts at its
+    # second dart.  The result is the same map, still in build_quotient's
+    # layout, and the certificate carried along the renumbering is honest,
+    # but v's cycle is its image's turned by one slot: the slot columns
+    # differ at v alone, and the per-vertex tier finds the turn.
+    y, x, cert = cover_maps(spec_of("E2", (2, 1, 0, 3)))
+    deg, v = slot_degree(y), 5
+    old = list(range(y.n_darts))  # new dart -> Y dart
+    old[v * deg : (v + 1) * deg] = [v * deg + (k + 1) % deg for k in range(deg)]
+    new = inverse(old)
+    turned = FlagMap(
+        [new[y.dart_rev[old[d]]] for d in range(y.n_darts)],
+        [range(u * deg, (u + 1) * deg) for u in range(y.n_vertices)],
+    )
+    assert slot_degree(turned) == deg
+    em = [cert.edge_map[y.dart_edge[old[d]]] for d in turned.edge_dart]
+    fm = [cert.face_map[y.dart_face_left[old[turned.face_walks[i]]]] for i in turned.face_offsets[:-1]]
+    moved = dataclasses.replace(cert, edge_map=tuple(em), face_map=tuple(fm))
+    vm = cert.vertex_map
+    assert _slot_columns_match(y, x, vm, cert.edge_map, cert.face_map)
+    assert not _slot_columns_match(turned, x, vm, em, fm)
+    assert verify_covering(turned, x, moved).ok
+    assert_local_stage_matches_reference(turned, x, moved)
+
+
+@pytest.mark.parametrize("code, mat", MUTATED_SPECS[:2] + MUTATED_SPECS[3:5], ids=lambda p: str(p))
+def test_local_stage_matches_reference_when_images_swap_within_a_slot_column(code, mat):
+    # Two Y-edges at slot k of their tails whose images have the same ends
+    # exchange images: every earlier stage still passes, and slot column k
+    # no longer matches.  These four quotients have such pairs (E1 and E7
+    # have none); on T666 / I the per-vertex tier then accepts every swap
+    # as a turn or a reflection, on the other three it rejects it.
+    y, x, cert = cover_maps(spec_of(code, mat))
+    deg, em = slot_degree(y), list(cert.edge_map)
+    x_ends = [sorted(x.edge_endpoints(e)) for e in range(x.n_edges)]
+    e, f = next(
+        (e, f)
+        for k in range(deg)
+        for e in y.dart_edge[k::deg]
+        for f in y.dart_edge[k::deg]
+        if em[e] != em[f] and x_ends[em[e]] == x_ends[em[f]]
+    )
+    em[e], em[f] = em[f], em[e]
+    swapped = dataclasses.replace(cert, edge_map=tuple(em))
+    assert not _slot_columns_match(y, x, cert.vertex_map, em, cert.face_map)
+    assert verify_covering(y, x, swapped).ok == (code == "T666")
+    assert_local_stage_matches_reference(y, x, swapped)
 
 
 @pytest.mark.parametrize(
