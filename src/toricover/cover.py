@@ -26,7 +26,7 @@ from .lattice import (
     is_scaled_identity,
     scaled_identity,
 )
-from .map_core import FlagMap, QuotientSpec, build_quotient, is_automorphism, slot_degree
+from .map_core import FlagMap, QuotientSpec, build_quotient, is_automorphism
 from .tilings import PointGroupElem, TilingId, dihedral, parse_tiling, template
 
 
@@ -121,9 +121,9 @@ def cover_maps(
     ncos = x.coset_system.size()
     vmap = [rep * ncos + c for rep in range(y.n_vertices // len(cells)) for c in cells]
     # Dart k of a Y-vertex goes to dart k of its image.  Y's rotations
-    # list darts 0 … n−1 in order (`slot_degree`), so the image rotations
+    # list darts 0 … n−1 in order (`y.slot_degree`), so the image rotations
     # chained in Y's vertex order are the dart map.
-    if slot_degree(y) is None:
+    if y.slot_degree is None:
         raise AssertionError("Y's rotations do not list darts 0..n-1 in order")
     dmap = list(chain.from_iterable(map(x.vertex_darts.__getitem__, vmap)))
 
@@ -298,8 +298,8 @@ def _slot_columns_match(y: FlagMap, x: FlagMap, vm, em, fm) -> bool:
     under em are X's column k read at vm, and the same for faces.  Each
     comparison maps one slice, with no int made per dart.  Any other
     layout gives False."""
-    deg = slot_degree(y)
-    if deg is None or deg != slot_degree(x):
+    deg = y.slot_degree
+    if deg is None or deg != x.slot_degree:
         return False
     return all(
         list(map(cell_map.__getitem__, y_cells[k::deg])) == list(map(x_cells[k::deg].__getitem__, vm))

@@ -107,7 +107,8 @@ class FlagMap:
                 edge_of[d] = edge_of[r] = ids[len(edge_dart)]
                 edge_dart.append(d)
 
-        # build_quotient's layout: vertex v lists darts v·deg … v·deg+deg−1.
+        # build_quotient's layout: vertex v lists darts v·deg … v·deg+deg−1,
+        # so slot k is the dart column k::deg.  slot_degree: deg, else None.
         nv = len(vertex_darts)
         deg = nd // nv if nv else 0
         by_columns = (
@@ -115,6 +116,7 @@ class FlagMap:
             and set(map(len, vertex_darts)) == {deg}
             and all(map(eq, chain.from_iterable(vertex_darts), ids))
         )
+        self.slot_degree = deg if by_columns else None
         self.dart_vertex, self.dart_cw, self.vertex_darts = (
             _slot_columns(ids, nv, deg) if by_columns else _rotations(vertex_darts, nd)
         )
@@ -331,14 +333,6 @@ def _anchors(m: FlagMap) -> range:
     (0, 0) is coset 0.  A map without a coset system gets every vertex."""
     cs = m.coset_system
     return range(0, m.n_vertices, 1 if cs is None else cs.size())
-
-
-def slot_degree(m: FlagMap) -> int | None:
-    """deg when vertex v's rotation is darts v·deg … v·deg+deg−1 in
-    order, build_quotient's layout, so that slot k of every vertex is
-    the dart column k::deg; else None.  FlagMap stores the rotations as
-    ranges in exactly that layout."""
-    return m.n_darts // m.n_vertices if set(map(type, m.vertex_darts)) == {range} else None
 
 
 def is_automorphism(m: FlagMap, perm: Sequence[int]) -> bool:

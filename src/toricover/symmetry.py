@@ -37,7 +37,12 @@ from .tilings import TilingId, full_point_group, rep_orbits, template
 
 @dataclass(frozen=True)
 class OrbitReport:
-    vertex_orbits: tuple[tuple[int, ...], ...]
+    """Orbits per rep.  Vertex v is rep v // ncos (build_quotient), and
+    the translations are transitive on a rep's vertices, so each vertex
+    orbit is the vertices of one of the rep_orbits.  A map without a
+    coset system has one rep per vertex."""
+
+    rep_orbits: tuple[tuple[int, ...], ...]
     flag_orbit_count: int
     group_order: int
 
@@ -139,19 +144,14 @@ def orbit_report(m: FlagMap) -> OrbitReport:
 
     group_order = ncos * verdict.count(1)
     return OrbitReport(
-        vertex_orbits=_vertex_orbits(rep_orbits(len(anchors), sigmas), ncos),
+        rep_orbits=rep_orbits(len(anchors), sigmas),
         flag_orbit_count=m.n_flags // group_order,
         group_order=group_order,
     )
 
 
-def _vertex_orbits(orbits: tuple[tuple[int, ...], ...], ncos: int) -> tuple[tuple[int, ...], ...]:
-    """The vertex orbits of rep orbits, vertex v = rep·ncos + coset."""
-    return tuple(tuple(v for r in orbit for v in range(r * ncos, (r + 1) * ncos)) for orbit in orbits)
-
-
 def is_vertex_transitive(m: FlagMap) -> bool:
-    return len(orbit_report(m).vertex_orbits) == 1
+    return len(orbit_report(m).rep_orbits) == 1
 
 
 def quotient_report(spec: QuotientSpec) -> OrbitReport:
@@ -161,23 +161,22 @@ def quotient_report(spec: QuotientSpec) -> OrbitReport:
     normalises K, so Aut X = N(K)/K: the |det K| translations times the
     stabiliser S = {g in G/T : R_g K = K}.  Vertex (rep, coset) is
     numbered rep·|det K| + coset, the translations are transitive on the
-    cosets of a rep, and S is a group, so the vertex orbits are the
+    cosets of a rep, and S is a group, so the rep orbits are the
     sigma-orbits of S on the reps.  The action on flags is free, so
     there are 2·degree·reps / |S| flag orbits.
     """
     tpl = template(spec.tiling)
-    ncos = spec.mat.index()
     stab = [g for g in full_point_group(spec.tiling) if spec.mat.preserved_by(g.matrix)]
     return OrbitReport(
-        vertex_orbits=_vertex_orbits(rep_orbits(tpl.rep_count, [g.sigma for g in stab]), ncos),
+        rep_orbits=rep_orbits(tpl.rep_count, [g.sigma for g in stab]),
         flag_orbit_count=2 * tpl.degree * tpl.rep_count // len(stab),
-        group_order=ncos * len(stab),
+        group_order=spec.mat.index() * len(stab),
     )
 
 
 # The largest determinant bound search_non_vt takes: 33,044 Hermite forms.
-# The count grows as the square of the bound; E7 at 200 takes about 220 s
-# and 1.8 GB on 2 cores with Python 3.11.
+# The count grows as the square of the bound; E7 at 200 takes about 195 s
+# and 82 MiB on 2 cores with Python 3.11.
 MAX_DET_BOUND = 200
 
 
@@ -201,7 +200,7 @@ def search_non_vt(tiling: TilingId, det_bound: int) -> list[tuple[QuotientSpec, 
     for mat in mats:
         spec = QuotientSpec(tiling, mat)
         report = quotient_report(spec)
-        if len(report.vertex_orbits) == 1:
+        if len(report.rep_orbits) == 1:
             continue
         m = build_quotient(spec)
         if m.polyhedral:

@@ -3,8 +3,9 @@ per-dart reference tables for quotient maps and for the FlagMap
 constructor, the per-vertex local-isomorphism stage of verify_covering,
 the per-face polyhedrality scan, the flag-extension search between two
 maps (isomorphisms, the whole automorphism group, one vertex pair), the
-tiling group G/T read off the flag engine, and group-element arithmetic
-on automorphisms given as flag lists (the image of each flag)."""
+tiling group G/T read off the flag engine, the vertex orbits of an orbit
+report, and group-element arithmetic on automorphisms given as flag
+lists (the image of each flag)."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from itertools import accumulate, chain
 from toricover import CoverCertificate, FlagMap, QuotientSpec, TilingId, build_quotient, template
 from toricover.lattice import cosets, scaled_identity
 from toricover.map_core import _anchors
-from toricover.symmetry import _candidate_keys, _translation_cell, flag_extension
+from toricover.symmetry import OrbitReport, _candidate_keys, _translation_cell, flag_extension
 from toricover.tilings import IVec, PointGroupElem, TilingTemplate, _order, dihedral
 
 
@@ -360,6 +361,14 @@ def exists_automorphism_mapping(m: FlagMap, v0: int, v1: int) -> bool:
         for d in m.vertex_darts[v1]
         for target in (2 * d, 2 * d + 1)
     )
+
+
+def vertex_orbits(m: FlagMap, report: OrbitReport) -> tuple[tuple[int, ...], ...]:
+    """The vertex orbits of a report on m: the vertices r·ncos + c of
+    each rep r of a rep orbit, c over the cosets (build_quotient's
+    numbering; ncos = 1 without a coset system)."""
+    ncos = 1 if m.coset_system is None else m.coset_system.size()
+    return tuple(tuple(v for r in orbit for v in range(r * ncos, (r + 1) * ncos)) for orbit in report.rep_orbits)
 
 
 def automorphism_group(m: FlagMap) -> list[list[int]]:

@@ -36,7 +36,7 @@ from toricover.lattice import cover_exponent, enumerate_hnf
 from toricover.map_core import euler_characteristic, is_automorphism
 from toricover.tilings import translation
 
-from helpers import exists_automorphism_mapping
+from helpers import exists_automorphism_mapping, vertex_orbits
 
 NONTRIVIAL = [parse_tiling(f"E{i}") for i in range(1, 8)]
 TRIVIAL = [parse_tiling(c) for c in ("T333333", "T4444", "T666", "T33344")]
@@ -170,9 +170,10 @@ def test_criterion_4_nonvt_witnesses_dual_confirmation():
         spec, _, _ = found[0]
         m = _track(build_quotient(spec))
         rep = orbit_report(m)
-        two_orbits = len(rep.vertex_orbits) >= 2
-        v0 = min(rep.vertex_orbits[0])
-        v1 = min(rep.vertex_orbits[1])
+        two_orbits = len(rep.rep_orbits) >= 2
+        orbits = vertex_orbits(m, rep)
+        v0 = min(orbits[0])
+        v1 = min(orbits[1])
         independent = (
             not exists_automorphism_mapping(m, v0, v1)
             and not exists_automorphism_mapping(m, v1, v0)

@@ -284,6 +284,19 @@ def test_batch_rejects_negative_sample_count(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_batch_over_the_sample_limit_exits_two(monkeypatch, capsys):
+    # One over cli.BATCH_MAX_SAMPLES is refused before any sample is drawn.
+    def forbidden(*args):
+        pytest.fail("batch drew a sample over the limit")
+
+    monkeypatch.setattr(cli, "_batch_sample", forbidden)
+    n = cli.BATCH_MAX_SAMPLES + 1
+    assert main(["batch", "--samples", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: sample count {n} is over the limit of {cli.BATCH_MAX_SAMPLES}\n"
+
+
 def test_argparse_errors_use_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "E1", "one", "0", "0", "1"])

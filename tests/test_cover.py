@@ -28,7 +28,7 @@ from toricover import (
 )
 from toricover.cover import _slot_columns_match, torus_area
 from toricover.lattice import cover_exponent, scaled_identity
-from toricover.map_core import is_automorphism, slot_degree
+from toricover.map_core import is_automorphism
 from toricover.tilings import translation
 
 from helpers import compose, inverse, is_identity, order, reference_local_isomorphism
@@ -440,7 +440,7 @@ def test_a_rotated_cycle_fails_the_column_tier_and_passes_the_per_vertex_tier():
     # but v's cycle is its image's turned by one slot: the slot columns
     # differ at v alone, and the per-vertex tier finds the turn.
     y, x, cert = cover_maps(spec_of("E2", (2, 1, 0, 3)))
-    deg, v = slot_degree(y), 5
+    deg, v = y.slot_degree, 5
     old = list(range(y.n_darts))  # new dart -> Y dart
     old[v * deg : (v + 1) * deg] = [v * deg + (k + 1) % deg for k in range(deg)]
     new = inverse(old)
@@ -448,7 +448,7 @@ def test_a_rotated_cycle_fails_the_column_tier_and_passes_the_per_vertex_tier():
         [new[y.dart_rev[old[d]]] for d in range(y.n_darts)],
         [range(u * deg, (u + 1) * deg) for u in range(y.n_vertices)],
     )
-    assert slot_degree(turned) == deg
+    assert turned.slot_degree == deg
     em = [cert.edge_map[y.dart_edge[old[d]]] for d in turned.edge_dart]
     fm = [cert.face_map[y.dart_face_left[old[turned.face_walks[i]]]] for i in turned.face_offsets[:-1]]
     moved = dataclasses.replace(cert, edge_map=tuple(em), face_map=tuple(fm))
@@ -467,7 +467,7 @@ def test_local_stage_matches_reference_when_images_swap_within_a_slot_column(cod
     # have none); on T666 / I the per-vertex tier then accepts every swap
     # as a turn or a reflection, on the other three it rejects it.
     y, x, cert = cover_maps(spec_of(code, mat))
-    deg, em = slot_degree(y), list(cert.edge_map)
+    deg, em = y.slot_degree, list(cert.edge_map)
     x_ends = [sorted(x.edge_endpoints(e)) for e in range(x.n_edges)]
     e, f = next(
         (e, f)

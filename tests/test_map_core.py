@@ -266,6 +266,17 @@ def test_quotient_rotations_are_untracked_ranges_and_faces_two_flat_lists(code):
         assert {m.dart_face_left[d] for d in walk} == {f}
 
 
+def test_slot_degree_is_the_degree_exactly_in_build_quotients_layout():
+    # Rotations listing darts 0 … n−1 in order have it, given as ranges or
+    # as tuples; a rotation system in any other order, or with unequal
+    # degrees, has None.
+    m = build_quotient(QuotientSpec(parse_tiling("E2"), SublatticeMat(2, 1, 0, 3)))
+    assert m.slot_degree == template(parse_tiling("E2")).degree
+    assert FlagMap([2, 3, 0, 1], [(0, 1), (2, 3)]).slot_degree == 2
+    assert FlagMap([1, 0, 3, 2], [(0, 2), (1, 3)]).slot_degree is None
+    assert FlagMap([1, 0, 3, 2], [(0,), (1, 2, 3)]).slot_degree is None
+
+
 # --- vertex types ---
 
 

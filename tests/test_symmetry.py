@@ -8,6 +8,9 @@ directly, with no reliance on the orbit bookkeeping under test.
 from __future__ import annotations
 
 import dataclasses
+import gc
+import tracemalloc
+from itertools import chain
 
 import pytest
 from hypothesis import assume, given, settings
@@ -34,7 +37,7 @@ from toricover.symmetry import flag_extension, full_point_group
 from toricover.tilings import _validate_element
 
 from helpers import are_isomorphic, automorphism_group, exists_automorphism_mapping, from_faces, inverse, is_identity, order
-from helpers import probe_point_group
+from helpers import probe_point_group, vertex_orbits
 from helpers import compose as compose_flags
 
 
@@ -51,7 +54,7 @@ def test_square_grid_group_order():
     rep = orbit_report(m)
     assert rep.group_order == 72
     assert rep.flag_orbit_count == 1
-    assert len(rep.vertex_orbits) == 1
+    assert len(rep.rep_orbits) == 1
 
 
 def test_group_axioms_and_freeness():
@@ -96,17 +99,18 @@ def test_flag_extension_identity_seed():
 def test_snub_square_witness_has_two_orbits():
     m = small_map("E2", (1, 2, 0, 6))
     rep = orbit_report(m)
-    assert len(rep.vertex_orbits) == 2
+    assert len(rep.rep_orbits) == 2
     assert rep.group_order == 12
+    orbits = vertex_orbits(m, rep)
     # independent confirmation through the single-pair search
-    v0 = min(rep.vertex_orbits[0])
-    v1 = min(rep.vertex_orbits[1])
+    v0 = min(orbits[0])
+    v1 = min(orbits[1])
     assert exists_automorphism_mapping(m, v0, v0)
     assert exists_automorphism_mapping(m, v1, v1)
     assert not exists_automorphism_mapping(m, v0, v1)
     assert not exists_automorphism_mapping(m, v1, v0)
     # orbits partition the vertex set
-    seen = sorted(v for orbit in rep.vertex_orbits for v in orbit)
+    seen = sorted(v for orbit in orbits for v in orbit)
     assert seen == list(range(m.n_vertices))
 
 
@@ -171,8 +175,8 @@ def orbits_by_definition(m):
 
 def assert_scan_matches_definition(m):
     rep = orbit_report(m)
-    assert (rep.group_order, rep.vertex_orbits, rep.flag_orbit_count) == orbits_by_definition(m), m.spec
-    assert is_vertex_transitive(m) == (len(rep.vertex_orbits) == 1), m.spec
+    assert (rep.group_order, vertex_orbits(m, rep), rep.flag_orbit_count) == orbits_by_definition(m), m.spec
+    assert is_vertex_transitive(m) == (len(rep.rep_orbits) == 1), m.spec
 
 
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
@@ -299,6 +303,37 @@ def test_quotient_report_matches_scan_on_hermite_forms(tid):
     for mat in enumerate_hnf(8):
         spec = QuotientSpec(tid, mat)
         assert quotient_report(spec) == orbit_report(build_quotient(spec)), mat
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_both_engines_rep_orbits_partition_the_reps(tid):
+    reps = template(tid).rep_count
+    for mat in enumerate_hnf(3):
+        spec = QuotientSpec(tid, mat)
+        for rep in (quotient_report(spec), orbit_report(build_quotient(spec))):
+            assert all(rep.rep_orbits), mat
+            assert sorted(chain.from_iterable(rep.rep_orbits)) == list(range(reps)), mat
+
+
+def test_quotient_report_size_does_not_grow_with_the_determinant():
+    # The report holds the rep orbits, not every vertex: E7 at index 10
+    # and at index 10000 retain the same couple of KiB.
+    def retained(mat):
+        spec = QuotientSpec(parse_tiling("E7"), SublatticeMat(*mat))
+        quotient_report(spec)  # the template and G/T caches are not the report's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rep = quotient_report(spec)
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.group_order % spec.mat.index() == 0
+        return size
+
+    small, big = retained((1, 0, 0, 10)), retained((1, 0, 0, 10000))
+    assert small < 4096
+    assert big - small < 1024
 
 
 @settings(max_examples=60, deadline=None)
