@@ -147,6 +147,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if isinstance(data, dict) and "certificate" in data:  # a whole `cover` output document
         data = data["certificate"]
     cert = certificate_from_dict(data)
+    del data  # the parsed lists go before the maps are built; cert's tuples keep the ints
     y, x = quotient_pair(cert.tiling, cert.base_mat, cert.cover_mat)
     report = verify_covering(y, x, cert)
     _emit(

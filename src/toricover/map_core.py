@@ -21,20 +21,23 @@ commute by construction.  The constructor takes the reverse darts and
 the rotation at each vertex, and reads each dart's tail off the
 rotation that lists it; what it has to verify is that every dart id is
 in range, that reverse is a fixed-point-free involution, that each dart
-sits in exactly one rotation, and that the map is connected.
+sits in exactly one rotation, and that the map is connected (a
+union-find over the vertices, joined edge by edge).
 
 When vertex v's rotation is darts v·deg … v·deg+deg−1 in order, as
 build_quotient makes it, the tail and rotation tables are filled by
 columns, one slot of every vertex at a time, instead of vertex by
-vertex, and each rotation is stored as a range; in any other layout the
-rotations are tuples.  The dart ids in the tables come from one pool,
-one int object per dart, as do those of the reverse, edge and face
-tables of any map.  Each fact is stored once: an edge is its smaller
-dart (the other is its reverse), a face is a slice of one list of every
-face walk (`face_walks`, cut at `face_offsets`), and ccw is derived from
-cw by s1 when the symmetry engine first reads it.  So a quotient keeps
-no container per vertex, edge or face that the cyclic garbage collector
-tracks.
+vertex, and the caller's rotations are kept (build_quotient's are
+ranges); in any other layout the rotations are tuples.  The dart ids in
+the tables come from one pool, one int object per dart, as do those of
+the reverse, edge and face tables of any map.  When the reverse table is
+an involution of ints, as build_quotient's is, the pool is the reverse
+table's own ints, so no second int is made per dart.  Each fact is
+stored once: an edge is its smaller dart (the other is its reverse), a
+face is a slice of one list of every face walk (`face_walks`, cut at
+`face_offsets`), and ccw is derived from cw by s1 when the symmetry
+engine first reads it.  So a quotient keeps no container per vertex,
+edge or face that the cyclic garbage collector tracks.
 """
 
 from __future__ import annotations
@@ -51,8 +54,9 @@ from .tilings import TilingId, dihedral, template
 IVec = tuple[int, int]
 
 # The largest map build_quotient makes.  A quotient retains about 54 bytes
-# per flag, and `analyze` (the orbit scan) peaks at about 256 bytes per
-# flag (E7 on Python 3.11), so about 1 GB at this limit.
+# per flag and peaks at about 67 while it is built; `analyze` (the orbit
+# scan) peaks at about 256 bytes per flag (E7 on Python 3.11), so about
+# 1 GB at this limit.
 MAX_FLAGS = 4_000_000
 
 
@@ -84,15 +88,23 @@ class FlagMap:
         if nd == 0 or nd % 2:
             raise ValueError("dart count must be positive and even")
         # The pool: one int object per dart.  The tables below take their
-        # numbers from it, not equal copies made by arithmetic; the
-        # rotation tables only in build_quotient's layout.
-        ids = list(range(nd))
-        if min(dart_rev) < 0 or max(dart_rev) >= nd:
+        # numbers from it, not equal copies made by arithmetic.  A reverse
+        # table that is an involution of ints in range, as build_quotient's
+        # is, holds each dart once, so its own objects are the pool: ids[d]
+        # is the object rev(rev(d)).  Any other table gets fresh ints.
+        in_range = min(dart_rev) >= 0 and max(dart_rev) < nd
+        pooled = in_range and set(map(type, dart_rev)) == {int}
+        ids = list(map(dart_rev.__getitem__, dart_rev)) if pooled else []
+        if pooled and all(map(eq, ids, range(nd))):
+            rev = list(dart_rev)
+        elif in_range:
+            ids = list(range(nd))
+            rev = list(map(ids.__getitem__, dart_rev))
+        else:
             # A reverse out of range fails the involution check at its
             # own dart, as a fixed point does, and is never an index.
+            ids = list(range(nd))
             rev = [r if 0 <= r < nd else d for d, r in enumerate(dart_rev)]
-        else:
-            rev = list(map(ids.__getitem__, dart_rev))
 
         # Edges: the {d, rev d} pairs, numbered and stored by their smaller
         # dart.  The involution check runs on that dart; the other one
@@ -118,7 +130,7 @@ class FlagMap:
         )
         self.slot_degree = deg if by_columns else None
         self.dart_vertex, self.dart_cw, self.vertex_darts = (
-            _slot_columns(ids, nv, deg) if by_columns else _rotations(vertex_darts, nd)
+            _slot_columns(ids, vertex_darts, deg) if by_columns else _rotations(vertex_darts, nd)
         )
         self.dart_rev = rev
         self.spec = spec
@@ -132,7 +144,7 @@ class FlagMap:
         self.face_sizes = tuple(map(sub, islice(offsets, 1, None), offsets))
         self.n_faces = len(offsets) - 1
 
-        if not self._connected():
+        if not self._connected(ids):
             raise ValueError("map is not connected")
 
     # Flag involutions and incidences, closed-form from the dart tables
@@ -198,38 +210,42 @@ class FlagMap:
         cs = self.coset_system
         return rep * cs.size() + cs.index_of(cell)
 
-    def _connected(self) -> bool:
+    def _connected(self, ids: list[int]) -> bool:
         """Darts at one vertex are joined by its rotation, so the darts
-        are connected exactly when the vertices are."""
-        head = list(map(self.dart_vertex.__getitem__, self.dart_rev))
-        seen = bytearray(self.n_vertices)
-        seen[0] = 1
-        stack = [0]
-        while stack:
-            for d in self.vertex_darts[stack.pop()]:
-                w = head[d]
-                if not seen[w]:
-                    seen[w] = 1
-                    stack.append(w)
-        return all(seen)
+        are connected exactly when the vertices are: a union-find over the
+        edges, with path halving, whose n_vertices − 1 unions leave one
+        class.  Its parents are a slice of the pool."""
+        parent = ids[: self.n_vertices]
+        tail, rev = self.dart_vertex, self.dart_rev
+        joins = 0
+        for d in self.edge_dart:
+            a, b = tail[d], tail[rev[d]]
+            while a != parent[a]:
+                parent[a] = a = parent[parent[a]]
+            while b != parent[b]:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[a] = b
+                joins += 1
+        return joins == self.n_vertices - 1
 
 
-def _slot_columns(ids: list[int], nv: int, deg: int):
+def _slot_columns(ids: list[int], vertex_darts: Sequence[Sequence[int]], deg: int):
     """(dart_vertex, dart_cw, vertex_darts) when vertex v has darts
     v·deg … v·deg+deg−1 in ccw order, as in build_quotient: slot k of
     every vertex is the column ids[k::deg], and each table is deg
-    stride-slice assignments from the pool.  The rotations are ranges
-    whose bounds are pool ints: no tuple per vertex, and nothing the
-    cyclic garbage collector tracks."""
+    stride-slice assignments from the pool.  The rotations are kept as
+    the caller gave them: build_quotient's are ranges whose bounds are
+    pool ints, so there is no tuple per vertex, and nothing the cyclic
+    garbage collector tracks."""
     nd = len(ids)
-    vertices = ids[:nv]
+    vertices = ids[: len(vertex_darts)]
     tail = [0] * nd
     cw = [0] * nd
     for k in range(deg):
         tail[k::deg] = vertices
         cw[k::deg] = ids[(k - 1) % deg :: deg]
-    starts = ids[::deg]
-    return tail, cw, tuple(map(range, starts, starts[1:] + [nd]))
+    return tail, cw, tuple(vertex_darts)
 
 
 def _rotations(vertex_darts: Sequence[Sequence[int]], nd: int):
@@ -320,8 +336,10 @@ def build_quotient(spec: QuotientSpec) -> FlagMap:
             rows = [first + (i + di) % s1 * s2 * deg for i in range(s1)]
             cols = [(j + dj) % s2 * deg for j in range(s2)]
             dart_rev[r * block + k : (r + 1) * block : deg] = [a + b for a in rows for b in cols]
-    # Ranges, not tuples: FlagMap reads them once, to test the layout.
-    vertex_darts = [range(d, d + deg) for d in range(0, nd, deg)]
+    # Ranges, which FlagMap keeps, bounded by the pool FlagMap takes from
+    # the reverse table: the object for dart d is dart_rev[dart_rev[d]].
+    starts = [dart_rev[dart_rev[d]] for d in range(0, nd, deg)]
+    vertex_darts = tuple(map(range, starts, starts[1:] + [nd]))
     m = FlagMap(dart_rev, vertex_darts, spec=spec)
     m.coset_system = cs
     return m

@@ -242,6 +242,40 @@ def test_build_quotient_retains_at_most_60_bytes_per_flag():
     assert retained / m.n_flags <= 60
 
 
+def test_build_quotient_peaks_at_most_75_bytes_per_flag():
+    # FlagMap takes its pool from the reverse table, keeps build_quotient's
+    # ranges and checks connectivity by a union-find over the vertices, so
+    # nothing per dart is made twice: about 67 bytes per flag at the peak
+    # on Python 3.11, and 102 with a second pool and a per-dart head table.
+    spec = QuotientSpec(parse_tiling("E7"), SublatticeMat(20, 0, 0, 20))
+    build_quotient(spec)  # the template and its caches are not the map's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        m = build_quotient(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.n_flags == 28_800
+    assert peak / m.n_flags <= 75
+
+
+@pytest.mark.parametrize("code", ["E7", "T4444", "E2"])
+def test_quotient_tables_share_one_int_object_per_dart(code):
+    # The reverse table's own ints are the pool: every table and every
+    # rotation bound holds the same object for the same dart.
+    m = build_quotient(QuotientSpec(parse_tiling(code), SublatticeMat(4, 1, 0, 5)))
+    ints = [
+        *m.dart_rev, *m.dart_vertex, *m.dart_cw, *m.dart_edge, *m.edge_dart,
+        *m.dart_face_left, *m.face_walks, *m.face_offsets[:-1],
+        *(r.start for r in m.vertex_darts), *(r.stop for r in m.vertex_darts[:-1]),
+    ]
+    objects = {}
+    for x in ints:
+        assert objects.setdefault(x, x) is x, (code, x)
+    assert len(objects) == m.n_darts
+
+
 @pytest.mark.parametrize("code", ["E7", "T4444", "E2"])
 def test_quotient_rotations_are_untracked_ranges_and_faces_two_flat_lists(code):
     # Nothing is stored per vertex or per face that the cyclic garbage
@@ -450,6 +484,63 @@ def test_flagmap_rejects_reverse_out_of_range(dart_rev):
     # [-1, 0] would read as the involution [1, 0] if -1 wrapped.
     with pytest.raises(ValueError, match="^reverse is not a fixed-point-free involution at dart 0$"):
         FlagMap(dart_rev, [(0, 1)])
+
+
+REVERSE_VARIANTS = {
+    "tuple": lambda rev: tuple(rev),
+    "bool": lambda rev: [bool(r) if r < 2 else r for r in rev],
+    "above-range": lambda rev: rev[:7] + [len(rev)] + rev[8:],
+    "negative": lambda rev: rev[:7] + [-1] + rev[8:],
+    "fixed-point": lambda rev: rev[:7] + [7] + rev[8:],
+    "not-involution": lambda rev: [rev[1], rev[0], *rev[2:]],
+}
+
+
+def tables_or_error(build, dart_rev, vertex_darts):
+    try:
+        return build(dart_rev, vertex_darts)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("variant", list(REVERSE_VARIANTS))
+def test_flagmap_reverse_variants_match_the_per_dart_constructor(variant):
+    # A reverse table given as a tuple (its ints are still the pool), with
+    # bool entries, or that is not an involution of darts in range (both
+    # take a fresh pool) builds the same int tables as a list of ints
+    # would, or fails with the same message at the same first dart.
+    spec = QuotientSpec(parse_tiling("E2"), SublatticeMat(2, 1, 0, 3))
+    _, _, dart_rev, vertex_darts = reference_quotient(spec)
+    given = REVERSE_VARIANTS[variant](dart_rev)
+    want = tables_or_error(reference_map_tables, [int(r) for r in given], vertex_darts)
+    got = tables_or_error(FlagMap, given, vertex_darts)
+    assert isinstance(want, str) == (variant not in ("tuple", "bool"))
+    if isinstance(want, str):
+        assert got == want and want.startswith("reverse is not a fixed-point-free involution at dart ")
+        return
+    for name in MAP_TABLES:
+        table = getattr(got, name)
+        if name == "vertex_darts":
+            assert tuple(map(tuple, table)) == want[name]
+        else:
+            assert table == want[name], name
+            assert set(map(type, table)) == {int}, name
+
+
+@pytest.mark.parametrize("layout", ["slot columns", "rotations"])
+def test_flagmap_rejects_two_disjoint_copies_of_a_quotient(layout):
+    # The second copy's darts and rotations are the first's shifted by the
+    # dart count, so the reverse is an involution of every dart and each
+    # dart sits in one rotation, in build_quotient's layout or, with every
+    # rotation turned by one, in a general one.
+    m = build_quotient(QuotientSpec(parse_tiling("E2"), SublatticeMat(2, 1, 0, 3)))
+    nd = m.n_darts
+    dart_rev = m.dart_rev + [r + nd for r in m.dart_rev]
+    vertex_darts = [*m.vertex_darts, *(range(r.start + nd, r.stop + nd) for r in m.vertex_darts)]
+    if layout == "rotations":
+        vertex_darts = [(*r[1:], r[0]) for r in vertex_darts]
+    with pytest.raises(ValueError, match="^map is not connected$"):
+        FlagMap(dart_rev, vertex_darts)
 
 
 # --- polyhedrality ---
