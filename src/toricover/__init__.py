@@ -12,7 +12,6 @@ from __future__ import annotations
 from .cover import CoverCertificate, certificate_from_dict, cover_maps, descend, verify_covering, vt_cover
 from .lattice import SublatticeMat
 from .map_core import FlagMap, QuotientSpec, build_quotient, is_polyhedral, is_semi_equivelar, map_summary
-from .render import render_svg
 from .symmetry import is_vertex_transitive, orbit_report, quotient_report, search_non_vt
 from .tilings import TilingId, parse_tiling, template
 
@@ -41,3 +40,13 @@ __all__ = [
     "verify_covering",
     "vt_cover",
 ]
+
+
+def __getattr__(name: str):
+    # render_svg loads on first use: only `render` draws, and its module
+    # imports xml.etree, which no other command needs.
+    if name == "render_svg":
+        from .render import render_svg
+
+        return render_svg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -37,7 +37,6 @@ from .map_core import (
     is_semi_equivelar,
     map_summary,
 )
-from .render import render_svg
 from .symmetry import is_vertex_transitive, orbit_report, search_non_vt
 from .tilings import TilingId, parse_tiling, template, template_as_dict
 
@@ -124,6 +123,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     y, x, cert = cover_maps(spec, r=args.r)
     report = verify_covering(y, x, cert)
+    del y, x  # the maps go before the certificate text is built; cert's tuples keep the ints
     payload = {
         "command": "cover",
         "r": args.r,
@@ -276,6 +276,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from .render import render_svg  # loaded here: xml.etree is for this command only
+
     spec = _spec_from_args(args)
     doc = render_svg(template(spec.tiling), spec.mat)
     with open(args.out, "w") as fh:

@@ -15,8 +15,8 @@ Y's vertices, which is what makes the cover vertex-transitive.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
+from typing import NamedTuple
 
 from .lattice import (
     SublatticeMat,
@@ -30,8 +30,7 @@ from .map_core import FlagMap, QuotientSpec, build_quotient, is_automorphism
 from .tilings import PointGroupElem, TilingId, dihedral, parse_tiling, template
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(NamedTuple):
     """Everything needed to re-check one covering Y -> X."""
 
     tiling: TilingId
@@ -115,17 +114,25 @@ def cover_maps(
     y, x = quotient_pair(spec.tiling, spec.mat, cover_mat)
     fold = r * r * fold_index(spec.mat)
 
+    # Both maps list vertex v's darts as v·deg … v·deg+deg−1 (`slot_degree`),
+    # so slot k of every vertex is the dart column k::deg.
+    deg = y.slot_degree
+    if deg is None or x.slot_degree != deg:
+        raise AssertionError("Y's or X's rotations do not list darts 0..n-1 in order")
     # Both maps number vertices rep-major (build_quotient), so the Y-vertex
     # (rep, w) goes to X's vertex rep * |det| + (X's index of the cell w).
+    # The maps hold X's own int objects, not a fresh int per Y cell: X's
+    # vertex v is x.dart_vertex[v·deg], and its dart v·deg+k is the cw
+    # successor of its dart in slot (k+1) mod deg.
     cells = [x.vertex_at(0, w) for w in y.coset_system.representatives]
     ncos = x.coset_system.size()
-    vmap = [rep * ncos + c for rep in range(y.n_vertices // len(cells)) for c in cells]
-    # Dart k of a Y-vertex goes to dart k of its image.  Y's rotations
-    # list darts 0 … n−1 in order (`y.slot_degree`), so the image rotations
-    # chained in Y's vertex order are the dart map.
-    if y.slot_degree is None:
-        raise AssertionError("Y's rotations do not list darts 0..n-1 in order")
-    dmap = list(chain.from_iterable(map(x.vertex_darts.__getitem__, vmap)))
+    x_vertices = x.dart_vertex[::deg]
+    vmap = [x_vertices[rep * ncos + c] for rep in range(y.n_vertices // len(cells)) for c in cells]
+    # Dart k of a Y-vertex goes to dart k of its image, one slot column
+    # at a time.
+    dmap = [0] * y.n_darts
+    for k in range(deg):
+        dmap[k::deg] = map(x.dart_cw[(k + 1) % deg :: deg].__getitem__, vmap)
 
     # The dart map must commute with reversal, otherwise the template or
     # coset bookkeeping is broken; cheap to confirm, so always confirm,
@@ -180,8 +187,7 @@ def vt_cover(spec: QuotientSpec, r: int = 1) -> tuple[QuotientSpec, CoverCertifi
     return QuotientSpec(spec.tiling, cert.cover_mat), cert
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     ok: bool
     failure: str | None
     checks_passed: tuple[str, ...]

@@ -9,8 +9,8 @@ arithmetic; no floats enter this module.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 # Entries beyond this bound are almost certainly a caller bug (and make
 # coset tables explode), so constructors refuse them loudly.
@@ -19,34 +19,49 @@ MAX_ENTRY = 10_000
 Vec = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SublatticeMat:
-    """Rows (a, b) and (c, d) span a finite-index sublattice of Z^2.
-
-    The determinant must be nonzero: a rank-deficient matrix does not
-    give a finite quotient, hence no compact torus.
-    """
-
+class _MatEntries(NamedTuple):
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self) -> None:
-        for entry in (self.a, self.b, self.c, self.d):
-            if not isinstance(entry, int):
+
+class SublatticeMat(_MatEntries):
+    """Rows (a, b) and (c, d) span a finite-index sublattice of Z^2.
+
+    The determinant must be nonzero: a rank-deficient matrix does not
+    give a finite quotient, hence no compact torus.  Every way of making
+    one (the constructor, `_make`, `_replace`, copy and pickle) runs the
+    checks in `__new__`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int, d: int) -> "SublatticeMat":
+        for entry in (a, b, c, d):
+            if type(entry) is not int:  # so True and 3.0 are refused too
                 raise TypeError(f"matrix entries must be ints, got {entry!r}")
             if abs(entry) > MAX_ENTRY:
                 raise ValueError(f"matrix entry {entry} exceeds bound {MAX_ENTRY}")
-        if self.a * self.d - self.b * self.c == 0:
+        if a * d - b * c == 0:
             raise ValueError("singular matrix does not define a finite-index sublattice")
+        return tuple.__new__(cls, (a, b, c, d))
+
+    @classmethod
+    def _make(cls, iterable) -> "SublatticeMat":
+        return cls(*iterable)
+
+    # The hot methods unpack the entries once: reading a NamedTuple field
+    # by name costs about twice as much as an unpacked local.
 
     @property
     def rows(self) -> tuple[Vec, Vec]:
-        return (self.a, self.b), (self.c, self.d)
+        a, b, c, d = self
+        return (a, b), (c, d)
 
     def det(self) -> int:
-        return self.a * self.d - self.b * self.c
+        a, b, c, d = self
+        return a * d - b * c
 
     def index(self) -> int:
         """Index of the sublattice in Z^2, i.e. |det|."""
@@ -55,11 +70,10 @@ class SublatticeMat:
     def contains(self, v: Vec) -> bool:
         """Membership test: is v an integer combination of the rows?"""
         x, y = v
-        det = self.det()
+        a, b, c, d = self
+        det = a * d - b * c
         # Solve (p, q) @ rows = v by Cramer; membership iff both are integral.
-        p_num = x * self.d - y * self.c
-        q_num = y * self.a - x * self.b
-        return p_num % det == 0 and q_num % det == 0
+        return (x * d - y * c) % det == 0 and (y * a - x * b) % det == 0
 
     def preserved_by(self, r: tuple[Vec, Vec]) -> bool:
         """Does the integer matrix r map the lattice into itself?  Tested
@@ -181,8 +195,7 @@ def _inv_unimodular(v: list[list[int]]) -> list[list[int]]:
     return [[d * v[1][1], -d * v[0][1]], [-d * v[1][0], d * v[0][0]]]
 
 
-@dataclass(frozen=True)
-class CosetSystem:
+class CosetSystem(NamedTuple):
     """Coset bookkeeping for Z^2 modulo the row lattice of `mat`.
 
     `representatives` is a fixed tuple of |det| vectors, one per coset,
@@ -207,9 +220,8 @@ class CosetSystem:
         (i, j), and the map is additive, so a translation moves every
         coset by one fixed box shift."""
         x, y = vec
-        w1 = x * self.v[0][0] + y * self.v[1][0]
-        w2 = x * self.v[0][1] + y * self.v[1][1]
-        return w1 % self.s1, w2 % self.s2
+        (v00, v01), (v10, v11) = self.v
+        return (x * v00 + y * v10) % self.s1, (x * v01 + y * v11) % self.s2
 
     def index_of(self, vec: Vec) -> int:
         i, j = self.box_coords(vec)

@@ -43,10 +43,10 @@ edge or face that the cyclic garbage collector tracks.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, islice
 from operator import eq, sub
+from typing import NamedTuple
 
 from .lattice import CosetSystem, SublatticeMat, cosets
 from .tilings import TilingId, dihedral, template
@@ -60,8 +60,7 @@ IVec = tuple[int, int]
 MAX_FLAGS = 4_000_000
 
 
-@dataclass(frozen=True)
-class QuotientSpec:
+class QuotientSpec(NamedTuple):
     """A toroidal map given as (tiling, sublattice): the quotient of the
     tiling by the row lattice of the matrix."""
 
@@ -371,8 +370,7 @@ def face_cycle(m: FlagMap, v: int) -> tuple[int, ...]:
     return tuple(m.face_sizes[m.dart_face_left[d]] for d in m.vertex_darts[v])
 
 
-@dataclass(frozen=True)
-class VertexTypeSig:
+class VertexTypeSig(NamedTuple):
     """Canonical cyclic run-length signature of a face-size cycle.
 
     Canonical means lexicographically least over all rotations of the

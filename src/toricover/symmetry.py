@@ -28,15 +28,14 @@ keep the scan, the independent path.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattice import enumerate_hnf
 from .map_core import FlagMap, QuotientSpec, _anchors, build_quotient
 from .tilings import TilingId, full_point_group, rep_orbits, template
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     """Orbits per rep.  Vertex v is rep v // ncos (build_quotient), and
     the translations are transitive on a rep's vertices, so each vertex
     orbit is the vertices of one of the rep_orbits.  A map without a

@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 Vec2 = tuple[float, float]
 IVec = tuple[int, int]
@@ -133,8 +132,7 @@ _REP_COUNTS: dict[TilingId, int] = {
 }
 
 
-@dataclass(frozen=True)
-class PointGroupElem:
+class PointGroupElem(NamedTuple):
     """A point symmetry acting on template data.
 
     Vertex action: (r, w) -> (sigma[r], R @ w + shifts[r]) with w the
@@ -173,8 +171,7 @@ class PointGroupElem:
         return t, (hx - tx, hy - ty)
 
 
-@dataclass(frozen=True)
-class TilingTemplate:
+class TilingTemplate(NamedTuple):
     id: TilingId
     rep_names: tuple[str, ...]
     rep_pos: tuple[Vec2, ...]
@@ -237,8 +234,7 @@ def _polar(radius: float, deg: float) -> Vec2:
     return (radius * math.cos(r), radius * math.sin(r))
 
 
-@dataclass(frozen=True)
-class _Seed:
+class _Seed(NamedTuple):
     basis_a: Vec2
     basis_b: Vec2
     reps: tuple[Vec2, ...]
@@ -331,19 +327,23 @@ def _apply_mat(m: tuple[Vec2, Vec2], p: Vec2) -> Vec2:
 
 
 def _derive_neighbors(seed: _Seed) -> tuple[tuple[Dart, ...], ...]:
-    out = []
+    (ax, ay), (bx, by) = seed.basis_a, seed.basis_b
     span = range(-2, 3)
-    for rp in seed.reps:
+    # The 25 cell offsets and their two terms, summed in the order
+    # other + ia·A + ib·B so every candidate point is the same float.
+    shifts = [((ia, ib), ia * ax, ib * bx, ia * ay, ib * by) for ia in span for ib in span]
+    # |d − 1| < tol implies |d² − 1| < 3·tol, so the cheap squared test
+    # only drops candidates that the hypot test would reject.
+    loose = 3 * _MATCH_TOL
+    out = []
+    for rx, ry in seed.reps:
         darts: list[tuple[float, Dart]] = []
-        for j, other in enumerate(seed.reps):
-            for ia in span:
-                for ib in span:
-                    qx = other[0] + ia * seed.basis_a[0] + ib * seed.basis_b[0]
-                    qy = other[1] + ia * seed.basis_a[1] + ib * seed.basis_b[1]
-                    dx, dy = qx - rp[0], qy - rp[1]
-                    if abs(math.hypot(dx, dy) - 1.0) < _MATCH_TOL:
-                        angle = math.atan2(dy, dx) % (2.0 * math.pi)
-                        darts.append((angle, (j, (ia, ib))))
+        for j, (ox, oy) in enumerate(seed.reps):
+            for cell, sax, sbx, say, sby in shifts:
+                dx, dy = ox + sax + sbx - rx, oy + say + sby - ry
+                if abs(dx * dx + dy * dy - 1.0) < loose and abs(math.hypot(dx, dy) - 1.0) < _MATCH_TOL:
+                    angle = math.atan2(dy, dx) % (2.0 * math.pi)
+                    darts.append((angle, (j, cell)))
         darts.sort(key=lambda t: t[0])
         out.append(tuple(d for _, d in darts))
     return tuple(out)
@@ -379,7 +379,7 @@ def _affine_element(
     except ValueError:
         return None
     kind = "reflection" if elem.reverses_orientation else "rotation"
-    return replace(elem, kind=kind, order=_order(elem), slot_maps=slot_maps)
+    return elem._replace(kind=kind, order=_order(elem), slot_maps=slot_maps)
 
 
 def _derive_point_group(
@@ -391,7 +391,7 @@ def _derive_point_group(
         elem = _affine_element(seed.basis_a, seed.basis_b, seed.reps, neighbors, mat, (0.0, 0.0))
         if elem is None:
             raise AssertionError(f"seed generator {k}: not a symmetry of the seed")
-        elems.append(replace(elem, name="mirror" if elem.kind == "reflection" else f"rot{elem.order}"))
+        elems.append(elem._replace(name="mirror" if elem.kind == "reflection" else f"rot{elem.order}"))
     return tuple(elems)
 
 
@@ -421,7 +421,7 @@ def full_point_group(tiling: TilingId) -> tuple[PointGroupElem, ...]:
             elem = _affine_element(tpl.basis_a, tpl.basis_b, tpl.rep_pos, tpl.neighbors, g, (x - gx, y - gy))
             if elem is None:
                 continue
-            elem = replace(elem, name=f"g{len(elems)}")
+            elem = elem._replace(name=f"g{len(elems)}")
             problems = _validate_element(tpl, elem)
             if problems:
                 raise AssertionError(f"element derived for {tiling.code} is not a tiling symmetry: {problems}")

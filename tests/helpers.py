@@ -4,20 +4,21 @@ constructor, the per-vertex local-isomorphism stage of verify_covering,
 the per-face polyhedrality scan, the flag-extension search between two
 maps (isomorphisms, the whole automorphism group, one vertex pair), the
 tiling group G/T read off the flag engine, the vertex orbits of an orbit
-report, and group-element arithmetic on automorphisms given as flag
-lists (the image of each flag)."""
+report, group-element arithmetic on automorphisms given as flag lists
+(the image of each flag), and the hypot scan that derives a seed's
+neighbours."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
-from dataclasses import replace
 from itertools import accumulate, chain
 
 from toricover import CoverCertificate, FlagMap, QuotientSpec, TilingId, build_quotient, template
 from toricover.lattice import cosets, scaled_identity
 from toricover.map_core import _anchors
 from toricover.symmetry import OrbitReport, _candidate_keys, _translation_cell, flag_extension
-from toricover.tilings import IVec, PointGroupElem, TilingTemplate, _order, dihedral
+from toricover.tilings import _MATCH_TOL, Dart, IVec, PointGroupElem, TilingTemplate, _order, _Seed, dihedral
 
 
 def from_faces(faces: list[list[int]]) -> FlagMap:
@@ -85,7 +86,7 @@ def corrupt_dart(tpl: TilingTemplate, rep: int, slot: int, offset: IVec) -> Tili
     darts = [list(d) for d in tpl.neighbors]
     s, _ = darts[rep][slot]
     darts[rep][slot] = (s, offset)
-    return replace(tpl, neighbors=tuple(tuple(d) for d in darts))
+    return tpl._replace(neighbors=tuple(tuple(d) for d in darts))
 
 
 def reference_quotient(spec: QuotientSpec) -> tuple[tuple, list[int], list[int], list[tuple[int, ...]]]:
@@ -415,7 +416,7 @@ def probe_point_group(tiling: TilingId) -> list[PointGroupElem]:
             slot_maps=tuple(tuple(x // 2 % deg for x in row) for row in rows),
         )
         kind = "reflection" if elem.reverses_orientation else "rotation"
-        elems.append(replace(elem, kind=kind, order=_order(elem)))
+        elems.append(elem._replace(kind=kind, order=_order(elem)))
     return elems
 
 
@@ -440,3 +441,25 @@ def order(g: list[int]) -> int:
     while not is_identity(cur):
         cur, n = compose(cur, g), n + 1
     return n
+
+
+def reference_neighbors(seed: _Seed) -> tuple[tuple[Dart, ...], ...]:
+    """Per rep, the darts to every vertex at distance 1 within two cells,
+    sorted by angle: one hypot per rep pair and cell offset.  The oracle
+    for tilings._derive_neighbors."""
+    out = []
+    span = range(-2, 3)
+    for rp in seed.reps:
+        darts: list[tuple[float, Dart]] = []
+        for j, other in enumerate(seed.reps):
+            for ia in span:
+                for ib in span:
+                    qx = other[0] + ia * seed.basis_a[0] + ib * seed.basis_b[0]
+                    qy = other[1] + ia * seed.basis_a[1] + ib * seed.basis_b[1]
+                    dx, dy = qx - rp[0], qy - rp[1]
+                    if abs(math.hypot(dx, dy) - 1.0) < _MATCH_TOL:
+                        angle = math.atan2(dy, dx) % (2.0 * math.pi)
+                        darts.append((angle, (j, (ia, ib))))
+        darts.sort(key=lambda t: t[0])
+        out.append(tuple(d for _, d in darts))
+    return tuple(out)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import dataclasses
 import functools
 import hashlib
 import io
@@ -675,7 +674,7 @@ def same_meaning(doc: dict, original: dict) -> bool:
     want = certificate_from_dict(original)
     k = want.base_mat
     same_lattice = cert.base_mat.index() == k.index() and all(map(k.contains, cert.base_mat.rows))
-    return same_lattice and dataclasses.replace(cert, base_mat=k) == want
+    return same_lattice and cert._replace(base_mat=k) == want
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

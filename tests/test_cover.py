@@ -4,7 +4,6 @@ descent of tiling symmetries to lattice-preserving quotients."""
 from __future__ import annotations
 
 import copy
-import dataclasses
 import functools
 
 import pytest
@@ -189,7 +188,7 @@ def test_cover_maps_refuses_a_cover_whose_rotations_start_elsewhere(monkeypatch)
 
 def test_verify_rejects_non_scalar_cover_matrix():
     y, x, cert = cover_maps(spec_of("E1", (1, 0, 0, 2)))
-    bad = dataclasses.replace(cert, cover_mat=SublatticeMat(2, 1, 0, 2))
+    bad = cert._replace(cover_mat=SublatticeMat(2, 1, 0, 2))
     report = verify_covering(y, x, bad)
     assert not report.ok and report.failure.startswith("arithmetic")
     assert report.checks_passed == ()
@@ -197,7 +196,7 @@ def test_verify_rejects_non_scalar_cover_matrix():
 
 def test_verify_rejects_wrong_fold():
     y, x, cert = cover_maps(spec_of("E1", (1, 0, 0, 2)))
-    report = verify_covering(y, x, dataclasses.replace(cert, fold=3))
+    report = verify_covering(y, x, cert._replace(fold=3))
     assert not report.ok and report.failure.startswith("arithmetic")
 
 
@@ -205,7 +204,7 @@ def test_verify_rejects_cover_lattice_outside_base_lattice():
     # m = 2, n = 1 passes n·|det| = m² over (1, 0; 0, 4), but (0, 2) of
     # 2·I is not in the base lattice.
     y, x, cert = cover_maps(spec_of("T4444", (1, 0, 0, 4)))
-    bad = dataclasses.replace(cert, exponent=2, fold=1, cover_mat=scaled_identity(2))
+    bad = cert._replace(exponent=2, fold=1, cover_mat=scaled_identity(2))
     report = verify_covering(y, x, bad)
     assert report.failure == "arithmetic: cover lattice is not inside the base lattice"
     assert report.checks_passed == ()
@@ -213,7 +212,7 @@ def test_verify_rejects_cover_lattice_outside_base_lattice():
 
 def test_verify_rejects_truncated_map():
     y, x, cert = cover_maps(spec_of("E1", (1, 0, 0, 2)))
-    bad = dataclasses.replace(cert, vertex_map=cert.vertex_map[:-1])
+    bad = cert._replace(vertex_map=cert.vertex_map[:-1])
     report = verify_covering(y, x, bad)
     assert report.failure.startswith("shape")
     assert report.checks_passed == ("arithmetic",)
@@ -224,7 +223,7 @@ def test_verify_rejects_unbalanced_fibers():
     vm = list(cert.vertex_map)
     other = next(i for i in range(1, len(vm)) if vm[i] != vm[0])
     vm[other] = vm[0]
-    report = verify_covering(y, x, dataclasses.replace(cert, vertex_map=tuple(vm)))
+    report = verify_covering(y, x, cert._replace(vertex_map=tuple(vm)))
     assert report.failure.startswith("fibers")
     assert report.checks_passed == ("arithmetic", "shape")
 
@@ -234,7 +233,7 @@ def test_verify_rejects_broken_adjacency():
     vm = list(cert.vertex_map)
     other = next(i for i in range(1, len(vm)) if vm[i] != vm[0])
     vm[0], vm[other] = vm[other], vm[0]
-    report = verify_covering(y, x, dataclasses.replace(cert, vertex_map=tuple(vm)))
+    report = verify_covering(y, x, cert._replace(vertex_map=tuple(vm)))
     assert report.failure.startswith("adjacency")
     assert report.checks_passed == ("arithmetic", "shape", "fibers")
 
@@ -249,7 +248,7 @@ def test_verify_rejects_face_size_change():
     fm = list(cert.face_map)
     i, j = fm.index(sq), fm.index(oc)
     fm[i], fm[j] = fm[j], fm[i]
-    report = verify_covering(y, x, dataclasses.replace(cert, face_map=tuple(fm)))
+    report = verify_covering(y, x, cert._replace(face_map=tuple(fm)))
     assert report.failure.startswith("faces")
     assert report.checks_passed == ("arithmetic", "shape", "fibers", "adjacency")
 
@@ -273,10 +272,10 @@ def test_verify_rejects_broken_rotation_order():
     em = list(cert.edge_map)
     i, j = em.index(pair[0]), em.index(pair[1])
     em[i], em[j] = em[j], em[i]
-    report = verify_covering(y, x, dataclasses.replace(cert, edge_map=tuple(em)))
+    report = verify_covering(y, x, cert._replace(edge_map=tuple(em)))
     assert report.failure.startswith("local")
     assert report.checks_passed == ("arithmetic", "shape", "fibers", "adjacency", "faces")
-    assert_local_stage_matches_reference(y, x, dataclasses.replace(cert, edge_map=tuple(em)))
+    assert_local_stage_matches_reference(y, x, cert._replace(edge_map=tuple(em)))
 
 
 def test_verify_checks_every_preimage_against_its_dihedral_set():
@@ -297,7 +296,7 @@ def test_verify_checks_every_preimage_against_its_dihedral_set():
     vm = [gv[v] for v in cert.vertex_map]
     em = [ge[e] for e in cert.edge_map]
     fm = tuple(gf[f] for f in cert.face_map)
-    turned = dataclasses.replace(cert, vertex_map=tuple(vm), edge_map=tuple(em), face_map=fm)
+    turned = cert._replace(vertex_map=tuple(vm), edge_map=tuple(em), face_map=fm)
     assert verify_covering(y, x, turned).ok
     assert_local_stage_matches_reference(y, x, turned)
 
@@ -323,12 +322,12 @@ def test_verify_checks_every_preimage_against_its_dihedral_set():
     )
     e, f = swap
     em[e], em[f] = em[f], em[e]
-    report = verify_covering(y, x, dataclasses.replace(turned, edge_map=tuple(em)))
+    report = verify_covering(y, x, turned._replace(edge_map=tuple(em)))
     assert report.failure.startswith("local")
     assert report.checks_passed == ("arithmetic", "shape", "fibers", "adjacency", "faces")
     broken = int(report.failure.split("vertex ")[1].split()[0])
     assert broken in late
-    assert_local_stage_matches_reference(y, x, dataclasses.replace(turned, edge_map=tuple(em)))
+    assert_local_stage_matches_reference(y, x, turned._replace(edge_map=tuple(em)))
 
 
 # --- the local-isomorphism stage against the per-vertex reference ---
@@ -365,7 +364,7 @@ def test_local_stage_matches_reference_when_a_degree_differs():
     y = FlagMap([2, 3, 0, 1, 5, 4, 7, 6], [(0, 1), (2, 4, 6, 3, 5, 7)])
     assert (y.n_edges, y.face_sizes, x.n_vertices) == (4, (4, 4), 1)
     _, _, cert = cover_maps(spec_of("T4444", (1, 0, 0, 2)))
-    bad = dataclasses.replace(cert, vertex_map=(0, 0), edge_map=(0, 1, 0, 1), face_map=(0, 0))
+    bad = cert._replace(vertex_map=(0, 0), edge_map=(0, 1, 0, 1), face_map=(0, 0))
     assert_local_stage_matches_reference(y, x, bad)
     assert verify_covering(y, x, bad).failure == "local: face-cycle at vertex 0 does not match vertex 0"
 
@@ -429,7 +428,7 @@ def test_local_stage_matches_reference_on_mutated_maps(data):
         if mates:
             g = data.draw(st.sampled_from(mates))
             fm[f], fm[g] = fm[g], fm[f]
-    mutated = dataclasses.replace(cert, vertex_map=tuple(vm), edge_map=tuple(em), face_map=tuple(fm))
+    mutated = cert._replace(vertex_map=tuple(vm), edge_map=tuple(em), face_map=tuple(fm))
     assert_local_stage_matches_reference(y, x, mutated)
 
 
@@ -451,7 +450,7 @@ def test_a_rotated_cycle_fails_the_column_tier_and_passes_the_per_vertex_tier():
     assert turned.slot_degree == deg
     em = [cert.edge_map[y.dart_edge[old[d]]] for d in turned.edge_dart]
     fm = [cert.face_map[y.dart_face_left[old[turned.face_walks[i]]]] for i in turned.face_offsets[:-1]]
-    moved = dataclasses.replace(cert, edge_map=tuple(em), face_map=tuple(fm))
+    moved = cert._replace(edge_map=tuple(em), face_map=tuple(fm))
     vm = cert.vertex_map
     assert _slot_columns_match(y, x, vm, cert.edge_map, cert.face_map)
     assert not _slot_columns_match(turned, x, vm, em, fm)
@@ -477,7 +476,7 @@ def test_local_stage_matches_reference_when_images_swap_within_a_slot_column(cod
         if em[e] != em[f] and x_ends[em[e]] == x_ends[em[f]]
     )
     em[e], em[f] = em[f], em[e]
-    swapped = dataclasses.replace(cert, edge_map=tuple(em))
+    swapped = cert._replace(edge_map=tuple(em))
     assert not _slot_columns_match(y, x, cert.vertex_map, em, cert.face_map)
     assert verify_covering(y, x, swapped).ok == (code == "T666")
     assert_local_stage_matches_reference(y, x, swapped)
@@ -489,7 +488,7 @@ def test_local_stage_matches_reference_when_images_swap_within_a_slot_column(cod
 def test_verify_rejects_false_area_claim(area):
     y, x, cert = cover_maps(spec_of("T4444", (1, 0, 0, 2)))
     assert (cert.area_value, cert.area_factor) == (2, "1")
-    bad = dataclasses.replace(cert, area_value=area[0], area_factor=area[1])
+    bad = cert._replace(area_value=area[0], area_factor=area[1])
     report = verify_covering(y, x, bad)
     assert not report.ok and report.failure.startswith("arithmetic: area")
     assert report.checks_passed == ()
@@ -501,13 +500,13 @@ def test_verify_rejects_false_polyhedral_claim(field):
     # parallel edges.  Neither is polyhedral, so a True claim is false.
     y, x, cert = cover_maps(spec_of("T4444", (1, 0, 0, 2)))
     assert (cert.base_polyhedral, cert.cover_polyhedral) == (False, False)
-    report = verify_covering(y, x, dataclasses.replace(cert, **{field: True}))
+    report = verify_covering(y, x, cert._replace(**{field: True}))
     assert not report.ok and report.failure.startswith("faces: certificate claims")
     assert report.checks_passed == ("arithmetic", "shape", "fibers", "adjacency")
     # and a polyhedral map claimed non-polyhedral
     y, x, cert = cover_maps(spec_of("T4444", (3, 0, 0, 3)))
     assert cert.base_polyhedral and cert.cover_polyhedral
-    report = verify_covering(y, x, dataclasses.replace(cert, **{field: False}))
+    report = verify_covering(y, x, cert._replace(**{field: False}))
     assert not report.ok and report.failure.startswith("faces: certificate claims")
 
 
@@ -546,7 +545,7 @@ def test_descend_refuses_an_element_that_is_not_a_symmetry():
     rho = template(spec.tiling).point_group[0]
     row = list(rho.slot_maps[0])
     row[0], row[1] = row[1], row[0]
-    bad = dataclasses.replace(rho, slot_maps=(tuple(row), *rho.slot_maps[1:]))
+    bad = rho._replace(slot_maps=(tuple(row), *rho.slot_maps[1:]))
     m = build_quotient(spec)
     with pytest.raises(RuntimeError, match="not a map automorphism"):
         descend(m, bad)

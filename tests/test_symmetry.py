@@ -7,7 +7,6 @@ directly, with no reliance on the orbit bookkeeping under test.
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import tracemalloc
 from itertools import chain
@@ -279,14 +278,14 @@ def _corruptions(elem):
     is still a symmetry and is not among them."""
     row = list(elem.slot_maps[0])
     row[0], row[1] = row[1], row[0]
-    yield "slot map", dataclasses.replace(elem, slot_maps=(tuple(row), *elem.slot_maps[1:]))
+    yield "slot map", elem._replace(slot_maps=(tuple(row), *elem.slot_maps[1:]))
     (a, b), (c, d) = elem.matrix
-    yield "matrix", dataclasses.replace(elem, matrix=((-a, -b), (-c, -d)))
+    yield "matrix", elem._replace(matrix=((-a, -b), (-c, -d)))
     if len(elem.sigma) > 1:
         sigma = (elem.sigma[1], elem.sigma[0], *elem.sigma[2:])
-        yield "sigma", dataclasses.replace(elem, sigma=sigma)
+        yield "sigma", elem._replace(sigma=sigma)
         x, y = elem.shifts[-1]
-        yield "shift", dataclasses.replace(elem, shifts=(*elem.shifts[:-1], (x + 1, y)))
+        yield "shift", elem._replace(shifts=(*elem.shifts[:-1], (x + 1, y)))
 
 
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)

@@ -7,7 +7,10 @@ from __future__ import annotations
 import pytest
 
 from toricover.tilings import (
+    _MATCH_TOL,
     TilingId,
+    _derive_neighbors,
+    _seed,
     face_sizes_at_rep,
     full_point_group,
     parse_tiling,
@@ -17,7 +20,7 @@ from toricover.tilings import (
     validate_template,
 )
 
-from helpers import corrupt_dart
+from helpers import corrupt_dart, reference_neighbors
 
 REP_COUNTS = {
     TilingId.TRIANGULAR: 1,
@@ -208,3 +211,42 @@ def test_template_as_dict_shape():
 
 def test_templates_are_cached():
     assert template(TilingId.SQUARE) is template(TilingId.SQUARE)
+
+
+def _moved(seed, rep: int, dx: float, dy: float):
+    reps = list(seed.reps)
+    x, y = reps[rep]
+    reps[rep] = (x + dx, y + dy)
+    return seed._replace(reps=tuple(reps))
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.value)
+def test_derive_neighbors_matches_the_hypot_scan(tid):
+    seed = _seed(tid)
+    assert _derive_neighbors(seed) == reference_neighbors(seed) == template(tid).neighbors
+
+
+def test_derive_neighbors_matches_the_hypot_scan_near_the_tolerance():
+    # Rep 0 moved by 0.9·tol keeps every neighbour (a dart at angle 0 may
+    # wrap to the end of its rotation), and by 1.1·tol loses those within
+    # about 25 degrees of the move; the squared-distance prefilter must
+    # not change either decision.
+    def dart_sets(neighbors):
+        return [set(darts) for darts in neighbors]
+
+    dropped = 0
+    for tid in TilingId:
+        seed = _seed(tid)
+        for factor in (0.9, 1.1):
+            for sign in (1, -1):
+                delta = sign * factor * _MATCH_TOL
+                for dx, dy in ((delta, 0.0), (0.0, delta)):
+                    moved = _moved(seed, 0, dx, dy)
+                    got = _derive_neighbors(moved)
+                    assert got == reference_neighbors(moved), (tid, factor, dx, dy)
+                    kept = dart_sets(got) == dart_sets(template(tid).neighbors)
+                    if factor < 1:
+                        assert kept, (tid, dx, dy)
+                    else:
+                        dropped += not kept
+    assert dropped > 0
