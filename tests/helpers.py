@@ -1,6 +1,7 @@
 """Test-only constructions: maps from face lists, corrupted templates,
 per-dart reference tables for quotient maps and for the FlagMap
-constructor, the per-vertex local-isomorphism stage of verify_covering,
+constructor, the per-edge adjacency and per-vertex local-isomorphism
+stages of verify_covering,
 the per-face polyhedrality scan, the flag-extension search between two
 maps (isomorphisms, the whole automorphism group, one vertex pair), the
 tiling group G/T read off the flag engine, the vertex orbits of an orbit
@@ -171,6 +172,20 @@ def reference_map_tables(dart_rev: list[int], vertex_darts: list[tuple[int, ...]
         "face_offsets": [0, *accumulate(map(len, face_darts))],
         "face_sizes": tuple(len(w) for w in face_darts),
     }
+
+
+def reference_adjacency(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> str | None:
+    """The failure message of verify_covering's adjacency stage, or None
+    if the stage passes, decided edge by edge: the ends of each Y-edge
+    must map onto the ends of its image, in either order.  The oracle for
+    that stage, which compares whole dart tables first."""
+    vm, em = cert.vertex_map, cert.edge_map
+    for e in range(y.n_edges):
+        u, w = y.edge_endpoints(e)
+        xu, xw = x.edge_endpoints(em[e])
+        if sorted((vm[u], vm[w])) != sorted((xu, xw)):
+            return f"adjacency: edge {e} endpoints map to non-endpoints"
+    return None
 
 
 def reference_local_isomorphism(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> str | None:

@@ -25,12 +25,20 @@ from toricover import (
     verify_covering,
     vt_cover,
 )
-from toricover.cover import _slot_columns_match, torus_area
+from toricover import cover as cover_module
+from toricover.cover import _dart_projection, torus_area
 from toricover.lattice import cover_exponent, scaled_identity
 from toricover.map_core import is_automorphism
 from toricover.tilings import translation
 
-from helpers import compose, inverse, is_identity, order, reference_local_isomorphism
+from helpers import (
+    compose,
+    inverse,
+    is_identity,
+    order,
+    reference_adjacency,
+    reference_local_isomorphism,
+)
 
 VT_FLAG_CAP = 800
 
@@ -347,7 +355,14 @@ def assert_local_stage_matches_reference(y, x, cert) -> None:
 
 
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
-def test_local_stage_matches_reference_on_honest_certificates(tid):
+def test_local_stage_matches_reference_on_honest_certificates(tid, monkeypatch):
+    # The per-edge and per-vertex loops run only where a whole-table check
+    # fails, which never happens on an honest certificate.
+    def refuse(*args):
+        raise AssertionError("a loop ran on an honest certificate")
+
+    monkeypatch.setattr(cover_module, "_adjacency_failure", refuse)
+    monkeypatch.setattr(cover_module, "_local_failure", refuse)
     for mat in ((1, 0, 0, 2), (2, 1, 0, 3), (1, -2, 3, 1), (3, 0, 0, 3)):
         for r in (1, 2):
             y, x, cert = cover_maps(QuotientSpec(tid, SublatticeMat(*mat)), r=r)
@@ -401,16 +416,31 @@ def cover_and_symmetries(code: str, mat: tuple[int, int, int, int], r: int):
     return y, x, cert, actions
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_local_stage_matches_reference_on_mutated_maps(data):
+def draw_mutated(data, swap_vertices: bool = False):
+    """(y, x, cert): an honest certificate of a small cover, followed by
+    up to two automorphisms of X and then swaps that keep the fibers.
+    With swap_vertices, the images of up to two pairs of Y-vertices are
+    swapped first, which may break adjacency; the other swaps keep every
+    stage before the local one."""
     code, mat = data.draw(st.sampled_from(MUTATED_SPECS))
     y, x, cert, actions = cover_and_symmetries(code, mat, data.draw(st.sampled_from((1, 2))))
-    vm, em, fm = cert.vertex_map, list(cert.edge_map), list(cert.face_map)
+    vm, em, fm = list(cert.vertex_map), list(cert.edge_map), list(cert.face_map)
     # Followed by automorphisms of X the projection is still a covering,
     # but its cycles may be rotated or reflected ones of their images'.
     for gv, ge, gf in data.draw(st.lists(st.sampled_from(actions), max_size=2)):
         vm, em, fm = [gv[v] for v in vm], [ge[e] for e in em], [gf[f] for f in fm]
+    # Two Y-vertices of one rep with different images exchange them: every
+    # fiber keeps its size.  In E1, E7 and T666 every vertex of the last
+    # rep holds only the larger dart of each of its edges, so a swap there
+    # moves no edge's smaller dart and no face's first dart.
+    ncos = y.coset_system.size()
+    for _ in range(data.draw(st.integers(0, 2)) if swap_vertices else 0):
+        u = data.draw(st.integers(0, y.n_vertices - 1))
+        rep = range(u - u % ncos, u - u % ncos + ncos)
+        mates = [w for w in rep if vm[w] != vm[u]]
+        if mates:
+            w = data.draw(st.sampled_from(mates))
+            vm[u], vm[w] = vm[w], vm[u]
     # Swaps that keep every earlier stage: the images of two Y-edges whose
     # images have the same ends, and of two Y-faces whose images have the
     # same size.
@@ -428,16 +458,68 @@ def test_local_stage_matches_reference_on_mutated_maps(data):
         if mates:
             g = data.draw(st.sampled_from(mates))
             fm[f], fm[g] = fm[g], fm[f]
-    mutated = cert._replace(vertex_map=tuple(vm), edge_map=tuple(em), face_map=tuple(fm))
-    assert_local_stage_matches_reference(y, x, mutated)
+    return y, x, cert._replace(vertex_map=tuple(vm), edge_map=tuple(em), face_map=tuple(fm))
 
 
-def test_a_rotated_cycle_fails_the_column_tier_and_passes_the_per_vertex_tier():
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_local_stage_matches_reference_on_mutated_maps(data):
+    assert_local_stage_matches_reference(*draw_mutated(data))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_adjacency_and_local_stages_match_the_references_on_mutated_maps(data):
+    # The whole-table checks never accept what the per-edge and per-vertex
+    # references reject, and on a rejection the reference names the
+    # failure.  These moves keep the fibers and the face sizes.
+    y, x, cert = draw_mutated(data, swap_vertices=True)
+    report = verify_covering(y, x, cert)
+    adjacency = reference_adjacency(y, x, cert)
+    if adjacency is not None:
+        assert report == (False, adjacency, FIVE_STAGES[:3])
+        return
+    local = reference_local_isomorphism(y, x, cert)
+    assert report == (local is None, local, FIVE_STAGES + (("local-isomorphism",) if local is None else ()))
+
+
+def test_swapped_images_of_two_larger_dart_tails_fail_adjacency():
+    # Y-vertices 12 and 13 of E1's fold-2 cover hold only the larger dart
+    # of each of their edges.  With their images exchanged, every edge's
+    # smaller dart and every face's first dart still land where the
+    # certificate says; only the projection's commuting with rev fails.
+    y, x, cert = cover_maps(spec_of("E1", (1, 0, 0, 2)))
+    assert all(y.dart_rev[d] < d for v in (12, 13) for d in y.vertex_darts[v])
+    vm = list(cert.vertex_map)
+    assert vm[12] != vm[13]
+    vm[12], vm[13] = vm[13], vm[12]
+    swapped = cert._replace(vertex_map=tuple(vm))
+    want = reference_adjacency(y, x, swapped)
+    assert want is not None
+    assert verify_covering(y, x, swapped) == (False, want, FIVE_STAGES[:3])
+
+
+def projection_covers(y, x, vm, em, fm) -> bool:
+    """Whether the dart projection of the vertex map commutes with rev
+    and sends every Y dart into the X edge and the X face that the edge
+    and face maps claim for it, decided dart by dart: what the whole-table
+    checks of verify_covering accept."""
+    dmap = _dart_projection(y, x, vm)
+    return all(
+        dmap[y.dart_rev[d]] == x.dart_rev[dmap[d]]
+        and x.dart_edge[dmap[d]] == em[y.dart_edge[d]]
+        and x.dart_face_left[dmap[d]] == fm[y.dart_face_left[d]]
+        for d in range(y.n_darts)
+    )
+
+
+def test_a_rotated_cycle_fails_the_column_tier_and_passes_the_per_vertex_tier(monkeypatch):
     # Y's darts renumbered so that the rotation of vertex v starts at its
     # second dart.  The result is the same map, still in build_quotient's
     # layout, and the certificate carried along the renumbering is honest,
-    # but v's cycle is its image's turned by one slot: the slot columns
-    # differ at v alone, and the per-vertex tier finds the turn.
+    # but v's cycle is its image's turned by one slot: the dart projection
+    # breaks at v alone, so the per-edge and per-vertex loops both run, and
+    # both pass.
     y, x, cert = cover_maps(spec_of("E2", (2, 1, 0, 3)))
     deg, v = y.slot_degree, 5
     old = list(range(y.n_darts))  # new dart -> Y dart
@@ -452,19 +534,29 @@ def test_a_rotated_cycle_fails_the_column_tier_and_passes_the_per_vertex_tier():
     fm = [cert.face_map[y.dart_face_left[old[turned.face_walks[i]]]] for i in turned.face_offsets[:-1]]
     moved = cert._replace(edge_map=tuple(em), face_map=tuple(fm))
     vm = cert.vertex_map
-    assert _slot_columns_match(y, x, vm, cert.edge_map, cert.face_map)
-    assert not _slot_columns_match(turned, x, vm, em, fm)
+    assert projection_covers(y, x, vm, cert.edge_map, cert.face_map)
+    assert not projection_covers(turned, x, vm, em, fm)
+    reached = []
+
+    def recorded(name):
+        loop = getattr(cover_module, name)
+        return lambda *args: reached.append(name) or loop(*args)
+
+    for name in ("_adjacency_failure", "_local_failure"):
+        monkeypatch.setattr(cover_module, name, recorded(name))
     assert verify_covering(turned, x, moved).ok
+    assert reached == ["_adjacency_failure", "_local_failure"]
     assert_local_stage_matches_reference(turned, x, moved)
 
 
 @pytest.mark.parametrize("code, mat", MUTATED_SPECS[:2] + MUTATED_SPECS[3:5], ids=lambda p: str(p))
 def test_local_stage_matches_reference_when_images_swap_within_a_slot_column(code, mat):
     # Two Y-edges at slot k of their tails whose images have the same ends
-    # exchange images: every earlier stage still passes, and slot column k
-    # no longer matches.  These four quotients have such pairs (E1 and E7
-    # have none); on T666 / I the per-vertex tier then accepts every swap
-    # as a turn or a reflection, on the other three it rejects it.
+    # exchange images: every earlier stage still passes, and the dart
+    # projection no longer covers.  These four quotients have such pairs
+    # (E1 and E7 have none); on T666 / I the per-vertex tier then accepts
+    # every swap as a turn or a reflection, on the other three it rejects
+    # it.
     y, x, cert = cover_maps(spec_of(code, mat))
     deg, em = y.slot_degree, list(cert.edge_map)
     x_ends = [sorted(x.edge_endpoints(e)) for e in range(x.n_edges)]
@@ -477,7 +569,7 @@ def test_local_stage_matches_reference_when_images_swap_within_a_slot_column(cod
     )
     em[e], em[f] = em[f], em[e]
     swapped = cert._replace(edge_map=tuple(em))
-    assert not _slot_columns_match(y, x, cert.vertex_map, em, cert.face_map)
+    assert not projection_covers(y, x, cert.vertex_map, em, cert.face_map)
     assert verify_covering(y, x, swapped).ok == (code == "T666")
     assert_local_stage_matches_reference(y, x, swapped)
 
