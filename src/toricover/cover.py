@@ -75,16 +75,35 @@ def _int_list(value, field: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+# The keys of the certificate ("") and of its two nested objects: all
+# required and no others, as in schemas/certificate.schema.json.
+CERTIFICATE_KEYS = {
+    "": frozenset(("tiling", "M", "m", "n", "area", "vertex_map", "edge_map", "face_map", "polyhedral")),
+    "area": frozenset(("value", "factor")),
+    "polyhedral": frozenset(("X", "Y")),
+}
+
+
+def _object(value, level: str) -> dict:
+    """value if it is an object with no key outside CERTIFICATE_KEYS[level]."""
+    if type(value) is not dict:
+        raise ValueError(f"{level or 'certificate'} must be a JSON object")
+    for key in value:
+        if key not in CERTIFICATE_KEYS[level]:
+            raise ValueError(f"unknown key {key!r} in {level or 'certificate'}")
+    return value
+
+
 def certificate_from_dict(data: dict) -> CoverCertificate:
-    """Parse a certificate strictly: integers must be JSON integers and
-    the polyhedral claims JSON booleans, as the schema says."""
-    if not isinstance(data, dict):
-        raise ValueError("malformed certificate: not a JSON object")
+    """Parse a certificate strictly: integers must be JSON integers, the
+    polyhedral claims JSON booleans, and no object may hold a key the
+    schema does not list."""
     try:
+        _object(data, "")
         tiling = parse_tiling(_typed(data["tiling"], str, "tiling"))
         a, b, c, d = _int_list(data["M"], "M")
         exponent = _typed(data["m"], int, "m")
-        area, polyhedral = data["area"], data["polyhedral"]
+        area, polyhedral = _object(data["area"], "area"), _object(data["polyhedral"], "polyhedral")
         cert = CoverCertificate(
             tiling=tiling,
             base_mat=SublatticeMat(a, b, c, d),
@@ -368,15 +387,16 @@ def _local_failure(y: FlagMap, x: FlagMap, vm, em, fm) -> str | None:
     return None
 
 
-def descend(m: FlagMap, elem: PointGroupElem) -> list[int]:
+def descend(m: FlagMap, elem: PointGroupElem) -> tuple[list[int], bool]:
     """The map automorphism of X = tiling / K, a map from build_quotient,
-    induced by a tiling symmetry, as the image of each flag.
+    induced by a tiling symmetry, as (perm, reverses): the image of each
+    dart, and whether it reverses orientation (the element does).
 
     Defined exactly when R maps K into itself (then R K = K, since R is
     unimodular), so that the action on Z^2 / K is well defined:
     translations (R = I) descend to every quotient, and every point
-    symmetry to scalar ones.  The result is verified to commute with the
-    flag involutions; a failure there would mean corrupt template data
+    symmetry to scalar ones.  The result is verified with
+    `is_automorphism`; a failure there would mean corrupt template data
     and raises.
     """
     cs = m.coset_system
@@ -387,22 +407,19 @@ def descend(m: FlagMap, elem: PointGroupElem) -> list[int]:
     # Vertex v is (rep, cell) = (v // ncos, representative v % ncos), by
     # build_quotient's rep-major numbering.
     ncos, cells = cs.size(), cs.representatives
-    side = 1 if elem.reverses_orientation else 0
-    perm = [0] * m.n_flags
+    perm = [0] * m.n_darts
     for v, ds in enumerate(m.vertex_darts):
         r = v // ncos
         r2, w2 = elem.apply_vertex(r, cells[v % ncos])
         image = m.vertex_darts[m.vertex_at(r2, w2)]
         for d, k in zip(ds, elem.slot_maps[r]):
-            d2 = image[k]
-            perm[2 * d] = 2 * d2 + side
-            perm[2 * d + 1] = 2 * d2 + 1 - side
+            perm[d] = image[k]
 
-    if not is_automorphism(m, perm):
+    if not is_automorphism(m, perm, elem.reverses_orientation):
         raise RuntimeError(
             f"descended {elem.name} is not a map automorphism; template data corrupt"
         )
-    return perm
+    return perm, elem.reverses_orientation
 
 
 def torus_area(spec: QuotientSpec) -> tuple[int, str]:

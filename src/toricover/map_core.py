@@ -1,4 +1,4 @@
-"""Finite toroidal maps as flag systems.
+"""Finite toroidal maps as rotation systems.
 
 A map is stored as darts (directed edge sides).  Dart d has a tail
 vertex, a reverse dart, and a clockwise successor in the rotation at its
@@ -8,21 +8,15 @@ successor is d.  Faces are traced with the rule
     next dart of the face left of d  =  clockwise successor of rev(d)
 
 so faces are walked counterclockwise and face indexing is
-deterministic.  Flags are encoded as 2*dart + side with side 0 the face
-left of the dart and side 1 the face right of it; the three involutions
-then have closed forms:
-
-    s0 (change vertex): 2d + s  ->  2 rev(d) + (1 - s)
-    s1 (change edge):   2d + 0  ->  2 ccw(d) + 1,   2d + 1  ->  2 cw(d) + 0
-    s2 (change face):   2d + s  ->  2d + (1 - s)
-
-With this encoding s0 and s2 are fixed-point-free involutions that
-commute by construction.  The constructor takes the reverse darts and
-the rotation at each vertex, and reads each dart's tail off the
-rotation that lists it; what it has to verify is that every dart id is
-in range, that reverse is a fixed-point-free involution, that each dart
-sits in exactly one rotation, and that the map is connected (a
-union-find over the vertices, joined edge by edge).
+deterministic.  A flag is 2*dart + side, side 0 the face left of the
+dart; the map stores no flag table, and an automorphism is a dart
+permutation with one orientation bit (`is_automorphism`).  The
+constructor takes the reverse darts and the rotation at each vertex,
+and reads each dart's tail off the rotation that lists it; what it has
+to verify is that every dart id is in range, that reverse is a
+fixed-point-free involution, that each dart sits in exactly one
+rotation, and that the map is connected (a union-find over the
+vertices, joined edge by edge).
 
 When vertex v's rotation is darts v·deg … v·deg+deg−1 in order, as
 build_quotient makes it, the tail and rotation tables are filled by
@@ -35,9 +29,9 @@ an involution of ints, as build_quotient's is, the pool is the reverse
 table's own ints, so no second int is made per dart.  Each fact is
 stored once: an edge is its smaller dart (the other is its reverse), a
 face is a slice of one list of every face walk (`face_walks`, cut at
-`face_offsets`), and ccw is derived from cw by s1 when the symmetry
-engine first reads it.  So a quotient keeps no container per vertex,
-edge or face that the cyclic garbage collector tracks.
+`face_offsets`), and there is no ccw table: the orbit scan inverts cw
+when it needs one.  So a quotient keeps no container per vertex, edge or
+face that the cyclic garbage collector tracks.
 """
 
 from __future__ import annotations
@@ -55,8 +49,8 @@ IVec = tuple[int, int]
 
 # The largest map build_quotient makes.  A quotient retains about 54 bytes
 # per flag and peaks at about 67 while it is built; `analyze` (the orbit
-# scan) peaks at about 256 bytes per flag (E7 on Python 3.11), so about
-# 1 GB at this limit.
+# scan) peaks at about 68 bytes per flag over the interpreter (E7 at
+# 150·I on Python 3.11), so about 260 MiB at this limit.
 MAX_FLAGS = 4_000_000
 
 
@@ -145,37 +139,6 @@ class FlagMap:
 
         if not self._connected(ids):
             raise ValueError("map is not connected")
-
-    # Flag involutions and incidences, closed-form from the dart tables
-    # (module docstring); built on first use, since only the symmetry
-    # engine reads them.
-
-    @cached_property
-    def s0(self) -> list[int]:
-        return _interleave([2 * r + 1 for r in self.dart_rev], [2 * r for r in self.dart_rev])
-
-    @cached_property
-    def s1(self) -> list[int]:
-        # cw[d] = c means ccw[c] = d, so the even column is cw inverted.
-        cw = self.dart_cw
-        even = [0] * len(cw)
-        for d, c in enumerate(cw):
-            even[c] = 2 * d + 1
-        return _interleave(even, [2 * c for c in cw])
-
-    @cached_property
-    def s2(self) -> list[int]:
-        nf = self.n_flags
-        return _interleave(range(1, nf, 2), range(0, nf, 2))
-
-    @cached_property
-    def flag_vertex(self) -> list[int]:
-        return _interleave(self.dart_vertex, self.dart_vertex)
-
-    @cached_property
-    def flag_face(self) -> list[int]:
-        left = self.dart_face_left
-        return _interleave(left, [left[r] for r in self.dart_rev])
 
     @cached_property
     def polyhedral(self) -> bool:
@@ -297,14 +260,6 @@ def _faces(ids: list[int], rev: list[int], cw: list[int]):
     return face_of, walks, offsets
 
 
-def _interleave(even, odd) -> list[int]:
-    """The flag table with entry 2d from even[d] and 2d + 1 from odd[d]."""
-    out = [0] * (2 * len(even))
-    out[0::2] = even
-    out[1::2] = odd
-    return out
-
-
 def build_quotient(spec: QuotientSpec) -> FlagMap:
     """The quotient of the tiling by the row lattice of spec.mat.
 
@@ -352,13 +307,16 @@ def _anchors(m: FlagMap) -> range:
     return range(0, m.n_vertices, 1 if cs is None else cs.size())
 
 
-def is_automorphism(m: FlagMap, perm: Sequence[int]) -> bool:
-    """Whether the flag list perm, one image per flag, commutes with s0,
-    s1 and s2.  Such a map of a connected map onto itself is onto, so
-    it is a bijection."""
-    return len(perm) == m.n_flags and all(
-        perm[s[x]] == s[perm[x]] for s in (m.s0, m.s1, m.s2) for x in range(len(perm))
-    )
+def is_automorphism(m: FlagMap, perm: Sequence[int], reverses: bool) -> bool:
+    """Whether perm, one image per dart, commutes with rev and takes cw
+    to cw, or to ccw if reverses (as cw[perm[cw[d]]] == perm[d]).  Such a
+    map of a connected map onto itself is onto, so it is a bijection."""
+    rev, cw, at = m.dart_rev, m.dart_cw, perm.__getitem__
+    if len(perm) != m.n_darts or not all(map(eq, map(at, rev), map(rev.__getitem__, perm))):
+        return False
+    if reverses:
+        return all(map(eq, map(cw.__getitem__, map(at, cw)), perm))
+    return all(map(eq, map(at, cw), map(cw.__getitem__, perm)))
 
 
 def euler_characteristic(m: FlagMap) -> int:

@@ -1,26 +1,29 @@
-"""Map automorphisms by flag extension.
+"""Map automorphisms as dart permutations with one orientation bit.
 
-An automorphism of a connected map is determined by the image of one
-flag: choose that image and propagate through s0/s1/s2 equivariance;
-the attempt either closes into a bijection or hits a contradiction.
-The whole group, every candidate image of a fixed base flag tried in
-turn (worst case O(|flags|^2)), is the test helper
-`automorphism_group`; the library only runs the orbit scan below.
+Every map here is an oriented rotation system, so an automorphism is a
+dart permutation φ that commutes with rev, plus one bit ε (the map is
+connected): φ takes cw to cw when ε = 0, and to ccw when ε = 1 (it
+reverses orientation).  It acts on flags as 2d + s -> 2φ(d) + (s XOR ε).
+rev and cw are transitive on the darts, so the image of one dart fixes
+φ: `flag_extension` propagates it, into a bijection or a contradiction.
+The flag engine on the three flag involutions is the test oracle.
 
 The orbit scan works on translation classes.  In a quotient T/K from
-`build_quotient`, with D darts per vertex and ncos cosets, flag x lies
-in class (x // (2·D·ncos))·2D + x % 2D: the ncos flags (rep, slot,
-side), one Z²/K-orbit.  The scan first checks that the Smith-generator
-translations are the automorphisms this numbering says, then tries one
-extension of flag 0 per class, and spreads each verdict through the
-automorphisms found so far (an automorphism maps a class onto a class
-with the same verdict).  A map without a coset system is the case
-ncos = 1, one class per flag.  Results do not depend on the pruning.
+`build_quotient`, with D darts per vertex and ncos cosets, dart d lies
+in class (d // (D·ncos))·D + d % D: the ncos darts (rep, slot), one
+Z²/K-orbit.  A candidate is a class and a bit ε, scanned as index
+2·class + ε, which is the class of the flag 2d + ε.  The scan first
+checks that the Smith-generator translations are the automorphisms
+this numbering says, then tries one extension of dart 0 per candidate,
+and spreads each verdict through the automorphisms found so far (an
+automorphism maps a candidate onto a candidate with the same verdict).
+A map without a coset system is the case ncos = 1, one class per dart.
+Results do not depend on the pruning.
 
 `quotient_report` answers the same question for a quotient without
 building it: Aut(T/K) = N(K)/K, from the full group G/T of the tiling
 modulo translations, which `tilings.full_point_group` reads off the
-template's geometry once per tiling.  It needs no map and no flag
+template's geometry once per tiling.  It needs no map and no
 extension.  `search-nonvt` uses it; `analyze`, `batch` and the tests
 keep the scan, the independent path.
 """
@@ -28,6 +31,7 @@ keep the scan, the independent path.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from operator import eq
 from typing import NamedTuple
 
 from .lattice import enumerate_hnf
@@ -46,22 +50,32 @@ class OrbitReport(NamedTuple):
     group_order: int
 
 
-def flag_extension(m: FlagMap, base: int, target: int) -> list[int] | None:
-    """The unique involution-equivariant extension of base -> target, or
-    None when no automorphism of m takes base to target."""
-    n = m.n_flags
-    involutions = (m.s0, m.s1, m.s2)
-    img = [-1] * n
-    used = bytearray(n)
-    img[base] = target
-    used[target] = 1
-    stack = [base]
+def ccw_table(m: FlagMap) -> list[int]:
+    """ccw, the inverse of m's cw (FlagMap stores none): the darts, the
+    map's own ints, sorted by their cw successor."""
+    return sorted(m.dart_cw, key=m.dart_cw.__getitem__)
+
+
+def flag_extension(m: FlagMap, base: int, target: int, ccw: Sequence[int]) -> tuple[list[int], bool] | None:
+    """The automorphism of m that takes flag base to flag target, as
+    (perm, reverses): the image of each dart and the bit ε = (base XOR
+    target) & 1.  None when there is none.  ccw is `ccw_table(m)`, read
+    only when ε = 1."""
+    rev, cw = m.dart_rev, m.dart_cw
+    reverses = bool((base ^ target) & 1)
+    steps = ((rev, rev), (cw, ccw if reverses else cw))
+    x0, g0 = base >> 1, target >> 1
+    img = [-1] * len(rev)
+    used = bytearray(len(rev))
+    img[x0] = g0
+    used[g0] = 1
+    stack = [x0]
     while stack:
         x = stack.pop()
         gx = img[x]
-        for s in involutions:
+        for s, t in steps:
             y = s[x]
-            gy = s[gx]
+            gy = t[gx]
             iy = img[y]
             if iy < 0:
                 if used[gy]:
@@ -71,72 +85,82 @@ def flag_extension(m: FlagMap, base: int, target: int) -> list[int] | None:
                 stack.append(y)
             elif iy != gy:
                 return None
-    # Connectivity makes the extension total; `used` makes it injective.
-    return img
+    # rev and cw are transitive on the darts, so img is total; `used` makes it injective.
+    return img, reverses
 
 
 def _candidate_keys(m: FlagMap, flags: Iterable[int]) -> list[tuple[int, int]]:
     # An automorphism must preserve vertex degree and the size of the
     # flag's own face, so mismatched candidates are skipped up front.
-    fv, ff, vd, fs = m.flag_vertex, m.flag_face, m.vertex_darts, m.face_sizes
-    return [(len(vd[fv[x]]), fs[ff[x]]) for x in flags]
+    # Flag 2d + ε has d's tail and the face left of d, or of rev(d).
+    tail, rev, left = m.dart_vertex, m.dart_rev, m.dart_face_left
+    vd, fs = m.vertex_darts, m.face_sizes
+    return [(len(vd[tail[x >> 1]]), fs[left[rev[x >> 1] if x & 1 else x >> 1]]) for x in flags]
 
 
-def _translation_cell(m: FlagMap) -> tuple[int, int, Sequence[int]]:
+def _translation_cell(m: FlagMap, ccw: Sequence[int]) -> tuple[int, int, Sequence[int]]:
     """(ncos, cell, firsts) of a quotient: its number of translations,
-    its flags per vertex 2D and the first flag of each translation
-    class, after checking that the Smith-generator box shifts are the
+    its darts per vertex D and the first dart of each translation class,
+    after checking that the Smith-generator box shifts are the
     automorphisms the index formula says (RuntimeError otherwise).  A
-    map without a coset system gets (1, n_flags, every flag)."""
+    map without a coset system gets (1, n_darts, every dart)."""
+    nd = m.n_darts
     cs = m.coset_system
     if cs is None or cs.size() == 1:
-        return 1, m.n_flags, range(m.n_flags)
+        return 1, nd, range(nd)
     s1, s2, ncos = cs.s1, cs.s2, cs.size()
-    cell = 2 * len(m.vertex_darts[0])
+    cell = len(m.vertex_darts[0])
     block = cell * ncos
-    if m.n_flags % block:
-        raise RuntimeError(f"{m.n_flags} flags do not split into {ncos} translates")
+    if nd % block:
+        raise RuntimeError(f"{nd} darts do not split into {ncos} translates")
     for di, dj, order in ((1, 0, s1), (0, 1, s2)):
         if order == 1:
             continue
         moved = [((i + di) % s1 * s2 + (j + dj) % s2) * cell for i in range(s1) for j in range(s2)]
-        perm = [b + t + q for b in range(0, m.n_flags, block) for t in moved for q in range(cell)]
-        if flag_extension(m, 0, perm[0]) != perm:
+        perm = (b + t + q for b in range(0, nd, block) for t in moved for q in range(cell))
+        auto = flag_extension(m, 0, 2 * moved[0], ccw)
+        if auto is None or auto[1] or not all(map(eq, auto[0], perm)):
             raise RuntimeError(f"box shift ({di}, {dj}) of {cs.mat} is not an automorphism")
-    return ncos, cell, [c // cell * block + c % cell for c in range(m.n_flags // ncos)]
+    return ncos, cell, [c // cell * block + c % cell for c in range(nd // ncos)]
 
 
 def orbit_report(m: FlagMap) -> OrbitReport:
-    ncos, cell, firsts = _translation_cell(m)
+    ccw = ccw_table(m)
+    ncos, cell, firsts = _translation_cell(m, ccw)
     block = cell * ncos
+    # Candidate c is the class c >> 1 with ε = c & 1: the flag 2·first + ε.
+    candidates = range(2 * len(firsts))
+    flags = [2 * firsts[c >> 1] + (c & 1) for c in candidates]
+    keys = _candidate_keys(m, flags)
+    verdict = bytearray(len(candidates))  # 1: in the orbit of flag 0, 2: not
+    verdict[0] = 1
+    # (images of the first darts, ε) per automorphism found: all the spreading reads.
+    found: list[tuple[list[int], bool]] = []
+    sigmas: list[list[int]] = []
     # Vertex v = rep·ncos + coset, so the reps are the translation orbits,
     # and an automorphism permutes them as it moves the anchors.
     anchors = _anchors(m)
-    keys = _candidate_keys(m, firsts)
-    verdict = bytearray(len(firsts))  # 1: in the orbit of flag 0, 2: not
-    verdict[0] = 1
-    found: list[list[int]] = []
-    sigmas: list[list[int]] = []
-    fv = m.flag_vertex
-    rep_flags = [2 * m.vertex_darts[v][0] for v in anchors]
-    for c, f in enumerate(firsts):
+    tail = m.dart_vertex
+    rep_darts = [m.vertex_darts[v][0] for v in anchors]
+    for c in candidates:
         if verdict[c] or keys[c] != keys[0]:
             continue
-        img = flag_extension(m, 0, f)
-        if img is None:
+        auto = flag_extension(m, 0, flags[c], ccw)
+        if auto is None:
             verdict[c] = 2
             todo = [c]
         else:
             verdict[c] = 1
-            found.append(img)
-            sigmas.append([fv[img[x]] // ncos for x in rep_flags])
-            todo = [k for k in range(len(firsts)) if verdict[k]]
-        # An automorphism maps a class onto a class with the same verdict.
+            img, reverses = auto
+            found.append((list(map(img.__getitem__, firsts)), reverses))
+            sigmas.append([tail[img[d]] // ncos for d in rep_darts])
+            todo = [k for k in candidates if verdict[k]]
+        # An automorphism maps a candidate onto one with the same verdict.
         while todo:
             k = todo.pop()
-            for g in found:
-                y = g[firsts[k]]
-                j = y // block * cell + y % cell
+            for g, reverses in found:
+                y = g[k >> 1]
+                j = 2 * (y // block * cell + y % cell) + ((k & 1) ^ reverses)
                 if not verdict[j]:
                     verdict[j] = verdict[k]
                     todo.append(j)

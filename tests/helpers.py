@@ -2,12 +2,13 @@
 per-dart reference tables for quotient maps and for the FlagMap
 constructor, the per-edge adjacency and per-vertex local-isomorphism
 stages of verify_covering,
-the per-face polyhedrality scan, the flag-extension search between two
-maps (isomorphisms, the whole automorphism group, one vertex pair), the
-tiling group G/T read off the flag engine, the vertex orbits of an orbit
-report, group-element arithmetic on automorphisms given as flag lists
-(the image of each flag), and the hypot scan that derives a seed's
-neighbours."""
+the per-face polyhedrality scan, the flag tables of a map and the flag
+engine on them (isomorphisms, the whole automorphism group, one vertex
+pair), the tiling group G/T read off the flag engine, the conversion
+between flag lists and the library's (dart perm, reverses), the vertex
+orbits of an orbit report, group-element arithmetic on automorphisms
+given as flag or dart lists (the image of each), and the hypot scan
+that derives a seed's neighbours."""
 
 from __future__ import annotations
 
@@ -17,8 +18,7 @@ from itertools import accumulate, chain
 
 from toricover import CoverCertificate, FlagMap, QuotientSpec, TilingId, build_quotient, template
 from toricover.lattice import cosets, scaled_identity
-from toricover.map_core import _anchors
-from toricover.symmetry import OrbitReport, _candidate_keys, _translation_cell, flag_extension
+from toricover.symmetry import OrbitReport
 from toricover.tilings import _MATCH_TOL, Dart, IVec, PointGroupElem, TilingTemplate, _order, _Seed, dihedral
 
 
@@ -213,9 +213,21 @@ def reference_local_isomorphism(y: FlagMap, x: FlagMap, cert: CoverCertificate) 
 
 
 def reference_flag_tables(m: FlagMap) -> dict[str, list[int]]:
-    """s0, s1, s2 and the flag incidences filled flag by flag from the
-    closed forms in the map_core docstring, with ccw and cw read off the
-    rotations, not off the map's cw table."""
+    """The flag involutions s0, s1, s2 and the flag incidences
+    flag_vertex, flag_face, filled flag by flag, with ccw and cw read off
+    the rotations, not off the map's cw table.  The flag engine below
+    runs on them, so it shares no code with the library's dart engine.
+
+    Flag 2d + s is dart d with side s: side 0 the face left of the dart,
+    side 1 the face right of it.  The involutions have closed forms:
+
+        s0 (change vertex): 2d + s  ->  2 rev(d) + (1 - s)
+        s1 (change edge):   2d + 0  ->  2 ccw(d) + 1,   2d + 1  ->  2 cw(d) + 0
+        s2 (change face):   2d + s  ->  2d + (1 - s)
+
+    so s0 and s2 are fixed-point-free involutions that commute by
+    construction.  Flag 2d + s has d's tail, and the face left of d
+    (s = 0) or of rev(d) (s = 1)."""
     nf = m.n_flags
     ccw, cw = [0] * m.n_darts, [0] * m.n_darts
     for ds in m.vertex_darts:
@@ -230,6 +242,17 @@ def reference_flag_tables(m: FlagMap) -> dict[str, list[int]]:
         t["flag_vertex"][2 * d] = t["flag_vertex"][2 * d + 1] = m.dart_vertex[d]
         t["flag_face"][2 * d], t["flag_face"][2 * d + 1] = m.dart_face_left[d], m.dart_face_left[rd]
     return t
+
+
+def to_flags(perm: list[int], reverses: bool) -> list[int]:
+    """The flag list of the automorphism (perm, reverses) of the library:
+    2d + s -> 2 perm[d] + (s XOR reverses)."""
+    return [2 * perm[x >> 1] + ((x & 1) ^ reverses) for x in range(2 * len(perm))]
+
+
+def to_darts(g: list[int]) -> tuple[list[int], bool]:
+    """(perm, reverses) of an automorphism given as a flag list."""
+    return [x >> 1 for x in g[0::2]], bool(g[0] & 1)
 
 
 _MAX_VIOLATIONS = 20
@@ -324,12 +347,17 @@ def full_scan(m: FlagMap) -> tuple[bool, tuple[tuple[str, tuple[int, ...]], ...]
 
 def isomorphism_extension(src: FlagMap, dst: FlagMap, base: int, target: int) -> list[int] | None:
     """The unique involution-equivariant extension of base -> target from
-    src to dst, or None when no isomorphism takes base to target.  The
-    library's `flag_extension` is the case src = dst."""
-    n = src.n_flags
-    if dst.n_flags != n:
+    src to dst, or None when no isomorphism takes base to target, on the
+    maps' `reference_flag_tables`."""
+    if dst.n_flags != src.n_flags:
         return None
-    pairs = ((src.s0, dst.s0), (src.s1, dst.s1), (src.s2, dst.s2))
+    return _extend(reference_flag_tables(src), reference_flag_tables(dst), base, target)
+
+
+def _extend(ta: dict, tb: dict, base: int, target: int) -> list[int] | None:
+    """isomorphism_extension on the two maps' flag tables."""
+    n = len(ta["s0"])
+    pairs = [(ta[s], tb[s]) for s in ("s0", "s1", "s2")]
     img = [-1] * n
     used = bytearray(n)
     img[base] = target
@@ -353,30 +381,37 @@ def isomorphism_extension(src: FlagMap, dst: FlagMap, base: int, target: int) ->
     return img
 
 
+def _flag_keys(m: FlagMap, t: dict) -> list[tuple[int, int]]:
+    """Per flag, its vertex's degree and its face's size: an isomorphism
+    keeps both, so a target whose key differs from the base's is not
+    tried."""
+    return [(len(m.vertex_darts[v]), m.face_sizes[f]) for v, f in zip(t["flag_vertex"], t["flag_face"])]
+
+
 def _extensions(src: FlagMap, dst: FlagMap, base: int, targets: Iterable[int]) -> Iterator[list[int]]:
     """The extensions of base -> target that succeed, over the targets in
     order; a target whose key differs from base's is not tried."""
-    (key,) = _candidate_keys(src, (base,))
-    targets = list(targets)
-    for target, k in zip(targets, _candidate_keys(dst, targets)):
-        if k == key and (img := isomorphism_extension(src, dst, base, target)) is not None:
+    ta = reference_flag_tables(src)
+    tb = ta if dst is src else reference_flag_tables(dst)
+    key, keys = _flag_keys(src, ta)[base], _flag_keys(dst, tb)
+    for target in targets:
+        if keys[target] == key and (img := _extend(ta, tb, base, target)) is not None:
             yield img
 
 
 def are_isomorphic(m1: FlagMap, m2: FlagMap) -> list[int] | None:
     """A flag bijection m1 -> m2 commuting with the involutions, if any."""
+    if m1.n_flags != m2.n_flags:
+        return None
     return next(_extensions(m1, m2, 0, range(m2.n_flags)), None)
 
 
 def exists_automorphism_mapping(m: FlagMap, v0: int, v1: int) -> bool:
-    """Direct search for an automorphism with v0 -> v1; an independent
-    code path from the orbit machinery."""
+    """Direct search for an automorphism with v0 -> v1 on the flag
+    tables; an independent code path from the orbit machinery."""
     base = 2 * m.vertex_darts[v0][0]
-    return any(
-        flag_extension(m, base, target) is not None
-        for d in m.vertex_darts[v1]
-        for target in (2 * d, 2 * d + 1)
-    )
+    targets = [x for d in m.vertex_darts[v1] for x in (2 * d, 2 * d + 1)]
+    return next(_extensions(m, m, base, targets), None) is not None
 
 
 def vertex_orbits(m: FlagMap, report: OrbitReport) -> tuple[tuple[int, ...], ...]:
@@ -409,17 +444,21 @@ def probe_point_group(tiling: TilingId) -> list[PointGroupElem]:
     so it is the oracle for that group's completeness."""
     n, deg = _PROBE_SCALE, template(tiling).degree
     m = build_quotient(QuotientSpec(tiling, scaled_identity(n)))
-    ncos, _, firsts = _translation_cell(m)
     cells = m.coset_system.representatives
+    ncos, cell = n * n, 2 * deg
+    # The first flag of each translation class: flag (rep, slot, side) of
+    # coset 0, since vertex (rep, coset) is rep·ncos + coset.
+    firsts = [c // cell * cell * ncos + c % cell for c in range(m.n_flags // ncos)]
+    flag_vertex = reference_flag_tables(m)["flag_vertex"]
 
     def cell_of(flag: int) -> tuple[int, int]:
-        return tuple((x + n // 2) % n - n // 2 for x in cells[m.flag_vertex[flag] % ncos])
+        return tuple((x + n // 2) % n - n // 2 for x in cells[flag_vertex[flag] % ncos])
 
     elems = []
     for img in _extensions(m, m, 0, firsts):
         # Flag 0 goes to cell (0, 0), so the cells of the images of
         # (0, e1) and (0, e2) are R's columns.
-        rows = [img[2 * v * deg : 2 * (v + 1) * deg : 2] for v in _anchors(m)]
+        rows = [img[2 * v * deg : 2 * (v + 1) * deg : 2] for v in range(0, m.n_vertices, ncos)]
         cols = [cell_of(img[2 * m.vertex_at(0, e) * deg]) for e in ((1, 0), (0, 1))]
         elem = PointGroupElem(
             name=f"g{len(elems)}",

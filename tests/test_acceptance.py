@@ -36,7 +36,7 @@ from toricover.lattice import cover_exponent, enumerate_hnf
 from toricover.map_core import euler_characteristic, is_automorphism
 from toricover.tilings import translation
 
-from helpers import exists_automorphism_mapping, vertex_orbits
+from helpers import exists_automorphism_mapping, reference_flag_tables, to_flags, vertex_orbits
 
 NONTRIVIAL = [parse_tiling(f"E{i}") for i in range(1, 8)]
 TRIVIAL = [parse_tiling(c) for c in ("T333333", "T4444", "T666", "T33344")]
@@ -212,10 +212,6 @@ def test_criterion_5_cover_exponent_closed_form_vs_brute_force():
 
 
 def test_criterion_6_point_group_descends_and_acts_transitively():
-    def vertex_image(m, auto, v):
-        deg = template(m.spec.tiling).degree
-        return m.flag_vertex[auto[2 * (v * deg)]]
-
     cases = 0
     failures = []
     for tid in TilingId:
@@ -226,21 +222,22 @@ def test_criterion_6_point_group_descends_and_acts_transitively():
                 break
             spec = QuotientSpec(tid, SublatticeMat(k, 0, 0, k))
             y = _track(build_quotient(spec))
+            flag_vertex = reference_flag_tables(y)["flag_vertex"]
             autos = []
             for elem in tpl.point_group:
-                auto = descend(y, elem)  # raises if not an automorphism
-                if not is_automorphism(y, auto):
+                perm, reverses = descend(y, elem)  # raises if not an automorphism
+                if not is_automorphism(y, perm, reverses):
                     failures.append((tid.code, k, elem.name))
-                autos.append(auto)
-            autos.append(descend(y, translation(tpl, (1, 0))))
-            autos.append(descend(y, translation(tpl, (0, 1))))
+                autos.append(to_flags(perm, reverses))
+            autos.append(to_flags(*descend(y, translation(tpl, (1, 0)))))
+            autos.append(to_flags(*descend(y, translation(tpl, (0, 1)))))
             # orbit of vertex 0 under the generated group
             seen = {0}
             frontier = [0]
             while frontier:
                 v = frontier.pop()
                 for auto in autos:
-                    w = vertex_image(y, auto, v)
+                    w = flag_vertex[auto[2 * v * tpl.degree]]
                     if w not in seen:
                         seen.add(w)
                         frontier.append(w)
@@ -269,15 +266,14 @@ def test_criterion_7_euler_and_involutions_on_every_built_map():
         if n != 4 * m.n_edges:
             bad += 1
             continue
-        for s in (m.s0, m.s1, m.s2):
-            if any(s[s[t]] != t for t in range(n)):
+        t = reference_flag_tables(m)
+        s0, s2 = t["s0"], t["s2"]
+        for s in (s0, t["s1"], s2):
+            if any(s[s[x]] != x for x in range(n)):
                 bad += 1
                 break
         else:
-            if any(
-                m.s0[t] == t or m.s2[t] == t or m.s0[m.s2[t]] != m.s2[m.s0[t]]
-                for t in range(n)
-            ):
+            if any(s0[x] == x or s2[x] == x or s0[s2[x]] != s2[s0[x]] for x in range(n)):
                 bad += 1
     report(7, bad == 0, f"V-E+F = 0 and involution laws on {len(BUILT_MAPS)} built maps")
 

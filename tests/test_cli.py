@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from referencing import Registry, Resource
 
 from toricover import SublatticeMat, build_quotient, certificate_from_dict, cli, map_core, render, symmetry, tilings
+from toricover.cover import CERTIFICATE_KEYS
 from toricover.cli import main
 from toricover.lattice import cosets
 
@@ -133,6 +134,36 @@ def _cover_certificate(tmp_path) -> dict:
     out = tmp_path / "cover.json"
     assert main(["cover", "T44", "1", "0", "0", "2", "--out", str(out)]) == 0
     return json.loads(out.read_text())["certificate"]
+
+
+@pytest.mark.parametrize("path", [("vt_witness",), ("area", "unit"), ("polyhedral", "Z")], ids=str)
+def test_verify_refuses_unknown_keys(tmp_path, capsys, path):
+    # Each of these once verified with "ok": true; the schema refuses them.
+    out = tmp_path / "cover.json"
+    assert main(["cover", "E7", "-8", "-7", "-4", "3", "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())["certificate"]
+    *level, key = path
+    target = cert[level[0]] if level else cert
+    target[key] = True
+    with pytest.raises(jsonschema.ValidationError):
+        validate(cert, "certificate")
+    bad = tmp_path / "extra.json"
+    bad.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["verify", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed certificate") and repr(key) in captured.err, captured.err
+
+
+def test_certificate_keys_match_the_schema():
+    # The parser's key sets and the schema are two copies of one fact.
+    schema = load_schema("certificate")
+    levels = {"": schema, **{k: v for k, v in schema["properties"].items() if v.get("type") == "object"}}
+    assert set(levels) == set(CERTIFICATE_KEYS)
+    for level, node in levels.items():
+        assert set(node["properties"]) == set(node["required"]) == CERTIFICATE_KEYS[level], level
+        assert node["additionalProperties"] is False, level
 
 
 def test_verify_rejects_false_claims(tmp_path, capsys):
@@ -647,7 +678,10 @@ def mutations(draw, doc: dict):
     elif kind == "tiling":
         path, value = ("tiling",), draw(st.sampled_from(["E1", "E2", "E5", "E7", "T4444", "square", "3.3.4.3.4", "E9", ""]))
     elif kind == "extra":
-        path, value = ("comment",), draw(JSON_VALUES)
+        # A key the schema does not list, at any level of the certificate.
+        level = draw(st.sampled_from([(), ("area",), ("polyhedral",)]))
+        key = draw(st.sampled_from(["comment", "vt_witness", "x", "", "M "]).filter(lambda k: k not in parent_of(doc, (*level, k))))
+        path, value = (*level, key), draw(JSON_VALUES)
     else:
         path = draw(st.sampled_from(paths))
         if kind == "drop":
@@ -688,7 +722,9 @@ def test_verify_survives_certificate_mutations(tmp_path, data):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["verify", str(path)])  # any other exception is a traceback
-    if json.dumps(doc, sort_keys=True) == json.dumps(original, sort_keys=True):
+    if what.startswith("extra "):
+        assert code == 2 and "unknown key" in err.getvalue(), (what, code, err.getvalue())
+    elif json.dumps(doc, sort_keys=True) == json.dumps(original, sort_keys=True):
         assert code == 0, what
     elif code == 0:
         assert same_meaning(doc, original), what

@@ -37,7 +37,9 @@ from helpers import (
     is_identity,
     order,
     reference_adjacency,
+    reference_flag_tables,
     reference_local_isomorphism,
+    to_flags,
 )
 
 VT_FLAG_CAP = 800
@@ -297,10 +299,11 @@ def test_verify_checks_every_preimage_against_its_dihedral_set():
     spec = spec_of("T4444", (2, 0, 0, 2))
     y, x, cert = cover_maps(spec, r=2)
     assert cert.fold == 4
-    g = descend(x, template(spec.tiling).point_group[0])
-    gv = [x.flag_vertex[g[2 * ds[0]]] for ds in x.vertex_darts]
+    g = to_flags(*descend(x, template(spec.tiling).point_group[0]))
+    t = reference_flag_tables(x)
+    gv = [t["flag_vertex"][g[2 * ds[0]]] for ds in x.vertex_darts]
     ge = [x.dart_edge[g[2 * d] // 2] for d in x.edge_dart]
-    gf = [x.flag_face[g[2 * x.face_walks[i]]] for i in x.face_offsets[:-1]]
+    gf = [t["flag_face"][g[2 * x.face_walks[i]]] for i in x.face_offsets[:-1]]
     vm = [gv[v] for v in cert.vertex_map]
     em = [ge[e] for e in cert.edge_map]
     fm = tuple(gf[f] for f in cert.face_map)
@@ -406,12 +409,13 @@ def cover_and_symmetries(code: str, mat: tuple[int, int, int, int], r: int):
     tpl = template(spec.tiling)
     elems = [translation(tpl, (1, 0)), translation(tpl, (0, 1))]
     elems += [g for g in tpl.point_group if spec.mat.preserved_by(g.matrix)]
+    t = reference_flag_tables(x)
     actions = []
-    for g in (descend(x, elem) for elem in elems):
+    for g in (to_flags(*descend(x, elem)) for elem in elems):
         actions.append((
-            [x.flag_vertex[g[2 * ds[0]]] for ds in x.vertex_darts],
+            [t["flag_vertex"][g[2 * ds[0]]] for ds in x.vertex_darts],
             [x.dart_edge[g[2 * d] // 2] for d in x.edge_dart],
-            [x.flag_face[g[2 * x.face_walks[i]]] for i in x.face_offsets[:-1]],
+            [t["flag_face"][g[2 * x.face_walks[i]]] for i in x.face_offsets[:-1]],
         ))
     return y, x, cert, actions
 
@@ -610,15 +614,16 @@ def test_rotation_descends_to_scalar_quotient():
     rho = max(template(spec.tiling).point_group, key=lambda e: e.order)
     assert rho.order == 6 and rho.kind == "rotation"
     m = build_quotient(spec)
-    auto = descend(m, rho)
+    auto, reverses = descend(m, rho)
+    assert not reverses
     assert order(auto) == 6
-    assert is_automorphism(m, auto)
+    assert is_automorphism(m, auto, reverses)
 
 
 def test_reflection_descends_on_truncated_trihexagonal():
     spec = spec_of("E7", (3, 0, 0, 3))
     tau = next(e for e in template(spec.tiling).point_group if e.kind == "reflection")
-    auto = descend(build_quotient(spec), tau)
+    auto = to_flags(*descend(build_quotient(spec), tau))
     assert order(auto) == 2
     assert not is_identity(auto)
 
@@ -631,7 +636,7 @@ def test_point_group_needs_scalar_lattice():
 
 
 def test_descend_refuses_an_element_that_is_not_a_symmetry():
-    # Two slots of the rotation's slot map exchanged: the flag list it
+    # Two slots of the rotation's slot map exchanged: the dart list it
     # induces fails is_automorphism, so descend raises instead.
     spec = spec_of("E3", (2, 0, 0, 2))
     rho = template(spec.tiling).point_group[0]
@@ -641,7 +646,8 @@ def test_descend_refuses_an_element_that_is_not_a_symmetry():
     m = build_quotient(spec)
     with pytest.raises(RuntimeError, match="not a map automorphism"):
         descend(m, bad)
-    assert not is_automorphism(m, descend(m, rho)[:-1])
+    perm, reverses = descend(m, rho)
+    assert not is_automorphism(m, perm[:-1], reverses)
 
 
 def test_descend_needs_a_quotient_map():
@@ -658,8 +664,8 @@ def test_rotation_descends_to_preserved_non_scalar_lattice():
     rot4 = template(spec.tiling).point_group[0]
     assert rot4.order == 4 and rot4.kind == "rotation"
     m = build_quotient(spec)
-    auto = descend(m, rot4)
-    assert is_automorphism(m, auto)
+    auto, reverses = descend(m, rot4)
+    assert is_automorphism(m, auto, reverses)
     assert order(auto) == 4
 
 
@@ -667,13 +673,13 @@ def test_translations_descend_on_any_quotient():
     spec = spec_of("E2", (2, 1, 0, 3))
     tpl = template(spec.tiling)
     y = build_quotient(spec)
-    t10 = descend(y, translation(tpl, (1, 0)))
-    t01 = descend(y, translation(tpl, (0, 1)))
+    t10, _ = descend(y, translation(tpl, (1, 0)))
+    t01, _ = descend(y, translation(tpl, (0, 1)))
     for t in (t10, t01):
-        assert is_automorphism(y, t)
+        assert is_automorphism(y, t, False)
     # translating by a lattice vector is the identity on the quotient
-    assert is_identity(descend(y, translation(tpl, (2, 1))))
-    assert is_identity(descend(y, translation(tpl, (0, 3))))
+    assert descend(y, translation(tpl, (2, 1))) == (list(range(y.n_darts)), False)
+    assert descend(y, translation(tpl, (0, 3))) == (list(range(y.n_darts)), False)
     assert not is_identity(t10)
 
 
@@ -681,8 +687,8 @@ def test_translation_group_is_abelian_here():
     spec = spec_of("E4", (2, 0, 0, 2))
     tpl = template(spec.tiling)
     y = build_quotient(spec)
-    t10 = descend(y, translation(tpl, (1, 0)))
-    t01 = descend(y, translation(tpl, (0, 1)))
+    t10, _ = descend(y, translation(tpl, (1, 0)))
+    t01, _ = descend(y, translation(tpl, (0, 1)))
     assert compose(t10, t01) == compose(t01, t10)
     assert is_identity(compose(t10, t10))  # delta (2,0) is in the lattice
 

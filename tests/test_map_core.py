@@ -105,50 +105,38 @@ def test_euler_characteristic_zero_everywhere():
 
 def test_flag_involution_laws():
     for tid, mat, m in sweep_maps():
+        t = reference_flag_tables(m)
+        s0, s2 = t["s0"], t["s2"]
         n = m.n_flags
         assert n == 4 * m.n_edges
-        for s in (m.s0, m.s1, m.s2):
-            assert all(s[s[t]] == t for t in range(n))
+        for s in (s0, t["s1"], s2):
+            assert all(s[s[x]] == x for x in range(n))
         # s0 and s2 are fixed-point free and commute; their product is
         # a fixed-point-free involution (edges carry four distinct flags).
-        assert all(m.s0[t] != t and m.s2[t] != t for t in range(n))
-        assert all(m.s0[m.s2[t]] == m.s2[m.s0[t]] for t in range(n))
-        assert all(m.s0[m.s2[t]] != t for t in range(n))
+        assert all(s0[x] != x and s2[x] != x for x in range(n))
+        assert all(s0[s2[x]] == s2[s0[x]] for x in range(n))
+        assert all(s0[s2[x]] != x for x in range(n))
 
 
 def test_involutions_preserve_the_right_incidences():
     for _, _, m in sweep_maps():
-        for t in range(m.n_flags):
-            assert m.dart_edge[m.s0[t] // 2] == m.dart_edge[t // 2]
-            assert m.flag_face[m.s0[t]] == m.flag_face[t]
-            assert m.flag_vertex[m.s1[t]] == m.flag_vertex[t]
-            assert m.flag_face[m.s1[t]] == m.flag_face[t]
-            assert m.flag_vertex[m.s2[t]] == m.flag_vertex[t]
-            assert m.dart_edge[m.s2[t] // 2] == m.dart_edge[t // 2]
+        t = reference_flag_tables(m)
+        s0, s1, s2, fv, ff = t["s0"], t["s1"], t["s2"], t["flag_vertex"], t["flag_face"]
+        for x in range(m.n_flags):
+            assert m.dart_edge[s0[x] // 2] == m.dart_edge[x // 2]
+            assert ff[s0[x]] == ff[x]
+            assert fv[s1[x]] == fv[x]
+            assert ff[s1[x]] == ff[x]
+            assert fv[s2[x]] == fv[x]
+            assert m.dart_edge[s2[x] // 2] == m.dart_edge[x // 2]
             # s0 moves the flag to the other endpoint of its edge, s2 to
             # the face across it; those coincide only on loops and on
             # edges with the same face on both sides.
-            u, w = m.edge_endpoints(m.dart_edge[t // 2])
-            assert m.flag_vertex[m.s0[t]] == (w if m.flag_vertex[t] == u else u)
-            d = t // 2
+            u, w = m.edge_endpoints(m.dart_edge[x // 2])
+            assert fv[s0[x]] == (w if fv[x] == u else u)
+            d = x // 2
             faces = {m.dart_face_left[d], m.dart_face_left[m.dart_rev[d]]}
-            assert {m.flag_face[t], m.flag_face[m.s2[t]]} == faces
-
-
-FLAG_TABLES = ("s0", "s1", "s2", "flag_vertex", "flag_face")
-
-
-def test_flag_tables_are_built_on_first_use_and_match_closed_forms():
-    maps = [m for _, _, m in sweep_maps()]
-    base = build_quotient(QuotientSpec(TilingId.SQUARE, SublatticeMat(3, 0, 0, 3)))
-    maps.append(from_faces([list(base.face_vertices(f)) for f in range(base.n_faces)]))
-    maps.append(from_faces([[0, 1, 2], [2, 1, 0]]))
-    for m in maps:
-        assert not any(name in vars(m) for name in FLAG_TABLES), m.spec
-        want = reference_flag_tables(m)
-        for name in FLAG_TABLES:
-            assert getattr(m, name) == want[name], (m.spec, name)
-            assert getattr(m, name) is getattr(m, name)  # built once
+            assert {ff[x], ff[s2[x]]} == faces
 
 
 # --- build_quotient against the per-dart construction ---

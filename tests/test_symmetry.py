@@ -32,11 +32,11 @@ from toricover import (
 from toricover import symmetry, tilings
 from toricover.lattice import cosets, enumerate_hnf, scaled_identity
 from toricover.map_core import is_automorphism
-from toricover.symmetry import flag_extension, full_point_group
+from toricover.symmetry import ccw_table, flag_extension, full_point_group
 from toricover.tilings import _validate_element
 
 from helpers import are_isomorphic, automorphism_group, exists_automorphism_mapping, from_faces, inverse, is_identity, order
-from helpers import probe_point_group, vertex_orbits
+from helpers import isomorphism_extension, probe_point_group, reference_flag_tables, to_darts, to_flags, vertex_orbits
 from helpers import compose as compose_flags
 
 
@@ -64,7 +64,7 @@ def test_group_axioms_and_freeness():
     assert len(perms) == 24
     assert any(is_identity(g) for g in group)
     for g in group:
-        assert is_automorphism(m, g)
+        assert is_automorphism(m, *to_darts(g))
         assert tuple(inverse(g)) in perms
         assert order(g) >= 1
         # free action: only the identity fixes a flag
@@ -91,8 +91,22 @@ def test_scaled_identity_quotients_are_vertex_transitive():
 
 def test_flag_extension_identity_seed():
     m = small_map("E4", (1, 1, 0, 2))
-    perm = flag_extension(m, 0, 0)
-    assert perm == list(range(m.n_flags))
+    assert flag_extension(m, 0, 0, ccw_table(m)) == (list(range(m.n_darts)), False)
+
+
+@pytest.mark.parametrize("code, mat", [("E3", (2, 0, 0, 2)), ("E2", (1, 2, 0, 6)), ("T4444", (2, 1, 0, 5))])
+def test_flag_extension_matches_the_flag_oracle(code, mat):
+    # Every target of flag 0, both sides: the dart walk succeeds exactly
+    # when the flag engine does, with the same automorphism.
+    m = small_map(code, mat)
+    ccw = ccw_table(m)
+    for target in range(m.n_flags):
+        got = flag_extension(m, 0, target, ccw)
+        want = isomorphism_extension(m, m, 0, target)
+        assert (got is None) == (want is None), target
+        if got is not None:
+            assert to_flags(*got) == want, target
+            assert got[1] == bool(target & 1) and is_automorphism(m, *got), target
 
 
 def test_snub_square_witness_has_two_orbits():
@@ -142,10 +156,9 @@ def test_isomorphism_under_lattice_rotation():
     assert hit is not None
     perm = list(hit)
     assert sorted(perm) == list(range(m1.n_flags))
-    for t in range(m1.n_flags):
-        assert perm[m1.s0[t]] == m2.s0[perm[t]]
-        assert perm[m1.s1[t]] == m2.s1[perm[t]]
-        assert perm[m1.s2[t]] == m2.s2[perm[t]]
+    t1, t2 = reference_flag_tables(m1), reference_flag_tables(m2)
+    for name in ("s0", "s1", "s2"):
+        assert all(perm[t1[name][x]] == t2[name][perm[x]] for x in range(m1.n_flags)), name
 
 
 def test_non_isomorphic_same_size_quotients():
@@ -164,8 +177,9 @@ def orbits_by_definition(m):
     """(group order, vertex orbits, flag-orbit count) read off the full
     automorphism group, with no translation classes and no pruning."""
     group = automorphism_group(m)
+    flag_vertex = reference_flag_tables(m)["flag_vertex"]
     vertex_orbits = {
-        tuple(sorted({m.flag_vertex[g[2 * m.vertex_darts[v][0]]] for g in group}))
+        tuple(sorted({flag_vertex[g[2 * m.vertex_darts[v][0]]] for g in group}))
         for v in range(m.n_vertices)
     }
     flag_orbits = {frozenset(g[x] for g in group) for x in range(m.n_flags)}
@@ -265,11 +279,41 @@ def test_full_point_group_is_a_group_of_the_expected_order(tid):
 
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
 def test_full_point_group_descends_to_scalar_quotients(tid):
-    # descend checks that each image commutes with the flag involutions.
+    # descend checks each image with is_automorphism.
     for scale in (2, 3):
         m = build_quotient(QuotientSpec(tid, scaled_identity(scale)))
-        perms = {tuple(descend(m, g)) for g in full_point_group(tid)}
+        perms = {tuple(descend(m, g)[0]) for g in full_point_group(tid)}
         assert len(perms) == len(full_point_group(tid))
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_descended_automorphisms_commute_with_the_flag_oracle(tid):
+    # descend's (perm, reverses), expanded to flags, commutes with the
+    # three involutions of reference_flag_tables, which share no code
+    # with is_automorphism's dart check.
+    for scale in (2, 3):
+        m = build_quotient(QuotientSpec(tid, scaled_identity(scale)))
+        t = reference_flag_tables(m)
+        for elem in full_point_group(tid):
+            perm, reverses = descend(m, elem)
+            assert reverses == elem.reverses_orientation, elem.name
+            g = to_flags(perm, reverses)
+            for name in ("s0", "s1", "s2"):
+                s = t[name]
+                assert all(g[s[x]] == s[g[x]] for x in range(m.n_flags)), (elem.name, name)
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_descended_perm_with_the_other_orientation_bit_is_no_automorphism(tid):
+    # A descended perm fixes its orientation bit: with the other bit it
+    # fails is_automorphism, for rotations and reflections alike.
+    m = build_quotient(QuotientSpec(tid, scaled_identity(3)))
+    elems = full_point_group(tid)
+    assert any(not g.reverses_orientation and g.order > 1 for g in elems)
+    for elem in elems:
+        perm, reverses = descend(m, elem)
+        assert is_automorphism(m, perm, reverses), elem.name
+        assert not is_automorphism(m, perm, not reverses), elem.name
 
 
 def _corruptions(elem):
@@ -299,7 +343,7 @@ def test_corrupted_point_group_elements_are_reported(tid):
 
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
 def test_quotient_report_matches_scan_on_hermite_forms(tid):
-    for mat in enumerate_hnf(8):
+    for mat in enumerate_hnf(20):
         spec = QuotientSpec(tid, mat)
         assert quotient_report(spec) == orbit_report(build_quotient(spec)), mat
 
