@@ -22,6 +22,7 @@ import sys
 
 from . import __version__
 from .cover import (
+    CoverCertificate,
     certificate_from_dict,
     cover_maps,
     quotient_pair,
@@ -52,6 +53,9 @@ BATCH_MAX_DRAWS = 100_000
 # 10,000 with --seed 7 took 62 s and 52 MiB peak RSS for 4.9 MB of JSON
 # (69 s and 55 MiB at --max-entry 12), on 2 cores with Python 3.11.
 BATCH_MAX_SAMPLES = 10_000
+# The keys of a whole `cover` output document: all required and no
+# others, as in schemas/cover.schema.json.
+COVER_DOCUMENT_KEYS = frozenset(("command", "r", "certificate", "cover_spec", "verified"))
 
 
 _encode_leaf = json.JSONEncoder().encode
@@ -138,15 +142,40 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _verify_input(data) -> CoverCertificate:
+    """The certificate `verify` reads: data itself, or, when data holds a
+    `certificate` key, data as a whole `cover` output document.  That has
+    exactly COVER_DOCUMENT_KEYS, command "cover", an integer r of at least
+    1 and, as cover_spec, its certificate's tiling and m·I.  Its
+    `verified` report is not read: verify makes its own."""
+    if type(data) is not dict or "certificate" not in data:
+        return certificate_from_dict(data)
+    for key in data:
+        if key not in COVER_DOCUMENT_KEYS:
+            raise ValueError(f"malformed cover document: unknown key {key!r}")
+    for key in sorted(COVER_DOCUMENT_KEYS.difference(data)):
+        raise ValueError(f"malformed cover document: missing key {key!r}")
+    if data["command"] != "cover":
+        raise ValueError(f"malformed cover document: command must be 'cover', got {data['command']!r}")
+    r = data["r"]
+    if type(r) is not int or r < 1:
+        raise ValueError(f"malformed cover document: r must be an integer of at least 1, got {r!r}")
+    cert = certificate_from_dict(data["certificate"])
+    want = {"tiling": cert.tiling.value, "matrix": list(cert.cover_mat.as_tuple())}
+    spec = data["cover_spec"]
+    matrix = spec.get("matrix") if type(spec) is dict else None
+    if type(matrix) is not list or not set(map(type, matrix)) <= {int} or spec != want:
+        raise ValueError(f"malformed cover document: cover_spec {spec!r} is not the certificate's cover {want!r}")
+    return cert
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     with open(args.certificate) as fh:
         try:
             data = json.load(fh)
         except RecursionError as exc:  # a RuntimeError, which main maps to exit 3
             raise ValueError(f"malformed certificate: {exc}") from exc
-    if isinstance(data, dict) and "certificate" in data:  # a whole `cover` output document
-        data = data["certificate"]
-    cert = certificate_from_dict(data)
+    cert = _verify_input(data)
     del data  # the parsed lists go before the maps are built; cert's tuples keep the ints
     y, x = quotient_pair(cert.tiling, cert.base_mat, cert.cover_mat)
     report = verify_covering(y, x, cert)

@@ -21,12 +21,15 @@ vertices, joined edge by edge).
 When vertex v's rotation is darts v·deg … v·deg+deg−1 in order, as
 build_quotient makes it, the tail and rotation tables are filled by
 columns, one slot of every vertex at a time, instead of vertex by
-vertex, and the caller's rotations are kept (build_quotient's are
-ranges); in any other layout the rotations are tuples.  The dart ids in
-the tables come from one pool, one int object per dart, as do those of
-the reverse, edge and face tables of any map.  When the reverse table is
-an involution of ints, as build_quotient's is, the pool is the reverse
-table's own ints, so no second int is made per dart.  Each fact is
+vertex, and the rotations are a `SlotRotations`, which makes vertex v's
+range when it is read and keeps nothing per vertex.  build_quotient
+declares that layout by passing one; rotations given in any other form
+are compared with it dart by dart, and kept as tuples if they differ.
+The dart ids in the tables come from one pool, one int object per dart,
+as do those of the reverse, edge and face tables of any map.  When the
+reverse table is an involution of ints, as build_quotient's is, the pool
+is the reverse table's own ints, so no second int is made per dart; one
+index pass, rev(rev(d)) for every d, decides it.  Each fact is
 stored once: an edge is its smaller dart (the other is its reverse), a
 face is a slice of one list of every face walk (`face_walks`, cut at
 `face_offsets`), and there is no ccw table: the orbit scan inverts cw
@@ -47,10 +50,10 @@ from .tilings import TilingId, dihedral, template
 
 IVec = tuple[int, int]
 
-# The largest map build_quotient makes.  A quotient retains about 54 bytes
-# per flag and peaks at about 67 while it is built; `analyze` (the orbit
-# scan) peaks at about 68 bytes per flag over the interpreter (E7 at
-# 150·I on Python 3.11), so about 260 MiB at this limit.
+# The largest map build_quotient makes.  A quotient retains about 44 bytes
+# per flag and peaks at about 56 while it is built; `analyze` (the orbit
+# scan) peaks at about 61 bytes per flag over the interpreter (E7 at
+# 150·I on Python 3.11), so about 235 MiB at this limit.
 MAX_FLAGS = 4_000_000
 
 
@@ -63,6 +66,34 @@ class QuotientSpec(NamedTuple):
 
     def as_dict(self) -> dict:
         return {"tiling": self.tiling.value, "matrix": list(self.mat.as_tuple())}
+
+
+class SlotRotations(Sequence):
+    """The rotations of build_quotient's layout: vertex v has darts
+    v·deg … v·deg+deg−1 in ccw order.  [v] is that range, made on
+    access, so no object is kept per vertex; a slice is a tuple of
+    ranges, as it would be of a tuple of them."""
+
+    __slots__ = ("n_vertices", "deg")
+
+    def __init__(self, n_vertices: int, deg: int):
+        if n_vertices < 0 or deg < 1:
+            raise ValueError(f"no slot layout of {n_vertices} vertices of degree {deg}")
+        self.n_vertices = n_vertices
+        self.deg = deg
+
+    def __len__(self) -> int:
+        return self.n_vertices
+
+    def __getitem__(self, v):
+        deg, picked = self.deg, range(self.n_vertices)[v]
+        if isinstance(v, slice):
+            return tuple(range(u * deg, u * deg + deg) for u in picked)
+        return range(picked * deg, picked * deg + deg)
+
+    def __iter__(self) -> Iterator[range]:
+        deg = self.deg
+        return (range(s, s + deg) for s in range(0, self.n_vertices * deg, deg))
 
 
 class FlagMap:
@@ -82,15 +113,19 @@ class FlagMap:
             raise ValueError("dart count must be positive and even")
         # The pool: one int object per dart.  The tables below take their
         # numbers from it, not equal copies made by arithmetic.  A reverse
-        # table that is an involution of ints in range, as build_quotient's
-        # is, holds each dart once, so its own objects are the pool: ids[d]
-        # is the object rev(rev(d)).  Any other table gets fresh ints.
-        in_range = min(dart_rev) >= 0 and max(dart_rev) < nd
-        pooled = in_range and set(map(type, dart_rev)) == {int}
-        ids = list(map(dart_rev.__getitem__, dart_rev)) if pooled else []
-        if pooled and all(map(eq, ids, range(nd))):
+        # table that is an involution of ints, as build_quotient's is, holds
+        # each dart once, so its own objects are the pool: ids[d] is the
+        # object rev(rev(d)).  One index pass decides it: an entry out of
+        # range raises, and a negative one, which indexes from the end,
+        # cannot pass (rev(d) = −k reads dart e = nd − k, and then
+        # ids[e] = −k ≠ e).  Any other table gets fresh ints.
+        try:
+            ids = list(map(dart_rev.__getitem__, dart_rev))
+        except (IndexError, TypeError):
+            ids = []
+        if set(map(type, ids)) == {int} and all(map(eq, ids, range(nd))):
             rev = list(dart_rev)
-        elif in_range:
+        elif min(dart_rev) >= 0 and max(dart_rev) < nd:
             ids = list(range(nd))
             rev = list(map(ids.__getitem__, dart_rev))
         else:
@@ -113,17 +148,22 @@ class FlagMap:
                 edge_dart.append(d)
 
         # build_quotient's layout: vertex v lists darts v·deg … v·deg+deg−1,
-        # so slot k is the dart column k::deg.  slot_degree: deg, else None.
+        # so slot k is the dart column k::deg.  A SlotRotations of nd darts
+        # is that layout by definition; any other sequence is compared with
+        # it dart by dart.  slot_degree: deg, else None.
         nv = len(vertex_darts)
         deg = nd // nv if nv else 0
-        by_columns = (
-            nv * deg == nd
-            and set(map(len, vertex_darts)) == {deg}
-            and all(map(eq, chain.from_iterable(vertex_darts), ids))
-        )
+        if type(vertex_darts) is SlotRotations:
+            by_columns = nv * vertex_darts.deg == nd
+        else:
+            by_columns = (
+                nv * deg == nd
+                and set(map(len, vertex_darts)) == {deg}
+                and all(map(eq, chain.from_iterable(vertex_darts), ids))
+            )
         self.slot_degree = deg if by_columns else None
         self.dart_vertex, self.dart_cw, self.vertex_darts = (
-            _slot_columns(ids, vertex_darts, deg) if by_columns else _rotations(vertex_darts, nd)
+            _slot_columns(ids, nv, deg) if by_columns else _rotations(vertex_darts, nd)
         )
         self.dart_rev = rev
         self.spec = spec
@@ -192,22 +232,20 @@ class FlagMap:
         return joins == self.n_vertices - 1
 
 
-def _slot_columns(ids: list[int], vertex_darts: Sequence[Sequence[int]], deg: int):
+def _slot_columns(ids: list[int], nv: int, deg: int):
     """(dart_vertex, dart_cw, vertex_darts) when vertex v has darts
     v·deg … v·deg+deg−1 in ccw order, as in build_quotient: slot k of
     every vertex is the column ids[k::deg], and each table is deg
-    stride-slice assignments from the pool.  The rotations are kept as
-    the caller gave them: build_quotient's are ranges whose bounds are
-    pool ints, so there is no tuple per vertex, and nothing the cyclic
-    garbage collector tracks."""
+    stride-slice assignments from the pool.  The rotations are a
+    SlotRotations, so nothing is kept per vertex."""
     nd = len(ids)
-    vertices = ids[: len(vertex_darts)]
+    vertices = ids[:nv]
     tail = [0] * nd
     cw = [0] * nd
     for k in range(deg):
         tail[k::deg] = vertices
         cw[k::deg] = ids[(k - 1) % deg :: deg]
-    return tail, cw, tuple(vertex_darts)
+    return tail, cw, SlotRotations(nv, deg)
 
 
 def _rotations(vertex_darts: Sequence[Sequence[int]], nd: int):
@@ -280,21 +318,26 @@ def build_quotient(spec: QuotientSpec) -> FlagMap:
     block = ncos * deg  # the darts of one rep
     # Coset i*s2 + j has box coordinates (i, j), so slot k of rep r points
     # from every coset to the coset one fixed box shift (di, dj) away: the
-    # reverse darts of the column (r, k) are the identity numbering of the
-    # target rep's slot with its box rows and columns rotated.
+    # reverse darts of the column (r, k) are the target rep's slot with its
+    # box rows and columns rotated, two slices of the pool per box row.  So
+    # the reverse table holds the pool's own ints, which FlagMap takes back
+    # as its pool, and no int is made per dart by arithmetic.
+    ids = list(range(nd))
     dart_rev = [0] * nd
+    row = s2 * deg  # the darts of one box row of a rep's slot, stride deg
     for r, darts in enumerate(tpl.neighbors):
         for k, (s, offset) in enumerate(darts):
             di, dj = cs.box_coords(offset)
             first = s * block + tpl.reverse_slots[r][k]
-            rows = [first + (i + di) % s1 * s2 * deg for i in range(s1)]
-            cols = [(j + dj) % s2 * deg for j in range(s2)]
-            dart_rev[r * block + k : (r + 1) * block : deg] = [a + b for a in rows for b in cols]
-    # Ranges, which FlagMap keeps, bounded by the pool FlagMap takes from
-    # the reverse table: the object for dart d is dart_rev[dart_rev[d]].
-    starts = [dart_rev[dart_rev[d]] for d in range(0, nd, deg)]
-    vertex_darts = tuple(map(range, starts, starts[1:] + [nd]))
-    m = FlagMap(dart_rev, vertex_darts, spec=spec)
+            column = []
+            for i in range(s1):
+                start = first + (i + di) % s1 * row
+                split = start + dj * deg
+                column += ids[split : start + row : deg]
+                column += ids[start:split:deg]
+            dart_rev[r * block + k : (r + 1) * block : deg] = column
+    del ids
+    m = FlagMap(dart_rev, SlotRotations(tpl.rep_count * ncos, deg), spec=spec)
     m.coset_system = cs
     return m
 

@@ -29,7 +29,7 @@ from referencing import Registry, Resource
 
 from toricover import SublatticeMat, build_quotient, certificate_from_dict, cli, map_core, render, symmetry, tilings
 from toricover.cover import CERTIFICATE_KEYS
-from toricover.cli import main
+from toricover.cli import COVER_DOCUMENT_KEYS, main
 from toricover.lattice import cosets
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
@@ -164,6 +164,73 @@ def test_certificate_keys_match_the_schema():
     for level, node in levels.items():
         assert set(node["properties"]) == set(node["required"]) == CERTIFICATE_KEYS[level], level
         assert node["additionalProperties"] is False, level
+
+
+def test_cover_document_keys_match_the_schema():
+    schema = load_schema("cover")
+    assert set(schema["properties"]) == set(schema["required"]) == COVER_DOCUMENT_KEYS
+    assert schema["additionalProperties"] is False
+
+
+def _nest(doc: dict) -> dict:
+    # A bare certificate that holds a copy of itself under `certificate`.
+    cert = copy.deepcopy(doc["certificate"])
+    return {**cert, "certificate": copy.deepcopy(cert)}
+
+
+COVER_DOCUMENT_MUTATIONS = {
+    "extra key": (lambda doc: {**doc, "vt_witness": True}, "unknown key 'vt_witness'"),
+    "nested certificate": (_nest, "unknown key 'M'"),
+    "missing key": (lambda doc: {k: v for k, v in doc.items() if k != "verified"}, "missing key 'verified'"),
+    "command": (lambda doc: {**doc, "command": "verify"}, "command must be 'cover', got 'verify'"),
+    "r zero": (lambda doc: {**doc, "r": 0}, "r must be an integer of at least 1, got 0"),
+    "r bool": (lambda doc: {**doc, "r": True}, "r must be an integer of at least 1, got True"),
+    "r float": (lambda doc: {**doc, "r": 1.0}, "r must be an integer of at least 1, got 1.0"),
+    "cover matrix": (
+        lambda doc: {**doc, "cover_spec": {**doc["cover_spec"], "matrix": [52, 0, 0, 51]}},
+        "cover_spec {'matrix': [52, 0, 0, 51], 'tiling': 'truncated-trihexagonal'} is not the certificate's cover",
+    ),
+    "cover matrix of floats": (
+        lambda doc: {**doc, "cover_spec": {**doc["cover_spec"], "matrix": [52.0, 0, 0, 52]}},
+        "cover_spec {'matrix': [52.0, 0, 0, 52], 'tiling': 'truncated-trihexagonal'} is not the certificate's cover",
+    ),
+    "cover tiling": (
+        lambda doc: {**doc, "cover_spec": {**doc["cover_spec"], "tiling": "E7"}},
+        "cover_spec {'matrix': [52, 0, 0, 52], 'tiling': 'E7'} is not the certificate's cover",
+    ),
+    "cover spec extra key": (
+        lambda doc: {**doc, "cover_spec": {**doc["cover_spec"], "r": 1}},
+        "is not the certificate's cover {'tiling': 'truncated-trihexagonal', 'matrix': [52, 0, 0, 52]}",
+    ),
+    "cover spec not an object": (lambda doc: {**doc, "cover_spec": [52, 0, 0, 52]}, "cover_spec [52, 0, 0, 52] is not"),
+}
+
+
+@pytest.mark.parametrize("name", list(COVER_DOCUMENT_MUTATIONS))
+def test_verify_reads_a_cover_document_only_when_it_is_one(tmp_path, capsys, name):
+    # The first two once verified with "ok": true.
+    out = tmp_path / "cover.json"
+    assert main(["cover", "E7", "-8", "-7", "-4", "3", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    mutate, message = COVER_DOCUMENT_MUTATIONS[name]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mutate(doc)))
+    capsys.readouterr()
+    assert main(["verify", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed cover document: ") and message in captured.err, captured.err
+
+
+def test_verify_reads_a_cover_document_of_the_r_family(tmp_path, capsys):
+    out = tmp_path / "cover.json"
+    assert main(["cover", "E1", "1", "0", "0", "2", "--r", "2", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["r"] == 2 and doc["cover_spec"]["matrix"] == [4, 0, 0, 4]
+    code, report = run_json(capsys, ["verify", str(out)])
+    assert code == 0 and report["m"] == 4 and report["verified"]["ok"] is True
+    out.write_text(json.dumps({**doc, "cover_spec": {**doc["cover_spec"], "matrix": [2, 0, 0, 2]}}))
+    assert main(["verify", str(out)]) == 2
 
 
 def test_verify_rejects_false_claims(tmp_path, capsys):
@@ -638,11 +705,12 @@ JSON_VALUES = st.one_of(
 
 
 @functools.lru_cache(maxsize=None)
-def fuzz_certificate(name: str) -> str:
+def fuzz_document(name: str) -> str:
+    """The whole `cover` output document; its certificate is fuzzed."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "cover.json"
         assert main(["cover", *FUZZ_SPECS[name], "--out", str(out)]) == 0
-        return json.dumps(json.loads(out.read_text())["certificate"])
+        return out.read_text()
 
 
 def parent_of(doc: dict, path: tuple):
@@ -653,13 +721,19 @@ def parent_of(doc: dict, path: tuple):
 
 
 @st.composite
-def mutations(draw, doc: dict):
-    """(description, mutated document)."""
-    doc = copy.deepcopy(doc)
+def mutations(draw, document: dict):
+    """(description, mutated certificate or cover document)."""
+    doc = copy.deepcopy(document["certificate"])
     nested = [("area", "value"), ("area", "factor"), ("polyhedral", "X"), ("polyhedral", "Y")]
     entries = [(name, draw(st.integers(0, len(doc[name]) - 1))) for name in MAPS]
     paths = [(k,) for k in doc] + nested + [("M", i) for i in range(4)] + entries
-    kind = draw(st.sampled_from(["drop", "flip", "retype", "swap", "set_int", "tiling", "extra"]))
+    kind = draw(st.sampled_from(["drop", "flip", "retype", "swap", "set_int", "tiling", "extra", "wrapped", "nested"]))
+    if kind == "wrapped":
+        # The whole cover document with a key its schema does not list.
+        key = draw(st.sampled_from(["comment", "vt_witness", "x", "", "M", "tiling"]))
+        return f"wrapped with {key!r}", {**copy.deepcopy(document), key: draw(JSON_VALUES)}
+    if kind == "nested":
+        return "nested copy", {**doc, "certificate": copy.deepcopy(doc)}
     if kind == "swap":
         name = draw(st.sampled_from(MAPS))
         i, j = (draw(st.integers(0, len(doc[name]) - 1)) for _ in range(2))
@@ -715,8 +789,9 @@ def same_meaning(doc: dict, original: dict) -> bool:
 @given(data=st.data())
 def test_verify_survives_certificate_mutations(tmp_path, data):
     name = data.draw(st.sampled_from(sorted(FUZZ_SPECS)))
-    original = json.loads(fuzz_certificate(name))
-    what, doc = data.draw(mutations(original))
+    document = json.loads(fuzz_document(name))
+    original = document["certificate"]
+    what, doc = data.draw(mutations(document))
     path = tmp_path / "mutated.json"
     path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
@@ -724,6 +799,8 @@ def test_verify_survives_certificate_mutations(tmp_path, data):
         code = main(["verify", str(path)])  # any other exception is a traceback
     if what.startswith("extra "):
         assert code == 2 and "unknown key" in err.getvalue(), (what, code, err.getvalue())
+    elif what.startswith(("wrapped ", "nested ")):
+        assert code == 2 and "malformed cover document: unknown key" in err.getvalue(), (what, code, err.getvalue())
     elif json.dumps(doc, sort_keys=True) == json.dumps(original, sort_keys=True):
         assert code == 0, what
     elif code == 0:

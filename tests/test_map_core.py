@@ -8,6 +8,7 @@ never touch the dart tables that build_quotient produces.
 from __future__ import annotations
 
 import gc
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -30,7 +31,7 @@ from toricover import (
 )
 from toricover import map_core
 from toricover.lattice import enumerate_hnf
-from toricover.map_core import VertexTypeSig, euler_characteristic, face_cycle, vertex_type
+from toricover.map_core import SlotRotations, VertexTypeSig, euler_characteristic, face_cycle, vertex_type
 
 from helpers import are_isomorphic, from_faces, full_scan, reference_flag_tables, reference_map_tables, reference_quotient
 
@@ -215,7 +216,7 @@ def test_flagmap_tables_match_per_dart_constructor_on_random_matrices(data):
 
 def test_build_quotient_retains_at_most_60_bytes_per_flag():
     # The tables share one int object per dart and keep each fact once,
-    # with no ccw table, no tuple per edge, face or vertex: about 54 bytes
+    # with no ccw table, no tuple per edge, face or vertex: about 44 bytes
     # per flag on Python 3.11.
     spec = QuotientSpec(parse_tiling("E7"), SublatticeMat(20, 0, 0, 20))
     build_quotient(spec)  # the template and its caches are not the map's
@@ -230,10 +231,27 @@ def test_build_quotient_retains_at_most_60_bytes_per_flag():
     assert retained / m.n_flags <= 60
 
 
+def test_build_quotient_retains_at_most_50_bytes_per_flag():
+    # The rotations are one SlotRotations, not a range per vertex, and the
+    # reverse table holds the pool's ints, sliced from it: about 44 bytes
+    # per flag on Python 3.11, and 54 with a range per vertex.
+    spec = QuotientSpec(parse_tiling("E7"), SublatticeMat(20, 0, 0, 20))
+    build_quotient(spec)  # the template and its caches are not the map's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        m = build_quotient(spec)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.n_flags == 28_800
+    assert retained / m.n_flags <= 50
+
+
 def test_build_quotient_peaks_at_most_75_bytes_per_flag():
-    # FlagMap takes its pool from the reverse table, keeps build_quotient's
-    # ranges and checks connectivity by a union-find over the vertices, so
-    # nothing per dart is made twice: about 67 bytes per flag at the peak
+    # FlagMap takes its pool from the reverse table, keeps no rotation per
+    # vertex and checks connectivity by a union-find over the vertices, so
+    # nothing per dart is made twice: about 56 bytes per flag at the peak
     # on Python 3.11, and 102 with a second pool and a per-dart head table.
     spec = QuotientSpec(parse_tiling("E7"), SublatticeMat(20, 0, 0, 20))
     build_quotient(spec)  # the template and its caches are not the map's
@@ -250,25 +268,29 @@ def test_build_quotient_peaks_at_most_75_bytes_per_flag():
 
 @pytest.mark.parametrize("code", ["E7", "T4444", "E2"])
 def test_quotient_tables_share_one_int_object_per_dart(code):
-    # The reverse table's own ints are the pool: every table and every
-    # rotation bound holds the same object for the same dart.
+    # The reverse table's own ints are the pool: every table holds the
+    # same object for the same dart.  The rotations keep no ints: they are
+    # one SlotRotations, of one size whatever the map's.
     m = build_quotient(QuotientSpec(parse_tiling(code), SublatticeMat(4, 1, 0, 5)))
     ints = [
         *m.dart_rev, *m.dart_vertex, *m.dart_cw, *m.dart_edge, *m.edge_dart,
         *m.dart_face_left, *m.face_walks, *m.face_offsets[:-1],
-        *(r.start for r in m.vertex_darts), *(r.stop for r in m.vertex_darts[:-1]),
     ]
     objects = {}
     for x in ints:
         assert objects.setdefault(x, x) is x, (code, x)
     assert len(objects) == m.n_darts
+    bigger = build_quotient(QuotientSpec(parse_tiling(code), SublatticeMat(12, 0, 0, 12)))
+    assert type(m.vertex_darts) is type(bigger.vertex_darts) is SlotRotations
+    assert sys.getsizeof(m.vertex_darts) == sys.getsizeof(bigger.vertex_darts)
+    assert not hasattr(m.vertex_darts, "__dict__")
 
 
 @pytest.mark.parametrize("code", ["E7", "T4444", "E2"])
 def test_quotient_rotations_are_untracked_ranges_and_faces_two_flat_lists(code):
     # Nothing is stored per vertex or per face that the cyclic garbage
-    # collector tracks: the rotations are ranges over pool ints, and the
-    # faces are one list of darts in walk order plus its offsets.
+    # collector tracks: a rotation is a range, made when it is read, and
+    # the faces are one list of darts in walk order plus its offsets.
     m = build_quotient(QuotientSpec(parse_tiling(code), SublatticeMat(4, 1, 0, 5)))
     deg = m.n_darts // m.n_vertices
     assert all(type(r) is range for r in m.vertex_darts)
@@ -286,6 +308,70 @@ def test_quotient_rotations_are_untracked_ranges_and_faces_two_flat_lists(code):
         assert walk == m.face_walks[offsets[f] : offsets[f + 1]] and len(walk) == m.face_sizes[f]
         assert walk[0] == min(walk)
         assert {m.dart_face_left[d] for d in walk} == {f}
+
+
+def assert_checked_layout_matches_declared(spec: QuotientSpec) -> None:
+    # build_quotient declares its layout with a SlotRotations; the same
+    # rotations as a tuple of ranges take the dart-by-dart check.
+    declared = build_quotient(spec)
+    checked = FlagMap(declared.dart_rev, tuple(declared.vertex_darts), spec)
+    assert type(declared.vertex_darts) is type(checked.vertex_darts) is SlotRotations
+    for name in (*MAP_TABLES, "slot_degree", "n_vertices", "n_edges", "n_faces"):
+        want, got = getattr(declared, name), getattr(checked, name)
+        if name == "vertex_darts":
+            want, got = tuple(map(tuple, want)), tuple(map(tuple, got))
+        assert got == want, (spec, name)
+
+
+NON_HERMITE_MATS = [
+    SublatticeMat(1, -2, 3, 1),
+    SublatticeMat(2, 1, 2, 4),
+    SublatticeMat(-3, 2, 1, 2),
+    SublatticeMat(0, 3, 2, 1),
+    SublatticeMat(4, -1, -2, -3),
+]
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_checked_layout_matches_the_declared_one(tid):
+    for mat in [*enumerate_hnf(12), *NON_HERMITE_MATS]:
+        assert_checked_layout_matches_declared(QuotientSpec(tid, mat))
+
+
+@pytest.mark.parametrize("n, deg", [(0, 1), (1, 1), (1, 5), (5, 3), (7, 4)])
+def test_slot_rotations_behave_as_a_tuple_of_ranges(n, deg):
+    rotations = SlotRotations(n, deg)
+    ranges = tuple(range(v * deg, v * deg + deg) for v in range(n))
+    assert len(rotations) == len(ranges) and tuple(rotations) == ranges
+    assert list(reversed(rotations)) == list(reversed(ranges))
+    assert [rotations[v] for v in range(-n, n)] == [ranges[v] for v in range(-n, n)]
+    for cut in (slice(None), slice(1, 3), slice(None, None, -1), slice(None, None, 2), slice(-2, None), slice(10, None)):
+        assert rotations[cut] == ranges[cut], cut
+    for v in (n, -n - 1, n + 7):
+        with pytest.raises(IndexError):
+            ranges[v]
+        with pytest.raises(IndexError):
+            rotations[v]
+    with pytest.raises(TypeError):
+        rotations["0"]
+    if n:
+        assert rotations[-1] == ranges[-1] == range(n * deg - deg, n * deg)
+        assert ranges[-1] in rotations and rotations.index(ranges[-1]) == n - 1
+
+
+@pytest.mark.parametrize("n, deg", [(-1, 3), (3, 0), (2, -1)])
+def test_slot_rotations_refuse_a_negative_count_or_no_degree(n, deg):
+    with pytest.raises(ValueError, match=f"^no slot layout of {n} vertices of degree {deg}$"):
+        SlotRotations(n, deg)
+
+
+def test_a_slot_rotations_of_another_dart_count_takes_the_checked_path():
+    # Two vertices of two darts declared, four darts given: the rotations
+    # are checked dart by dart and lack darts 4 and 5.
+    with pytest.raises(ValueError, match="^dart 4 belongs to no vertex rotation$"):
+        FlagMap([1, 0, 3, 2, 5, 4], SlotRotations(2, 2))
+    m = FlagMap([2, 3, 0, 1], SlotRotations(2, 2))
+    assert m.slot_degree == 2 and tuple(m.vertex_darts) == (range(0, 2), range(2, 4))
 
 
 def test_slot_degree_is_the_degree_exactly_in_build_quotients_layout():
@@ -472,6 +558,38 @@ def test_flagmap_rejects_reverse_out_of_range(dart_rev):
     # [-1, 0] would read as the involution [1, 0] if -1 wrapped.
     with pytest.raises(ValueError, match="^reverse is not a fixed-point-free involution at dart 0$"):
         FlagMap(dart_rev, [(0, 1)])
+
+
+# Reverse tables that are not involutions of ints in range, and what
+# FlagMap did with each before the pool was checked in one index pass
+# (recorded then): the same exception type and text, or the same table.
+REVERSE_OUTCOMES = {
+    "negative first": ([-1, 0], ValueError, "reverse is not a fixed-point-free involution at dart 0"),
+    "negative second": ([1, -2], ValueError, "reverse is not a fixed-point-free involution at dart 0"),
+    "negative wrapping to an involution": ([1, 0, -1, 2], ValueError, "reverse is not a fixed-point-free involution at dart 2"),
+    "value nd, first edge": ([1, 2], ValueError, "reverse is not a fixed-point-free involution at dart 0"),
+    "value nd, second edge": ([1, 0, 4, 2], ValueError, "reverse is not a fixed-point-free involution at dart 2"),
+    "float": ([1.0, 0.0], TypeError, "list indices must be integers or slices, not float"),
+    "str": (["1", "0"], TypeError, "'>=' not supported between instances of 'str' and 'int'"),
+    "None": ([None, 0], TypeError, "'<' not supported between instances of 'int' and 'NoneType'"),
+    "non-involution": ([1, 2, 3, 0], ValueError, "reverse is not a fixed-point-free involution at dart 0"),
+    "fixed point": ([1, 0, 2, 3], ValueError, "reverse is not a fixed-point-free involution at dart 2"),
+    "bool": ([True, False], None, [1, 0]),
+}
+
+
+@pytest.mark.parametrize("name", list(REVERSE_OUTCOMES))
+def test_flagmap_reverse_tables_fail_or_build_as_before(name):
+    dart_rev, error, outcome = REVERSE_OUTCOMES[name]
+    vertex_darts = [tuple(range(v, v + 2)) for v in range(0, len(dart_rev), 2)]
+    if error is None:
+        m = FlagMap(dart_rev, vertex_darts)
+        assert m.dart_rev == outcome and set(map(type, m.dart_rev)) == {int}
+        assert m.slot_degree == 2
+        return
+    with pytest.raises(error) as caught:
+        FlagMap(dart_rev, vertex_darts)
+    assert type(caught.value) is error and str(caught.value) == outcome
 
 
 REVERSE_VARIANTS = {
