@@ -23,6 +23,7 @@ import sys
 from . import __version__
 from .cover import (
     CoverCertificate,
+    VerifyReport,
     certificate_from_dict,
     cover_maps,
     quotient_pair,
@@ -146,8 +147,11 @@ def _verify_input(data) -> CoverCertificate:
     """The certificate `verify` reads: data itself, or, when data holds a
     `certificate` key, data as a whole `cover` output document.  That has
     exactly COVER_DOCUMENT_KEYS, command "cover", an integer r of at least
-    1 and, as cover_spec, its certificate's tiling and m·I.  Its
-    `verified` report is not read: verify makes its own."""
+    1 with r·cover_exponent(M) = m, as cover_spec its certificate's tiling
+    and m·I, and as `verified` a report of the schema's shape: exactly the
+    keys ok (a boolean), failure (a string or null) and checks_passed (a
+    list of strings).  What that report says is not trusted: verify makes
+    its own."""
     if type(data) is not dict or "certificate" not in data:
         return certificate_from_dict(data)
     for key in data:
@@ -160,7 +164,26 @@ def _verify_input(data) -> CoverCertificate:
     r = data["r"]
     if type(r) is not int or r < 1:
         raise ValueError(f"malformed cover document: r must be an integer of at least 1, got {r!r}")
+    report = data["verified"]
+    if (
+        type(report) is not dict
+        or set(report) != set(VerifyReport._fields)
+        or type(report["ok"]) is not bool
+        or not (report["failure"] is None or type(report["failure"]) is str)
+        or type(report["checks_passed"]) is not list
+        or not set(map(type, report["checks_passed"])) <= {str}
+    ):
+        raise ValueError(
+            "malformed cover document: verified must be an object of ok (a boolean), failure (a string "
+            f"or null) and checks_passed (a list of strings), got {report!r}"
+        )
     cert = certificate_from_dict(data["certificate"])
+    exponent = cover_exponent(cert.base_mat)
+    if r * exponent != cert.exponent:
+        raise ValueError(
+            f"malformed cover document: r = {r} times M's cover exponent {exponent} "
+            f"is not the certificate's m = {cert.exponent}"
+        )
     want = {"tiling": cert.tiling.value, "matrix": list(cert.cover_mat.as_tuple())}
     spec = data["cover_spec"]
     matrix = spec.get("matrix") if type(spec) is dict else None

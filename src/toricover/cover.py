@@ -126,7 +126,12 @@ def certificate_from_dict(data: dict) -> CoverCertificate:
 def cover_maps(
     spec: QuotientSpec, r: int = 1
 ) -> tuple[FlagMap, FlagMap, CoverCertificate]:
-    """Build (Y, X, certificate) for the r-th cover in one pass."""
+    """Build (Y, X, certificate) for the r-th cover in one pass.
+
+    The certificate is read off the dart projection (`_dart_projection`)
+    of the vertex map and is not checked here: a caller that trusts it
+    runs verify_covering on (Y, X, certificate), as `vt_cover` and every
+    CLI command do, and that check is the only one per cover."""
     if r < 1:
         raise ValueError("r must be a positive integer")
     m_exp = cover_exponent(spec.mat) * r
@@ -162,18 +167,12 @@ def cover_maps(
         vmap += map(x_vertices[start : start + ncos].__getitem__, cells)
     dmap = _dart_projection(y, x, vmap)
 
-    # The dart map must commute with reversal, otherwise the template or
-    # coset bookkeeping is broken; cheap to confirm, so always confirm,
-    # as two whole columns, and dart by dart only to name the first break.
-    if not all(map(eq, map(dmap.__getitem__, y.dart_rev), map(x.dart_rev.__getitem__, dmap))):
-        for d in range(y.n_darts):
-            if dmap[y.dart_rev[d]] != x.dart_rev[dmap[d]]:
-                raise AssertionError(f"projection breaks dart reversal at dart {d}")
-
+    # The projection commutes with cw (the layout) and, when the template
+    # and coset bookkeeping are sound, with rev, so with the face
+    # permutation cw∘rev: an edge goes where its smaller dart's edge goes,
+    # and a face where its first dart's face goes.  Nothing is checked
+    # here; verify_covering checks the certificate.
     emap = list(map(x.dart_edge.__getitem__, map(dmap.__getitem__, y.edge_dart)))
-    # The projection commutes with cw (the layout) and with rev (just
-    # confirmed), so with the face permutation cw∘rev: a face goes where
-    # its first dart's face goes, and every dart of it goes there too.
     first = map(y.face_walks.__getitem__, islice(y.face_offsets, y.n_faces))
     fmap = list(map(x.dart_face_left.__getitem__, map(dmap.__getitem__, first)))
 
@@ -221,8 +220,14 @@ def quotient_pair(
 
 def vt_cover(spec: QuotientSpec, r: int = 1) -> tuple[QuotientSpec, CoverCertificate]:
     """The vertex-transitive cover Y of X = quotient(spec); r > 1 gives
-    the r-th member of the infinite cover family (scale r*m)."""
-    _, _, cert = cover_maps(spec, r=r)
+    the r-th member of the infinite cover family (scale r*m).  The
+    certificate is checked with verify_covering (one accept-only pass on
+    an honest certificate), and a failure raises AssertionError with the
+    report's failure message."""
+    y, x, cert = cover_maps(spec, r=r)
+    report = verify_covering(y, x, cert)
+    if not report.ok:
+        raise AssertionError(report.failure)
     return QuotientSpec(spec.tiling, cert.cover_mat), cert
 
 
@@ -239,6 +244,10 @@ class VerifyReport(NamedTuple):
         }
 
 
+# verify_covering's stages, in the order they run.
+_STAGES = ("arithmetic", "shape", "fibers", "adjacency", "faces", "local-isomorphism")
+
+
 def verify_covering(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> VerifyReport:
     """Re-check a certificate against freshly built maps.
 
@@ -251,19 +260,12 @@ def verify_covering(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> VerifyRep
     the area with the arithmetic, polyhedrality of X and Y with the
     faces.
 
-    A covering is a dart map that commutes with cw and rev.  When both
-    maps have build_quotient's layout with one degree, the vertex map
-    gives one candidate, the dart projection (`_dart_projection`): dart k
-    of Y-vertex v goes to dart k of vm[v].  It commutes with cw by the
-    layout.  The adjacency stage passes when, as whole tables, it
-    commutes with rev and sends each Y edge's smaller dart into the edge
-    that em claims.  Then it commutes with the face permutation cw∘rev,
-    so it carries each Y face walk onto one X face walk, and the local
-    stage passes when each Y face's first dart lands in the face that fm
-    claims: every Y-vertex's cycle is then its image's, slot by slot.
-    When a whole-table check fails, or the layouts differ, the stage
-    runs edge by edge (`_adjacency_failure`) or vertex by vertex
-    (`_local_failure`), so the verdict and the failure named are theirs.
+    After the arithmetic, one accept-only pass (`_projection_covers`)
+    reads each certificate table once as a whole table.  When it
+    succeeds, every other stage passes, and the report says so; only when
+    it fails do the five stages run one by one, so every failing verdict,
+    message and list of stages passed is theirs.  The stages run edge by
+    edge (`_adjacency_failure`) and vertex by vertex (`_local_failure`).
     """
     passed: list[str] = []
 
@@ -285,6 +287,9 @@ def verify_covering(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> VerifyRep
     if (cert.area_value, cert.area_factor) != area:
         return fail(f"arithmetic: area {cert.area_value} * {cert.area_factor} is not {area[0]} * {area[1]}")
     passed.append("arithmetic")
+
+    if _projection_covers(y, x, cert):
+        return VerifyReport(ok=True, failure=None, checks_passed=_STAGES)
 
     shapes = (
         (cert.vertex_map, y.n_vertices, x.n_vertices, "vertex"),
@@ -313,20 +318,10 @@ def verify_covering(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> VerifyRep
             )
     passed.append("fibers")
 
-    # The dart projection, where the layouts allow it, checked as whole
-    # tables (see the docstring); the loop runs where a table check fails.
     vm, em, fm = cert.vertex_map, cert.edge_map, cert.face_map
-    deg = y.slot_degree
-    projected = deg is not None and deg == x.slot_degree
-    if projected:
-        dmap = _dart_projection(y, x, vm)
-        projected = all(
-            map(eq, map(dmap.__getitem__, y.dart_rev), map(x.dart_rev.__getitem__, dmap))
-        ) and all(map(eq, map(x.dart_edge.__getitem__, map(dmap.__getitem__, y.edge_dart)), em))
-    if not projected:
-        failure = _adjacency_failure(y, x, vm, em)
-        if failure:
-            return fail(failure)
+    failure = _adjacency_failure(y, x, vm, em)
+    if failure:
+        return fail(failure)
     passed.append("adjacency")
 
     if not all(map(eq, map(x.face_sizes.__getitem__, fm), y.face_sizes)):
@@ -337,19 +332,63 @@ def verify_covering(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> VerifyRep
             return fail(f"faces: certificate claims {name} polyhedral={claim}, but it is {m.polyhedral}")
     passed.append("faces")
 
-    # A projection that passed the adjacency check carries each Y face
-    # walk onto one X face walk, so each face's first dart decides where
-    # the whole face goes.
-    first = map(y.face_walks.__getitem__, islice(y.face_offsets, y.n_faces))
-    if not (
-        projected and all(map(eq, map(x.dart_face_left.__getitem__, map(dmap.__getitem__, first)), fm))
-    ):
-        failure = _local_failure(y, x, vm, em, fm)
-        if failure:
-            return fail(failure)
+    failure = _local_failure(y, x, vm, em, fm)
+    if failure:
+        return fail(failure)
     passed.append("local-isomorphism")
 
     return VerifyReport(ok=True, failure=None, checks_passed=tuple(passed))
+
+
+def _projection_covers(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> bool:
+    """Whether the certificate's tables are those of a covering, decided
+    by the dart projection (`_dart_projection`) with each table read once
+    as a whole table; False says only that the stages must decide.
+
+    It needs both maps in build_quotient's layout with one degree deg
+    (`slot_degree`), so that the projection commutes with cw.  Then:
+    the three table lengths; the vertex map in range (a negative entry
+    would index from the end); Y with n times X's darts; the projection
+    commuting with rev, compared at each Y edge's smaller dart d only
+    (both reverses are involutions, so the equation at d gives it at
+    rev d); the edge map equal to the induced one, each Y edge to the
+    edge of its smaller dart's image; the face map equal to the induced
+    one, read at each Y face's first dart; and equal face sizes and true
+    polyhedral claims.
+
+    That is every stage after the arithmetic.  The edge and face maps
+    are in range because they equal X's own tables.  A dart map that
+    commutes with cw and rev sends the preimages of an X dart d one to
+    one onto those of cw d and of rev d, so on a connected X every dart
+    has the same number of preimages, n by the dart count: each X
+    vertex, edge (its two darts) and face (its darts, over Y faces of
+    its size) then has n.  The projection sends every Y dart's edge and
+    face where the edge and face maps say, so each Y edge's ends map
+    onto its image's, and every Y-vertex's cycle is its image's, slot by
+    slot."""
+    deg = y.slot_degree
+    vm, em, fm = cert.vertex_map, cert.edge_map, cert.face_map
+    if (
+        deg is None
+        or deg != x.slot_degree
+        or (len(vm), len(em), len(fm)) != (y.n_vertices, y.n_edges, y.n_faces)
+        or min(vm) < 0
+        or max(vm) >= x.n_vertices
+        or y.n_darts != cert.fold * x.n_darts
+    ):
+        return False
+    dmap = _dart_projection(y, x, vm)
+    ys = y.edge_dart
+    first = map(y.face_walks.__getitem__, islice(y.face_offsets, y.n_faces))
+    return (
+        all(map(eq, map(dmap.__getitem__, map(y.dart_rev.__getitem__, ys)),
+                map(x.dart_rev.__getitem__, map(dmap.__getitem__, ys))))
+        and all(map(eq, map(x.dart_edge.__getitem__, map(dmap.__getitem__, ys)), em))
+        and all(map(eq, map(x.dart_face_left.__getitem__, map(dmap.__getitem__, first)), fm))
+        and all(map(eq, map(x.face_sizes.__getitem__, fm), y.face_sizes))
+        and cert.base_polyhedral == x.polyhedral
+        and cert.cover_polyhedral == y.polyhedral
+    )
 
 
 def _adjacency_failure(y: FlagMap, x: FlagMap, vm, em) -> str | None:

@@ -178,7 +178,7 @@ def reference_adjacency(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> str |
     """The failure message of verify_covering's adjacency stage, or None
     if the stage passes, decided edge by edge: the ends of each Y-edge
     must map onto the ends of its image, in either order.  The oracle for
-    that stage, which compares whole dart tables first."""
+    that stage."""
     vm, em = cert.vertex_map, cert.edge_map
     for e in range(y.n_edges):
         u, w = y.edge_endpoints(e)

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from referencing import Registry, Resource
 
 from toricover import SublatticeMat, build_quotient, certificate_from_dict, cli, map_core, render, symmetry, tilings
-from toricover.cover import CERTIFICATE_KEYS
+from toricover.cover import _STAGES, CERTIFICATE_KEYS, VerifyReport
 from toricover.cli import COVER_DOCUMENT_KEYS, main
 from toricover.lattice import cosets
 
@@ -203,6 +203,26 @@ COVER_DOCUMENT_MUTATIONS = {
         "is not the certificate's cover {'tiling': 'truncated-trihexagonal', 'matrix': [52, 0, 0, 52]}",
     ),
     "cover spec not an object": (lambda doc: {**doc, "cover_spec": [52, 0, 0, 52]}, "cover_spec [52, 0, 0, 52] is not"),
+    "r of another cover": (
+        lambda doc: {**doc, "r": 2},
+        "r = 2 times M's cover exponent 52 is not the certificate's m = 52",
+    ),
+    "report not an object": (lambda doc: {**doc, "verified": 7}, "verified must be an object of ok"),
+    "report extra key": (lambda doc: {**doc, "verified": {**doc["verified"], "n": 1}}, "verified must be"),
+    "report missing key": (
+        lambda doc: {**doc, "verified": {k: v for k, v in doc["verified"].items() if k != "failure"}},
+        "verified must be",
+    ),
+    "report ok not a boolean": (lambda doc: {**doc, "verified": {**doc["verified"], "ok": 1}}, "verified must be"),
+    "report failure a number": (lambda doc: {**doc, "verified": {**doc["verified"], "failure": 0}}, "verified must be"),
+    "report stages not strings": (
+        lambda doc: {**doc, "verified": {**doc["verified"], "checks_passed": ["shape", 2]}},
+        "verified must be",
+    ),
+    "report stages not a list": (
+        lambda doc: {**doc, "verified": {**doc["verified"], "checks_passed": "shape"}},
+        "verified must be",
+    ),
 }
 
 
@@ -220,6 +240,51 @@ def test_verify_reads_a_cover_document_only_when_it_is_one(tmp_path, capsys, nam
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: malformed cover document: ") and message in captured.err, captured.err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("verified", 7, "verified must be an object of ok (a boolean), failure (a string or null) and "
+         "checks_passed (a list of strings), got 7"),
+        ("r", 5, "r = 5 times M's cover exponent 7 is not the certificate's m = 7"),
+    ],
+)
+def test_verify_holds_a_cover_document_to_its_r_and_report(tmp_path, capsys, key, value, message):
+    # Both documents once verified with "ok": true: the report was not
+    # read, and r was not checked against M and m.
+    out = tmp_path / "cover.json"
+    assert main(["cover", "T4444", "5", "3", "1", "2", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["r"], doc["certificate"]["m"]) == (1, 7)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**doc, key: value}))
+    capsys.readouterr()
+    assert main(["verify", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed cover document: {message}\n"
+
+
+def test_verify_makes_its_own_report_of_a_cover_document(tmp_path, capsys):
+    # A report of the schema's shape is read and not trusted: a document
+    # claiming a failure verifies as what it holds.
+    out = tmp_path / "cover.json"
+    assert main(["cover", "T4444", "5", "3", "1", "2", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    validate(doc, "cover")
+    claimed = {"ok": False, "failure": "shape: made up", "checks_passed": ["arithmetic"]}
+    out.write_text(json.dumps({**doc, "verified": claimed}))
+    validate(json.loads(out.read_text()), "cover")
+    code, report = run_json(capsys, ["verify", str(out)])
+    assert code == 0 and report["verified"] == {"ok": True, "failure": None, "checks_passed": list(_STAGES)}
+
+
+def test_verify_report_keys_match_the_schemas():
+    for name in ("cover", "verify"):
+        node = load_schema(name)["properties"]["verified"]
+        assert tuple(node["properties"]) == tuple(node["required"]) == VerifyReport._fields, name
+        assert node["additionalProperties"] is False, name
 
 
 def test_verify_reads_a_cover_document_of_the_r_family(tmp_path, capsys):

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import copy
 import functools
+import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,8 @@ from toricover import (
     vt_cover,
 )
 from toricover import cover as cover_module
-from toricover.cover import _dart_projection, torus_area
+from toricover.cli import main
+from toricover.cover import _STAGES, _dart_projection, torus_area
 from toricover.lattice import cover_exponent, scaled_identity
 from toricover.map_core import is_automorphism
 from toricover.tilings import translation
@@ -148,20 +151,29 @@ def test_r_family_members_cover_the_same_base():
     assert folds == [r * r * m * m // base.mat.index() for r in (1, 2, 3)]
 
 
-@pytest.mark.parametrize("code, mat", [("E2", (2, 1, 0, 3)), ("T4444", (3, 1, -1, 2))])
-def test_cover_maps_names_the_first_dart_whose_reversal_breaks(monkeypatch, code, mat):
-    # X's reverses of its first two edges are crossed after construction,
-    # as broken coset bookkeeping would leave them.  The projection is
-    # checked column against column, and the error names the first Y-dart
-    # that the per-dart rule dmap[rev d] == rev dmap[d] rejects.
-    spec = spec_of(code, mat)
-    y, x, cert = cover_maps(spec)
+def crossed_reverses(x: FlagMap) -> list[int]:
+    """X's reverse table with the reverses of its first two edges crossed,
+    as broken coset bookkeeping would leave them."""
     (d1, d2), rev = x.edge_dart[:2], list(x.dart_rev)
     r1, r2 = rev[d1], rev[d2]
     rev[d1], rev[r2], rev[d2], rev[r1] = r2, d1, r1, d2
-    deg = y.n_darts // y.n_vertices
-    dmap = [x.vertex_darts[cert.vertex_map[d // deg]][d % deg] for d in range(y.n_darts)]
-    first = next(d for d in range(y.n_darts) if dmap[y.dart_rev[d]] != rev[dmap[d]])
+    return rev
+
+
+@pytest.mark.parametrize("code, mat", [("E2", (2, 1, 0, 3)), ("T4444", (3, 1, -1, 2))])
+def test_a_cover_whose_reversal_breaks_fails_verification(monkeypatch, capsys, code, mat):
+    # X's reverses of its first two edges are crossed after construction.
+    # cover_maps does not check itself, so the certificate it reads off the
+    # projection is made; verify_covering rejects it at the adjacency stage
+    # and names the first Y-edge that the per-edge reference rejects.
+    spec = spec_of(code, mat)
+    y, x, cert = cover_maps(spec)
+    rev = crossed_reverses(x)
+    crossed_x = build_quotient(spec)
+    crossed_x.dart_rev = rev
+    want = reference_adjacency(y, crossed_x, cert)
+    assert want is not None and want.startswith("adjacency: edge ")
+    assert verify_covering(y, crossed_x, cert) == (False, want, FIVE_STAGES[:3])
 
     def crossed(s):
         m = build_quotient(s)
@@ -170,8 +182,10 @@ def test_cover_maps_names_the_first_dart_whose_reversal_breaks(monkeypatch, code
         return m
 
     monkeypatch.setattr("toricover.cover.build_quotient", crossed)
-    with pytest.raises(AssertionError, match=f"projection breaks dart reversal at dart {first}$"):
-        cover_maps(spec)
+    with pytest.raises(AssertionError, match=f"^{re.escape(want)}$"):
+        vt_cover(spec)
+    assert main(["cover", code, *map(str, mat)]) == 1
+    assert json.loads(capsys.readouterr().out)["verified"]["failure"] == want
 
 
 def test_cover_maps_refuses_a_cover_whose_rotations_start_elsewhere(monkeypatch):
@@ -359,7 +373,7 @@ def assert_local_stage_matches_reference(y, x, cert) -> None:
 
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
 def test_local_stage_matches_reference_on_honest_certificates(tid, monkeypatch):
-    # The per-edge and per-vertex loops run only where a whole-table check
+    # The per-edge and per-vertex loops run only where the accept-only pass
     # fails, which never happens on an honest certificate.
     def refuse(*args):
         raise AssertionError("a loop ran on an honest certificate")
@@ -474,7 +488,7 @@ def test_local_stage_matches_reference_on_mutated_maps(data):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_adjacency_and_local_stages_match_the_references_on_mutated_maps(data):
-    # The whole-table checks never accept what the per-edge and per-vertex
+    # The accept-only pass never accepts what the per-edge and per-vertex
     # references reject, and on a rejection the reference names the
     # failure.  These moves keep the fibers and the face sizes.
     y, x, cert = draw_mutated(data, swap_vertices=True)
@@ -485,6 +499,106 @@ def test_adjacency_and_local_stages_match_the_references_on_mutated_maps(data):
         return
     local = reference_local_isomorphism(y, x, cert)
     assert report == (local is None, local, FIVE_STAGES + (("local-isomorphism",) if local is None else ()))
+
+
+# --- the accept-only pass against the stages ---
+
+
+def staged_report(y, x, cert):
+    """verify_covering's report with the accept-only pass switched off,
+    so the stages decide every certificate."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cover_module, "_projection_covers", lambda *args: False)
+        return verify_covering(y, x, cert)
+
+
+def assert_pass_changes_nothing(y, x, cert):
+    report = verify_covering(y, x, cert)
+    assert report == staged_report(y, x, cert)
+    return report
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_the_pass_accepts_honest_certificates_as_the_stages_do(tid):
+    for mat in ((1, 0, 0, 2), (2, 1, 0, 3), (1, -2, 3, 1), (3, 0, 0, 3)):
+        for r in (1, 2):
+            y, x, cert = cover_maps(QuotientSpec(tid, SublatticeMat(*mat)), r=r)
+            assert cover_module._projection_covers(y, x, cert), (mat, r)
+            assert assert_pass_changes_nothing(y, x, cert).ok
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_the_pass_changes_no_report_on_mutated_maps(data):
+    assert_pass_changes_nothing(*draw_mutated(data, swap_vertices=True))
+
+
+def octagon_cover():
+    """(y, x, cert): a 4-fold dart map onto X = T4444 / I (one vertex of
+    degree 4, two loops, one square) that commutes with cw and rev, from a
+    genus-2 map Y of two octagons in build_quotient's layout.  The edge
+    and face maps are the induced ones, so only the face sizes, and the
+    fibers of X's square (2 preimages, not 4), tell it from a covering."""
+    x = build_quotient(spec_of("T4444", (1, 0, 0, 1)))
+    assert x.dart_rev == [2, 3, 0, 1]
+    y = FlagMap(
+        [2, 11, 0, 9, 6, 15, 4, 13, 14, 3, 12, 1, 10, 7, 8, 5],
+        [range(4 * v, 4 * v + 4) for v in range(4)],
+    )
+    assert y.face_sizes == (8, 8) and y.slot_degree == 4
+    dmap = _dart_projection(y, x, (0, 0, 0, 0))
+    cert = cover_module.CoverCertificate(
+        tiling=x.spec.tiling,
+        base_mat=x.spec.mat,
+        exponent=2,
+        fold=4,
+        cover_mat=scaled_identity(2),
+        vertex_map=(0, 0, 0, 0),
+        edge_map=tuple(x.dart_edge[dmap[d]] for d in y.edge_dart),
+        face_map=tuple(x.dart_face_left[dmap[y.face_walks[i]]] for i in y.face_offsets[:-1]),
+        area_value=1,
+        area_factor="1",
+        base_polyhedral=x.polyhedral,
+        cover_polyhedral=y.polyhedral,
+    )
+    return y, x, cert
+
+
+def hand_made_certificates():
+    """(name, y, x, cert, the stage that rejects it)."""
+    y, x, cert = cover_maps(spec_of("E2", (2, 1, 0, 3)))
+    yield "negative vertex", y, x, cert._replace(
+        vertex_map=(cert.vertex_map[0] - x.n_vertices, *cert.vertex_map[1:])
+    ), "shape"
+    yield "fold", y, x, cert._replace(fold=cert.fold + 1), "arithmetic"
+    # The certificate of the r = 2 cover over the r = 1 maps: the arithmetic
+    # holds, and every table is the r = 1 one.
+    yield "fold of r = 2", y, x, cert._replace(
+        exponent=2 * cert.exponent, fold=4 * cert.fold, cover_mat=scaled_identity(2 * cert.exponent)
+    ), "fibers"
+    yield "polyhedral", y, x, cert._replace(cover_polyhedral=not cert.cover_polyhedral), "faces"
+    crossed_x = build_quotient(spec_of("E2", (2, 1, 0, 3)))
+    crossed_x.dart_rev = crossed_reverses(x)
+    yield "crossed reverses", y, crossed_x, cert, "adjacency"
+    y, x, cert = cover_maps(spec_of("E1", (2, 0, 0, 2)))
+    sq = next(f for f in range(x.n_faces) if x.face_sizes[f] == 4)
+    oc = next(f for f in range(x.n_faces) if x.face_sizes[f] == 8)
+    fm = list(cert.face_map)
+    i, j = fm.index(sq), fm.index(oc)
+    fm[i], fm[j] = fm[j], fm[i]
+    yield "face size", y, x, cert._replace(face_map=tuple(fm)), "faces"
+    yield ("octagons", *octagon_cover(), "fibers")
+
+
+@pytest.mark.parametrize(
+    "y, x, cert, stage", [pytest.param(*case, id=name) for name, *case in hand_made_certificates()]
+)
+def test_the_pass_changes_no_report_on_hand_made_certificates(y, x, cert, stage):
+    # Each certificate fails, at the stage named; the pass must refuse it
+    # so that the stage names the failure.
+    report = assert_pass_changes_nothing(y, x, cert)
+    assert not report.ok and report.failure.startswith(stage), report
+    assert report.checks_passed == tuple(_STAGES[: _STAGES.index(stage)])
 
 
 def test_swapped_images_of_two_larger_dart_tails_fail_adjacency():
@@ -506,8 +620,8 @@ def test_swapped_images_of_two_larger_dart_tails_fail_adjacency():
 def projection_covers(y, x, vm, em, fm) -> bool:
     """Whether the dart projection of the vertex map commutes with rev
     and sends every Y dart into the X edge and the X face that the edge
-    and face maps claim for it, decided dart by dart: what the whole-table
-    checks of verify_covering accept."""
+    and face maps claim for it, decided dart by dart: what the accept-only
+    pass of verify_covering checks of the projection."""
     dmap = _dart_projection(y, x, vm)
     return all(
         dmap[y.dart_rev[d]] == x.dart_rev[dmap[d]]
