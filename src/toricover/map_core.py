@@ -18,17 +18,16 @@ fixed-point-free involution, that each dart sits in exactly one
 rotation, and that the map is connected (a union-find over the
 vertices, joined edge by edge).
 
-When vertex v's rotation is darts v·deg … v·deg+deg−1 in order, as
-build_quotient makes it, the tail and rotation tables are filled by
-columns, one slot of every vertex at a time, instead of vertex by
-vertex, and the rotations are a `SlotRotations`, which makes vertex v's
-range when it is read and keeps nothing per vertex.  build_quotient
-declares that layout by passing one; rotations given in any other form
-are compared with it dart by dart, and kept as tuples if they differ.
-The dart ids in the tables come from one pool, one int object per dart,
-as do those of the reverse, edge and face tables of any map.  When the
-reverse table is an involution of ints, as build_quotient's is, the pool
-is the reverse table's own ints, so no second int is made per dart; one
+The rotations come in one of two layouts.  build_quotient declares
+its own, vertex v's rotation being darts v·deg … v·deg+deg−1 in order,
+by passing a `SlotRotations`, which makes vertex v's range when it is
+read and keeps nothing per vertex; the tail and rotation tables are then
+filled by columns, one slot of every vertex at a time.  Any other
+sequence is a general rotation system, read vertex by vertex and kept
+as tuples.  The reverse table has one contract: an involution of exact
+ints without a fixed point, or an error that names its first bad dart.
+Its own ints are then the pool, one int object per dart, from which
+every table takes its dart ids, so no second int is made per dart; one
 index pass, rev(rev(d)) for every d, decides it.  Each fact is
 stored once: an edge is its smaller dart (the other is its reverse), a
 face is a slice of one list of every face walk (`face_walks`, cut at
@@ -41,7 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from functools import cached_property
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from operator import eq, sub
 from typing import NamedTuple
 
@@ -111,60 +110,47 @@ class FlagMap:
         nd = len(dart_rev)
         if nd == 0 or nd % 2:
             raise ValueError("dart count must be positive and even")
-        # The pool: one int object per dart.  The tables below take their
-        # numbers from it, not equal copies made by arithmetic.  A reverse
-        # table that is an involution of ints, as build_quotient's is, holds
-        # each dart once, so its own objects are the pool: ids[d] is the
-        # object rev(rev(d)).  One index pass decides it: an entry out of
-        # range raises, and a negative one, which indexes from the end,
-        # cannot pass (rev(d) = −k reads dart e = nd − k, and then
-        # ids[e] = −k ≠ e).  Any other table gets fresh ints.
+        # The pool: one int object per dart, from which the tables take their
+        # numbers.  The reverse table is an involution of exact ints, so its
+        # own objects are the pool: ids[d] is the object rev(rev(d)).  One
+        # index pass decides it: an entry out of range raises, and a negative
+        # one, which indexes from the end, cannot pass (rev(d) = −k reads
+        # dart e = nd − k, and then ids[e] = −k ≠ e).
         try:
             ids = list(map(dart_rev.__getitem__, dart_rev))
         except (IndexError, TypeError):
             ids = []
-        if set(map(type, ids)) == {int} and all(map(eq, ids, range(nd))):
-            rev = list(dart_rev)
-        elif min(dart_rev) >= 0 and max(dart_rev) < nd:
-            ids = list(range(nd))
-            rev = list(map(ids.__getitem__, dart_rev))
-        else:
-            # A reverse out of range fails the involution check at its
-            # own dart, as a fixed point does, and is never an index.
-            ids = list(range(nd))
-            rev = [r if 0 <= r < nd else d for d, r in enumerate(dart_rev)]
+        if set(map(type, ids)) != {int} or not all(map(eq, ids, range(nd))):
+            raise _reverse_error(dart_rev)
+        rev = list(dart_rev)
 
         # Edges: the {d, rev d} pairs, numbered and stored by their smaller
-        # dart.  The involution check runs on that dart; the other one
-        # passes it as that dart's reverse.
-        edge_of = [-1] * nd
+        # dart.  A fixed point is the smaller dart of no pair, so it leaves
+        # fewer than nd / 2 edges.
+        edge_of = [0] * nd
         edge_dart = []
-        for d in ids:
-            if edge_of[d] < 0:
-                r = rev[d]
-                if r == d or rev[r] != d:
-                    raise ValueError(f"reverse is not a fixed-point-free involution at dart {d}")
+        for d, r in zip(ids, rev):
+            if d < r:
                 edge_of[d] = edge_of[r] = ids[len(edge_dart)]
                 edge_dart.append(d)
+        if 2 * len(edge_dart) != nd:
+            raise _reverse_error(dart_rev)
 
-        # build_quotient's layout: vertex v lists darts v·deg … v·deg+deg−1,
-        # so slot k is the dart column k::deg.  A SlotRotations of nd darts
-        # is that layout by definition; any other sequence is compared with
-        # it dart by dart.  slot_degree: deg, else None.
+        # build_quotient's layout, declared by a SlotRotations of nd darts:
+        # vertex v lists darts v·deg … v·deg+deg−1, so slot k is the dart
+        # column k::deg.  Any other sequence is a general rotation system,
+        # read vertex by vertex.  slot_degree: deg, else None.
         nv = len(vertex_darts)
-        deg = nd // nv if nv else 0
         if type(vertex_darts) is SlotRotations:
-            by_columns = nv * vertex_darts.deg == nd
+            deg = vertex_darts.deg
+            if nv * deg != nd:
+                raise ValueError(f"the slot layout has {nv * deg} darts, the reverse table {nd}")
+            self.dart_vertex, self.dart_cw = _slot_columns(ids, nv, deg)
+            self.vertex_darts = vertex_darts
         else:
-            by_columns = (
-                nv * deg == nd
-                and set(map(len, vertex_darts)) == {deg}
-                and all(map(eq, chain.from_iterable(vertex_darts), ids))
-            )
-        self.slot_degree = deg if by_columns else None
-        self.dart_vertex, self.dart_cw, self.vertex_darts = (
-            _slot_columns(ids, nv, deg) if by_columns else _rotations(vertex_darts, nd)
-        )
+            deg = None
+            self.dart_vertex, self.dart_cw, self.vertex_darts = _rotations(vertex_darts, nd)
+        self.slot_degree = deg
         self.dart_rev = rev
         self.spec = spec
         self.n_vertices = nv
@@ -232,12 +218,11 @@ class FlagMap:
         return joins == self.n_vertices - 1
 
 
-def _slot_columns(ids: list[int], nv: int, deg: int):
-    """(dart_vertex, dart_cw, vertex_darts) when vertex v has darts
-    v·deg … v·deg+deg−1 in ccw order, as in build_quotient: slot k of
-    every vertex is the column ids[k::deg], and each table is deg
-    stride-slice assignments from the pool.  The rotations are a
-    SlotRotations, so nothing is kept per vertex."""
+def _slot_columns(ids: list[int], nv: int, deg: int) -> tuple[list[int], list[int]]:
+    """(dart_vertex, dart_cw) when vertex v has darts v·deg … v·deg+deg−1
+    in ccw order, as in build_quotient: slot k of every vertex is the
+    column ids[k::deg], and each table is deg stride-slice assignments
+    from the pool."""
     nd = len(ids)
     vertices = ids[:nv]
     tail = [0] * nd
@@ -245,7 +230,19 @@ def _slot_columns(ids: list[int], nv: int, deg: int):
     for k in range(deg):
         tail[k::deg] = vertices
         cw[k::deg] = ids[(k - 1) % deg :: deg]
-    return tail, cw, SlotRotations(nv, deg)
+    return tail, cw
+
+
+def _reverse_error(dart_rev: Sequence[int]) -> Exception:
+    """The error for the first dart whose reverse is not an exact int (a
+    bool is not one), or is out of range, itself, or not reversed back to
+    it.  Asked only of a table that has such a dart."""
+    nd = len(dart_rev)
+    for d, r in enumerate(dart_rev):
+        if type(r) is not int:
+            return TypeError(f"the reverse of dart {d} is {r!r}, not an int")
+        if not 0 <= r < nd or r == d or dart_rev[r] != d:
+            return ValueError(f"reverse is not a fixed-point-free involution at dart {d}")
 
 
 def _rotations(vertex_darts: Sequence[Sequence[int]], nd: int):

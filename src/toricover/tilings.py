@@ -142,7 +142,7 @@ class PointGroupElem(NamedTuple):
     """
 
     name: str
-    kind: str  # "rotation" or "reflection"; "translation" for translation()
+    kind: str  # "rotation" or "reflection"
     order: int
     sigma: tuple[int, ...]
     matrix: IMat
@@ -194,21 +194,6 @@ class TilingTemplate(NamedTuple):
     @property
     def signature(self) -> tuple[int, ...]:
         return self.id.signature
-
-
-def translation(tpl: TilingTemplate, delta: IVec) -> PointGroupElem:
-    """Translation by delta (lattice coordinates) as an element with
-    R = I: it fixes every rep and slot and shifts every cell by delta."""
-    reps = range(tpl.rep_count)
-    return PointGroupElem(
-        name=f"translation{delta}",
-        kind="translation",
-        order=0,  # infinite on the tiling
-        sigma=tuple(reps),
-        matrix=((1, 0), (0, 1)),
-        shifts=(delta,) * tpl.rep_count,
-        slot_maps=tuple(tuple(range(tpl.degree)) for _ in reps),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -410,7 +395,7 @@ def full_point_group(tiling: TilingId) -> tuple[PointGroupElem, ...]:
     `_LINEAR_PARTS` and t taking rep 0 onto each rep in turn.  Each
     element is checked on the infinite tiling (`_validate_element`); a
     failure raises AssertionError.  Glide reflections have order 0
-    (infinite), like `translation`.
+    (infinite).
     """
     tpl = template(tiling)
     x0, y0 = tpl.rep_pos[0]

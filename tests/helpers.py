@@ -7,8 +7,9 @@ engine on them (isomorphisms, the whole automorphism group, one vertex
 pair), the tiling group G/T read off the flag engine, the conversion
 between flag lists and the library's (dart perm, reverses), the vertex
 orbits of an orbit report, group-element arithmetic on automorphisms
-given as flag or dart lists (the image of each), and the hypot scan
-that derives a seed's neighbours."""
+given as flag or dart lists (the image of each), translations as
+point-group elements, and the hypot scan that derives a seed's
+neighbours."""
 
 from __future__ import annotations
 
@@ -20,6 +21,21 @@ from toricover import CoverCertificate, FlagMap, QuotientSpec, TilingId, build_q
 from toricover.lattice import cosets, scaled_identity
 from toricover.symmetry import OrbitReport
 from toricover.tilings import _MATCH_TOL, Dart, IVec, PointGroupElem, TilingTemplate, _order, _Seed, dihedral
+
+
+def translation(tpl: TilingTemplate, delta: IVec) -> PointGroupElem:
+    """Translation by delta (lattice coordinates) as an element with
+    R = I: it fixes every rep and slot and shifts every cell by delta."""
+    reps = range(tpl.rep_count)
+    return PointGroupElem(
+        name=f"translation{delta}",
+        kind="translation",
+        order=0,  # infinite on the tiling
+        sigma=tuple(reps),
+        matrix=((1, 0), (0, 1)),
+        shifts=(delta,) * tpl.rep_count,
+        slot_maps=tuple(tuple(range(tpl.degree)) for _ in reps),
+    )
 
 
 def from_faces(faces: list[list[int]]) -> FlagMap:

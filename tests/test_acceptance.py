@@ -34,9 +34,8 @@ from toricover import (
 from toricover.cli import main
 from toricover.lattice import cover_exponent, enumerate_hnf
 from toricover.map_core import euler_characteristic, is_automorphism
-from toricover.tilings import translation
 
-from helpers import exists_automorphism_mapping, reference_flag_tables, to_flags, vertex_orbits
+from helpers import exists_automorphism_mapping, reference_flag_tables, to_flags, translation, vertex_orbits
 
 NONTRIVIAL = [parse_tiling(f"E{i}") for i in range(1, 8)]
 TRIVIAL = [parse_tiling(c) for c in ("T333333", "T4444", "T666", "T33344")]

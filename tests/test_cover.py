@@ -31,8 +31,7 @@ from toricover import cover as cover_module
 from toricover.cli import main
 from toricover.cover import _STAGES, _dart_projection, torus_area
 from toricover.lattice import cover_exponent, scaled_identity
-from toricover.map_core import is_automorphism
-from toricover.tilings import translation
+from toricover.map_core import SlotRotations, is_automorphism
 
 from helpers import (
     compose,
@@ -43,6 +42,7 @@ from helpers import (
     reference_flag_tables,
     reference_local_isomorphism,
     to_flags,
+    translation,
 )
 
 VT_FLAG_CAP = 800
@@ -188,25 +188,6 @@ def test_a_cover_whose_reversal_breaks_fails_verification(monkeypatch, capsys, c
     assert json.loads(capsys.readouterr().out)["verified"]["failure"] == want
 
 
-def test_cover_maps_refuses_a_cover_whose_rotations_start_elsewhere(monkeypatch):
-    # The same map with every rotation started at its second dart: dart k
-    # of a Y-vertex is no longer at position k, so the dart map cannot be
-    # read off the chained rotations, and cover_maps says so.
-    spec = spec_of("E2", (2, 1, 0, 3))
-
-    def shifted(s):
-        m = build_quotient(s)
-        if s == spec:
-            return m
-        turned = FlagMap(m.dart_rev, [(*r[1:], r[0]) for r in m.vertex_darts], spec=s)
-        turned.coset_system = m.coset_system
-        return turned
-
-    monkeypatch.setattr("toricover.cover.build_quotient", shifted)
-    with pytest.raises(AssertionError, match="rotations do not list darts 0..n-1 in order"):
-        cover_maps(spec)
-
-
 # --- verification failure kinds, one per check ---
 
 
@@ -250,6 +231,21 @@ def test_verify_rejects_unbalanced_fibers():
     report = verify_covering(y, x, cert._replace(vertex_map=tuple(vm)))
     assert report.failure.startswith("fibers")
     assert report.checks_passed == ("arithmetic", "shape")
+
+
+@pytest.mark.parametrize(
+    "moved, onto, want", [(1, 0, "vertex 0 has 2 preimages"), (3, 5, "vertex 3 has 0 preimages")]
+)
+def test_verify_names_the_first_bad_fiber_at_fold_1(moved, onto, want):
+    # At fold 1 the vertex map is a permutation; sending one more vertex
+    # onto `onto` leaves `moved` with no preimage, and the smaller of the
+    # two is named.
+    y, x, cert = cover_maps(spec_of("E1", (2, 0, 0, 2)))
+    assert cert.fold == 1 and y is x and cert.vertex_map == tuple(range(x.n_vertices))
+    vm = list(cert.vertex_map)
+    vm[moved] = onto
+    report = verify_covering(y, x, cert._replace(vertex_map=tuple(vm)))
+    assert report == (False, f"fibers: {want}, expected 1", ("arithmetic", "shape"))
 
 
 def test_verify_rejects_broken_adjacency():
@@ -542,8 +538,7 @@ def octagon_cover():
     x = build_quotient(spec_of("T4444", (1, 0, 0, 1)))
     assert x.dart_rev == [2, 3, 0, 1]
     y = FlagMap(
-        [2, 11, 0, 9, 6, 15, 4, 13, 14, 3, 12, 1, 10, 7, 8, 5],
-        [range(4 * v, 4 * v + 4) for v in range(4)],
+        [2, 11, 0, 9, 6, 15, 4, 13, 14, 3, 12, 1, 10, 7, 8, 5], SlotRotations(4, 4)
     )
     assert y.face_sizes == (8, 8) and y.slot_degree == 4
     dmap = _dart_projection(y, x, (0, 0, 0, 0))
@@ -644,8 +639,7 @@ def test_a_rotated_cycle_fails_the_column_tier_and_passes_the_per_vertex_tier(mo
     old[v * deg : (v + 1) * deg] = [v * deg + (k + 1) % deg for k in range(deg)]
     new = inverse(old)
     turned = FlagMap(
-        [new[y.dart_rev[old[d]]] for d in range(y.n_darts)],
-        [range(u * deg, (u + 1) * deg) for u in range(y.n_vertices)],
+        [new[y.dart_rev[old[d]]] for d in range(y.n_darts)], SlotRotations(y.n_vertices, deg)
     )
     assert turned.slot_degree == deg
     em = [cert.edge_map[y.dart_edge[old[d]]] for d in turned.edge_dart]

@@ -310,14 +310,17 @@ def test_quotient_rotations_are_untracked_ranges_and_faces_two_flat_lists(code):
         assert {m.dart_face_left[d] for d in walk} == {f}
 
 
-def assert_checked_layout_matches_declared(spec: QuotientSpec) -> None:
+def assert_general_layout_matches_declared(spec: QuotientSpec) -> None:
     # build_quotient declares its layout with a SlotRotations; the same
-    # rotations as a tuple of ranges take the dart-by-dart check.
+    # rotations as a tuple of ranges are a general rotation system, read
+    # vertex by vertex, and are the reference: every table agrees, and only
+    # the declared layout keeps a SlotRotations and a slot degree.
     declared = build_quotient(spec)
-    checked = FlagMap(declared.dart_rev, tuple(declared.vertex_darts), spec)
-    assert type(declared.vertex_darts) is type(checked.vertex_darts) is SlotRotations
-    for name in (*MAP_TABLES, "slot_degree", "n_vertices", "n_edges", "n_faces"):
-        want, got = getattr(declared, name), getattr(checked, name)
+    general = FlagMap(declared.dart_rev, tuple(declared.vertex_darts), spec)
+    assert type(declared.vertex_darts) is SlotRotations and type(general.vertex_darts) is tuple
+    assert (declared.slot_degree, general.slot_degree) == (template(spec.tiling).degree, None)
+    for name in (*MAP_TABLES, "n_vertices", "n_edges", "n_faces"):
+        want, got = getattr(general, name), getattr(declared, name)
         if name == "vertex_darts":
             want, got = tuple(map(tuple, want)), tuple(map(tuple, got))
         assert got == want, (spec, name)
@@ -333,9 +336,9 @@ NON_HERMITE_MATS = [
 
 
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
-def test_checked_layout_matches_the_declared_one(tid):
+def test_general_layout_matches_the_declared_one(tid):
     for mat in [*enumerate_hnf(12), *NON_HERMITE_MATS]:
-        assert_checked_layout_matches_declared(QuotientSpec(tid, mat))
+        assert_general_layout_matches_declared(QuotientSpec(tid, mat))
 
 
 @pytest.mark.parametrize("n, deg", [(0, 1), (1, 1), (1, 5), (5, 3), (7, 4)])
@@ -365,22 +368,22 @@ def test_slot_rotations_refuse_a_negative_count_or_no_degree(n, deg):
         SlotRotations(n, deg)
 
 
-def test_a_slot_rotations_of_another_dart_count_takes_the_checked_path():
-    # Two vertices of two darts declared, four darts given: the rotations
-    # are checked dart by dart and lack darts 4 and 5.
-    with pytest.raises(ValueError, match="^dart 4 belongs to no vertex rotation$"):
-        FlagMap([1, 0, 3, 2, 5, 4], SlotRotations(2, 2))
+@pytest.mark.parametrize("n, deg", [(1, 2), (3, 2), (2, 1), (4, 2), (0, 3)])
+def test_a_slot_rotations_of_another_dart_count_is_refused(n, deg):
+    # Four darts and a declared layout of n·deg ≠ 4 darts.
+    with pytest.raises(ValueError, match=f"^the slot layout has {n * deg} darts, the reverse table 4$"):
+        FlagMap([2, 3, 0, 1], SlotRotations(n, deg))
     m = FlagMap([2, 3, 0, 1], SlotRotations(2, 2))
     assert m.slot_degree == 2 and tuple(m.vertex_darts) == (range(0, 2), range(2, 4))
 
 
 def test_slot_degree_is_the_degree_exactly_in_build_quotients_layout():
-    # Rotations listing darts 0 … n−1 in order have it, given as ranges or
-    # as tuples; a rotation system in any other order, or with unequal
-    # degrees, has None.
+    # A declared layout has it; a general rotation system has None, even
+    # when it lists darts 0 … n−1 in order.
     m = build_quotient(QuotientSpec(parse_tiling("E2"), SublatticeMat(2, 1, 0, 3)))
     assert m.slot_degree == template(parse_tiling("E2")).degree
-    assert FlagMap([2, 3, 0, 1], [(0, 1), (2, 3)]).slot_degree == 2
+    assert FlagMap([2, 3, 0, 1], SlotRotations(2, 2)).slot_degree == 2
+    assert FlagMap([2, 3, 0, 1], [(0, 1), (2, 3)]).slot_degree is None
     assert FlagMap([1, 0, 3, 2], [(0, 2), (1, 3)]).slot_degree is None
     assert FlagMap([1, 0, 3, 2], [(0,), (1, 2, 3)]).slot_degree is None
 
@@ -560,33 +563,30 @@ def test_flagmap_rejects_reverse_out_of_range(dart_rev):
         FlagMap(dart_rev, [(0, 1)])
 
 
-# Reverse tables that are not involutions of ints in range, and what
-# FlagMap did with each before the pool was checked in one index pass
-# (recorded then): the same exception type and text, or the same table.
+# Reverse tables that are not involutions of ints in range, and the error
+# that names their first bad dart.  The int rows are what FlagMap raised
+# before the pool was checked in one index pass (recorded then); an entry
+# that is not an exact int, a bool included, is a TypeError.
 REVERSE_OUTCOMES = {
     "negative first": ([-1, 0], ValueError, "reverse is not a fixed-point-free involution at dart 0"),
     "negative second": ([1, -2], ValueError, "reverse is not a fixed-point-free involution at dart 0"),
     "negative wrapping to an involution": ([1, 0, -1, 2], ValueError, "reverse is not a fixed-point-free involution at dart 2"),
     "value nd, first edge": ([1, 2], ValueError, "reverse is not a fixed-point-free involution at dart 0"),
     "value nd, second edge": ([1, 0, 4, 2], ValueError, "reverse is not a fixed-point-free involution at dart 2"),
-    "float": ([1.0, 0.0], TypeError, "list indices must be integers or slices, not float"),
-    "str": (["1", "0"], TypeError, "'>=' not supported between instances of 'str' and 'int'"),
-    "None": ([None, 0], TypeError, "'<' not supported between instances of 'int' and 'NoneType'"),
+    "float": ([1.0, 0.0], TypeError, "the reverse of dart 0 is 1.0, not an int"),
+    "str": (["1", "0"], TypeError, "the reverse of dart 0 is '1', not an int"),
+    "None": ([None, 0], TypeError, "the reverse of dart 0 is None, not an int"),
     "non-involution": ([1, 2, 3, 0], ValueError, "reverse is not a fixed-point-free involution at dart 0"),
     "fixed point": ([1, 0, 2, 3], ValueError, "reverse is not a fixed-point-free involution at dart 2"),
-    "bool": ([True, False], None, [1, 0]),
+    "bool": ([True, False], TypeError, "the reverse of dart 0 is True, not an int"),
+    "bool third": ([3, 2, True, 0], TypeError, "the reverse of dart 2 is True, not an int"),
 }
 
 
 @pytest.mark.parametrize("name", list(REVERSE_OUTCOMES))
-def test_flagmap_reverse_tables_fail_or_build_as_before(name):
+def test_flagmap_reverse_tables_fail_at_their_first_bad_dart(name):
     dart_rev, error, outcome = REVERSE_OUTCOMES[name]
     vertex_darts = [tuple(range(v, v + 2)) for v in range(0, len(dart_rev), 2)]
-    if error is None:
-        m = FlagMap(dart_rev, vertex_darts)
-        assert m.dart_rev == outcome and set(map(type, m.dart_rev)) == {int}
-        assert m.slot_degree == 2
-        return
     with pytest.raises(error) as caught:
         FlagMap(dart_rev, vertex_darts)
     assert type(caught.value) is error and str(caught.value) == outcome
@@ -605,24 +605,28 @@ REVERSE_VARIANTS = {
 def tables_or_error(build, dart_rev, vertex_darts):
     try:
         return build(dart_rev, vertex_darts)
-    except ValueError as exc:
-        return str(exc)
+    except (TypeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 @pytest.mark.parametrize("variant", list(REVERSE_VARIANTS))
 def test_flagmap_reverse_variants_match_the_per_dart_constructor(variant):
-    # A reverse table given as a tuple (its ints are still the pool), with
-    # bool entries, or that is not an involution of darts in range (both
-    # take a fresh pool) builds the same int tables as a list of ints
-    # would, or fails with the same message at the same first dart.
+    # A reverse table given as a tuple (its ints are still the pool) builds
+    # the same int tables as a list of ints would; one that is not an
+    # involution of darts in range fails with the same message at the same
+    # first dart, and one with bool entries with a TypeError at its first.
     spec = QuotientSpec(parse_tiling("E2"), SublatticeMat(2, 1, 0, 3))
     _, _, dart_rev, vertex_darts = reference_quotient(spec)
     given = REVERSE_VARIANTS[variant](dart_rev)
     want = tables_or_error(reference_map_tables, [int(r) for r in given], vertex_darts)
     got = tables_or_error(FlagMap, given, vertex_darts)
-    assert isinstance(want, str) == (variant not in ("tuple", "bool"))
+    if variant == "bool":
+        d = next(d for d, r in enumerate(given) if type(r) is bool)
+        assert got == f"TypeError: the reverse of dart {d} is {given[d]}, not an int"
+        return
+    assert isinstance(want, str) == (variant != "tuple")
     if isinstance(want, str):
-        assert got == want and want.startswith("reverse is not a fixed-point-free involution at dart ")
+        assert got == want and want.startswith("ValueError: reverse is not a fixed-point-free involution at dart ")
         return
     for name in MAP_TABLES:
         table = getattr(got, name)
@@ -642,7 +646,7 @@ def test_flagmap_rejects_two_disjoint_copies_of_a_quotient(layout):
     m = build_quotient(QuotientSpec(parse_tiling("E2"), SublatticeMat(2, 1, 0, 3)))
     nd = m.n_darts
     dart_rev = m.dart_rev + [r + nd for r in m.dart_rev]
-    vertex_darts = [*m.vertex_darts, *(range(r.start + nd, r.stop + nd) for r in m.vertex_darts)]
+    vertex_darts = SlotRotations(2 * m.n_vertices, m.slot_degree)
     if layout == "rotations":
         vertex_darts = [(*r[1:], r[0]) for r in vertex_darts]
     with pytest.raises(ValueError, match="^map is not connected$"):
