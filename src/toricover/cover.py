@@ -143,21 +143,12 @@ def cover_maps(
     # so slot k of every vertex is the dart column k::deg.
     deg = x.slot_degree
     # Both maps number vertices rep-major (build_quotient), so the Y-vertex
-    # (rep, c) goes to X's vertex rep * |det| + (X's index of the cell c).
-    # Y's cell i·s2 + j is the vector i·u + j·w, and X's box map is
-    # additive, so its box in X is i·box(u) + j·box(w), mod X's box sides.
-    # The vertex map holds X's own int objects, not a fresh int per Y
-    # cell: X's vertex v is x.dart_vertex[v·deg].
-    ys, xs = y.coset_system, x.coset_system
-    reps = ys.representatives
-    bu = xs.box_coords(reps[ys.s2]) if ys.s1 > 1 else (0, 0)
-    bw = xs.box_coords(reps[1]) if ys.s2 > 1 else (0, 0)
-    s1, s2 = xs.s1, xs.s2
-    cells = [
-        (i * bu[0] + j * bw[0]) % s1 * s2 + (i * bu[1] + j * bw[1]) % s2
-        for i in range(ys.s1)
-        for j in range(ys.s2)
-    ]
+    # (rep, c) goes to X's vertex rep * |det| + (X's index of the cell c):
+    # the cell map of R = I from Y's cosets to X's (m·Z² ⊆ K).  The vertex
+    # map holds X's own int objects, not a fresh int per Y cell: X's
+    # vertex v is x.dart_vertex[v·deg].
+    xs = x.coset_system
+    cells = y.coset_system.cell_map(xs)
     ncos = xs.size()
     x_vertices = x.dart_vertex[::deg]
     vmap = []
@@ -308,6 +299,7 @@ def verify_covering(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> VerifyRep
             return fail(
                 f"fibers: {kind} {badcell} has {fibers[badcell]} preimages, expected {n}"
             )
+        del fibers  # freed before the next table is counted, not after
     passed.append("fibers")
 
     vm, em, fm = cert.vertex_map, cert.edge_map, cert.face_map
@@ -430,21 +422,23 @@ def descend(m: FlagMap, elem: PointGroupElem) -> tuple[list[int], bool]:
     `is_automorphism`; a failure there would mean corrupt template data
     and raises.
     """
-    cs = m.coset_system
-    if cs is None:
+    cs, deg = m.coset_system, m.slot_degree
+    if cs is None or deg is None:
         raise ValueError("descend needs a map from build_quotient")
     if not cs.mat.preserved_by(elem.matrix):
         raise ValueError(f"{elem.name} does not preserve the lattice of {cs.mat.as_tuple()}")
-    # Vertex v is (rep, cell) = (v // ncos, representative v % ncos), by
-    # build_quotient's rep-major numbering.
-    ncos, cells = cs.size(), cs.representatives
+    # In build_quotient's layout the element sends (r, w) to
+    # (sigma[r], R·w + shifts[r]) and slot k to slot_maps[r][k], so the
+    # dart column (r, k) goes to the column (sigma[r], slot_maps[r][k]),
+    # its cosets moved by rep r's cell map.  The images are the map's own
+    # ints: dart u·deg + k is the cw successor of dart u·deg + k + 1.
+    block = cs.size() * deg  # the darts of one rep
     perm = [0] * m.n_darts
-    for v, ds in enumerate(m.vertex_darts):
-        r = v // ncos
-        r2, w2 = elem.apply_vertex(r, cells[v % ncos])
-        image = m.vertex_darts[m.vertex_at(r2, w2)]
-        for d, k in zip(ds, elem.slot_maps[r]):
-            perm[d] = image[k]
+    for r, (t, shift, slots) in enumerate(zip(elem.sigma, elem.shifts, elem.slot_maps)):
+        cells = cs.cell_map(cs, elem.matrix, shift)
+        for k, k2 in enumerate(slots):
+            column = m.dart_cw[t * block + (k2 + 1) % deg : (t + 1) * block : deg]
+            perm[r * block + k : (r + 1) * block : deg] = map(column.__getitem__, cells)
 
     if not is_automorphism(m, perm, elem.reverses_orientation):
         raise RuntimeError(

@@ -227,27 +227,30 @@ class CosetSystem(NamedTuple):
         i, j = self.box_coords(vec)
         return i * self.s2 + j
 
+    def cell_map(self, dst: "CosetSystem", matrix=((1, 0), (0, 1)), shift: Vec = (0, 0)) -> list[int]:
+        """dst's coset index of R·w + shift for each representative w, in
+        order, with R = matrix.  Representative i*s2 + j is i·u + j·w
+        (`cosets`) and box coordinates are additive, so its image's box is
+        box(shift) + i·box(R·u) + j·box(R·w).  It is a map of cosets when
+        R maps this lattice into dst's; the caller checks that."""
+        (r00, r01), (r10, r11) = matrix
+        (ui, uj), (wi, wj) = (
+            dst.box_coords((r00 * x + r01 * y, r10 * x + r11 * y)) for x, y in _inv_unimodular(self.v)
+        )
+        hi, hj = dst.box_coords(shift)
+        s1, s2 = dst.s1, dst.s2
+        rows = [(hi + i * ui, hj + i * uj) for i in range(self.s1)]  # the image box of rep i*s2
+        return [(a + j * wi) % s1 * s2 + (b + j * wj) % s2 for a, b in rows for j in range(self.s2)]
+
 
 def cosets(mat: SublatticeMat) -> CosetSystem:
     """Build the coset system for Z^2 / row-lattice(mat)."""
     v, s1, s2 = _snf_2x2(mat)
-    v_inv = _inv_unimodular(v)
-    reps = []
-    for i in range(s1):
-        for j in range(s2):
-            reps.append(
-                (
-                    i * v_inv[0][0] + j * v_inv[1][0],
-                    i * v_inv[0][1] + j * v_inv[1][1],
-                )
-            )
-    return CosetSystem(
-        mat=mat,
-        s1=s1,
-        s2=s2,
-        v=(tuple(v[0]), tuple(v[1])),
-        representatives=tuple(reps),
-    )
+    # Representative i*s2 + j is i·u + j·w, the rows u and w of v^-1 (the
+    # Smith generators), so its box coordinates are (i, j).
+    (ux, uy), (wx, wy) = _inv_unimodular(v)
+    reps = tuple((i * ux + j * wx, i * uy + j * wy) for i in range(s1) for j in range(s2))
+    return CosetSystem(mat=mat, s1=s1, s2=s2, v=(tuple(v[0]), tuple(v[1])), representatives=reps)
 
 
 def enumerate_hnf(max_index: int) -> Iterator[SublatticeMat]:

@@ -318,7 +318,9 @@ def build_quotient(spec: QuotientSpec) -> FlagMap:
     # reverse darts of the column (r, k) are the target rep's slot with its
     # box rows and columns rotated, two slices of the pool per box row.  So
     # the reverse table holds the pool's own ints, which FlagMap takes back
-    # as its pool, and no int is made per dart by arithmetic.
+    # as its pool, and no int is made per dart by arithmetic.  This is the
+    # one coset indexing outside `CosetSystem`: reading the column through
+    # `cell_map(cs, shift=offset)` took E7 at 52·I from 58 to 79 ms.
     ids = list(range(nd))
     dart_rev = [0] * nd
     row = s2 * deg  # the darts of one box row of a rep's slot, stride deg

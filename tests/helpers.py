@@ -8,8 +8,9 @@ pair), the tiling group G/T read off the flag engine, the conversion
 between flag lists and the library's (dart perm, reverses), the vertex
 orbits of an orbit report, group-element arithmetic on automorphisms
 given as flag or dart lists (the image of each), translations as
-point-group elements, and the hypot scan that derives a seed's
-neighbours."""
+point-group elements, the per-vertex descent of a tiling symmetry to a
+quotient, lattices not in Hermite form, and the hypot scan that derives
+a seed's neighbours."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from collections.abc import Iterable, Iterator
 from itertools import accumulate, chain
 
 from toricover import CoverCertificate, FlagMap, QuotientSpec, TilingId, build_quotient, template
-from toricover.lattice import cosets, scaled_identity
+from toricover.lattice import SublatticeMat, cosets, scaled_identity
 from toricover.symmetry import OrbitReport
 from toricover.tilings import _MATCH_TOL, Dart, IVec, PointGroupElem, TilingTemplate, _order, _Seed, dihedral
 
@@ -36,6 +37,40 @@ def translation(tpl: TilingTemplate, delta: IVec) -> PointGroupElem:
         shifts=(delta,) * tpl.rep_count,
         slot_maps=tuple(tuple(range(tpl.degree)) for _ in reps),
     )
+
+
+# Lattices given by a matrix that is not their Hermite form.
+NON_HERMITE_MATS = [
+    SublatticeMat(1, -2, 3, 1),
+    SublatticeMat(2, 1, 2, 4),
+    SublatticeMat(-3, 2, 1, 2),
+    SublatticeMat(0, 3, 2, 1),
+    SublatticeMat(4, -1, -2, -3),
+]
+
+
+def smith_generator_shifts(cs) -> list[IVec]:
+    """The representatives in box cells (1, 0) and (0, 1) of a coset
+    system, the Smith generators, where its box has such a cell."""
+    reps = cs.representatives
+    return [reps[at] for at, side in ((cs.s2, cs.s1), (1, cs.s2)) if side > 1]
+
+
+def reference_descend(m: FlagMap, elem: PointGroupElem) -> tuple[list[int], bool]:
+    """`cover.descend` vertex by vertex, with no checks: vertex v is
+    (rep, cell) = (v // ncos, representative v % ncos), its image is
+    looked up with `FlagMap.vertex_at`, and dart k of v goes to dart
+    slot_maps[rep][k] of the image.  The oracle for descend."""
+    cs = m.coset_system
+    ncos, cells = cs.size(), cs.representatives
+    perm = [0] * m.n_darts
+    for v, ds in enumerate(m.vertex_darts):
+        r = v // ncos
+        r2, w2 = elem.apply_vertex(r, cells[v % ncos])
+        image = m.vertex_darts[m.vertex_at(r2, w2)]
+        for d, k in zip(ds, elem.slot_maps[r]):
+            perm[d] = image[k]
+    return perm, elem.reverses_orientation
 
 
 def from_faces(faces: list[list[int]]) -> FlagMap:

@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -27,7 +28,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from referencing import Registry, Resource
 
-from toricover import SublatticeMat, build_quotient, certificate_from_dict, cli, map_core, render, symmetry, tilings
+from toricover import SublatticeMat, build_quotient, certificate_from_dict, cli, lattice, map_core, render, symmetry, tilings
 from toricover.cover import _STAGES, CERTIFICATE_KEYS, VerifyReport
 from toricover.cli import COVER_DOCUMENT_KEYS, main
 from toricover.lattice import cosets
@@ -872,3 +873,97 @@ def test_verify_survives_certificate_mutations(tmp_path, data):
         assert same_meaning(doc, original), what
     else:
         assert code in (1, 2), (what, code, err.getvalue())
+
+
+# --- one exit-code contract over every command ---
+
+# Integer arguments are drawn from edge values only: mid-range ones do
+# legitimate long work (`batch --samples 9999` takes about a minute).
+EDGE_INTEGERS = ("0", "1", "-1", "2", "3", str(10**30), str(-(10**30)), "0x10", "1_000", "٣", "", "abc")
+TILING_NAMES = ("E1", "E7", "T4444", "T666", "3.3.4.3.4", "E8", "nonagonal", "", "٣")
+
+
+def edge_integers(limit: int, mid_range: tuple[str, ...] = ()) -> st.SearchStrategy[str]:
+    """An edge value, or one over the option's limit; `mid_range` names
+    edge values that this option turns into long work."""
+    return st.sampled_from([v for v in (*EDGE_INTEGERS, str(limit + 1)) if v not in mid_range])
+
+
+def cli_files(tmp_path: Path) -> dict[str, str]:
+    """Inputs for `verify`: an honest certificate, a tampered one, a
+    missing file, a directory and a file that is not JSON."""
+    files = {name: str(tmp_path / name) for name in ("cert.json", "tampered.json", "missing.json", "text.json")}
+    files["dir"] = str(tmp_path)
+    if not Path(files["cert.json"]).exists():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["cover", "E1", "1", "0", "0", "2", "--out", files["cert.json"]]) == 0
+        cert = json.loads(Path(files["cert.json"]).read_text())["certificate"]
+        cert["vertex_map"][0], cert["vertex_map"][-1] = cert["vertex_map"][-1], cert["vertex_map"][0]
+        Path(files["tampered.json"]).write_text(json.dumps(cert))
+        Path(files["text.json"]).write_text("not json {")
+    return files
+
+
+COMMANDS = ("info", "analyze", "cover", "verify", "search-nonvt", "batch", "render")
+
+
+@st.composite
+def cli_argvs(draw, command: str, files: dict[str, str], out: str) -> list[str]:
+    argv = [command]
+    if command not in ("verify", "batch"):
+        argv.append(draw(st.sampled_from(TILING_NAMES)))
+    if command in ("analyze", "cover", "render"):
+        argv += [draw(edge_integers(lattice.MAX_ENTRY)) for _ in range(4)]
+    options = {
+        "cover": {"--r": edge_integers(lattice.MAX_ENTRY)},
+        "search-nonvt": {"--det-bound": edge_integers(symmetry.MAX_DET_BOUND)},
+        "batch": {
+            "--samples": edge_integers(cli.BATCH_MAX_SAMPLES, mid_range=("1_000",)),
+            "--seed": edge_integers(0),
+            "--max-entry": edge_integers(lattice.MAX_ENTRY, mid_range=("1_000",)),
+        },
+    }.get(command, {})
+    if command == "verify":
+        argv.append(draw(st.sampled_from(sorted(files.values()))))
+    for option, values in options.items():
+        if draw(st.booleans()):  # a required option left out is an argparse error
+            argv += [option, draw(values)]
+    if draw(st.booleans()):
+        argv += ["--out", draw(st.sampled_from(["-", out, files["dir"]]))]
+    return argv
+
+
+class Expired(BaseException):
+    """Raised by `alarm`.  Not an Exception, so no handler in the CLI
+    (which turns OSError, TimeoutError included, into exit 2) catches it."""
+
+
+@contextlib.contextmanager
+def alarm(seconds: int):
+    def expire(signum, frame):
+        raise Expired(f"the call took over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_command_exits_zero_one_or_two_without_a_traceback(tmp_path, monkeypatch, command, data):
+    monkeypatch.chdir(tmp_path)  # `render --out -` writes a file named "-"
+    files = cli_files(tmp_path)
+    argv = data.draw(cli_argvs(command, files, str(tmp_path / "out.json")), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with alarm(30), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)  # any other exception is a traceback
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import copy
 import functools
+import gc
 import json
 import re
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -30,17 +33,21 @@ from toricover import (
 from toricover import cover as cover_module
 from toricover.cli import main
 from toricover.cover import _STAGES, _dart_projection, torus_area
-from toricover.lattice import cover_exponent, scaled_identity
+from toricover.lattice import cover_exponent, enumerate_hnf, scaled_identity
 from toricover.map_core import SlotRotations, is_automorphism
+from toricover.tilings import full_point_group
 
 from helpers import (
+    NON_HERMITE_MATS,
     compose,
     inverse,
     is_identity,
     order,
     reference_adjacency,
+    reference_descend,
     reference_flag_tables,
     reference_local_isomorphism,
+    smith_generator_shifts,
     to_flags,
     translation,
 )
@@ -246,6 +253,31 @@ def test_verify_names_the_first_bad_fiber_at_fold_1(moved, onto, want):
     vm[moved] = onto
     report = verify_covering(y, x, cert._replace(vertex_map=tuple(vm)))
     assert report == (False, f"fibers: {want}, expected 1", ("arithmetic", "shape"))
+
+
+def traced_peak(call, *args) -> int:
+    """The tracemalloc peak, in bytes, of one call."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_the_fibers_stage_counts_one_table_at_a_time():
+    # One edge image duplicated: the certificate fails the accept pass and
+    # the fibers stage at the edge map.  The vertex map's Counter is freed
+    # before the edge map's is built, so the stage peaks at about one
+    # Counter; holding both took E7 at 52·I from 3.75 to 5.00 MiB.
+    y, x, cert = cover_maps(spec_of("E7", (52, 0, 0, 52)))
+    em = list(cert.edge_map)
+    em[1] = em[0]
+    bad = cert._replace(edge_map=tuple(em))
+    assert verify_covering(y, x, bad).failure.startswith("fibers: edge")
+    assert traced_peak(verify_covering, y, x, bad) <= 1.1 * traced_peak(Counter, bad.edge_map)
 
 
 def test_verify_rejects_broken_adjacency():
@@ -756,6 +788,19 @@ def test_descend_refuses_an_element_that_is_not_a_symmetry():
         descend(m, bad)
     perm, reverses = descend(m, rho)
     assert not is_automorphism(m, perm[:-1], reverses)
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_column_descend_equals_the_per_vertex_reference(tid):
+    # Every point symmetry that preserves K, and the translations by the
+    # unit vectors and by the Smith generators.
+    tpl, group = template(tid), full_point_group(tid)
+    for mat in [*enumerate_hnf(12), *NON_HERMITE_MATS]:
+        m = build_quotient(QuotientSpec(tid, mat))
+        elems = [g for g in group if mat.preserved_by(g.matrix)]
+        elems += [translation(tpl, d) for d in ((1, 0), (0, 1), *smith_generator_shifts(m.coset_system))]
+        for elem in elems:
+            assert descend(m, elem) == reference_descend(m, elem), (mat, elem.name)
 
 
 def test_descend_needs_a_quotient_map():

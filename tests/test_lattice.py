@@ -27,6 +27,9 @@ from toricover.lattice import (
     random_nonsingular,
     scaled_identity,
 )
+from toricover.tilings import TilingId, full_point_group
+
+from helpers import NON_HERMITE_MATS, smith_generator_shifts
 
 
 def oracle_cover_exponent(mat: SublatticeMat) -> int:
@@ -194,6 +197,36 @@ def test_index_of_is_a_bijection_on_representatives():
         cs = cosets(m)
         seen = {cs.index_of(r) for r in cs.representatives}
         assert seen == set(range(cs.size()))
+
+
+def index_oracle(src, dst, matrix, shift) -> list[int]:
+    """dst.index_of(R·w + shift) for each representative w of src."""
+    (r00, r01), (r10, r11) = matrix
+    sx, sy = shift
+    return [dst.index_of((r00 * x + r01 * y + sx, r10 * x + r11 * y + sy)) for x, y in src.representatives]
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_cell_map_matches_index_of_on_every_representative(tid):
+    # The identity, each Smith-generator translation, each point symmetry
+    # of the tiling that preserves K (with every rep's shift), and the
+    # cover projection from m·Z² onto K.
+    identity = ((1, 0), (0, 1))
+    group = full_point_group(tid)
+    for mat in [*enumerate_hnf(12), *NON_HERMITE_MATS]:
+        cs = cosets(mat)
+        cases = [(cs, identity, (0, 0)), (cosets(scaled_identity(cover_exponent(mat))), identity, (0, 0))]
+        cases += [(cs, identity, shift) for shift in smith_generator_shifts(cs)]
+        cases += [(cs, g.matrix, shift) for g in group if mat.preserved_by(g.matrix) for shift in g.shifts]
+        for src, matrix, shift in cases:
+            assert src.cell_map(cs, matrix, shift) == index_oracle(src, cs, matrix, shift), (mat, matrix, shift)
+
+
+@given(nonsingular(bound=9), st.integers(-40, 40), st.integers(-40, 40))
+@settings(max_examples=150, deadline=None)
+def test_cell_map_of_a_translation_matches_index_of(m, x, y):
+    cs = cosets(m)
+    assert cs.cell_map(cs, shift=(x, y)) == index_oracle(cs, cs, ((1, 0), (0, 1)), (x, y))
 
 
 def test_enumerate_hnf_counts():

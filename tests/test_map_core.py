@@ -33,7 +33,15 @@ from toricover import map_core
 from toricover.lattice import enumerate_hnf
 from toricover.map_core import SlotRotations, VertexTypeSig, euler_characteristic, face_cycle, vertex_type
 
-from helpers import are_isomorphic, from_faces, full_scan, reference_flag_tables, reference_map_tables, reference_quotient
+from helpers import (
+    NON_HERMITE_MATS,
+    are_isomorphic,
+    from_faces,
+    full_scan,
+    reference_flag_tables,
+    reference_map_tables,
+    reference_quotient,
+)
 
 SWEEP_MATS = [
     SublatticeMat(1, 0, 0, 1),
@@ -324,15 +332,6 @@ def assert_general_layout_matches_declared(spec: QuotientSpec) -> None:
         if name == "vertex_darts":
             want, got = tuple(map(tuple, want)), tuple(map(tuple, got))
         assert got == want, (spec, name)
-
-
-NON_HERMITE_MATS = [
-    SublatticeMat(1, -2, 3, 1),
-    SublatticeMat(2, 1, 2, 4),
-    SublatticeMat(-3, 2, 1, 2),
-    SublatticeMat(0, 3, 2, 1),
-    SublatticeMat(4, -1, -2, -3),
-]
 
 
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
