@@ -20,6 +20,9 @@ def conditions(workload: str, d: dict):
     yield d["correct"] is True, "the run's correctness gate holds"
     yield d["failed"] == 0, "no operation failed"
     yield calls("map_core.FlagMap") > 0, "quotient maps keep going through the FlagMap constructor"
+    # Every map the benchmark builds is a quotient, so every map takes the path
+    # whose reverse involution and connectivity validate_template proved.
+    yield calls("map_core.build_quotient") == calls("map_core.FlagMap"), "every map is a quotient, on the proven path"
     if workload == "search":
         # The command reaching the witness loop by another name would silence this span.
         yield calls("symmetry.search_non_vt") > 0, "search_non_vt runs"

@@ -332,8 +332,11 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
     spec = _spec_from_args(args)
     doc = render_svg(template(spec.tiling), spec.mat)
-    with open(args.out, "w") as fh:
-        fh.write(doc)
+    if args.out == "-":
+        sys.stdout.write(doc)
+    else:
+        with open(args.out, "w") as fh:
+            fh.write(doc)
     return 0
 
 
@@ -396,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="SVG of the tiling with the sublattice domain")
     _add_spec_arguments(p)
-    p.add_argument("--out", required=True, help="output SVG path")
+    p.add_argument("--out", required=True, help="output SVG path, or - for stdout")
     p.set_defaults(func=_cmd_render)
 
     return parser

@@ -349,7 +349,13 @@ def _projection_covers(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> bool:
     its size) then has n.  The projection sends every Y dart's edge and
     face where the edge and face maps say, so each Y edge's ends map
     onto its image's, and every Y-vertex's cycle is its image's, slot by
-    slot."""
+    slot.
+
+    X is connected because every FlagMap is.  A map from build_quotient
+    is T/K, the image of the plane tiling T, which validate_template
+    proves connected once per tiling (its darts join every rep and its
+    closed walks' offsets span Z²), so FlagMap runs no union-find on it;
+    any other map has passed that union-find in its constructor."""
     deg = y.slot_degree
     vm, em, fm = cert.vertex_map, cert.edge_map, cert.face_map
     if (

@@ -15,8 +15,19 @@ constructor takes the reverse darts and the rotation at each vertex,
 and reads each dart's tail off the rotation that lists it; what it has
 to verify is that every dart id is in range, that reverse is a
 fixed-point-free involution, that each dart sits in exactly one
-rotation, and that the map is connected (a union-find over the
-vertices, joined edge by edge).
+rotation, that every face walk closes, and that the map is connected (a
+union-find over the vertices, joined edge by edge).
+
+Two of those checks are facts about the tiling for a map T/K from
+build_quotient, so they are proven once per tiling, not once per map:
+`tilings.validate_template` proves that the template's reverse slots
+are an involution with opposite offsets and no fixed point, and that the
+plane tiling is connected (its darts join every rep, and its closed
+walks' offsets span Z²).  build_quotient's reverse table is those slots
+moved by the offsets, and T/K is the image of the tiling, so its map
+skips the involution pass and the union-find.  It still makes the pool,
+counts the edges and closes every face walk.  Every other input, a
+public `SlotRotations` included, takes every check.
 
 The rotations come in one of two layouts.  build_quotient declares
 its own, vertex v's rotation being darts v·deg … v·deg+deg−1 in order,
@@ -47,10 +58,9 @@ from typing import NamedTuple
 from .lattice import CosetSystem, SublatticeMat, cosets
 from .tilings import TilingId, dihedral, template
 
-IVec = tuple[int, int]
-
 # The largest map build_quotient makes.  A quotient retains about 44 bytes
-# per flag and peaks at about 56 while it is built; `analyze` (the orbit
+# per flag and peaks at about 52 while it is built (56 when FlagMap copied
+# the reverse table; tracemalloc, E7 at 20·I to 150·I); `analyze` (the orbit
 # scan) peaks at about 61 bytes per flag over the interpreter (E7 at
 # 150·I on Python 3.11), so about 235 MiB at this limit.
 MAX_FLAGS = 4_000_000
@@ -95,6 +105,18 @@ class SlotRotations(Sequence):
         return (range(s, s + deg) for s in range(0, self.n_vertices * deg, deg))
 
 
+class _QuotientSlots(SlotRotations):
+    """build_quotient's layout together with the reverse table it made for
+    it.  Only build_quotient makes one, so FlagMap takes it as that table's
+    proof of origin (see FlagMap.__init__) and keeps a plain SlotRotations."""
+
+    __slots__ = ("dart_rev",)
+
+    def __init__(self, n_vertices: int, deg: int, dart_rev: list[int]):
+        super().__init__(n_vertices, deg)
+        self.dart_rev = dart_rev
+
+
 class FlagMap:
     """Immutable-after-construction flag map; see module docstring."""
 
@@ -110,6 +132,12 @@ class FlagMap:
         nd = len(dart_rev)
         if nd == 0 or nd % 2:
             raise ValueError("dart count must be positive and even")
+        # build_quotient's own reverse table, passed with the _QuotientSlots
+        # that holds it: validate_template has proven, once per tiling, that
+        # it is an involution with no fixed point and that the map is
+        # connected, and its ints are slices of range(nd).  Any other input
+        # is checked here, dart by dart.
+        proven = type(vertex_darts) is _QuotientSlots and vertex_darts.dart_rev is dart_rev
         # The pool: one int object per dart, from which the tables take their
         # numbers.  The reverse table is an involution of exact ints, so its
         # own objects are the pool: ids[d] is the object rev(rev(d)).  One
@@ -120,9 +148,12 @@ class FlagMap:
             ids = list(map(dart_rev.__getitem__, dart_rev))
         except (IndexError, TypeError):
             ids = []
-        if set(map(type, ids)) != {int} or not all(map(eq, ids, range(nd))):
+        if proven:
+            rev = dart_rev  # made for this map alone, so not copied
+        elif set(map(type, ids)) != {int} or not all(map(eq, ids, range(nd))):
             raise _reverse_error(dart_rev)
-        rev = list(dart_rev)
+        else:
+            rev = list(dart_rev)
 
         # Edges: the {d, rev d} pairs, numbered and stored by their smaller
         # dart.  A fixed point is the smaller dart of no pair, so it leaves
@@ -141,12 +172,12 @@ class FlagMap:
         # column k::deg.  Any other sequence is a general rotation system,
         # read vertex by vertex.  slot_degree: deg, else None.
         nv = len(vertex_darts)
-        if type(vertex_darts) is SlotRotations:
+        if proven or type(vertex_darts) is SlotRotations:
             deg = vertex_darts.deg
             if nv * deg != nd:
                 raise ValueError(f"the slot layout has {nv * deg} darts, the reverse table {nd}")
             self.dart_vertex, self.dart_cw = _slot_columns(ids, nv, deg)
-            self.vertex_darts = vertex_darts
+            self.vertex_darts = SlotRotations(nv, deg)
         else:
             deg = None
             self.dart_vertex, self.dart_cw, self.vertex_darts = _rotations(vertex_darts, nd)
@@ -163,7 +194,7 @@ class FlagMap:
         self.face_sizes = tuple(map(sub, islice(offsets, 1, None), offsets))
         self.n_faces = len(offsets) - 1
 
-        if not self._connected(ids):
+        if not proven and not self._connected(ids):
             raise ValueError("map is not connected")
 
     @cached_property
@@ -192,11 +223,6 @@ class FlagMap:
 
     def face_edges(self, f: int) -> tuple[int, ...]:
         return tuple(map(self.dart_edge.__getitem__, self.face_walk(f)))
-
-    def vertex_at(self, rep: int, cell: IVec) -> int:
-        """The vertex (rep, cell mod K) of a map from build_quotient."""
-        cs = self.coset_system
-        return rep * cs.size() + cs.index_of(cell)
 
     def _connected(self, ids: list[int]) -> bool:
         """Darts at one vertex are joined by its rotation, so the darts
@@ -299,7 +325,8 @@ def build_quotient(spec: QuotientSpec) -> FlagMap:
     """The quotient of the tiling by the row lattice of spec.mat.
 
     Vertices are (rep, coset) pairs, numbered rep-major in the coset
-    system's canonical order (`FlagMap.vertex_at`); dart k of a vertex
+    system's canonical order: vertex (rep, cell) is
+    rep·ncos + coset_system.index_of(cell).  Dart k of a vertex
     is dart k of its rep, so vertex v has darts v·deg … v·deg+deg−1, the
     layout FlagMap fills by columns.  A map of more than MAX_FLAGS flags
     is refused with ValueError before anything is allocated.
@@ -336,7 +363,8 @@ def build_quotient(spec: QuotientSpec) -> FlagMap:
                 column += ids[start:split:deg]
             dart_rev[r * block + k : (r + 1) * block : deg] = column
     del ids
-    m = FlagMap(dart_rev, SlotRotations(tpl.rep_count * ncos, deg), spec=spec)
+    # The _QuotientSlots vouches for dart_rev (see FlagMap.__init__).
+    m = FlagMap(dart_rev, _QuotientSlots(tpl.rep_count * ncos, deg, dart_rev), spec=spec)
     m.coset_system = cs
     return m
 

@@ -31,6 +31,7 @@ import math
 from collections.abc import Iterator, Sequence
 from enum import Enum
 from functools import lru_cache
+from itertools import combinations
 from typing import NamedTuple, TypeVar
 
 Vec2 = tuple[float, float]
@@ -523,7 +524,12 @@ def validate_template(tpl: TilingTemplate) -> list[str]:
     if degs != {len(tpl.signature)}:
         problems.append(f"vertex degrees {degs} != signature length {len(tpl.signature)}")
 
-    # Dart symmetry: (s, t) at rep r must be mirrored by (r, -t) at rep s.
+    # Dart symmetry: (s, t) at rep r must be mirrored by (r, -t) at rep s,
+    # at the slot reverse_slots[r][k], whose own reverse slot is k again,
+    # and no dart is its own reverse.  build_quotient's reverse table is
+    # these slots moved by their offsets, so for every lattice K it is a
+    # fixed-point-free involution: a dart of T/K is its own reverse only
+    # if its dart in the tiling is.
     for r, darts in enumerate(tpl.neighbors):
         if len(set(darts)) != len(darts):
             problems.append(f"duplicate dart at rep {r}")
@@ -531,13 +537,24 @@ def validate_template(tpl: TilingTemplate) -> list[str]:
             if not (0 <= s < nreps):
                 problems.append(f"dart ({r},{k}) points at unknown rep {s}")
                 continue
+            back = tpl.reverse_slots[r][k]
             if (r, (-ox, -oy)) not in tpl.neighbors[s]:
                 problems.append(f"dart ({r},{k}) has no reverse at rep {s}")
-            elif tpl.neighbors[s][tpl.reverse_slots[r][k]] != (r, (-ox, -oy)):
+            elif (
+                back not in range(len(tpl.neighbors[s]))
+                or tpl.neighbors[s][back] != (r, (-ox, -oy))
+                or tpl.reverse_slots[s][back] != k
+            ):
                 problems.append(f"reverse_slots wrong for dart ({r},{k})")
+            elif (s, back) == (r, k):
+                problems.append(f"dart ({r},{k}) is its own reverse")
 
     if problems:
         return problems  # face tracing needs consistent darts
+
+    connected = _connectivity_problem(tpl)
+    if connected is not None:
+        problems.append(connected)
 
     # Face tracing must reproduce the vertex type at every rep.
     for r in range(nreps):
@@ -558,6 +575,42 @@ def validate_template(tpl: TilingTemplate) -> list[str]:
         problems.append(f"unknown area factor {tpl.cell_area_factor}")
 
     return problems
+
+
+def _connectivity_problem(tpl: TilingTemplate) -> str | None:
+    """Why the plane tiling is not connected, or None when it is.
+
+    The tiling is connected exactly when the darts join every rep and the
+    offsets of the closed walks span Z²: the cells that a walk from rep 0
+    in cell (0, 0) reaches at rep r are one coset of that span.  A
+    spanning tree of the reps puts each rep at a cell; every dart then
+    closes one walk through the tree, and those walks' offsets span all
+    the others.  They span Z² when the gcd of their 2×2 minors is 1.
+
+    Every quotient T/K is the image of the tiling, so a connected tiling
+    makes every T/K connected, which build_quotient relies on."""
+    at: list[IVec | None] = [None] * tpl.rep_count
+    at[0] = (0, 0)
+    joined = [0]
+    for r in joined:  # grows while it is walked
+        x, y = at[r]
+        for s, (ox, oy) in tpl.neighbors[r]:
+            if at[s] is None:
+                at[s] = (x + ox, y + oy)
+                joined.append(s)
+    if len(joined) != tpl.rep_count:
+        return f"the darts join {len(joined)} of {tpl.rep_count} reps"
+    cycles = {
+        (at[r][0] + ox - at[s][0], at[r][1] + oy - at[s][1])
+        for r, darts in enumerate(tpl.neighbors)
+        for s, (ox, oy) in darts
+    }
+    index = 0
+    for (a, b), (c, d) in combinations(cycles, 2):
+        index = math.gcd(index, a * d - b * c)
+        if index == 1:
+            return None
+    return f"the closed walks' offsets do not span Z²: their 2×2 minors have gcd {index}"
 
 
 def _validate_element(tpl: TilingTemplate, elem: PointGroupElem) -> list[str]:

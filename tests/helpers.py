@@ -8,9 +8,9 @@ pair), the tiling group G/T read off the flag engine, the conversion
 between flag lists and the library's (dart perm, reverses), the vertex
 orbits of an orbit report, group-element arithmetic on automorphisms
 given as flag or dart lists (the image of each), translations as
-point-group elements, the per-vertex descent of a tiling symmetry to a
-quotient, lattices not in Hermite form, and the hypot scan that derives
-a seed's neighbours."""
+point-group elements, a quotient's vertex numbering and the per-vertex
+descent of a tiling symmetry to it, lattices not in Hermite form, and
+the hypot scan that derives a seed's neighbours."""
 
 from __future__ import annotations
 
@@ -56,10 +56,17 @@ def smith_generator_shifts(cs) -> list[IVec]:
     return [reps[at] for at, side in ((cs.s2, cs.s1), (1, cs.s2)) if side > 1]
 
 
+def vertex_at(m: FlagMap, rep: int, cell: IVec) -> int:
+    """The vertex (rep, cell mod K) of a map from build_quotient:
+    rep·ncos + the coset index of cell."""
+    cs = m.coset_system
+    return rep * cs.size() + cs.index_of(cell)
+
+
 def reference_descend(m: FlagMap, elem: PointGroupElem) -> tuple[list[int], bool]:
     """`cover.descend` vertex by vertex, with no checks: vertex v is
     (rep, cell) = (v // ncos, representative v % ncos), its image is
-    looked up with `FlagMap.vertex_at`, and dart k of v goes to dart
+    looked up with `vertex_at`, and dart k of v goes to dart
     slot_maps[rep][k] of the image.  The oracle for descend."""
     cs = m.coset_system
     ncos, cells = cs.size(), cs.representatives
@@ -67,7 +74,7 @@ def reference_descend(m: FlagMap, elem: PointGroupElem) -> tuple[list[int], bool
     for v, ds in enumerate(m.vertex_darts):
         r = v // ncos
         r2, w2 = elem.apply_vertex(r, cells[v % ncos])
-        image = m.vertex_darts[m.vertex_at(r2, w2)]
+        image = m.vertex_darts[vertex_at(m, r2, w2)]
         for d, k in zip(ds, elem.slot_maps[r]):
             perm[d] = image[k]
     return perm, elem.reverses_orientation
@@ -139,6 +146,31 @@ def corrupt_dart(tpl: TilingTemplate, rep: int, slot: int, offset: IVec) -> Tili
     s, _ = darts[rep][slot]
     darts[rep][slot] = (s, offset)
     return tpl._replace(neighbors=tuple(tuple(d) for d in darts))
+
+
+def two_copies(tpl: TilingTemplate, tid: TilingId) -> TilingTemplate:
+    """Two disjoint copies of the template's reps and darts, the second
+    numbered after the first, labelled as tiling tid and with no point
+    group: a template whose darts join its reps in two parts."""
+    n = tpl.rep_count
+    copy = tuple(tuple((s + n, offset) for s, offset in darts) for darts in tpl.neighbors)
+    return tpl._replace(
+        id=tid,
+        rep_names=tpl.rep_names * 2,
+        rep_pos=tpl.rep_pos * 2,
+        neighbors=tpl.neighbors + copy,
+        reverse_slots=tpl.reverse_slots * 2,
+        point_group=(),
+    )
+
+
+def sheared(tpl: TilingTemplate) -> TilingTemplate:
+    """The template with every offset (x, y) replaced by (x + y, y − x),
+    a map of determinant 2, and no point group: its reps and darts, and so
+    its faces, are unchanged, but its closed walks' offsets span only an
+    index-2 sublattice, so its plane tiling has two components."""
+    darts = tuple(tuple((s, (x + y, y - x)) for s, (x, y) in ds) for ds in tpl.neighbors)
+    return tpl._replace(neighbors=darts, point_group=())
 
 
 def reference_quotient(spec: QuotientSpec) -> tuple[tuple, list[int], list[int], list[tuple[int, ...]]]:
@@ -510,7 +542,7 @@ def probe_point_group(tiling: TilingId) -> list[PointGroupElem]:
         # Flag 0 goes to cell (0, 0), so the cells of the images of
         # (0, e1) and (0, e2) are R's columns.
         rows = [img[2 * v * deg : 2 * (v + 1) * deg : 2] for v in range(0, m.n_vertices, ncos)]
-        cols = [cell_of(img[2 * m.vertex_at(0, e) * deg]) for e in ((1, 0), (0, 1))]
+        cols = [cell_of(img[2 * vertex_at(m, 0, e) * deg]) for e in ((1, 0), (0, 1))]
         elem = PointGroupElem(
             name=f"g{len(elems)}",
             kind="",

@@ -416,6 +416,15 @@ def test_render_writes_svg(tmp_path):
     assert any(e.tag.endswith("polygon") for e in root.iter())
 
 
+def test_render_out_dash_writes_the_svg_to_stdout(tmp_path, monkeypatch, capsys):
+    # `-` means stdout, as for every other command, and names no file.
+    monkeypatch.chdir(tmp_path)
+    assert main(["render", "E5", "2", "1", "0", "2", "--out", "-"]) == 0
+    out = capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_RENDER_E5
+
+
 def test_invalid_inputs_exit_two(capsys):
     assert main(["analyze", "nonagonal", "1", "0", "0", "1"]) == 2
     assert main(["analyze", "E1", "1", "0", "0", "0"]) == 2  # det 0
@@ -956,7 +965,7 @@ def alarm(seconds: int):
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_every_command_exits_zero_one_or_two_without_a_traceback(tmp_path, monkeypatch, command, data):
-    monkeypatch.chdir(tmp_path)  # `render --out -` writes a file named "-"
+    monkeypatch.chdir(tmp_path)  # a command that wrote a relative path would write here
     files = cli_files(tmp_path)
     argv = data.draw(cli_argvs(command, files, str(tmp_path / "out.json")), label="argv")
     out, err = io.StringIO(), io.StringIO()

@@ -12,6 +12,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from operator import eq
 
 import pytest
 from hypothesis import assume, given, settings
@@ -41,6 +42,7 @@ from helpers import (
     reference_flag_tables,
     reference_map_tables,
     reference_quotient,
+    vertex_at,
 )
 
 SWEEP_MATS = [
@@ -154,7 +156,7 @@ def test_involutions_preserve_the_right_incidences():
 def assert_matches_reference(spec: QuotientSpec) -> None:
     m = build_quotient(spec)
     labels, dart_vertex, dart_rev, vertex_darts = reference_quotient(spec)
-    assert [m.vertex_at(r, w) for r, w in labels] == list(range(m.n_vertices)), spec
+    assert [vertex_at(m, r, w) for r, w in labels] == list(range(m.n_vertices)), spec
     assert m.dart_vertex == dart_vertex, spec
     assert m.dart_rev == dart_rev, spec
     assert [tuple(r) for r in m.vertex_darts] == vertex_darts, spec
@@ -257,10 +259,11 @@ def test_build_quotient_retains_at_most_50_bytes_per_flag():
 
 
 def test_build_quotient_peaks_at_most_75_bytes_per_flag():
-    # FlagMap takes its pool from the reverse table, keeps no rotation per
-    # vertex and checks connectivity by a union-find over the vertices, so
-    # nothing per dart is made twice: about 56 bytes per flag at the peak
-    # on Python 3.11, and 102 with a second pool and a per-dart head table.
+    # FlagMap takes its pool from build_quotient's reverse table, keeps that
+    # table without copying it and keeps no rotation per vertex, so nothing
+    # per dart is made twice: about 52 bytes per flag at the peak on Python
+    # 3.11, 56 with a copied reverse table, and 102 with a second pool and a
+    # per-dart head table.
     spec = QuotientSpec(parse_tiling("E7"), SublatticeMat(20, 0, 0, 20))
     build_quotient(spec)  # the template and its caches are not the map's
     gc.collect()
@@ -486,7 +489,7 @@ def test_semi_equivelar_matches_per_vertex_definition_on_random_lattices(tid, en
 def test_anchors_are_the_reps_in_cell_zero():
     for m in hermite_maps(12):
         reps = template(m.spec.tiling).rep_count
-        assert list(map_core._anchors(m)) == [m.vertex_at(r, (0, 0)) for r in range(reps)], m.spec
+        assert list(map_core._anchors(m)) == [vertex_at(m, r, (0, 0)) for r in range(reps)], m.spec
 
 
 # --- from_faces and constructor validation ---
@@ -584,11 +587,14 @@ REVERSE_OUTCOMES = {
 
 @pytest.mark.parametrize("name", list(REVERSE_OUTCOMES))
 def test_flagmap_reverse_tables_fail_at_their_first_bad_dart(name):
+    # A public SlotRotations vouches for nothing: the declared layout fails
+    # the same way as a general rotation system.
     dart_rev, error, outcome = REVERSE_OUTCOMES[name]
     vertex_darts = [tuple(range(v, v + 2)) for v in range(0, len(dart_rev), 2)]
-    with pytest.raises(error) as caught:
-        FlagMap(dart_rev, vertex_darts)
-    assert type(caught.value) is error and str(caught.value) == outcome
+    for layout in (vertex_darts, SlotRotations(len(vertex_darts), 2)):
+        with pytest.raises(error) as caught:
+            FlagMap(dart_rev, layout)
+        assert type(caught.value) is error and str(caught.value) == outcome
 
 
 REVERSE_VARIANTS = {
@@ -613,12 +619,15 @@ def test_flagmap_reverse_variants_match_the_per_dart_constructor(variant):
     # A reverse table given as a tuple (its ints are still the pool) builds
     # the same int tables as a list of ints would; one that is not an
     # involution of darts in range fails with the same message at the same
-    # first dart, and one with bool entries with a TypeError at its first.
+    # first dart, and one with bool entries with a TypeError at its first,
+    # in build_quotient's layout declared by a public SlotRotations too.
     spec = QuotientSpec(parse_tiling("E2"), SublatticeMat(2, 1, 0, 3))
     _, _, dart_rev, vertex_darts = reference_quotient(spec)
     given = REVERSE_VARIANTS[variant](dart_rev)
     want = tables_or_error(reference_map_tables, [int(r) for r in given], vertex_darts)
     got = tables_or_error(FlagMap, given, vertex_darts)
+    declared = tables_or_error(FlagMap, given, SlotRotations(len(vertex_darts), template(spec.tiling).degree))
+    assert declared == got if isinstance(got, str) else isinstance(declared, FlagMap)
     if variant == "bool":
         d = next(d for d, r in enumerate(given) if type(r) is bool)
         assert got == f"TypeError: the reverse of dart {d} is {given[d]}, not an int"
@@ -634,6 +643,44 @@ def test_flagmap_reverse_variants_match_the_per_dart_constructor(variant):
         else:
             assert table == want[name], name
             assert set(map(type, table)) == {int}, name
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_quotients_pass_the_checks_proven_once_per_tiling(tid):
+    # validate_template proves, once per tiling, that build_quotient's
+    # reverse table is a fixed-point-free involution of exact ints and that
+    # its map is connected, so FlagMap skips both for it.  Both checks run
+    # here on every map as oracles.
+    for mat in [*enumerate_hnf(12), *NON_HERMITE_MATS]:
+        m = build_quotient(QuotientSpec(tid, mat))
+        rev, nd = m.dart_rev, m.n_darts
+        assert set(map(type, rev)) == {int}, mat
+        assert [rev[r] for r in rev] == list(range(nd)), mat
+        assert not any(map(eq, rev, range(nd))), mat
+        assert m._connected(list(range(nd))), mat
+
+
+def test_only_build_quotient_skips_the_involution_pass_and_the_union_find(monkeypatch):
+    # The proof covers one table: build_quotient's, passed with the
+    # _QuotientSlots that holds it.  A public SlotRotations, a general
+    # rotation system, or a _QuotientSlots with another table takes the
+    # union-find (and the involution pass before it).
+    joined = []
+    connected = FlagMap._connected
+    monkeypatch.setattr(FlagMap, "_connected", lambda self, ids: joined.append(self) or connected(self, ids))
+    m = build_quotient(QuotientSpec(parse_tiling("E2"), SublatticeMat(2, 1, 0, 3)))
+    assert joined == [] and type(m.vertex_darts) is SlotRotations
+    deg, copy = m.slot_degree, list(m.dart_rev)
+    for vertex_darts in (
+        SlotRotations(m.n_vertices, deg),
+        tuple(m.vertex_darts),
+        map_core._QuotientSlots(m.n_vertices, deg, copy),
+    ):
+        FlagMap(m.dart_rev, vertex_darts)
+    assert len(joined) == 3
+    broken = [copy[1], copy[0], *copy[2:]]
+    with pytest.raises(ValueError, match="^reverse is not a fixed-point-free involution at dart 0$"):
+        FlagMap(broken, map_core._QuotientSlots(m.n_vertices, deg, copy))
 
 
 @pytest.mark.parametrize("layout", ["slot columns", "rotations"])
@@ -788,7 +835,7 @@ def test_quotient_labels_enumerate_rep_coset_pairs():
     reps = Counter(r for r, _ in labels)
     assert reps == {r: spec.mat.index() for r in range(template(spec.tiling).rep_count)}
     assert len(set(labels)) == m.n_vertices
-    assert [m.vertex_at(r, w) for r, w in labels] == list(range(m.n_vertices))
+    assert [vertex_at(m, r, w) for r, w in labels] == list(range(m.n_vertices))
     ncos, cells = m.coset_system.size(), m.coset_system.representatives
     assert labels == tuple((v // ncos, cells[v % ncos]) for v in range(m.n_vertices))
 

@@ -20,7 +20,7 @@ from toricover.tilings import (
     validate_template,
 )
 
-from helpers import corrupt_dart, reference_neighbors
+from helpers import corrupt_dart, reference_neighbors, sheared, two_copies
 
 REP_COUNTS = {
     TilingId.TRIANGULAR: 1,
@@ -145,6 +145,58 @@ def test_corrupted_dart_is_reported():
     problems = validate_template(bad)
     assert problems
     assert any("dart" in p or "reverse" in p for p in problems)
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.value)
+def test_a_negated_offset_is_refused(tid):
+    # The first dart of rep 0 that leaves its cell: it and its reverse then
+    # point the same way, so the reverse slots are no involution with
+    # opposite offsets.
+    tpl = template(tid)
+    k, (ox, oy) = next((k, off) for k, (_, off) in enumerate(tpl.neighbors[0]) if off != (0, 0))
+    problems = validate_template(corrupt_dart(tpl, rep=0, slot=k, offset=(-ox, -oy)))
+    assert any(f"dart (0,{k})" in p or p == "duplicate dart at rep 0" for p in problems), problems
+
+
+def test_a_reverse_slot_that_wraps_or_a_dart_its_own_reverse_is_refused():
+    # Slot −2 reads the right dart of a four-dart rep from the end, but
+    # build_quotient would index the slot column −2, and dart (0, 2), the
+    # reverse of dart (0, 0), is no longer reversed back.  A dart to its own
+    # rep in its own cell would be its own reverse in every quotient.
+    tpl = template(TilingId.SQUARE)
+    assert tpl.reverse_slots == ((2, 3, 0, 1),)
+    wrapped = tpl._replace(reverse_slots=((-2, 3, 0, 1),))
+    assert validate_template(wrapped) == [f"reverse_slots wrong for dart (0,{k})" for k in (0, 2)]
+    loop = tpl._replace(neighbors=(((0, (0, 0)), (0, (1, 0)), (0, (-1, 0))),), reverse_slots=((0, 2, 1),))
+    assert "dart (0,0) is its own reverse" in validate_template(loop)
+
+
+@pytest.mark.parametrize(
+    "half, whole",
+    [
+        (TilingId.HEXAGONAL, TilingId.TRUNCATED_SQUARE),
+        (TilingId.ELONGATED_TRIANGULAR, TilingId.SNUB_SQUARE),
+        (TilingId.TRIHEXAGONAL, TilingId.RHOMBITRIHEXAGONAL),
+    ],
+    ids=lambda t: t.value,
+)
+def test_reps_in_two_parts_are_refused(half, whole):
+    # Two copies of a template with half the reps, under a tiling of the
+    # same degree and twice the reps: every dart has its reverse, but no
+    # walk leads from one copy to the other.
+    n = template(half).rep_count
+    bad = two_copies(template(half), whole)
+    assert bad.rep_count == template(whole).rep_count and bad.degree == template(whole).degree
+    assert f"the darts join {n} of {2 * n} reps" in validate_template(bad)
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.value)
+def test_closed_walks_spanning_an_index_2_sublattice_are_refused(tid):
+    bad = sheared(template(tid))
+    problems = validate_template(bad)
+    assert "the closed walks' offsets do not span Z²: their 2×2 minors have gcd 2" in problems
+    if bad.rep_count == 1:  # no point group reaches every rep of a one-rep tiling
+        assert len(problems) == 1, problems
 
 
 def test_hexagonal_family_basis_relation():
