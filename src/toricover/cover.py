@@ -15,7 +15,6 @@ Y's vertices, which is what makes the cover vertex-transitive.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice
 from operator import eq
 from typing import NamedTuple
 
@@ -162,8 +161,7 @@ def cover_maps(
     # and a face where its first dart's face goes.  Nothing is checked
     # here; verify_covering checks the certificate.
     emap = list(map(x.dart_edge.__getitem__, map(dmap.__getitem__, y.edge_dart)))
-    first = map(y.face_walks.__getitem__, islice(y.face_offsets, y.n_faces))
-    fmap = list(map(x.dart_face_left.__getitem__, map(dmap.__getitem__, first)))
+    fmap = list(map(x.dart_face_left.__getitem__, map(dmap.__getitem__, y.face_first)))
 
     area_value, area_factor = torus_area(spec)
     cert = CoverCertificate(
@@ -369,12 +367,11 @@ def _projection_covers(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> bool:
         return False
     dmap = _dart_projection(y, x, vm)
     ys = y.edge_dart
-    first = map(y.face_walks.__getitem__, islice(y.face_offsets, y.n_faces))
     return (
         all(map(eq, map(dmap.__getitem__, map(y.dart_rev.__getitem__, ys)),
                 map(x.dart_rev.__getitem__, map(dmap.__getitem__, ys))))
         and all(map(eq, map(x.dart_edge.__getitem__, map(dmap.__getitem__, ys)), em))
-        and all(map(eq, map(x.dart_face_left.__getitem__, map(dmap.__getitem__, first)), fm))
+        and all(map(eq, map(x.dart_face_left.__getitem__, map(dmap.__getitem__, y.face_first)), fm))
         and all(map(eq, map(x.face_sizes.__getitem__, fm), y.face_sizes))
         and cert.base_polyhedral == x.polyhedral
         and cert.cover_polyhedral == y.polyhedral

@@ -25,8 +25,8 @@ are an involution with opposite offsets and no fixed point, and that the
 plane tiling is connected (its darts join every rep, and its closed
 walks' offsets span Z²).  build_quotient's reverse table is those slots
 moved by the offsets, and T/K is the image of the tiling, so its map
-skips the involution pass and the union-find.  It still makes the pool,
-counts the edges and closes every face walk.  Every other input, a
+skips the involution pass and the union-find.  It takes build_quotient's
+pool, counts the edges and numbers the faces.  Every other input, a
 public `SlotRotations` included, takes every check.
 
 The rotations come in one of two layouts.  build_quotient declares
@@ -39,10 +39,18 @@ as tuples.  The reverse table has one contract: an involution of exact
 ints without a fixed point, or an error that names its first bad dart.
 Its own ints are then the pool, one int object per dart, from which
 every table takes its dart ids, so no second int is made per dart; one
-index pass, rev(rev(d)) for every d, decides it.  Each fact is
-stored once: an edge is its smaller dart (the other is its reverse), a
-face is a slice of one list of every face walk (`face_walks`, cut at
-`face_offsets`), and there is no ccw table: the orbit scan inverts cw
+index pass, rev(rev(d)) for every d, decides it.
+
+Faces are numbered by their smallest dart and walked from it, in one of
+two ways.  A face of T/K is a face of the tiling moved by a cell: one of
+the tiling's face classes (`tilings.face_classes`) per coset, so a
+quotient of at least MIN_COLUMN_CELLS cells fills its face tables by slot
+columns, as its tail and rotation tables, and proves that its walks
+close once per tiling, in face_trace.  Any other map traces every dart's
+face.  Each fact is stored once: an edge is its smaller dart (the other
+is its reverse), a face is face_sizes[f] darts of one list of every face
+walk (`face_walks`, from `face_start[f]`) and its smallest dart
+(`face_first[f]`), and there is no ccw table: the orbit scan inverts cw
 when it needs one.  So a quotient keeps no container per vertex, edge or
 face that the cyclic garbage collector tracks.
 """
@@ -50,20 +58,31 @@ face that the cyclic garbage collector tracks.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from functools import cached_property
-from itertools import combinations, islice
+from functools import cached_property, lru_cache
+from itertools import chain, combinations, groupby, islice
 from operator import eq, sub
 from typing import NamedTuple
 
 from .lattice import CosetSystem, SublatticeMat, cosets
-from .tilings import TilingId, dihedral, template
+from .tilings import TilingId, dihedral, face_classes, template
 
-# The largest map build_quotient makes.  A quotient retains about 44 bytes
-# per flag and peaks at about 52 while it is built (56 when FlagMap copied
-# the reverse table; tracemalloc, E7 at 20·I to 150·I); `analyze` (the orbit
-# scan) peaks at about 61 bytes per flag over the interpreter (E7 at
-# 150·I on Python 3.11), so about 235 MiB at this limit.
+# The largest map build_quotient makes.  A quotient retains about 45 bytes
+# per flag and peaks at about 50 while it is built (52 when FlagMap made a
+# second pool and traced every face, 56 when it also copied the reverse
+# table; tracemalloc, E7 at 20·I to 150·I); `analyze` (the orbit scan) peaks
+# at about 60 bytes per flag over the interpreter (E7 at 150·I on Python
+# 3.11), so about 230 MiB at this limit.
 MAX_FLAGS = 4_000_000
+
+# The least translation cells for which FlagMap numbers a quotient's faces
+# by slot columns (_face_columns) rather than dart by dart (_faces): the
+# first when every face class meets its least rep once (E2, E3, E5, E7),
+# the second when some class's faces must be sorted.  Column time over loop
+# time, min of 15 interleaved runs, six lattices per size (Python 3.11, 2
+# cores): E2, E3, E5 and E7 at 25 cells 0.89–1.19, at 36 cells 0.67–0.97;
+# T4444 and T333333 at 144 cells 0.96–1.11, at 196 cells 0.91–1.03, at 256
+# cells 0.81–1.00; E1, E4, E6, T33344 and T666 at 256 cells 0.47–0.79.
+MIN_COLUMN_CELLS = (36, 256)
 
 
 class QuotientSpec(NamedTuple):
@@ -106,15 +125,20 @@ class SlotRotations(Sequence):
 
 
 class _QuotientSlots(SlotRotations):
-    """build_quotient's layout together with the reverse table it made for
-    it.  Only build_quotient makes one, so FlagMap takes it as that table's
-    proof of origin (see FlagMap.__init__) and keeps a plain SlotRotations."""
+    """build_quotient's layout together with what it made for it: the pool
+    (range(nd) as a list), the reverse table sliced from it and the coset
+    system.  Only build_quotient makes one, so FlagMap takes it as that
+    table's proof of origin (see FlagMap.__init__) and keeps a plain
+    SlotRotations."""
 
-    __slots__ = ("dart_rev",)
+    __slots__ = ("dart_rev", "ids", "tiling", "cs")
 
-    def __init__(self, n_vertices: int, deg: int, dart_rev: list[int]):
-        super().__init__(n_vertices, deg)
+    def __init__(self, deg: int, dart_rev: list[int], ids: list[int], tiling: TilingId, cs: CosetSystem):
+        super().__init__(len(ids) // deg, deg)
         self.dart_rev = dart_rev
+        self.ids = ids
+        self.tiling = tiling
+        self.cs = cs
 
 
 class FlagMap:
@@ -133,26 +157,27 @@ class FlagMap:
         if nd == 0 or nd % 2:
             raise ValueError("dart count must be positive and even")
         # build_quotient's own reverse table, passed with the _QuotientSlots
-        # that holds it: validate_template has proven, once per tiling, that
-        # it is an involution with no fixed point and that the map is
-        # connected, and its ints are slices of range(nd).  Any other input
-        # is checked here, dart by dart.
+        # that holds it and its pool: validate_template has proven, once per
+        # tiling, that it is an involution with no fixed point and that the
+        # map is connected, and its ints are slices of the pool.  Any other
+        # input is checked here, dart by dart.
         proven = type(vertex_darts) is _QuotientSlots and vertex_darts.dart_rev is dart_rev
-        # The pool: one int object per dart, from which the tables take their
-        # numbers.  The reverse table is an involution of exact ints, so its
-        # own objects are the pool: ids[d] is the object rev(rev(d)).  One
-        # index pass decides it: an entry out of range raises, and a negative
-        # one, which indexes from the end, cannot pass (rev(d) = −k reads
-        # dart e = nd − k, and then ids[e] = −k ≠ e).
-        try:
-            ids = list(map(dart_rev.__getitem__, dart_rev))
-        except (IndexError, TypeError):
-            ids = []
         if proven:
+            ids = vertex_darts.ids
             rev = dart_rev  # made for this map alone, so not copied
-        elif set(map(type, ids)) != {int} or not all(map(eq, ids, range(nd))):
-            raise _reverse_error(dart_rev)
         else:
+            # The pool: one int object per dart, from which the tables take
+            # their numbers.  The reverse table is an involution of exact
+            # ints, so its own objects are the pool: ids[d] is the object
+            # rev(rev(d)).  One index pass decides it: an entry out of range
+            # raises, and a negative one, which indexes from the end, cannot
+            # pass (rev(d) = −k reads dart e = nd − k, and then ids[e] = −k ≠ e).
+            try:
+                ids = list(map(dart_rev.__getitem__, dart_rev))
+            except (IndexError, TypeError):
+                ids = []
+            if set(map(type, ids)) != {int} or not all(map(eq, ids, range(nd))):
+                raise _reverse_error(dart_rev)
             rev = list(dart_rev)
 
         # Edges: the {d, rev d} pairs, numbered and stored by their smaller
@@ -189,10 +214,14 @@ class FlagMap:
         self.edge_dart = edge_dart
         self.n_edges = len(edge_dart)
 
-        self.dart_face_left, self.face_walks, self.face_offsets = _faces(ids, rev, self.dart_cw)
-        offsets = self.face_offsets
-        self.face_sizes = tuple(map(sub, islice(offsets, 1, None), offsets))
-        self.n_faces = len(offsets) - 1
+        # Faces: a big enough T/K from build_quotient by slot columns, and
+        # any other map dart by dart; both number them by smallest dart.
+        if proven and vertex_darts.cs.size() >= _min_column_cells(vertex_darts.tiling):
+            faces = _face_columns(ids, vertex_darts.tiling, vertex_darts.cs)
+        else:
+            faces = _faces(ids, rev, self.dart_cw)
+        self.dart_face_left, self.face_walks, self.face_start, self.face_first, self.face_sizes = faces
+        self.n_faces = len(self.face_first)
 
         if not proven and not self._connected(ids):
             raise ValueError("map is not connected")
@@ -216,7 +245,12 @@ class FlagMap:
 
     def face_walk(self, f: int) -> list[int]:
         """The darts of face f in walk order, from its smallest."""
-        return self.face_walks[self.face_offsets[f] : self.face_offsets[f + 1]]
+        start, first = self.face_start[f], self.face_first[f]
+        walk = self.face_walks[start : start + self.face_sizes[f]]
+        if walk[0] == first:
+            return walk
+        i = walk.index(first)
+        return walk[i:] + walk[:i]
 
     def face_vertices(self, f: int) -> tuple[int, ...]:
         return tuple(map(self.dart_vertex.__getitem__, self.face_walk(f)))
@@ -295,21 +329,23 @@ def _rotations(vertex_darts: Sequence[Sequence[int]], nd: int):
 
 
 def _faces(ids: list[int], rev: list[int], cw: list[int]):
-    """(dart_face_left, face_walks, face_offsets): the orbits of
-    d -> cw(rev(d)), i.e. the face left of each dart, numbered by their
-    smallest dart and walked from it.  The walks are concatenated in face
-    order into one list, and face f is its slice face_offsets[f] :
-    face_offsets[f + 1], so no container is made per face.  A walk that
-    does not return to its start raises ValueError."""
+    """(dart_face_left, face_walks, face_start, face_first, face_sizes),
+    dart by dart: the orbits of d -> cw(rev(d)), i.e. the face left of each
+    dart, numbered by their smallest dart and walked from it.  The walks
+    are concatenated in face order into one list, and face f is its slice
+    of face_sizes[f] darts from face_start[f], so no container is made per
+    face.  A walk that does not return to its start raises ValueError."""
     nxt = list(map(cw.__getitem__, rev))
     face_of = [-1] * len(ids)
     walks = []
-    offsets = []
+    starts = []
+    firsts = []
     for d in ids:
         if face_of[d] >= 0:
             continue
-        f = ids[len(offsets)]
-        offsets.append(ids[len(walks)])
+        f = ids[len(starts)]
+        starts.append(ids[len(walks)])
+        firsts.append(d)
         cur = d
         while face_of[cur] < 0:
             face_of[cur] = f
@@ -317,8 +353,123 @@ def _faces(ids: list[int], rev: list[int], cw: list[int]):
             cur = nxt[cur]
         if cur != d:
             raise ValueError(f"face trace from dart {d} did not close")
-    offsets.append(len(walks))
-    return face_of, walks, offsets
+    sizes = tuple(map(sub, [*islice(starts, 1, None), len(walks)], starts))
+    return face_of, walks, starts, firsts, sizes
+
+
+@lru_cache(maxsize=None)
+def _min_column_cells(tiling: TilingId) -> int:
+    """MIN_COLUMN_CELLS for the tiling: its second entry when a face class
+    meets its least rep, that of its first dart, more than once."""
+    classes = face_classes(tiling)
+    return MIN_COLUMN_CELLS[any(sum(rep == walk[0][0] for rep, _, _ in walk) > 1 for walk in classes)]
+
+
+def _box_shift(src: list[int], first: int, step: int, s1: int, s2: int, di: int, dj: int) -> list[int]:
+    """The column src[first + step·c′] for every coset c = (i, j) of the
+    Smith box in order, c′ being the coset (i + di, j + dj): the s1·s2
+    entries of stride step from first, their box rows and columns rotated.
+    0 <= di < s1 and 0 <= dj < s2.
+
+    The whole column turned by di rows and dj entries is right but in the
+    box columns where j + dj wraps, and, turned by one row less, only in
+    those.  So the column is two slices when one box row or no wrap is
+    all there is, and else either two slices per box row or the turned
+    column with its wrong box columns mended, whichever takes fewer."""
+    row = s2 * step
+    end = first + s1 * row
+    if s1 == 1 or dj == 0:
+        shift = first + di * row + dj * step
+        return src[shift:end:step] + src[first:shift:step]
+    if s1 <= min(dj, s2 - dj):
+        out = []
+        for i in range(s1):
+            start = first + (i + di) % s1 * row
+            split = start + dj * step
+            out += src[split : start + row : step]
+            out += src[start:split:step]
+        return out
+    late = dj > s2 - dj  # then turn by one row less and mend the rest
+    wrong = range(s2 - dj) if late else range(s2 - dj, s2)
+    shift = first + (di * s2 + dj - s2 * late) % (s1 * s2) * step
+    out = src[shift:end:step]
+    out += src[first:shift:step]
+    for j in wrong:
+        column = src[first + (j + dj) % s2 * step : end : row]
+        out[j::s2] = column[di:] + column[:di]
+    return out
+
+
+def _face_columns(ids: list[int], tiling: TilingId, cs: CosetSystem):
+    """_faces for T/K in build_quotient's layout, by slot columns.  A face
+    of T/K is a face class (`tilings.face_classes`) moved by a coset c, and
+    the darts at one position of a class's walk are, over every c, the
+    pool's (rep, slot) column shifted by the position's box offset.  The
+    walks are laid out class by class, face (class, c) from the class's
+    first dart, and face_walk rotates each to start at its smallest dart.
+
+    The faces are numbered as _faces numbers them, by smallest dart.  The
+    smallest dart of face (class, c) is at the class's least rep, so the
+    faces whose least rep is r take consecutive numbers.  When every class
+    of rep r meets r once, that dart is the class's first, in cell c
+    itself: it is r·block + c·deg + slot, so face (class, c) is number
+    F + c·m + (the class's place among the m of rep r, by slot), with F the
+    faces of smaller reps, and every table is filled by stride slices.
+    Otherwise the smallest darts are a min over the positions at rep r and
+    rep r's faces are sorted by them."""
+    classes = face_classes(tiling)
+    deg = template(tiling).degree
+    s1, s2, ncos = cs.s1, cs.s2, cs.size()
+    nd, block = len(ids), ncos * deg
+    nf = len(classes) * ncos
+    walks, face_left = [0] * nd, [0] * nd
+    starts, firsts, sizes = [0] * nf, [0] * nf, [0] * nf
+    fill = []  # (class walk, face number of (class, c) = src[first + step·c])
+    f0 = base = 0
+    for r, group in groupby(classes, key=lambda walk: walk[0][0]):
+        group = list(group)
+        m, stop = len(group), f0 + len(group) * ncos
+        smallest, begins, by_slot = [], [], True
+        for walk in group:
+            n = len(walk)
+            at_r = []
+            for p, (rep, offset, slot) in enumerate(walk):
+                column = _box_shift(ids, rep * block + slot, deg, s1, s2, *cs.box_coords(offset))
+                walks[base + p : base + n * ncos : n] = column
+                if rep == r:
+                    at_r.append(column)
+            by_slot = by_slot and len(at_r) == 1
+            smallest.append(at_r[0] if len(at_r) == 1 else list(map(min, *at_r)))
+            begins.append(ids[base : base + n * ncos : n])
+            base += n * ncos
+        if by_slot:
+            for i, walk in enumerate(group):
+                firsts[f0 + i : stop : m] = smallest[i]
+                starts[f0 + i : stop : m] = begins[i]
+                sizes[f0 + i : stop : m] = [len(walk)] * ncos
+                fill.append((walk, ids, f0 + i, m))
+        else:
+            # face_left is scratch until it is filled: face f at its smallest dart.
+            firsts[f0:stop] = order = sorted(chain.from_iterable(smallest))
+            for d, f in zip(order, ids[f0:stop]):
+                face_left[d] = f
+            for walk, column, begin in zip(group, smallest, begins):
+                numbers = list(map(face_left.__getitem__, column))
+                size = len(walk)
+                for f, start in zip(numbers, begin):
+                    starts[f] = start
+                    sizes[f] = size
+                fill.append((walk, numbers, 0, 1))
+        f0 = stop
+    # The dart at position p of face (class, c) is in cell c + offset, so the
+    # (rep, slot) column holds the face numbers shifted back by the offset.
+    for walk, src, first, step in fill:
+        for rep, offset, slot in walk:
+            di, dj = cs.box_coords(offset)
+            face_left[rep * block + slot : (rep + 1) * block : deg] = _box_shift(
+                src, first, step, s1, s2, -di % s1, -dj % s2
+            )
+    return face_left, walks, starts, firsts, tuple(sizes)
 
 
 def build_quotient(spec: QuotientSpec) -> FlagMap:
@@ -343,28 +494,20 @@ def build_quotient(spec: QuotientSpec) -> FlagMap:
     # Coset i*s2 + j has box coordinates (i, j), so slot k of rep r points
     # from every coset to the coset one fixed box shift (di, dj) away: the
     # reverse darts of the column (r, k) are the target rep's slot with its
-    # box rows and columns rotated, two slices of the pool per box row.  So
-    # the reverse table holds the pool's own ints, which FlagMap takes back
-    # as its pool, and no int is made per dart by arithmetic.  This is the
-    # one coset indexing outside `CosetSystem`: reading the column through
+    # box rows and columns rotated (_box_shift), slices of the pool.  So the
+    # reverse table holds the pool's own ints, which FlagMap takes with it,
+    # and no int is made per dart by arithmetic.  _box_shift is the one
+    # coset indexing outside `CosetSystem`: reading the column through
     # `cell_map(cs, shift=offset)` took E7 at 52·I from 58 to 79 ms.
     ids = list(range(nd))
     dart_rev = [0] * nd
-    row = s2 * deg  # the darts of one box row of a rep's slot, stride deg
     for r, darts in enumerate(tpl.neighbors):
         for k, (s, offset) in enumerate(darts):
-            di, dj = cs.box_coords(offset)
             first = s * block + tpl.reverse_slots[r][k]
-            column = []
-            for i in range(s1):
-                start = first + (i + di) % s1 * row
-                split = start + dj * deg
-                column += ids[split : start + row : deg]
-                column += ids[start:split:deg]
+            column = _box_shift(ids, first, deg, s1, s2, *cs.box_coords(offset))
             dart_rev[r * block + k : (r + 1) * block : deg] = column
-    del ids
     # The _QuotientSlots vouches for dart_rev (see FlagMap.__init__).
-    m = FlagMap(dart_rev, _QuotientSlots(tpl.rep_count * ncos, deg, dart_rev), spec=spec)
+    m = FlagMap(dart_rev, _QuotientSlots(deg, dart_rev, ids, spec.tiling, cs), spec=spec)
     m.coset_system = cs
     return m
 

@@ -13,7 +13,7 @@ import math
 from xml.etree import ElementTree as ET
 
 from .lattice import SublatticeMat
-from .tilings import TilingTemplate, face_trace
+from .tilings import TilingTemplate, face_classes
 
 _FACE_FILL = {
     3: "#a6cee3",
@@ -26,29 +26,6 @@ _SCALE = 60.0
 # Translation cells one drawing may hold.  Memory and output grow with the
 # cell count: E7 at 138·I (19,881 cells) peaks at 240 MiB and writes 18.6 MB.
 MAX_RENDER_CELLS = 20_000
-
-
-def _unique_cell_faces(tpl: TilingTemplate) -> list[tuple[tuple[int, tuple[int, int], int], ...]]:
-    """One dart walk per face orbit, normalized so the lexicographically
-    least dart sits in cell (0, 0)."""
-    seen = set()
-    faces = []
-    for r in range(tpl.rep_count):
-        for k in range(len(tpl.neighbors[r])):
-            walk = face_trace(tpl, r, k)
-            anchor = min(walk)
-            ax, ay = anchor[1]
-            norm = tuple(
-                sorted((rep, (cx - ax, cy - ay), slot) for rep, (cx, cy), slot in walk)
-            )
-            if norm in seen:
-                continue
-            seen.add(norm)
-            shifted = tuple(
-                (rep, (cx - ax, cy - ay), slot) for rep, (cx, cy), slot in walk
-            )
-            faces.append(shifted)
-    return faces
 
 
 def _euclid(tpl: TilingTemplate, rep: int, cell: tuple[int, int]) -> tuple[float, float]:
@@ -82,7 +59,7 @@ def render_svg(tpl: TilingTemplate, mat: SublatticeMat) -> str:
     if n_cells > MAX_RENDER_CELLS:
         raise ValueError(f"drawing needs {n_cells} tiling cells, over the limit of {MAX_RENDER_CELLS}")
 
-    cell_faces = _unique_cell_faces(tpl)
+    cell_faces = face_classes(tpl.id)
     polys = []
     for ci in range(lo_i, hi_i + 1):
         for cj in range(lo_j, hi_j + 1):

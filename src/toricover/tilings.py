@@ -494,6 +494,28 @@ def face_trace(tpl: TilingTemplate, rep: int, slot: int) -> list[tuple[int, IVec
     raise AssertionError(f"face at ({rep}, {slot}) did not close within {_FACE_TRACE_LIMIT} steps")
 
 
+@lru_cache(maxsize=None)
+def face_classes(tid: TilingId) -> tuple[tuple[tuple[int, IVec, int], ...], ...]:
+    """The tiling's faces up to translation: one face_trace walk per class,
+    in the order of the classes' first darts (rep, slot), each walked from
+    that dart and moved so that its least dart (rep, cell, slot) sits in
+    cell (0, 0).  A walk closes only where it started, and the next-dart
+    rule commutes with translations, so no face holds one (rep, slot) in
+    two cells: each (rep, slot) lies on one class, and a quotient T/K has
+    one face per class and coset, of the class's size."""
+    tpl = template(tid)
+    seen = set()
+    classes = []
+    for r, darts in enumerate(tpl.neighbors):
+        for k in range(len(darts)):
+            if (r, k) not in seen:
+                walk = face_trace(tpl, r, k)
+                seen.update((rep, slot) for rep, _, slot in walk)
+                ax, ay = min(walk)[1]
+                classes.append(tuple((rep, (cx - ax, cy - ay), slot) for rep, (cx, cy), slot in walk))
+    return tuple(classes)
+
+
 def face_sizes_at_rep(tpl: TilingTemplate, rep: int) -> tuple[int, ...]:
     """Sizes of the faces around a rep, counterclockwise; the face at
     index k lies between darts k and k+1."""

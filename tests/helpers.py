@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from itertools import accumulate, chain
 
 from toricover import CoverCertificate, FlagMap, QuotientSpec, TilingId, build_quotient, template
 from toricover.lattice import SublatticeMat, cosets, scaled_identity
@@ -251,8 +250,8 @@ def reference_map_tables(dart_rev: list[int], vertex_darts: list[tuple[int, ...]
         "dart_edge": edge_of,
         "edge_dart": edge_dart,
         "dart_face_left": face_of,
-        "face_walks": list(chain.from_iterable(face_darts)),
-        "face_offsets": [0, *accumulate(map(len, face_darts))],
+        "face_first": [w[0] for w in face_darts],
+        "face_walk": [list(w) for w in face_darts],
         "face_sizes": tuple(len(w) for w in face_darts),
     }
 

@@ -583,6 +583,12 @@ GOLDEN_STDOUT = [
     (["batch", "--samples", "50", "--seed", "7"], "a6cba58ba19b38d819c6a4901adf98ca2b14ed873af09a0895e702e316fd1145"),
 ]
 GOLDEN_RENDER_E5 = "9efb24309046aa620d47b99bc068ddd68df9e6efffdd920bbdf0dbb79bce147b"
+# Two more drawings, of a tiling with one face class and of one with three,
+# recorded before the renderer read its faces from tilings.face_classes.
+GOLDEN_RENDER = [
+    (["T4444", "3", "1", "-1", "2"], "5db30c5dd4c66ddd43d8b9e12a035450864879e673b12a87c8b93d22b545988f"),
+    (["E6", "2", "1", "0", "2"], "c1aea589e6e7c8393fd9f5f40d9de7cf1af0d22b61a6c81727ab9da159edfa44"),
+]
 # `cover --out` files of two non-scalar covers large enough for face and
 # edge numbering to go wrong unseen in the tiny covers above: 47,600 and
 # 22,032 flags (X plus Y), recorded before faces were stored as one flat
@@ -590,6 +596,13 @@ GOLDEN_RENDER_E5 = "9efb24309046aa620d47b99bc068ddd68df9e6efffdd920bbdf0dbb79bce
 GOLDEN_COVER_OUT = [
     (["E2", "5", "-6", "9", "-4"], "ca62a9ebc7bfd89981ce07f0fb7debcbfcd7b1389784a1a704acf5af042232e9"),
     (["E7", "3", "1", "-2", "5"], "63327ce9268e91bf98d767f05bb7241bb9e888ca4485462511a8f32787b5fd73"),
+    # Covers whose faces meet their least rep more than once, so a face's
+    # smallest dart is a min over several of its darts: 9,520, 14,280 and
+    # 19,872 flags, each Y of over map_core.MIN_COLUMN_CELLS cells, recorded
+    # before faces were numbered by slot columns.
+    (["T4444", "5", "-6", "9", "-4"], "fd97dd03298738dd1a1987eb05cf08a92c8bde2cfbf585a06b7c526b659452c6"),
+    (["T666", "5", "-6", "9", "-4"], "de7c8d5cd18154b42d833b01ee2897acb584fb20796965730a3bc878cf96f760"),
+    (["E6", "4", "1", "-3", "5"], "819251dc6449e6a8a6f913a331166e398c4cf98d4a57ad6bd8f389992312091d"),
 ]
 
 
@@ -604,7 +617,12 @@ def test_default_outputs_match_golden_hashes(tmp_path, monkeypatch, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == want, argv
     assert main(["render", "E5", "2", "1", "0", "2", "--out", "e5.svg"]) == 0
     assert hashlib.sha256(Path("e5.svg").read_bytes()).hexdigest() == GOLDEN_RENDER_E5
+    for spec, want in GOLDEN_RENDER:
+        assert main(["render", *spec, "--out", "tiling.svg"]) == 0, spec
+        assert hashlib.sha256(Path("tiling.svg").read_bytes()).hexdigest() == want, spec
     for spec, want in GOLDEN_COVER_OUT:
+        m = lattice.cover_exponent(SublatticeMat(*map(int, spec[1:])))
+        assert m * m >= map_core._min_column_cells(tilings.parse_tiling(spec[0])), spec  # Y's faces by slot columns
         assert main(["cover", *spec, "--out", "large.json"]) == 0, spec
         assert hashlib.sha256(Path("large.json").read_bytes()).hexdigest() == want, spec
 

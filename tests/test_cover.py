@@ -345,7 +345,7 @@ def test_verify_checks_every_preimage_against_its_dihedral_set():
     t = reference_flag_tables(x)
     gv = [t["flag_vertex"][g[2 * ds[0]]] for ds in x.vertex_darts]
     ge = [x.dart_edge[g[2 * d] // 2] for d in x.edge_dart]
-    gf = [t["flag_face"][g[2 * x.face_walks[i]]] for i in x.face_offsets[:-1]]
+    gf = [t["flag_face"][g[2 * d]] for d in x.face_first]
     vm = [gv[v] for v in cert.vertex_map]
     em = [ge[e] for e in cert.edge_map]
     fm = tuple(gf[f] for f in cert.face_map)
@@ -457,7 +457,7 @@ def cover_and_symmetries(code: str, mat: tuple[int, int, int, int], r: int):
         actions.append((
             [t["flag_vertex"][g[2 * ds[0]]] for ds in x.vertex_darts],
             [x.dart_edge[g[2 * d] // 2] for d in x.edge_dart],
-            [t["flag_face"][g[2 * x.face_walks[i]]] for i in x.face_offsets[:-1]],
+            [t["flag_face"][g[2 * d]] for d in x.face_first],
         ))
     return y, x, cert, actions
 
@@ -582,7 +582,7 @@ def octagon_cover():
         cover_mat=scaled_identity(2),
         vertex_map=(0, 0, 0, 0),
         edge_map=tuple(x.dart_edge[dmap[d]] for d in y.edge_dart),
-        face_map=tuple(x.dart_face_left[dmap[y.face_walks[i]]] for i in y.face_offsets[:-1]),
+        face_map=tuple(x.dart_face_left[dmap[d]] for d in y.face_first),
         area_value=1,
         area_factor="1",
         base_polyhedral=x.polyhedral,
@@ -675,7 +675,7 @@ def test_a_rotated_cycle_fails_the_column_tier_and_passes_the_per_vertex_tier(mo
     )
     assert turned.slot_degree == deg
     em = [cert.edge_map[y.dart_edge[old[d]]] for d in turned.edge_dart]
-    fm = [cert.face_map[y.dart_face_left[old[turned.face_walks[i]]]] for i in turned.face_offsets[:-1]]
+    fm = [cert.face_map[y.dart_face_left[old[d]]] for d in turned.face_first]
     moved = cert._replace(edge_map=tuple(em), face_map=tuple(fm))
     vm = cert.vertex_map
     assert projection_covers(y, x, vm, cert.edge_map, cert.face_map)

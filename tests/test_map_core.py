@@ -7,12 +7,14 @@ never touch the dart tables that build_quotient produces.
 
 from __future__ import annotations
 
+import copy
 import gc
 import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from operator import eq
+from itertools import chain
+from operator import add, eq
 
 import pytest
 from hypothesis import assume, given, settings
@@ -179,6 +181,8 @@ def test_build_quotient_matches_per_dart_reference_on_random_matrices(tid, entri
     assert_matches_reference(QuotientSpec(tid, SublatticeMat(*entries)))
 
 
+# "face_walk" is every face's walk, read through FlagMap.face_walk: the
+# walks' layout in face_walks is the constructor's own choice.
 MAP_TABLES = (
     "dart_rev",
     "vertex_darts",
@@ -187,10 +191,18 @@ MAP_TABLES = (
     "dart_edge",
     "edge_dart",
     "dart_face_left",
-    "face_walks",
-    "face_offsets",
+    "face_first",
+    "face_walk",
     "face_sizes",
 )
+
+
+def map_table(m: FlagMap, name: str):
+    if name == "vertex_darts":
+        return tuple(map(tuple, m.vertex_darts))
+    if name == "face_walk":
+        return list(map(m.face_walk, range(m.n_faces)))
+    return getattr(m, name)
 
 
 def assert_tables_match_per_dart_constructor(spec: QuotientSpec) -> None:
@@ -198,10 +210,7 @@ def assert_tables_match_per_dart_constructor(spec: QuotientSpec) -> None:
     _, _, dart_rev, vertex_darts = reference_quotient(spec)
     want = reference_map_tables(dart_rev, vertex_darts)
     for name in MAP_TABLES:
-        got = getattr(m, name)
-        if name == "vertex_darts":
-            got = tuple(tuple(r) for r in got)
-        assert got == want[name], (spec, name)
+        assert map_table(m, name) == want[name], (spec, name)
 
 
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
@@ -226,7 +235,7 @@ def test_flagmap_tables_match_per_dart_constructor_on_random_matrices(data):
 
 def test_build_quotient_retains_at_most_60_bytes_per_flag():
     # The tables share one int object per dart and keep each fact once,
-    # with no ccw table, no tuple per edge, face or vertex: about 44 bytes
+    # with no ccw table, no tuple per edge, face or vertex: about 45 bytes
     # per flag on Python 3.11.
     spec = QuotientSpec(parse_tiling("E7"), SublatticeMat(20, 0, 0, 20))
     build_quotient(spec)  # the template and its caches are not the map's
@@ -243,8 +252,9 @@ def test_build_quotient_retains_at_most_60_bytes_per_flag():
 
 def test_build_quotient_retains_at_most_50_bytes_per_flag():
     # The rotations are one SlotRotations, not a range per vertex, and the
-    # reverse table holds the pool's ints, sliced from it: about 44 bytes
-    # per flag on Python 3.11, and 54 with a range per vertex.
+    # reverse table holds the pool's ints, sliced from it: about 45 bytes
+    # per flag on Python 3.11 (44 before each face kept its smallest dart),
+    # and 54 with a range per vertex.
     spec = QuotientSpec(parse_tiling("E7"), SublatticeMat(20, 0, 0, 20))
     build_quotient(spec)  # the template and its caches are not the map's
     gc.collect()
@@ -259,11 +269,11 @@ def test_build_quotient_retains_at_most_50_bytes_per_flag():
 
 
 def test_build_quotient_peaks_at_most_75_bytes_per_flag():
-    # FlagMap takes its pool from build_quotient's reverse table, keeps that
-    # table without copying it and keeps no rotation per vertex, so nothing
-    # per dart is made twice: about 52 bytes per flag at the peak on Python
-    # 3.11, 56 with a copied reverse table, and 102 with a second pool and a
-    # per-dart head table.
+    # FlagMap takes build_quotient's pool and reverse table, sliced from
+    # it, keeps both without copying them and keeps no rotation per vertex, so nothing per dart is made twice: about 50 bytes per flag at
+    # the peak on Python 3.11, 52 with a second pool and faces traced dart by
+    # dart, 56 with a copied reverse table too, and 102 with a per-dart head
+    # table as well.
     spec = QuotientSpec(parse_tiling("E7"), SublatticeMat(20, 0, 0, 20))
     build_quotient(spec)  # the template and its caches are not the map's
     gc.collect()
@@ -277,20 +287,27 @@ def test_build_quotient_peaks_at_most_75_bytes_per_flag():
     assert peak / m.n_flags <= 75
 
 
+# 20 cells, whose faces FlagMap numbers dart by dart, and 272, numbered by
+# slot columns (map_core.MIN_COLUMN_CELLS).
+POOL_MATS = [SublatticeMat(4, 1, 0, 5), SublatticeMat(16, 3, 0, 17)]
+
+
 @pytest.mark.parametrize("code", ["E7", "T4444", "E2"])
 def test_quotient_tables_share_one_int_object_per_dart(code):
     # The reverse table's own ints are the pool: every table holds the
     # same object for the same dart.  The rotations keep no ints: they are
     # one SlotRotations, of one size whatever the map's.
-    m = build_quotient(QuotientSpec(parse_tiling(code), SublatticeMat(4, 1, 0, 5)))
-    ints = [
-        *m.dart_rev, *m.dart_vertex, *m.dart_cw, *m.dart_edge, *m.edge_dart,
-        *m.dart_face_left, *m.face_walks, *m.face_offsets[:-1],
-    ]
-    objects = {}
-    for x in ints:
-        assert objects.setdefault(x, x) is x, (code, x)
-    assert len(objects) == m.n_darts
+    assert POOL_MATS[0].index() < map_core._min_column_cells(parse_tiling(code)) <= POOL_MATS[1].index()
+    for mat in POOL_MATS:
+        m = build_quotient(QuotientSpec(parse_tiling(code), mat))
+        ints = [
+            *m.dart_rev, *m.dart_vertex, *m.dart_cw, *m.dart_edge, *m.edge_dart,
+            *m.dart_face_left, *m.face_walks, *m.face_start, *m.face_first,
+        ]
+        objects = {}
+        for x in ints:
+            assert objects.setdefault(x, x) is x, (code, mat, x)
+        assert len(objects) == m.n_darts
     bigger = build_quotient(QuotientSpec(parse_tiling(code), SublatticeMat(12, 0, 0, 12)))
     assert type(m.vertex_darts) is type(bigger.vertex_darts) is SlotRotations
     assert sys.getsizeof(m.vertex_darts) == sys.getsizeof(bigger.vertex_darts)
@@ -301,24 +318,81 @@ def test_quotient_tables_share_one_int_object_per_dart(code):
 def test_quotient_rotations_are_untracked_ranges_and_faces_two_flat_lists(code):
     # Nothing is stored per vertex or per face that the cyclic garbage
     # collector tracks: a rotation is a range, made when it is read, and
-    # the faces are one list of darts in walk order plus its offsets.
-    m = build_quotient(QuotientSpec(parse_tiling(code), SublatticeMat(4, 1, 0, 5)))
-    deg = m.n_darts // m.n_vertices
-    assert all(type(r) is range for r in m.vertex_darts)
-    assert not any(map(gc.is_tracked, m.vertex_darts))
-    assert [(r.start, r.stop, r.step) for r in m.vertex_darts] == [
-        (v * deg, v * deg + deg, 1) for v in range(m.n_vertices)
-    ]
-    assert type(m.face_walks) is list and type(m.face_offsets) is list
-    assert sorted(m.face_walks) == list(range(m.n_darts))
-    assert set(map(type, m.face_walks)) == set(map(type, m.face_offsets)) == {int}
-    offsets = m.face_offsets
-    assert (offsets[0], offsets[-1], len(offsets)) == (0, m.n_darts, m.n_faces + 1)
-    for f in range(m.n_faces):
-        walk = m.face_walk(f)
-        assert walk == m.face_walks[offsets[f] : offsets[f + 1]] and len(walk) == m.face_sizes[f]
-        assert walk[0] == min(walk)
-        assert {m.dart_face_left[d] for d in walk} == {f}
+    # the faces are one list of darts in walk order plus flat lists of
+    # each face's start in it, smallest dart and size.
+    for mat in POOL_MATS:
+        m = build_quotient(QuotientSpec(parse_tiling(code), mat))
+        deg = m.n_darts // m.n_vertices
+        assert all(type(r) is range for r in m.vertex_darts)
+        assert not any(map(gc.is_tracked, m.vertex_darts))
+        assert [(r.start, r.stop, r.step) for r in m.vertex_darts] == [
+            (v * deg, v * deg + deg, 1) for v in range(m.n_vertices)
+        ]
+        assert type(m.face_walks) is type(m.face_start) is type(m.face_first) is list
+        assert sorted(m.face_walks) == list(range(m.n_darts))
+        assert set(map(type, [*m.face_walks, *m.face_start, *m.face_first])) == {int}
+        assert len(m.face_start) == len(m.face_first) == len(m.face_sizes) == m.n_faces
+        # The faces' slices of face_walks cover it once.
+        spans = chain.from_iterable(map(range, m.face_start, map(add, m.face_start, m.face_sizes)))
+        assert sorted(spans) == list(range(m.n_darts))
+        for f in range(m.n_faces):
+            walk, start = m.face_walk(f), m.face_start[f]
+            stored = m.face_walks[start : start + m.face_sizes[f]]
+            i = stored.index(walk[0])
+            assert walk == stored[i:] + stored[:i] and len(walk) == m.face_sizes[f]
+            assert walk[0] == m.face_first[f] == min(walk)
+            assert {m.dart_face_left[d] for d in walk} == {f}
+
+
+def test_box_shift_turns_the_box_rows_and_columns():
+    # Every branch of _box_shift (one box row or no wrap, two slices per
+    # row, the turned column mended) against the coset arithmetic.
+    for s1, s2 in [(1, 1), (1, 7), (2, 2), (2, 6), (3, 3), (3, 12), (5, 5), (4, 20)]:
+        for first, step in [(0, 1), (2, 3)]:
+            src = list(range(first + step * s1 * s2 + 4))
+            for di in range(s1):
+                for dj in range(s2):
+                    want = [
+                        src[first + step * ((i + di) % s1 * s2 + (j + dj) % s2)]
+                        for i in range(s1)
+                        for j in range(s2)
+                    ]
+                    assert map_core._box_shift(src, first, step, s1, s2, di, dj) == want, (s1, s2, di, dj)
+
+
+def assert_face_columns_match_loop(spec: QuotientSpec) -> None:
+    # The slot-column face builder against the dart-by-dart loop, called
+    # directly, so MIN_COLUMN_CELLS hides no map from either.
+    m = build_quotient(spec)
+    ids = list(range(m.n_darts))
+    loop, columns = copy.copy(m), copy.copy(m)
+    faces = ("dart_face_left", "face_walks", "face_start", "face_first", "face_sizes")
+    for built, tables in (
+        (loop, map_core._faces(ids, m.dart_rev, m.dart_cw)),
+        (columns, map_core._face_columns(ids, spec.tiling, m.coset_system)),
+    ):
+        for name, table in zip(faces, tables):
+            setattr(built, name, table)
+        built.n_faces = len(built.face_first)
+    for name in ("dart_face_left", "face_first", "face_sizes", "face_walk", "n_faces"):
+        assert map_table(columns, name) == map_table(loop, name), (spec, name)
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_face_columns_match_the_loop_on_small_lattices(tid):
+    for mat in [*enumerate_hnf(12), *NON_HERMITE_MATS]:
+        assert_face_columns_match_loop(QuotientSpec(tid, mat))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tid=st.sampled_from(list(TilingId)),
+    entries=st.tuples(*[st.integers(min_value=-12, max_value=12)] * 4).filter(
+        lambda t: t[0] * t[3] - t[1] * t[2] != 0
+    ),
+)
+def test_face_columns_match_the_loop_on_random_matrices(tid, entries):
+    assert_face_columns_match_loop(QuotientSpec(tid, SublatticeMat(*entries)))
 
 
 def assert_general_layout_matches_declared(spec: QuotientSpec) -> None:
@@ -331,10 +405,7 @@ def assert_general_layout_matches_declared(spec: QuotientSpec) -> None:
     assert type(declared.vertex_darts) is SlotRotations and type(general.vertex_darts) is tuple
     assert (declared.slot_degree, general.slot_degree) == (template(spec.tiling).degree, None)
     for name in (*MAP_TABLES, "n_vertices", "n_edges", "n_faces"):
-        want, got = getattr(general, name), getattr(declared, name)
-        if name == "vertex_darts":
-            want, got = tuple(map(tuple, want)), tuple(map(tuple, got))
-        assert got == want, (spec, name)
+        assert map_table(declared, name) == map_table(general, name), (spec, name)
 
 
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
@@ -637,11 +708,11 @@ def test_flagmap_reverse_variants_match_the_per_dart_constructor(variant):
         assert got == want and want.startswith("ValueError: reverse is not a fixed-point-free involution at dart ")
         return
     for name in MAP_TABLES:
-        table = getattr(got, name)
-        if name == "vertex_darts":
-            assert tuple(map(tuple, table)) == want[name]
-        else:
-            assert table == want[name], name
+        table = map_table(got, name)
+        assert table == want[name], name
+        if name == "face_walk":
+            table = [d for walk in table for d in walk]
+        if name != "vertex_darts":
             assert set(map(type, table)) == {int}, name
 
 
@@ -671,16 +742,20 @@ def test_only_build_quotient_skips_the_involution_pass_and_the_union_find(monkey
     m = build_quotient(QuotientSpec(parse_tiling("E2"), SublatticeMat(2, 1, 0, 3)))
     assert joined == [] and type(m.vertex_darts) is SlotRotations
     deg, copy = m.slot_degree, list(m.dart_rev)
+
+    def slots(dart_rev):
+        return map_core._QuotientSlots(deg, dart_rev, list(range(m.n_darts)), m.spec.tiling, m.coset_system)
+
     for vertex_darts in (
         SlotRotations(m.n_vertices, deg),
         tuple(m.vertex_darts),
-        map_core._QuotientSlots(m.n_vertices, deg, copy),
+        slots(copy),
     ):
         FlagMap(m.dart_rev, vertex_darts)
     assert len(joined) == 3
     broken = [copy[1], copy[0], *copy[2:]]
     with pytest.raises(ValueError, match="^reverse is not a fixed-point-free involution at dart 0$"):
-        FlagMap(broken, map_core._QuotientSlots(m.n_vertices, deg, copy))
+        FlagMap(broken, slots(copy))
 
 
 @pytest.mark.parametrize("layout", ["slot columns", "rotations"])

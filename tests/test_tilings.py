@@ -11,7 +11,9 @@ from toricover.tilings import (
     TilingId,
     _derive_neighbors,
     _seed,
+    face_classes,
     face_sizes_at_rep,
+    face_trace,
     full_point_group,
     parse_tiling,
     rep_orbits,
@@ -65,6 +67,26 @@ def test_face_tracing_reproduces_signature_at_every_rep(tid):
         # Cyclic equality is part of validate_template; spot-check the
         # multiset here as an independent angle.
         assert sorted(sizes) == sorted(tid.signature)
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.value)
+def test_face_classes_hold_each_dart_of_a_cell_once(tid):
+    # One walk per translation class of faces: together they hold every
+    # (rep, slot) once, each is face_trace from its least (rep, slot) moved
+    # so that its least dart is in cell (0, 0), and a cell holds
+    # reps · (count of s in the vertex type) / s faces of size s.
+    tpl = template(tid)
+    classes = face_classes(tid)
+    darts = sorted((rep, slot) for walk in classes for rep, _, slot in walk)
+    assert darts == [(r, k) for r in range(tpl.rep_count) for k in range(tpl.degree)]
+    assert [walk[0][0::2] for walk in classes] == sorted(walk[0][0::2] for walk in classes)
+    for walk in classes:
+        (r, (x, y), k), (_, least, _) = walk[0], min(walk)
+        assert (r, k) == min((rep, slot) for rep, _, slot in walk) and least == (0, 0)
+        assert [(rep, (cx - x, cy - y), slot) for rep, (cx, cy), slot in walk] == face_trace(tpl, r, k)
+    sizes = [len(walk) for walk in classes]
+    for s in set(tid.signature):
+        assert sizes.count(s) * s == tpl.rep_count * tid.signature.count(s)
 
 
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.value)
