@@ -41,18 +41,18 @@ Its own ints are then the pool, one int object per dart, from which
 every table takes its dart ids, so no second int is made per dart; one
 index pass, rev(rev(d)) for every d, decides it.
 
-Faces are numbered by their smallest dart and walked from it, in one of
-two ways.  A face of T/K is a face of the tiling moved by a cell: one of
-the tiling's face classes (`tilings.face_classes`) per coset, so a
-quotient of at least MIN_COLUMN_CELLS cells fills its face tables by slot
-columns, as its tail and rotation tables, and proves that its walks
-close once per tiling, in face_trace.  Any other map traces every dart's
-face.  Each fact is stored once: an edge is its smaller dart (the other
-is its reverse), a face is face_sizes[f] darts of one list of every face
-walk (`face_walks`, from `face_start[f]`) and its smallest dart
-(`face_first[f]`), and there is no ccw table: the orbit scan inverts cw
-when it needs one.  So a quotient keeps no container per vertex, edge or
-face that the cyclic garbage collector tracks.
+Faces are numbered by their smallest dart, in one of two ways.  A face
+of T/K is a face of the tiling moved by a cell: one of the tiling's face
+classes (`tilings.face_classes`) per coset, so a quotient of at least
+MIN_COLUMN_CELLS cells fills its face tables by slot columns, as its
+tail and rotation tables, and proves that its walks close once per
+tiling, in face_trace.  Any other map traces every dart's face.  Each
+fact is stored once: an edge is its smaller dart (the other is its
+reverse), a face is its smallest dart (`face_first[f]`) and its size
+(`face_sizes[f]`), from which face_walk traces it, d -> cw(rev(d)), when
+it is read, and there is no ccw table: the orbit scan inverts cw when it
+needs one.  So a quotient keeps no container per vertex, edge or face
+that the cyclic garbage collector tracks.
 """
 
 from __future__ import annotations
@@ -60,18 +60,19 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, groupby, islice
-from operator import eq, sub
+from operator import eq
 from typing import NamedTuple
 
 from .lattice import CosetSystem, SublatticeMat, cosets
 from .tilings import TilingId, dihedral, face_classes, template
 
-# The largest map build_quotient makes.  A quotient retains about 45 bytes
-# per flag and peaks at about 50 while it is built (52 when FlagMap made a
-# second pool and traced every face, 56 when it also copied the reverse
-# table; tracemalloc, E7 at 20·I to 150·I); `analyze` (the orbit scan) peaks
-# at about 60 bytes per flag over the interpreter (E7 at 150·I on Python
-# 3.11), so about 230 MiB at this limit.
+# The largest map build_quotient makes.  A quotient retains about 40 bytes
+# per flag and peaks at about 45 while it is built (45 and 50 when FlagMap
+# stored every face's walk, 52 at the peak when it also made a second pool
+# and traced every face, 56 when it also copied the reverse table;
+# tracemalloc, E7 at 20·I to 150·I); `analyze` (the orbit scan) peaks at
+# about 58 bytes per flag over `info E7` (E7 at 150·I on Python 3.11), so
+# about 225 MiB at this limit.
 MAX_FLAGS = 4_000_000
 
 # The least translation cells for which FlagMap numbers a quotient's faces
@@ -79,9 +80,9 @@ MAX_FLAGS = 4_000_000
 # first when every face class meets its least rep once (E2, E3, E5, E7),
 # the second when some class's faces must be sorted.  Column time over loop
 # time, min of 15 interleaved runs, six lattices per size (Python 3.11, 2
-# cores): E2, E3, E5 and E7 at 25 cells 0.89–1.19, at 36 cells 0.67–0.97;
-# T4444 and T333333 at 144 cells 0.96–1.11, at 196 cells 0.91–1.03, at 256
-# cells 0.81–1.00; E1, E4, E6, T33344 and T666 at 256 cells 0.47–0.79.
+# cores): E2, E3, E5 and E7 at 25 cells 0.58–0.77, at 36 cells 0.45–0.60;
+# T4444 and T333333 at 144 cells 1.02–1.26, at 196 cells 0.98–1.16, at 256
+# cells 0.93–1.16; E1, E4, E6, T33344 and T666 at 256 cells 0.36–0.80.
 MIN_COLUMN_CELLS = (36, 256)
 
 
@@ -220,7 +221,7 @@ class FlagMap:
             faces = _face_columns(ids, vertex_darts.tiling, vertex_darts.cs)
         else:
             faces = _faces(ids, rev, self.dart_cw)
-        self.dart_face_left, self.face_walks, self.face_start, self.face_first, self.face_sizes = faces
+        self.dart_face_left, self.face_first, self.face_sizes = faces
         self.n_faces = len(self.face_first)
 
         if not proven and not self._connected(ids):
@@ -244,19 +245,14 @@ class FlagMap:
         return self.dart_vertex[d], self.dart_vertex[self.dart_rev[d]]
 
     def face_walk(self, f: int) -> list[int]:
-        """The darts of face f in walk order, from its smallest."""
-        start, first = self.face_start[f], self.face_first[f]
-        walk = self.face_walks[start : start + self.face_sizes[f]]
-        if walk[0] == first:
-            return walk
-        i = walk.index(first)
-        return walk[i:] + walk[:i]
-
-    def face_vertices(self, f: int) -> tuple[int, ...]:
-        return tuple(map(self.dart_vertex.__getitem__, self.face_walk(f)))
-
-    def face_edges(self, f: int) -> tuple[int, ...]:
-        return tuple(map(self.dart_edge.__getitem__, self.face_walk(f)))
+        """The darts of face f in walk order, traced from its smallest."""
+        rev, cw = self.dart_rev, self.dart_cw
+        d = self.face_first[f]
+        walk = [d]
+        for _ in range(self.face_sizes[f] - 1):
+            d = cw[rev[d]]
+            walk.append(d)
+        return walk
 
     def _connected(self, ids: list[int]) -> bool:
         """Darts at one vertex are joined by its rotation, so the darts
@@ -329,32 +325,28 @@ def _rotations(vertex_darts: Sequence[Sequence[int]], nd: int):
 
 
 def _faces(ids: list[int], rev: list[int], cw: list[int]):
-    """(dart_face_left, face_walks, face_start, face_first, face_sizes),
-    dart by dart: the orbits of d -> cw(rev(d)), i.e. the face left of each
-    dart, numbered by their smallest dart and walked from it.  The walks
-    are concatenated in face order into one list, and face f is its slice
-    of face_sizes[f] darts from face_start[f], so no container is made per
-    face.  A walk that does not return to its start raises ValueError."""
+    """(dart_face_left, face_first, face_sizes), dart by dart: the orbits
+    of d -> cw(rev(d)), i.e. the face left of each dart, numbered by their
+    smallest dart, which face_first keeps, with their sizes.  A walk that
+    does not return to its start raises ValueError."""
     nxt = list(map(cw.__getitem__, rev))
     face_of = [-1] * len(ids)
-    walks = []
-    starts = []
     firsts = []
+    sizes = []
     for d in ids:
         if face_of[d] >= 0:
             continue
-        f = ids[len(starts)]
-        starts.append(ids[len(walks)])
+        f = ids[len(firsts)]
         firsts.append(d)
-        cur = d
+        cur, n = d, 0
         while face_of[cur] < 0:
             face_of[cur] = f
-            walks.append(cur)
             cur = nxt[cur]
+            n += 1
         if cur != d:
             raise ValueError(f"face trace from dart {d} did not close")
-    sizes = tuple(map(sub, [*islice(starts, 1, None), len(walks)], starts))
-    return face_of, walks, starts, firsts, sizes
+        sizes.append(n)
+    return face_of, firsts, tuple(sizes)
 
 
 @lru_cache(maxsize=None)
@@ -404,48 +396,42 @@ def _face_columns(ids: list[int], tiling: TilingId, cs: CosetSystem):
     """_faces for T/K in build_quotient's layout, by slot columns.  A face
     of T/K is a face class (`tilings.face_classes`) moved by a coset c, and
     the darts at one position of a class's walk are, over every c, the
-    pool's (rep, slot) column shifted by the position's box offset.  The
-    walks are laid out class by class, face (class, c) from the class's
-    first dart, and face_walk rotates each to start at its smallest dart.
+    pool's (rep, slot) column shifted by the position's box offset.
 
     The faces are numbered as _faces numbers them, by smallest dart.  The
     smallest dart of face (class, c) is at the class's least rep, so the
-    faces whose least rep is r take consecutive numbers.  When every class
-    of rep r meets r once, that dart is the class's first, in cell c
-    itself: it is r·block + c·deg + slot, so face (class, c) is number
-    F + c·m + (the class's place among the m of rep r, by slot), with F the
-    faces of smaller reps, and every table is filled by stride slices.
-    Otherwise the smallest darts are a min over the positions at rep r and
-    rep r's faces are sorted by them."""
+    faces whose least rep is r take consecutive numbers, and only the
+    positions at rep r are laid out as columns.  When every class of rep r
+    meets r once, that dart is the class's first, in cell c itself: it is
+    r·block + c·deg + slot, so face (class, c) is number F + c·m + (the
+    class's place among the m of rep r, by slot), with F the faces of
+    smaller reps, and every table is filled by stride slices.  Otherwise
+    the smallest darts are a min over the positions at rep r and rep r's
+    faces are sorted by them."""
     classes = face_classes(tiling)
     deg = template(tiling).degree
     s1, s2, ncos = cs.s1, cs.s2, cs.size()
-    nd, block = len(ids), ncos * deg
+    block = ncos * deg
     nf = len(classes) * ncos
-    walks, face_left = [0] * nd, [0] * nd
-    starts, firsts, sizes = [0] * nf, [0] * nf, [0] * nf
+    face_left = [0] * len(ids)
+    firsts, sizes = [0] * nf, [0] * nf
     fill = []  # (class walk, face number of (class, c) = src[first + step·c])
-    f0 = base = 0
+    f0 = 0
     for r, group in groupby(classes, key=lambda walk: walk[0][0]):
         group = list(group)
         m, stop = len(group), f0 + len(group) * ncos
-        smallest, begins, by_slot = [], [], True
+        smallest, by_slot = [], True
         for walk in group:
-            n = len(walk)
-            at_r = []
-            for p, (rep, offset, slot) in enumerate(walk):
-                column = _box_shift(ids, rep * block + slot, deg, s1, s2, *cs.box_coords(offset))
-                walks[base + p : base + n * ncos : n] = column
-                if rep == r:
-                    at_r.append(column)
+            at_r = [
+                _box_shift(ids, rep * block + slot, deg, s1, s2, *cs.box_coords(offset))
+                for rep, offset, slot in walk
+                if rep == r
+            ]
             by_slot = by_slot and len(at_r) == 1
             smallest.append(at_r[0] if len(at_r) == 1 else list(map(min, *at_r)))
-            begins.append(ids[base : base + n * ncos : n])
-            base += n * ncos
         if by_slot:
             for i, walk in enumerate(group):
                 firsts[f0 + i : stop : m] = smallest[i]
-                starts[f0 + i : stop : m] = begins[i]
                 sizes[f0 + i : stop : m] = [len(walk)] * ncos
                 fill.append((walk, ids, f0 + i, m))
         else:
@@ -453,12 +439,10 @@ def _face_columns(ids: list[int], tiling: TilingId, cs: CosetSystem):
             firsts[f0:stop] = order = sorted(chain.from_iterable(smallest))
             for d, f in zip(order, ids[f0:stop]):
                 face_left[d] = f
-            for walk, column, begin in zip(group, smallest, begins):
+            for walk, column in zip(group, smallest):
                 numbers = list(map(face_left.__getitem__, column))
-                size = len(walk)
-                for f, start in zip(numbers, begin):
-                    starts[f] = start
-                    sizes[f] = size
+                for f in numbers:
+                    sizes[f] = len(walk)
                 fill.append((walk, numbers, 0, 1))
         f0 = stop
     # The dart at position p of face (class, c) is in cell c + offset, so the
@@ -469,7 +453,7 @@ def _face_columns(ids: list[int], tiling: TilingId, cs: CosetSystem):
             face_left[rep * block + slot : (rep + 1) * block : deg] = _box_shift(
                 src, first, step, s1, s2, -di % s1, -dj % s2
             )
-    return face_left, walks, starts, firsts, tuple(sizes)
+    return face_left, firsts, tuple(sizes)
 
 
 def build_quotient(spec: QuotientSpec) -> FlagMap:
@@ -656,9 +640,10 @@ def _violations(m: FlagMap, vertices: Sequence[int]) -> Iterator[tuple[str, tupl
 
     face_sets = {}
     for f in faces:
-        vs, es = m.face_vertices(f), m.face_edges(f)
-        vset, eset = set(vs), set(es)
-        if len(vset) < len(vs) or len(eset) < len(es):
+        walk = m.face_walk(f)
+        vset = set(map(m.dart_vertex.__getitem__, walk))
+        eset = set(map(m.dart_edge.__getitem__, walk))
+        if len(vset) < len(walk) or len(eset) < len(walk):
             yield "face-not-simple", (f,)
         face_sets[f] = (vset, eset)
 

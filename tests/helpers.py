@@ -1,7 +1,7 @@
-"""Test-only constructions: maps from face lists, corrupted templates,
-per-dart reference tables for quotient maps and for the FlagMap
-constructor, the per-edge adjacency and per-vertex local-isomorphism
-stages of verify_covering,
+"""Test-only constructions: maps from face lists, a face's vertices and
+edges, corrupted templates, per-dart reference tables for quotient maps
+and for the FlagMap constructor, the per-edge adjacency and per-vertex
+local-isomorphism stages of verify_covering,
 the per-face polyhedrality scan, the flag tables of a map and the flag
 engine on them (isomorphisms, the whole automorphism group, one vertex
 pair), the tiling group G/T read off the flag engine, the conversion
@@ -77,6 +77,16 @@ def reference_descend(m: FlagMap, elem: PointGroupElem) -> tuple[list[int], bool
         for d, k in zip(ds, elem.slot_maps[r]):
             perm[d] = image[k]
     return perm, elem.reverses_orientation
+
+
+def face_vertices(m: FlagMap, f: int) -> tuple[int, ...]:
+    """The tails of face f's darts, in walk order from its smallest."""
+    return tuple(map(m.dart_vertex.__getitem__, m.face_walk(f)))
+
+
+def face_edges(m: FlagMap, f: int) -> tuple[int, ...]:
+    """The edges of face f's darts, in walk order from its smallest."""
+    return tuple(map(m.dart_edge.__getitem__, m.face_walk(f)))
 
 
 def from_faces(faces: list[list[int]]) -> FlagMap:
@@ -352,8 +362,8 @@ def _edge_key(m: FlagMap, e: int) -> tuple[int, int] | None:
 def _face_sets(m: FlagMap, f: int) -> tuple[frozenset[int], frozenset[int], bool]:
     """Vertex set, edge set and simplicity (no repeated vertex or edge)
     of face f."""
-    vs = m.face_vertices(f)
-    es = m.face_edges(f)
+    vs = face_vertices(m, f)
+    es = face_edges(m, f)
     simple = len(set(vs)) == len(vs) and len(set(es)) == len(es)
     return frozenset(vs), frozenset(es), simple
 

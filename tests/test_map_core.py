@@ -14,7 +14,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
-from operator import add, eq
+from operator import eq
 
 import pytest
 from hypothesis import assume, given, settings
@@ -39,6 +39,7 @@ from toricover.map_core import SlotRotations, VertexTypeSig, euler_characteristi
 from helpers import (
     NON_HERMITE_MATS,
     are_isomorphic,
+    face_vertices,
     from_faces,
     full_scan,
     reference_flag_tables,
@@ -181,8 +182,8 @@ def test_build_quotient_matches_per_dart_reference_on_random_matrices(tid, entri
     assert_matches_reference(QuotientSpec(tid, SublatticeMat(*entries)))
 
 
-# "face_walk" is every face's walk, read through FlagMap.face_walk: the
-# walks' layout in face_walks is the constructor's own choice.
+# "face_walk" is every face's walk, traced by FlagMap.face_walk from the
+# face's smallest dart: the map stores no walk.
 MAP_TABLES = (
     "dart_rev",
     "vertex_darts",
@@ -235,7 +236,7 @@ def test_flagmap_tables_match_per_dart_constructor_on_random_matrices(data):
 
 def test_build_quotient_retains_at_most_60_bytes_per_flag():
     # The tables share one int object per dart and keep each fact once,
-    # with no ccw table, no tuple per edge, face or vertex: about 45 bytes
+    # with no ccw table, no tuple per edge, face or vertex: about 40 bytes
     # per flag on Python 3.11.
     spec = QuotientSpec(parse_tiling("E7"), SublatticeMat(20, 0, 0, 20))
     build_quotient(spec)  # the template and its caches are not the map's
@@ -250,11 +251,12 @@ def test_build_quotient_retains_at_most_60_bytes_per_flag():
     assert retained / m.n_flags <= 60
 
 
-def test_build_quotient_retains_at_most_50_bytes_per_flag():
-    # The rotations are one SlotRotations, not a range per vertex, and the
-    # reverse table holds the pool's ints, sliced from it: about 45 bytes
-    # per flag on Python 3.11 (44 before each face kept its smallest dart),
-    # and 54 with a range per vertex.
+def test_build_quotient_retains_at_most_45_bytes_per_flag():
+    # The rotations are one SlotRotations, not a range per vertex, the
+    # reverse table holds the pool's ints, sliced from it, and a face is
+    # its smallest dart and its size, with no stored walk: about 40 bytes
+    # per flag on Python 3.11 (45 when every face's walk and its start were
+    # stored too), and 54 with a range per vertex.
     spec = QuotientSpec(parse_tiling("E7"), SublatticeMat(20, 0, 0, 20))
     build_quotient(spec)  # the template and its caches are not the map's
     gc.collect()
@@ -265,15 +267,17 @@ def test_build_quotient_retains_at_most_50_bytes_per_flag():
     finally:
         tracemalloc.stop()
     assert m.n_flags == 28_800
-    assert retained / m.n_flags <= 50
+    assert retained / m.n_flags <= 45
 
 
 def test_build_quotient_peaks_at_most_75_bytes_per_flag():
     # FlagMap takes build_quotient's pool and reverse table, sliced from
-    # it, keeps both without copying them and keeps no rotation per vertex, so nothing per dart is made twice: about 50 bytes per flag at
-    # the peak on Python 3.11, 52 with a second pool and faces traced dart by
-    # dart, 56 with a copied reverse table too, and 102 with a per-dart head
-    # table as well.
+    # it, keeps both without copying them and keeps no rotation per vertex
+    # and no face walk, so nothing per dart is made twice: about 45 bytes
+    # per flag at the peak on Python 3.11, 50 when every face's walk was
+    # stored, 52 with a second pool and faces traced dart by dart, 56 with
+    # a copied reverse table too, and 102 with a per-dart head table as
+    # well.
     spec = QuotientSpec(parse_tiling("E7"), SublatticeMat(20, 0, 0, 20))
     build_quotient(spec)  # the template and its caches are not the map's
     gc.collect()
@@ -295,15 +299,13 @@ POOL_MATS = [SublatticeMat(4, 1, 0, 5), SublatticeMat(16, 3, 0, 17)]
 @pytest.mark.parametrize("code", ["E7", "T4444", "E2"])
 def test_quotient_tables_share_one_int_object_per_dart(code):
     # The reverse table's own ints are the pool: every table holds the
-    # same object for the same dart.  The rotations keep no ints: they are
-    # one SlotRotations, of one size whatever the map's.
+    # same object for the same dart, each face's smallest dart included.
+    # The rotations keep no ints: they are one SlotRotations, of one size
+    # whatever the map's.
     assert POOL_MATS[0].index() < map_core._min_column_cells(parse_tiling(code)) <= POOL_MATS[1].index()
     for mat in POOL_MATS:
         m = build_quotient(QuotientSpec(parse_tiling(code), mat))
-        ints = [
-            *m.dart_rev, *m.dart_vertex, *m.dart_cw, *m.dart_edge, *m.edge_dart,
-            *m.dart_face_left, *m.face_walks, *m.face_start, *m.face_first,
-        ]
+        ints = [*m.dart_rev, *m.dart_vertex, *m.dart_cw, *m.dart_edge, *m.edge_dart, *m.dart_face_left, *m.face_first]
         objects = {}
         for x in ints:
             assert objects.setdefault(x, x) is x, (code, mat, x)
@@ -315,11 +317,11 @@ def test_quotient_tables_share_one_int_object_per_dart(code):
 
 
 @pytest.mark.parametrize("code", ["E7", "T4444", "E2"])
-def test_quotient_rotations_are_untracked_ranges_and_faces_two_flat_lists(code):
+def test_quotient_rotations_are_untracked_ranges_and_faces_flat_tables(code):
     # Nothing is stored per vertex or per face that the cyclic garbage
-    # collector tracks: a rotation is a range, made when it is read, and
-    # the faces are one list of darts in walk order plus flat lists of
-    # each face's start in it, smallest dart and size.
+    # collector tracks: a rotation is a range, made when it is read, and a
+    # face is its smallest dart and its size, in two flat tables of ints.
+    # Its walk is traced from that dart when it is read.
     for mat in POOL_MATS:
         m = build_quotient(QuotientSpec(parse_tiling(code), mat))
         deg = m.n_darts // m.n_vertices
@@ -328,20 +330,18 @@ def test_quotient_rotations_are_untracked_ranges_and_faces_two_flat_lists(code):
         assert [(r.start, r.stop, r.step) for r in m.vertex_darts] == [
             (v * deg, v * deg + deg, 1) for v in range(m.n_vertices)
         ]
-        assert type(m.face_walks) is type(m.face_start) is type(m.face_first) is list
-        assert sorted(m.face_walks) == list(range(m.n_darts))
-        assert set(map(type, [*m.face_walks, *m.face_start, *m.face_first])) == {int}
-        assert len(m.face_start) == len(m.face_first) == len(m.face_sizes) == m.n_faces
-        # The faces' slices of face_walks cover it once.
-        spans = chain.from_iterable(map(range, m.face_start, map(add, m.face_start, m.face_sizes)))
-        assert sorted(spans) == list(range(m.n_darts))
-        for f in range(m.n_faces):
-            walk, start = m.face_walk(f), m.face_start[f]
-            stored = m.face_walks[start : start + m.face_sizes[f]]
-            i = stored.index(walk[0])
-            assert walk == stored[i:] + stored[:i] and len(walk) == m.face_sizes[f]
+        assert (type(m.face_first), type(m.face_sizes)) == (list, tuple)
+        assert len(m.face_first) == len(m.face_sizes) == m.n_faces
+        assert set(map(type, [*m.face_first, *m.face_sizes])) == {int}
+        assert not any(map(gc.is_tracked, [*m.face_first, *m.face_sizes]))
+        walks = list(map(m.face_walk, range(m.n_faces)))
+        for f, walk in enumerate(walks):
             assert walk[0] == m.face_first[f] == min(walk)
+            assert len(walk) == m.face_sizes[f]
             assert {m.dart_face_left[d] for d in walk} == {f}
+            assert m.dart_cw[m.dart_rev[walk[-1]]] == walk[0]
+        # The walks cover every dart once.
+        assert sorted(chain.from_iterable(walks)) == list(range(m.n_darts))
 
 
 def test_box_shift_turns_the_box_rows_and_columns():
@@ -366,12 +366,14 @@ def assert_face_columns_match_loop(spec: QuotientSpec) -> None:
     m = build_quotient(spec)
     ids = list(range(m.n_darts))
     loop, columns = copy.copy(m), copy.copy(m)
-    faces = ("dart_face_left", "face_walks", "face_start", "face_first", "face_sizes")
+    faces = ("dart_face_left", "face_first", "face_sizes")
     for built, tables in (
         (loop, map_core._faces(ids, m.dart_rev, m.dart_cw)),
         (columns, map_core._face_columns(ids, spec.tiling, m.coset_system)),
     ):
-        for name, table in zip(faces, tables):
+        # strict: a builder that returns fewer tables must not leave the
+        # copied map's own in place.
+        for name, table in zip(faces, tables, strict=True):
             setattr(built, name, table)
         built.n_faces = len(built.face_first)
     for name in ("dart_face_left", "face_first", "face_sizes", "face_walk", "n_faces"):
@@ -506,7 +508,7 @@ def test_all_quotients_are_semi_equivelar_with_template_type():
 
 def test_subdividing_one_face_breaks_semi_equivelarity():
     base = build_quotient(QuotientSpec(TilingId.SQUARE, SublatticeMat(3, 0, 0, 3)))
-    faces = [list(base.face_vertices(f)) for f in range(base.n_faces)]
+    faces = [list(face_vertices(base, f)) for f in range(base.n_faces)]
     a, b, c, d = faces.pop()
     x = base.n_vertices  # new central vertex
     faces += [[a, b, x], [b, c, x], [c, d, x], [d, a, x]]
@@ -532,7 +534,7 @@ def test_semi_equivelar_matches_per_vertex_definition():
     maps = [m for _, _, m in sweep_maps()]
     maps += list(hermite_maps(12))
     base = build_quotient(QuotientSpec(TilingId.SQUARE, SublatticeMat(3, 0, 0, 3)))
-    faces = [list(base.face_vertices(f)) for f in range(base.n_faces)]
+    faces = [list(face_vertices(base, f)) for f in range(base.n_faces)]
     maps.append(from_faces(faces))
     a, b, c, d = faces.pop()
     x = base.n_vertices
@@ -568,7 +570,7 @@ def test_anchors_are_the_reps_in_cell_zero():
 
 def test_from_faces_round_trip():
     base = build_quotient(QuotientSpec(parse_tiling("E1"), SublatticeMat(2, 0, 0, 2)))
-    rebuilt = from_faces([list(base.face_vertices(f)) for f in range(base.n_faces)])
+    rebuilt = from_faces([list(face_vertices(base, f)) for f in range(base.n_faces)])
     assert (rebuilt.n_vertices, rebuilt.n_edges, rebuilt.n_faces) == (
         base.n_vertices,
         base.n_edges,
@@ -844,7 +846,7 @@ def test_cell_decision_matches_full_scan_on_random_lattices(tid, entries):
 
 def test_maps_without_coset_system_get_the_full_scan():
     base = build_quotient(QuotientSpec(TilingId.SQUARE, SublatticeMat(3, 0, 0, 3)))
-    torus = from_faces([list(base.face_vertices(f)) for f in range(base.n_faces)])
+    torus = from_faces([list(face_vertices(base, f)) for f in range(base.n_faces)])
     sphere = from_faces([[0, 1, 2], [2, 1, 0]])
     assert torus.coset_system is None and sphere.coset_system is None
     assert listed(is_polyhedral(torus)) == full_scan(torus) == listed(is_polyhedral(base))

@@ -35,7 +35,8 @@ from toricover.map_core import is_automorphism
 from toricover.symmetry import ccw_table, flag_extension, full_point_group
 from toricover.tilings import _validate_element
 
-from helpers import are_isomorphic, automorphism_group, exists_automorphism_mapping, from_faces, inverse, is_identity, order
+from helpers import are_isomorphic, automorphism_group, exists_automorphism_mapping, face_vertices, from_faces
+from helpers import inverse, is_identity, order
 from helpers import isomorphism_extension, probe_point_group, reference_flag_tables, to_darts, to_flags, vertex_orbits
 from helpers import compose as compose_flags
 
@@ -213,7 +214,7 @@ def test_orbit_scan_matches_group_on_random_lattices(tid, entries):
 
 def test_orbit_scan_of_maps_without_coset_system():
     base = small_map("T4444", (3, 0, 0, 3))
-    faces = [list(base.face_vertices(f)) for f in range(base.n_faces)]
+    faces = [list(face_vertices(base, f)) for f in range(base.n_faces)]
     torus = from_faces(faces)
     a, b, c, d = faces.pop()
     x = base.n_vertices
