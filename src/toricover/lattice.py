@@ -1,9 +1,9 @@
 """Exact arithmetic for finite-index sublattices of Z^2.
 
 A sublattice is stored as an integer matrix whose *rows* span it.  All
-quotient bookkeeping (coset representatives, membership, coset indices) is
-done with a 2x2 Smith normal form, so every operation is exact integer
-arithmetic; no floats enter this module.
+quotient bookkeeping (membership, the cosets as a Smith box and their
+indices) is done with a 2x2 Smith normal form, so every operation is exact
+integer arithmetic; no floats enter this module.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from math import gcd
 from typing import NamedTuple
 
 # Entries beyond this bound are almost certainly a caller bug (and make
-# coset tables explode), so constructors refuse them loudly.
+# quotient maps explode), so constructors refuse them loudly.
 MAX_ENTRY = 10_000
 
 Vec = tuple[int, int]
@@ -196,61 +196,51 @@ def _inv_unimodular(v: list[list[int]]) -> list[list[int]]:
 
 
 class CosetSystem(NamedTuple):
-    """Coset bookkeeping for Z^2 modulo the row lattice of `mat`.
-
-    `representatives` is a fixed tuple of |det| vectors, one per coset,
-    and `index_of` maps any integer vector to the position of its
-    coset's representative.  Built once per quotient map and reused for
-    every vertex.
+    """Coset bookkeeping for Z^2 modulo the row lattice of `mat`: the
+    Smith box Z/s1 x Z/s2.  Coset i*s2 + j is i·u + j·w, where (u, w) =
+    `gens` are the Smith generators, the rows of v^-1; `box_coords` maps
+    any integer vector to its coset's (i, j).  Nothing is kept per coset.
+    Built once per quotient map and reused for every vertex.
     """
 
     mat: SublatticeMat
     s1: int
     s2: int
     v: tuple[tuple[int, int], tuple[int, int]]
-    representatives: tuple[Vec, ...]
+    gens: tuple[Vec, Vec]
 
     def size(self) -> int:
-        return len(self.representatives)
+        return self.s1 * self.s2
 
     def box_coords(self, vec: Vec) -> Vec:
         """Coordinates of vec mod the lattice in the Smith box
         Z/s1 x Z/s2 (the change of basis `v` maps the lattice to
-        s1 Z x s2 Z).  Representative i*s2 + j has box coordinates
-        (i, j), and the map is additive, so a translation moves every
-        coset by one fixed box shift."""
+        s1 Z x s2 Z).  Coset i*s2 + j has box coordinates (i, j), and the
+        map is additive, so a translation moves every coset by one fixed
+        box shift."""
         x, y = vec
         (v00, v01), (v10, v11) = self.v
         return (x * v00 + y * v10) % self.s1, (x * v01 + y * v11) % self.s2
 
-    def index_of(self, vec: Vec) -> int:
-        i, j = self.box_coords(vec)
-        return i * self.s2 + j
-
     def cell_map(self, dst: "CosetSystem", matrix=((1, 0), (0, 1)), shift: Vec = (0, 0)) -> list[int]:
-        """dst's coset index of R·w + shift for each representative w, in
-        order, with R = matrix.  Representative i*s2 + j is i·u + j·w
-        (`cosets`) and box coordinates are additive, so its image's box is
-        box(shift) + i·box(R·u) + j·box(R·w).  It is a map of cosets when
-        R maps this lattice into dst's; the caller checks that."""
+        """dst's coset index of R·c + shift for each coset c = i·u + j·w of
+        this system, in order, with R = matrix.  Box coordinates are
+        additive, so the image's box is box(shift) + i·box(R·u) +
+        j·box(R·w).  It is a map of cosets when R maps this lattice into
+        dst's; the caller checks that."""
         (r00, r01), (r10, r11) = matrix
-        (ui, uj), (wi, wj) = (
-            dst.box_coords((r00 * x + r01 * y, r10 * x + r11 * y)) for x, y in _inv_unimodular(self.v)
-        )
+        (ui, uj), (wi, wj) = (dst.box_coords((r00 * x + r01 * y, r10 * x + r11 * y)) for x, y in self.gens)
         hi, hj = dst.box_coords(shift)
         s1, s2 = dst.s1, dst.s2
-        rows = [(hi + i * ui, hj + i * uj) for i in range(self.s1)]  # the image box of rep i*s2
+        rows = [(hi + i * ui, hj + i * uj) for i in range(self.s1)]  # the image box of coset i*s2
         return [(a + j * wi) % s1 * s2 + (b + j * wj) % s2 for a, b in rows for j in range(self.s2)]
 
 
 def cosets(mat: SublatticeMat) -> CosetSystem:
     """Build the coset system for Z^2 / row-lattice(mat)."""
     v, s1, s2 = _snf_2x2(mat)
-    # Representative i*s2 + j is i·u + j·w, the rows u and w of v^-1 (the
-    # Smith generators), so its box coordinates are (i, j).
-    (ux, uy), (wx, wy) = _inv_unimodular(v)
-    reps = tuple((i * ux + j * wx, i * uy + j * wy) for i in range(s1) for j in range(s2))
-    return CosetSystem(mat=mat, s1=s1, s2=s2, v=(tuple(v[0]), tuple(v[1])), representatives=reps)
+    u, w = _inv_unimodular(v)
+    return CosetSystem(mat=mat, s1=s1, s2=s2, v=(tuple(v[0]), tuple(v[1])), gens=(tuple(u), tuple(w)))
 
 
 def enumerate_hnf(max_index: int) -> Iterator[SublatticeMat]:

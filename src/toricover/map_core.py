@@ -25,9 +25,9 @@ are an involution with opposite offsets and no fixed point, and that the
 plane tiling is connected (its darts join every rep, and its closed
 walks' offsets span Z²).  build_quotient's reverse table is those slots
 moved by the offsets, and T/K is the image of the tiling, so its map
-skips the involution pass and the union-find.  It takes build_quotient's
-pool, counts the edges and numbers the faces.  Every other input, a
-public `SlotRotations` included, takes every check.
+skips the reverse check and the union-find.  It takes build_quotient's
+pool, counts the edges, numbers the faces and keeps the coset system.
+Every other input, a public `SlotRotations` included, takes every check.
 
 The rotations come in one of two layouts.  build_quotient declares
 its own, vertex v's rotation being darts v·deg … v·deg+deg−1 in order,
@@ -36,10 +36,12 @@ read and keeps nothing per vertex; the tail and rotation tables are then
 filled by columns, one slot of every vertex at a time.  Any other
 sequence is a general rotation system, read vertex by vertex and kept
 as tuples.  The reverse table has one contract: an involution of exact
-ints without a fixed point, or an error that names its first bad dart.
-Its own ints are then the pool, one int object per dart, from which
-every table takes its dart ids, so no second int is made per dart; one
-index pass, rev(rev(d)) for every d, decides it.
+ints without a fixed point, or an error that names its first bad dart,
+and one scan, `_reverse_error`, decides it before anything is built.
+Every table takes its dart ids from one pool, range(nd) as a list, one
+int object per dart: build_quotient's, whose reverse table is sliced
+from it, or for any other input a pool made here, beside the caller's
+reverse ints.
 
 Faces are numbered by their smallest dart, in one of two ways.  A face
 of T/K is a face of the tiling moved by a cell: one of the tiling's face
@@ -66,13 +68,14 @@ from typing import NamedTuple
 from .lattice import CosetSystem, SublatticeMat, cosets
 from .tilings import TilingId, dihedral, face_classes, template
 
-# The largest map build_quotient makes.  A quotient retains about 40 bytes
-# per flag and peaks at about 45 while it is built (45 and 50 when FlagMap
+# The largest map build_quotient makes.  A quotient retains about 39 bytes
+# per flag and peaks at about 44 while it is built (40 and 45 when its
+# coset system kept a representative per coset, 45 and 50 when FlagMap also
 # stored every face's walk, 52 at the peak when it also made a second pool
 # and traced every face, 56 when it also copied the reverse table;
 # tracemalloc, E7 at 20·I to 150·I); `analyze` (the orbit scan) peaks at
-# about 58 bytes per flag over `info E7` (E7 at 150·I on Python 3.11), so
-# about 225 MiB at this limit.
+# about 56 bytes per flag over `info E7` (E7 at 150·I on Python 3.11; 58
+# with a representative per coset), so about 215 MiB at this limit.
 MAX_FLAGS = 4_000_000
 
 # The least translation cells for which FlagMap numbers a quotient's faces
@@ -81,8 +84,13 @@ MAX_FLAGS = 4_000_000
 # the second when some class's faces must be sorted.  Column time over loop
 # time, min of 15 interleaved runs, six lattices per size (Python 3.11, 2
 # cores): E2, E3, E5 and E7 at 25 cells 0.58–0.77, at 36 cells 0.45–0.60;
-# T4444 and T333333 at 144 cells 1.02–1.26, at 196 cells 0.98–1.16, at 256
-# cells 0.93–1.16; E1, E4, E6, T33344 and T666 at 256 cells 0.36–0.80.
+# T4444 and T333333 at 144 cells 1.02–1.26, at 196 cells 0.98–1.16; E1,
+# E4, E6, T33344 and T666 at 256 cells 0.36–0.80.  T4444 and T333333, min
+# of 9 runs, four or five lattices per size, two sessions: at 256 cells
+# 0.95–1.03 and 1.02–1.09, at 576 0.84–1.05 and 0.90–1.02, at 1,024
+# 0.71–0.87 and 0.85–0.98, at 2,500 0.76–0.86 and 0.80–0.94; so from 256
+# cells the column path costs at most 9 % of a face build under 0.25 ms,
+# and is faster at the sizes of the large T4444 covers.
 MIN_COLUMN_CELLS = (36, 256)
 
 
@@ -132,21 +140,17 @@ class _QuotientSlots(SlotRotations):
     table's proof of origin (see FlagMap.__init__) and keeps a plain
     SlotRotations."""
 
-    __slots__ = ("dart_rev", "ids", "tiling", "cs")
+    __slots__ = ("dart_rev", "ids", "cs")
 
-    def __init__(self, deg: int, dart_rev: list[int], ids: list[int], tiling: TilingId, cs: CosetSystem):
+    def __init__(self, deg: int, dart_rev: list[int], ids: list[int], cs: CosetSystem):
         super().__init__(len(ids) // deg, deg)
         self.dart_rev = dart_rev
         self.ids = ids
-        self.tiling = tiling
         self.cs = cs
 
 
 class FlagMap:
     """Immutable-after-construction flag map; see module docstring."""
-
-    # Set by build_quotient: the coset system its vertex numbering uses.
-    coset_system: CosetSystem | None = None
 
     def __init__(
         self,
@@ -167,31 +171,22 @@ class FlagMap:
             ids = vertex_darts.ids
             rev = dart_rev  # made for this map alone, so not copied
         else:
-            # The pool: one int object per dart, from which the tables take
-            # their numbers.  The reverse table is an involution of exact
-            # ints, so its own objects are the pool: ids[d] is the object
-            # rev(rev(d)).  One index pass decides it: an entry out of range
-            # raises, and a negative one, which indexes from the end, cannot
-            # pass (rev(d) = −k reads dart e = nd − k, and then ids[e] = −k ≠ e).
-            try:
-                ids = list(map(dart_rev.__getitem__, dart_rev))
-            except (IndexError, TypeError):
-                ids = []
-            if set(map(type, ids)) != {int} or not all(map(eq, ids, range(nd))):
-                raise _reverse_error(dart_rev)
+            error = _reverse_error(dart_rev)
+            if error is not None:
+                raise error
+            ids = list(range(nd))  # the pool: one int object per dart
             rev = list(dart_rev)
+        # The coset system build_quotient's vertex numbering uses, else None.
+        self.coset_system = vertex_darts.cs if proven else None
 
         # Edges: the {d, rev d} pairs, numbered and stored by their smaller
-        # dart.  A fixed point is the smaller dart of no pair, so it leaves
-        # fewer than nd / 2 edges.
+        # dart.
         edge_of = [0] * nd
         edge_dart = []
         for d, r in zip(ids, rev):
             if d < r:
                 edge_of[d] = edge_of[r] = ids[len(edge_dart)]
                 edge_dart.append(d)
-        if 2 * len(edge_dart) != nd:
-            raise _reverse_error(dart_rev)
 
         # build_quotient's layout, declared by a SlotRotations of nd darts:
         # vertex v lists darts v·deg … v·deg+deg−1, so slot k is the dart
@@ -217,8 +212,8 @@ class FlagMap:
 
         # Faces: a big enough T/K from build_quotient by slot columns, and
         # any other map dart by dart; both number them by smallest dart.
-        if proven and vertex_darts.cs.size() >= _min_column_cells(vertex_darts.tiling):
-            faces = _face_columns(ids, vertex_darts.tiling, vertex_darts.cs)
+        if proven and vertex_darts.cs.size() >= _min_column_cells(spec.tiling):
+            faces = _face_columns(ids, spec.tiling, vertex_darts.cs)
         else:
             faces = _faces(ids, rev, self.dart_cw)
         self.dart_face_left, self.face_first, self.face_sizes = faces
@@ -289,16 +284,18 @@ def _slot_columns(ids: list[int], nv: int, deg: int) -> tuple[list[int], list[in
     return tail, cw
 
 
-def _reverse_error(dart_rev: Sequence[int]) -> Exception:
+def _reverse_error(dart_rev: Sequence[int]) -> Exception | None:
     """The error for the first dart whose reverse is not an exact int (a
     bool is not one), or is out of range, itself, or not reversed back to
-    it.  Asked only of a table that has such a dart."""
+    it; None when there is no such dart, that is when the table is a
+    fixed-point-free involution of exact ints."""
     nd = len(dart_rev)
     for d, r in enumerate(dart_rev):
         if type(r) is not int:
             return TypeError(f"the reverse of dart {d} is {r!r}, not an int")
         if not 0 <= r < nd or r == d or dart_rev[r] != d:
             return ValueError(f"reverse is not a fixed-point-free involution at dart {d}")
+    return None
 
 
 def _rotations(vertex_darts: Sequence[Sequence[int]], nd: int):
@@ -460,8 +457,8 @@ def build_quotient(spec: QuotientSpec) -> FlagMap:
     """The quotient of the tiling by the row lattice of spec.mat.
 
     Vertices are (rep, coset) pairs, numbered rep-major in the coset
-    system's canonical order: vertex (rep, cell) is
-    rep·ncos + coset_system.index_of(cell).  Dart k of a vertex
+    system's Smith box: vertex (rep, cell) is rep·ncos + i·s2 + j, where
+    (i, j) = coset_system.box_coords(cell).  Dart k of a vertex
     is dart k of its rep, so vertex v has darts v·deg … v·deg+deg−1, the
     layout FlagMap fills by columns.  A map of more than MAX_FLAGS flags
     is refused with ValueError before anything is allocated.
@@ -491,9 +488,7 @@ def build_quotient(spec: QuotientSpec) -> FlagMap:
             column = _box_shift(ids, first, deg, s1, s2, *cs.box_coords(offset))
             dart_rev[r * block + k : (r + 1) * block : deg] = column
     # The _QuotientSlots vouches for dart_rev (see FlagMap.__init__).
-    m = FlagMap(dart_rev, _QuotientSlots(deg, dart_rev, ids, spec.tiling, cs), spec=spec)
-    m.coset_system = cs
-    return m
+    return FlagMap(dart_rev, _QuotientSlots(deg, dart_rev, ids, cs), spec=spec)
 
 
 def _anchors(m: FlagMap) -> range:

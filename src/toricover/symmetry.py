@@ -113,15 +113,15 @@ def _translation_cell(m: FlagMap, ccw: Sequence[int]) -> tuple[int, int, Sequenc
     block = cell * ncos
     if nd % block:
         raise RuntimeError(f"{nd} darts do not split into {ncos} translates")
-    # Representatives s2 and 1 are the Smith generators, of boxes (1, 0) and (0, 1).
-    for di, dj, gen, order in ((1, 0, cs.s2, cs.s1), (0, 1, 1, cs.s2)):
+    # The Smith generators u and w shift every coset by the boxes (1, 0) and (0, 1).
+    for box, gen, order in zip(((1, 0), (0, 1)), cs.gens, (cs.s1, cs.s2)):
         if order == 1:
             continue
-        moved = [c * cell for c in cs.cell_map(cs, shift=cs.representatives[gen])]
+        moved = [c * cell for c in cs.cell_map(cs, shift=gen)]
         perm = (b + t + q for b in range(0, nd, block) for t in moved for q in range(cell))
         auto = flag_extension(m, 0, 2 * moved[0], ccw)
         if auto is None or auto[1] or not all(map(eq, auto[0], perm)):
-            raise RuntimeError(f"box shift ({di}, {dj}) of {cs.mat} is not an automorphism")
+            raise RuntimeError(f"box shift {box} of {cs.mat} is not an automorphism")
     return ncos, cell, [c // cell * block + c % cell for c in range(nd // ncos)]
 
 

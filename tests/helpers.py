@@ -8,7 +8,8 @@ pair), the tiling group G/T read off the flag engine, the conversion
 between flag lists and the library's (dart perm, reverses), the vertex
 orbits of an orbit report, group-element arithmetic on automorphisms
 given as flag or dart lists (the image of each), translations as
-point-group elements, a quotient's vertex numbering and the per-vertex
+point-group elements, a coset system's coset indices and one vector per
+coset, a quotient's vertex numbering and the per-vertex
 descent of a tiling symmetry to it, lattices not in Hermite form, and
 the hypot scan that derives a seed's neighbours."""
 
@@ -18,7 +19,7 @@ import math
 from collections.abc import Iterable, Iterator
 
 from toricover import CoverCertificate, FlagMap, QuotientSpec, TilingId, build_quotient, template
-from toricover.lattice import SublatticeMat, cosets, scaled_identity
+from toricover.lattice import CosetSystem, SublatticeMat, cosets, scaled_identity
 from toricover.symmetry import OrbitReport
 from toricover.tilings import _MATCH_TOL, Dart, IVec, PointGroupElem, TilingTemplate, _order, _Seed, dihedral
 
@@ -48,18 +49,30 @@ NON_HERMITE_MATS = [
 ]
 
 
-def smith_generator_shifts(cs) -> list[IVec]:
-    """The representatives in box cells (1, 0) and (0, 1) of a coset
-    system, the Smith generators, where its box has such a cell."""
-    reps = cs.representatives
-    return [reps[at] for at, side in ((cs.s2, cs.s1), (1, cs.s2)) if side > 1]
+def index_of(cs: CosetSystem, vec: IVec) -> int:
+    """The index i·s2 + j of vec's coset, (i, j) its Smith-box coordinates."""
+    i, j = cs.box_coords(vec)
+    return i * cs.s2 + j
+
+
+def representatives(cs: CosetSystem) -> tuple[IVec, ...]:
+    """One vector per coset, in index order: coset i·s2 + j is i·u + j·w,
+    (u, w) the Smith generators."""
+    (ux, uy), (wx, wy) = cs.gens
+    return tuple((i * ux + j * wx, i * uy + j * wy) for i in range(cs.s1) for j in range(cs.s2))
+
+
+def smith_generator_shifts(cs: CosetSystem) -> list[IVec]:
+    """The Smith generators of a coset system, the vectors of box cells
+    (1, 0) and (0, 1), where its box has such a cell."""
+    return [gen for gen, side in zip(cs.gens, (cs.s1, cs.s2)) if side > 1]
 
 
 def vertex_at(m: FlagMap, rep: int, cell: IVec) -> int:
     """The vertex (rep, cell mod K) of a map from build_quotient:
     rep·ncos + the coset index of cell."""
     cs = m.coset_system
-    return rep * cs.size() + cs.index_of(cell)
+    return rep * cs.size() + index_of(cs, cell)
 
 
 def reference_descend(m: FlagMap, elem: PointGroupElem) -> tuple[list[int], bool]:
@@ -68,7 +81,7 @@ def reference_descend(m: FlagMap, elem: PointGroupElem) -> tuple[list[int], bool
     looked up with `vertex_at`, and dart k of v goes to dart
     slot_maps[rep][k] of the image.  The oracle for descend."""
     cs = m.coset_system
-    ncos, cells = cs.size(), cs.representatives
+    ncos, cells = cs.size(), representatives(cs)
     perm = [0] * m.n_darts
     for v, ds in enumerate(m.vertex_darts):
         r = v // ncos
@@ -185,18 +198,18 @@ def sheared(tpl: TilingTemplate) -> TilingTemplate:
 def reference_quotient(spec: QuotientSpec) -> tuple[tuple, list[int], list[int], list[tuple[int, ...]]]:
     """(labels, dart_vertex, dart_rev, vertex_darts) of the quotient,
     built dart by dart: every dart's head is looked up with
-    `CosetSystem.index_of`.  The oracle for build_quotient."""
+    `index_of`.  The oracle for build_quotient."""
     tpl = template(spec.tiling)
     cs = cosets(spec.mat)
     ncos = cs.size()
     deg = tpl.degree
-    labels = tuple((r, w) for r in range(tpl.rep_count) for w in cs.representatives)
+    labels = tuple((r, w) for r in range(tpl.rep_count) for w in representatives(cs))
     dart_vertex = []
     dart_rev = []
     for v, (r, w) in enumerate(labels):
         for k in range(deg):
             s, (ox, oy) = tpl.neighbors[r][k]
-            tv = s * ncos + cs.index_of((w[0] + ox, w[1] + oy))
+            tv = s * ncos + index_of(cs, (w[0] + ox, w[1] + oy))
             dart_vertex.append(v)
             dart_rev.append(tv * deg + tpl.reverse_slots[r][k])
     vertex_darts = [tuple(range(v * deg, v * deg + deg)) for v in range(len(labels))]
@@ -536,7 +549,7 @@ def probe_point_group(tiling: TilingId) -> list[PointGroupElem]:
     so it is the oracle for that group's completeness."""
     n, deg = _PROBE_SCALE, template(tiling).degree
     m = build_quotient(QuotientSpec(tiling, scaled_identity(n)))
-    cells = m.coset_system.representatives
+    cells = representatives(m.coset_system)
     ncos, cell = n * n, 2 * deg
     # The first flag of each translation class: flag (rep, slot, side) of
     # coset 0, since vertex (rep, coset) is rep·ncos + coset.

@@ -8,6 +8,7 @@ structure is checked against direct difference-membership tests.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -29,7 +30,7 @@ from toricover.lattice import (
 )
 from toricover.tilings import TilingId, full_point_group
 
-from helpers import NON_HERMITE_MATS, smith_generator_shifts
+from helpers import NON_HERMITE_MATS, index_of, representatives, smith_generator_shifts
 
 
 def oracle_cover_exponent(mat: SublatticeMat) -> int:
@@ -164,22 +165,42 @@ def test_cosets_count_and_uniqueness_exhaustive():
     """Every HNF lattice of index <= 12: reps are pairwise inequivalent."""
     for m in enumerate_hnf(12):
         cs = cosets(m)
-        assert cs.size() == m.index()
-        for i, u in enumerate(cs.representatives):
-            for w in cs.representatives[i + 1 :]:
+        reps = representatives(cs)
+        assert cs.size() == len(reps) == m.index()
+        for i, u in enumerate(reps):
+            for w in reps[i + 1 :]:
                 assert not m.contains((u[0] - w[0], u[1] - w[1])), (m, u, w)
+
+
+@pytest.mark.parametrize(
+    "mat", [scaled_identity(1), scaled_identity(150), SublatticeMat(1, 0, 0, 5000)], ids=["I", "150I", "1x5000"]
+)
+def test_cosets_keep_nothing_per_coset(mat):
+    # A coset system is its Smith box and two generators, so it retains
+    # the same few bytes at index 1, 22,500 and 5,000 (1,328,352 bytes at
+    # 150·I and 360,128 at 1x5000 when it kept a representative per coset).
+    cosets(mat)  # the first call's one-off allocations are not the system's
+    tracemalloc.start()
+    try:
+        cs = cosets(mat)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cs.size() == mat.index()
+    assert retained <= 200
 
 
 @given(nonsingular(bound=9), st.integers(-40, 40), st.integers(-40, 40))
 @settings(max_examples=200, deadline=None)
 def test_reduce_is_canonical(m, x, y):
     cs = cosets(m)
-    r = cs.representatives[cs.index_of((x, y))]
+    reps = representatives(cs)
+    r = reps[index_of(cs, (x, y))]
     # The representative is in the table, in the coset of the input, and fixed.
-    assert r in cs.representatives
+    assert r in reps
     assert m.contains((r[0] - x, r[1] - y))
-    assert cs.representatives[cs.index_of(r)] == r
-    assert cs.index_of((x, y)) == cs.index_of(r) == cs.representatives.index(r)
+    assert reps[index_of(cs, r)] == r
+    assert index_of(cs, (x, y)) == index_of(cs, r) == reps.index(r)
 
 
 @given(nonsingular(bound=9), st.integers(-20, 20), st.integers(-20, 20))
@@ -187,23 +208,23 @@ def test_reduce_is_canonical(m, x, y):
 def test_reduce_respects_translation_by_lattice(m, x, y):
     cs = cosets(m)
     shifted = (x + m.a, y + m.b)
-    assert cs.index_of((x, y)) == cs.index_of(shifted)
+    assert index_of(cs, (x, y)) == index_of(cs, shifted)
     shifted2 = (x - m.c, y - m.d)
-    assert cs.index_of((x, y)) == cs.index_of(shifted2)
+    assert index_of(cs, (x, y)) == index_of(cs, shifted2)
 
 
 def test_index_of_is_a_bijection_on_representatives():
     for m in (SublatticeMat(5, 3, 1, 2), SublatticeMat(4, 2, 0, 3), scaled_identity(4)):
         cs = cosets(m)
-        seen = {cs.index_of(r) for r in cs.representatives}
+        seen = {index_of(cs, r) for r in representatives(cs)}
         assert seen == set(range(cs.size()))
 
 
 def index_oracle(src, dst, matrix, shift) -> list[int]:
-    """dst.index_of(R·w + shift) for each representative w of src."""
+    """index_of(dst, R·w + shift) for each representative w of src."""
     (r00, r01), (r10, r11) = matrix
     sx, sy = shift
-    return [dst.index_of((r00 * x + r01 * y + sx, r10 * x + r11 * y + sy)) for x, y in src.representatives]
+    return [index_of(dst, (r00 * x + r01 * y + sx, r10 * x + r11 * y + sy)) for x, y in representatives(src)]
 
 
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)

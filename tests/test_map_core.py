@@ -45,6 +45,7 @@ from helpers import (
     reference_flag_tables,
     reference_map_tables,
     reference_quotient,
+    representatives,
     vertex_at,
 )
 
@@ -236,7 +237,7 @@ def test_flagmap_tables_match_per_dart_constructor_on_random_matrices(data):
 
 def test_build_quotient_retains_at_most_60_bytes_per_flag():
     # The tables share one int object per dart and keep each fact once,
-    # with no ccw table, no tuple per edge, face or vertex: about 40 bytes
+    # with no ccw table, no tuple per edge, face or vertex: about 39 bytes
     # per flag on Python 3.11.
     spec = QuotientSpec(parse_tiling("E7"), SublatticeMat(20, 0, 0, 20))
     build_quotient(spec)  # the template and its caches are not the map's
@@ -254,8 +255,9 @@ def test_build_quotient_retains_at_most_60_bytes_per_flag():
 def test_build_quotient_retains_at_most_45_bytes_per_flag():
     # The rotations are one SlotRotations, not a range per vertex, the
     # reverse table holds the pool's ints, sliced from it, and a face is
-    # its smallest dart and its size, with no stored walk: about 40 bytes
-    # per flag on Python 3.11 (45 when every face's walk and its start were
+    # its smallest dart and its size, with no stored walk: about 39 bytes
+    # per flag on Python 3.11 (40 when the coset system kept a
+    # representative per coset, 45 when every face's walk and its start were
     # stored too), and 54 with a range per vertex.
     spec = QuotientSpec(parse_tiling("E7"), SublatticeMat(20, 0, 0, 20))
     build_quotient(spec)  # the template and its caches are not the map's
@@ -273,8 +275,9 @@ def test_build_quotient_retains_at_most_45_bytes_per_flag():
 def test_build_quotient_peaks_at_most_75_bytes_per_flag():
     # FlagMap takes build_quotient's pool and reverse table, sliced from
     # it, keeps both without copying them and keeps no rotation per vertex
-    # and no face walk, so nothing per dart is made twice: about 45 bytes
-    # per flag at the peak on Python 3.11, 50 when every face's walk was
+    # and no face walk, so nothing per dart is made twice: about 44 bytes
+    # per flag at the peak on Python 3.11, 45 with a representative per
+    # coset, 50 when every face's walk was
     # stored, 52 with a second pool and faces traced dart by dart, 56 with
     # a copied reverse table too, and 102 with a per-dart head table as
     # well.
@@ -401,13 +404,20 @@ def assert_general_layout_matches_declared(spec: QuotientSpec) -> None:
     # build_quotient declares its layout with a SlotRotations; the same
     # rotations as a tuple of ranges are a general rotation system, read
     # vertex by vertex, and are the reference: every table agrees, and only
-    # the declared layout keeps a SlotRotations and a slot degree.
+    # the declared layouts keep a SlotRotations and a slot degree.  A public
+    # SlotRotations takes every check and its own pool, and builds the same
+    # tables, with no coset system.
     declared = build_quotient(spec)
+    deg = template(spec.tiling).degree
     general = FlagMap(declared.dart_rev, tuple(declared.vertex_darts), spec)
+    public = FlagMap(declared.dart_rev, SlotRotations(declared.n_vertices, deg), spec)
     assert type(declared.vertex_darts) is SlotRotations and type(general.vertex_darts) is tuple
-    assert (declared.slot_degree, general.slot_degree) == (template(spec.tiling).degree, None)
+    assert type(public.vertex_darts) is SlotRotations
+    assert (declared.slot_degree, general.slot_degree, public.slot_degree) == (deg, None, deg)
+    assert declared.coset_system is not None and general.coset_system is public.coset_system is None
     for name in (*MAP_TABLES, "n_vertices", "n_edges", "n_faces"):
-        assert map_table(declared, name) == map_table(general, name), (spec, name)
+        want = map_table(declared, name)
+        assert want == map_table(general, name) == map_table(public, name), (spec, name)
 
 
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
@@ -737,7 +747,7 @@ def test_only_build_quotient_skips_the_involution_pass_and_the_union_find(monkey
     # The proof covers one table: build_quotient's, passed with the
     # _QuotientSlots that holds it.  A public SlotRotations, a general
     # rotation system, or a _QuotientSlots with another table takes the
-    # union-find (and the involution pass before it).
+    # union-find (and the reverse check before it).
     joined = []
     connected = FlagMap._connected
     monkeypatch.setattr(FlagMap, "_connected", lambda self, ids: joined.append(self) or connected(self, ids))
@@ -746,7 +756,7 @@ def test_only_build_quotient_skips_the_involution_pass_and_the_union_find(monkey
     deg, copy = m.slot_degree, list(m.dart_rev)
 
     def slots(dart_rev):
-        return map_core._QuotientSlots(deg, dart_rev, list(range(m.n_darts)), m.spec.tiling, m.coset_system)
+        return map_core._QuotientSlots(deg, dart_rev, list(range(m.n_darts)), m.coset_system)
 
     for vertex_darts in (
         SlotRotations(m.n_vertices, deg),
@@ -913,7 +923,7 @@ def test_quotient_labels_enumerate_rep_coset_pairs():
     assert reps == {r: spec.mat.index() for r in range(template(spec.tiling).rep_count)}
     assert len(set(labels)) == m.n_vertices
     assert [vertex_at(m, r, w) for r, w in labels] == list(range(m.n_vertices))
-    ncos, cells = m.coset_system.size(), m.coset_system.representatives
+    ncos, cells = m.coset_system.size(), representatives(m.coset_system)
     assert labels == tuple((v // ncos, cells[v % ncos]) for v in range(m.n_vertices))
 
 

@@ -46,10 +46,11 @@ def _records() -> list:
 RECORDS = _records()
 
 # sha256 of each record's repr, recorded while the records were frozen
-# dataclasses.
+# dataclasses.  CosetSystem's was re-recorded when it stopped listing a
+# representative per coset and kept its two Smith generators instead.
 REPR_SHA256 = {
     "SublatticeMat": "e434642a12d7b1cae8cda9d7af372932d863f1392ac69858d6a702d33d7fb248",
-    "CosetSystem": "a22b6ee868e5e0af473a8ff4adf2715e11eae5c616cbfc37c8d92c9252e0d9b0",
+    "CosetSystem": "6cb916710ca004bf1ab719f7110b61472f419e5cafa43780902cc7b2bdc1dc36",
     "PointGroupElem": "272dc65538013103f89a86b400aea5ee88db8e8f02c5163550ca03c0b79c37f3",
     "TilingTemplate": "2f1f0c87ef4728dde5d6ff953e16afc3f05e82e9808f167d245637e8854f31cf",
     "_Seed": "ba40777846ed02a09a552e07900d8b2a0576c806581cc0c83f9f7fa6786b53fc",
