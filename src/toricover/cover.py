@@ -14,8 +14,9 @@ Y's vertices, which is what makes the cover vertex-transitive.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
-from operator import eq
+from operator import itemgetter
 from typing import NamedTuple
 
 from .lattice import (
@@ -152,7 +153,8 @@ def cover_maps(
     x_vertices = x.dart_vertex[::deg]
     vmap = []
     for start in range(0, x.n_vertices, ncos):  # X's vertices of one rep
-        vmap += map(x_vertices[start : start + ncos].__getitem__, cells)
+        vmap += _gather(x_vertices[start : start + ncos], cells)
+    vmap = tuple(vmap)
     dmap = _dart_projection(y, x, vmap)
 
     # The projection commutes with cw (the layout) and, when the template
@@ -160,8 +162,8 @@ def cover_maps(
     # permutation cw∘rev: an edge goes where its smaller dart's edge goes,
     # and a face where its first dart's face goes.  Nothing is checked
     # here; verify_covering checks the certificate.
-    emap = list(map(x.dart_edge.__getitem__, map(dmap.__getitem__, y.edge_dart)))
-    fmap = list(map(x.dart_face_left.__getitem__, map(dmap.__getitem__, y.face_first)))
+    emap = _gather(x.dart_edge, _gather(dmap, y.edge_dart))
+    fmap = _gather(x.dart_face_left, _gather(dmap, y.face_first))
 
     area_value, area_factor = torus_area(spec)
     cert = CoverCertificate(
@@ -170,9 +172,9 @@ def cover_maps(
         exponent=m_exp,
         fold=fold,
         cover_mat=cover_mat,
-        vertex_map=tuple(vmap),
-        edge_map=tuple(emap),
-        face_map=tuple(fmap),
+        vertex_map=vmap,
+        edge_map=emap,
+        face_map=fmap,
         area_value=area_value,
         area_factor=area_factor,
         base_polyhedral=x.polyhedral,
@@ -181,16 +183,26 @@ def cover_maps(
     return y, x, cert
 
 
+def _gather(table, idx) -> tuple:
+    """(table[i] for i in idx) as a tuple, read by one itemgetter call,
+    which loops in C.  itemgetter returns a bare item for one index and
+    raises for none, so those go through __getitem__."""
+    if len(idx) > 1:
+        return itemgetter(*idx)(table)
+    return tuple(map(table.__getitem__, idx))
+
+
 def _dart_projection(y: FlagMap, x: FlagMap, vm) -> list[int]:
     """The dart map that sends dart k of Y-vertex v to dart k of X-vertex
     vm[v], for two maps in build_quotient's layout with one degree deg
     (`slot_degree`): Y's dart v·deg + k goes to vm[v]·deg + k.  One
-    slice assignment per slot, and the images are X's own int objects:
-    X's dart u·deg + k is the cw successor of its dart u·deg + k + 1."""
+    gather and slice assignment per slot, and the images are X's own int
+    objects: X's dart u·deg + k is the cw successor of its dart
+    u·deg + k + 1."""
     deg = y.slot_degree
     dmap = [0] * y.n_darts
     for k in range(deg):
-        dmap[k::deg] = map(x.dart_cw[(k + 1) % deg :: deg].__getitem__, vm)
+        dmap[k::deg] = _gather(x.dart_cw[(k + 1) % deg :: deg], vm)
     return dmap
 
 
@@ -248,7 +260,7 @@ def verify_covering(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> VerifyRep
     faces.
 
     After the arithmetic, one accept-only pass (`_projection_covers`)
-    reads each certificate table once as a whole table.  When it
+    reads each certificate table once, one Y rep block at a time.  When it
     succeeds, every other stage passes, and the report says so; only when
     it fails do the five stages run one by one, so every failing verdict,
     message and list of stages passed is theirs.  The stages run edge by
@@ -324,8 +336,12 @@ def verify_covering(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> VerifyRep
 
 def _projection_covers(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> bool:
     """Whether the certificate's tables are those of a covering, decided
-    by the dart projection (`_dart_projection`) with each table read once
-    as a whole table; False says only that the stages must decide.
+    by the dart projection (`_dart_projection`); False says only that the
+    stages must decide.  The tables are read one Y rep block at a time
+    (the whole map when Y has no coset system), each equation by C-level
+    gathers (`_gather`) compared as tuples: edges and faces are numbered
+    by their smallest dart, so those of one block are a contiguous range,
+    found by bisection, and each block's transient tuples are of its size.
 
     It needs both maps in build_quotient's layout with one degree deg
     (`slot_degree`), so that the projection commutes with cw.  Then:
@@ -335,8 +351,9 @@ def _projection_covers(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> bool:
     (both reverses are involutions, so the equation at d gives it at
     rev d); the edge map equal to the induced one, each Y edge to the
     edge of its smaller dart's image; the face map equal to the induced
-    one, read at each Y face's first dart; and equal face sizes and true
-    polyhedral claims.
+    one, read at each Y face's first dart; and equal face sizes (read
+    once a block's face map is X's own face numbers, so in range) and
+    true polyhedral claims.
 
     That is every stage after the arithmetic.  The edge and face maps
     are in range because they equal X's own tables.  A dart map that
@@ -366,16 +383,24 @@ def _projection_covers(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> bool:
     ):
         return False
     dmap = _dart_projection(y, x, vm)
-    ys = y.edge_dart
-    return (
-        all(map(eq, map(dmap.__getitem__, map(y.dart_rev.__getitem__, ys)),
-                map(x.dart_rev.__getitem__, map(dmap.__getitem__, ys))))
-        and all(map(eq, map(x.dart_edge.__getitem__, map(dmap.__getitem__, ys)), em))
-        and all(map(eq, map(x.dart_face_left.__getitem__, map(dmap.__getitem__, y.face_first)), fm))
-        and all(map(eq, map(x.face_sizes.__getitem__, fm), y.face_sizes))
-        and cert.base_polyhedral == x.polyhedral
-        and cert.cover_polyhedral == y.polyhedral
-    )
+    yrev, yedge, yfirst, ysizes = y.dart_rev, y.edge_dart, y.face_first, y.face_sizes
+    xrev, xedge, xface, xsizes = x.dart_rev, x.dart_edge, x.dart_face_left, x.face_sizes
+    block = y.n_darts if y.coset_system is None else y.coset_system.size() * deg
+    e0 = f0 = 0
+    for stop in range(block, y.n_darts + 1, block):
+        e1, f1 = bisect_left(yedge, stop, e0), bisect_left(yfirst, stop, f0)
+        ds = yedge[e0:e1]
+        images = _gather(dmap, ds)
+        faces = fm[f0:f1]
+        if not (
+            _gather(dmap, _gather(yrev, ds)) == _gather(xrev, images)
+            and _gather(xedge, images) == em[e0:e1]
+            and _gather(xface, _gather(dmap, yfirst[f0:f1])) == faces
+            and _gather(xsizes, faces) == ysizes[f0:f1]
+        ):
+            return False
+        e0, f0 = e1, f1
+    return cert.base_polyhedral == x.polyhedral and cert.cover_polyhedral == y.polyhedral
 
 
 def _adjacency_failure(y: FlagMap, x: FlagMap, vm, em) -> str | None:

@@ -26,7 +26,7 @@ plane tiling is connected (its darts join every rep, and its closed
 walks' offsets span Z²).  build_quotient's reverse table is those slots
 moved by the offsets, and T/K is the image of the tiling, so its map
 skips the reverse check and the union-find.  It takes build_quotient's
-pool, counts the edges, numbers the faces and keeps the coset system.
+pool, numbers the edges and the faces and keeps the coset system.
 Every other input, a public `SlotRotations` included, takes every check.
 
 The rotations come in one of two layouts.  build_quotient declares
@@ -43,18 +43,23 @@ int object per dart: build_quotient's, whose reverse table is sliced
 from it, or for any other input a pool made here, beside the caller's
 reverse ints.
 
-Faces are numbered by their smallest dart, in one of two ways.  A face
-of T/K is a face of the tiling moved by a cell: one of the tiling's face
-classes (`tilings.face_classes`) per coset, so a quotient of at least
-MIN_COLUMN_CELLS cells fills its face tables by slot columns, as its
-tail and rotation tables, and proves that its walks close once per
-tiling, in face_trace.  Any other map traces every dart's face.  Each
-fact is stored once: an edge is its smaller dart (the other is its
-reverse), a face is its smallest dart (`face_first[f]`) and its size
-(`face_sizes[f]`), from which face_walk traces it, d -> cw(rev(d)), when
-it is read, and there is no ccw table: the orbit scan inverts cw when it
-needs one.  So a quotient keeps no container per vertex, edge or face
-that the cyclic garbage collector tracks.
+Edges are numbered by their smaller dart and faces by their smallest,
+each in one of two ways.  An edge of T/K is a template edge moved by a
+cell, and a face is a face of the tiling moved by a cell: one of the
+tiling's face classes (`tilings.face_classes`) per coset.  So a quotient
+of at least MIN_COLUMN_CELLS cells fills its face tables by slot
+columns, as its tail and rotation tables, and proves that its walks
+close once per tiling, in face_trace; on the eight tilings where no
+dart is reversed at its own rep, it fills its edge tables by slot
+columns too (`_edge_columns`).  Any other map, and the edges of T4444,
+T333333 and T33344, are found dart by dart: every dart paired with its
+reverse, every dart's face traced.  Each fact is stored once: an edge
+is its smaller dart (the other is its reverse), a face is its smallest
+dart (`face_first[f]`) and its size (`face_sizes[f]`), from which
+face_walk traces it, d -> cw(rev(d)), when it is read, and there is no
+ccw table: the orbit scan inverts cw when it needs one.  So a quotient
+keeps no container per vertex, edge or face that the cyclic garbage
+collector tracks.
 """
 
 from __future__ import annotations
@@ -79,9 +84,14 @@ from .tilings import TilingId, dihedral, face_classes, template
 MAX_FLAGS = 4_000_000
 
 # The least translation cells for which FlagMap numbers a quotient's faces
-# by slot columns (_face_columns) rather than dart by dart (_faces): the
-# first when every face class meets its least rep once (E2, E3, E5, E7),
-# the second when some class's faces must be sorted.  Column time over loop
+# by slot columns (_face_columns) rather than dart by dart (_faces), and
+# its edges too (_edge_columns rather than _edges) on the tilings with no
+# same-rep reverse: the first when every face class meets its least rep
+# once (E2, E3, E5, E7), the second when some class's faces must be
+# sorted.  Edge column time over loop time, min of 15 runs, five lattices
+# per size (Python 3.11, 2 cores): E2, E3, E5 and E7 at 36 cells
+# 0.57–0.95; E1, E4, E6 and T666 at 256 cells 0.27–0.37; all eight at
+# 2,704 cells, two lattices, 0.25–0.38.  Face column time over loop
 # time, min of 15 interleaved runs, six lattices per size (Python 3.11, 2
 # cores): E2, E3, E5 and E7 at 25 cells 0.58–0.77, at 36 cells 0.45–0.60;
 # T4444 and T333333 at 144 cells 1.02–1.26, at 196 cells 0.98–1.16; E1,
@@ -179,14 +189,15 @@ class FlagMap:
         # The coset system build_quotient's vertex numbering uses, else None.
         self.coset_system = vertex_darts.cs if proven else None
 
-        # Edges: the {d, rev d} pairs, numbered and stored by their smaller
-        # dart.
-        edge_of = [0] * nd
-        edge_dart = []
-        for d, r in zip(ids, rev):
-            if d < r:
-                edge_of[d] = edge_of[r] = ids[len(edge_dart)]
-                edge_dart.append(d)
+        # Edges, the {d, rev d} pairs, and faces: a big enough T/K from
+        # build_quotient by slot columns (its edges only on a tiling with no
+        # same-rep reverse), any other map dart by dart; both number edges by
+        # smaller dart and faces by smallest dart.
+        columns = proven and vertex_darts.cs.size() >= _min_column_cells(spec.tiling)
+        if columns and not _same_rep_reverse(spec.tiling):
+            edge_of, edge_dart = _edge_columns(ids, spec.tiling, vertex_darts.cs)
+        else:
+            edge_of, edge_dart = _edges(ids, rev)
 
         # build_quotient's layout, declared by a SlotRotations of nd darts:
         # vertex v lists darts v·deg … v·deg+deg−1, so slot k is the dart
@@ -210,9 +221,7 @@ class FlagMap:
         self.edge_dart = edge_dart
         self.n_edges = len(edge_dart)
 
-        # Faces: a big enough T/K from build_quotient by slot columns, and
-        # any other map dart by dart; both number them by smallest dart.
-        if proven and vertex_darts.cs.size() >= _min_column_cells(spec.tiling):
+        if columns:
             faces = _face_columns(ids, spec.tiling, vertex_darts.cs)
         else:
             faces = _faces(ids, rev, self.dart_cw)
@@ -321,6 +330,18 @@ def _rotations(vertex_darts: Sequence[Sequence[int]], nd: int):
     return tail, cw, rotations
 
 
+def _edges(ids: list[int], rev: list[int]) -> tuple[list[int], list[int]]:
+    """(dart_edge, edge_dart), dart by dart: the {d, rev d} pairs,
+    numbered and stored by their smaller dart."""
+    edge_of = [0] * len(ids)
+    edge_dart = []
+    for d, r in zip(ids, rev):
+        if d < r:
+            edge_of[d] = edge_of[r] = ids[len(edge_dart)]
+            edge_dart.append(d)
+    return edge_of, edge_dart
+
+
 def _faces(ids: list[int], rev: list[int], cw: list[int]):
     """(dart_face_left, face_first, face_sizes), dart by dart: the orbits
     of d -> cw(rev(d)), i.e. the face left of each dart, numbered by their
@@ -352,6 +373,14 @@ def _min_column_cells(tiling: TilingId) -> int:
     meets its least rep, that of its first dart, more than once."""
     classes = face_classes(tiling)
     return MIN_COLUMN_CELLS[any(sum(rep == walk[0][0] for rep, _, _ in walk) > 1 for walk in classes)]
+
+
+@lru_cache(maxsize=None)
+def _same_rep_reverse(tiling: TilingId) -> bool:
+    """Whether some dart of the tiling is reversed at its own rep (T4444,
+    T333333, T33344), so that which dart of such an edge is the smaller
+    turns on the cell, and _edge_columns does not apply."""
+    return any(s == r for r, darts in enumerate(template(tiling).neighbors) for s, _ in darts)
 
 
 def _box_shift(src: list[int], first: int, step: int, s1: int, s2: int, di: int, dj: int) -> list[int]:
@@ -451,6 +480,37 @@ def _face_columns(ids: list[int], tiling: TilingId, cs: CosetSystem):
                 src, first, step, s1, s2, -di % s1, -dj % s2
             )
     return face_left, firsts, tuple(sizes)
+
+
+def _edge_columns(ids: list[int], tiling: TilingId, cs: CosetSystem) -> tuple[list[int], list[int]]:
+    """_edges for T/K in build_quotient's layout, by slot columns, on a
+    tiling with no same-rep reverse (`_same_rep_reverse`).  There an edge's
+    smaller dart is the one at the lesser rep, in its own cell: the edges
+    whose smaller dart is at rep r are its n_r slots k whose neighbour rep
+    s is greater, and edge (r, cell c, i-th such slot) is number
+    e0 + c·n_r + i, with e0 the edges of smaller reps.  So edge_dart and the
+    slot's dart_edge column are stride slices of the pool, and the reverse
+    column (s, reverse slot) holds the same numbers shifted back by the
+    slot's box offset, as in _face_columns."""
+    tpl = template(tiling)
+    deg = tpl.degree
+    s1, s2, ncos = cs.s1, cs.s2, cs.size()
+    block = ncos * deg
+    edge_of = [0] * len(ids)
+    edge_dart = [0] * (len(ids) // 2)
+    e0 = 0
+    for r, darts in enumerate(tpl.neighbors):
+        forward = [k for k, (s, _) in enumerate(darts) if s > r]
+        n_r, stop = len(forward), e0 + len(forward) * ncos
+        for i, k in enumerate(forward):
+            s, offset = darts[k]
+            edge_dart[e0 + i : stop : n_r] = ids[r * block + k : (r + 1) * block : deg]
+            edge_of[r * block + k : (r + 1) * block : deg] = ids[e0 + i : stop : n_r]
+            di, dj = cs.box_coords(offset)
+            first = s * block + tpl.reverse_slots[r][k]
+            edge_of[first : (s + 1) * block : deg] = _box_shift(ids, e0 + i, n_r, s1, s2, -di % s1, -dj % s2)
+        e0 = stop
+    return edge_of, edge_dart
 
 
 def build_quotient(spec: QuotientSpec) -> FlagMap:

@@ -199,8 +199,9 @@ def quotient_report(spec: QuotientSpec) -> OrbitReport:
 
 
 # The largest determinant bound search_non_vt takes: 33,044 Hermite forms.
-# The count grows as the square of the bound; E7 at 200 took 107.5 s and
-# 73.3 MiB peak RSS in a fresh process, Python 3.11.7 on an idle 2-core VM.
+# The count grows as the square of the bound; E7 at 200 took 20.5–20.8 s
+# and 71.6–73.3 MiB peak RSS in a fresh process, Python 3.11.7 on a 2-core
+# VM.
 MAX_DET_BOUND = 200
 
 

@@ -561,6 +561,47 @@ def test_the_pass_changes_no_report_on_mutated_maps(data):
     assert_pass_changes_nothing(*draw_mutated(data, swap_vertices=True))
 
 
+def rep_chunk_sizes(y) -> list[int]:
+    """How many edges and faces have their smallest dart in each rep
+    block of Y: the chunks the accept-only pass gathers at once."""
+    block = y.coset_system.size() * y.slot_degree
+    reps = range(y.n_darts // block)
+    return [sum(d // block == r for d in table) for table in (y.edge_dart, y.face_first) for r in reps]
+
+
+def test_the_pass_gathers_chunks_of_one_entry_and_none():
+    # At 1·I and 2·I a rep block has few darts, so some chunks hold one
+    # entry, where itemgetter would return a bare item, or none, where it
+    # would raise; E7 at 1·I has a rep with no forward edge.
+    sizes = set()
+    for tid in TilingId:
+        for k in (1, 2):
+            y, x, cert = cover_maps(QuotientSpec(tid, scaled_identity(k)))
+            assert cover_module._projection_covers(y, x, cert), (tid, k)
+            sizes.update(rep_chunk_sizes(y))
+    assert {0, 1} <= sizes
+    y, _, _ = cover_maps(spec_of("E7", (1, 0, 0, 1)))
+    assert 0 in rep_chunk_sizes(y)[:12]
+
+
+@pytest.mark.parametrize("table", ["edge_map", "vertex_map"])
+def test_a_wrong_entry_in_the_last_rep_block_falls_through_to_the_stages(table):
+    # T33344 has two reps and edges within the last one, so its last rep
+    # block has an edge chunk; Y has 36 cells.  One wrong entry there, in
+    # the last edge's image or the last Y-vertex's, must make the pass
+    # refuse, and the stages give the report.
+    y, x, cert = cover_maps(spec_of("T33344", (2, 1, 0, 3)))
+    block = y.coset_system.size() * y.slot_degree
+    assert y.coset_system.size() == 36 and y.n_darts == 2 * block
+    assert y.edge_dart[-1] >= block and rep_chunk_sizes(y)[1] > 1
+    entries = list(getattr(cert, table))
+    entries[-1] = (entries[-1] + 1) % (x.n_edges if table == "edge_map" else x.n_vertices)
+    wrong = cert._replace(**{table: tuple(entries)})
+    assert not cover_module._projection_covers(y, x, wrong)
+    report = verify_covering(y, x, wrong)
+    assert not report.ok and report == staged_report(y, x, wrong)
+
+
 def octagon_cover():
     """(y, x, cert): a 4-fold dart map onto X = T4444 / I (one vertex of
     degree 4, two loops, one square) that commutes with cw and rev, from a

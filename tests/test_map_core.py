@@ -400,6 +400,66 @@ def test_face_columns_match_the_loop_on_random_matrices(tid, entries):
     assert_face_columns_match_loop(QuotientSpec(tid, SublatticeMat(*entries)))
 
 
+# The tilings with a dart reversed at its own rep keep the edge loop; the
+# other eight number a large quotient's edges by slot columns.
+SAME_REP_TILINGS = {parse_tiling(code) for code in ("T4444", "T333333", "T33344")}
+EDGE_COLUMN_TILINGS = [tid for tid in TilingId if tid not in SAME_REP_TILINGS]
+
+
+def assert_edge_columns_match_loop(spec: QuotientSpec) -> None:
+    # The slot-column edge builder against the dart-by-dart loop, called
+    # directly, so MIN_COLUMN_CELLS hides no map from either.  Both give
+    # (dart_edge, edge_dart) of pool ints.
+    m = build_quotient(spec)
+    ids = list(range(m.n_darts))
+    loop = map_core._edges(ids, m.dart_rev)
+    columns = map_core._edge_columns(ids, spec.tiling, m.coset_system)
+    assert columns == loop == (m.dart_edge, m.edge_dart), spec
+    assert all(x is ids[x] for x in chain(*columns)), spec
+
+
+def test_exactly_three_tilings_reverse_a_dart_at_its_own_rep():
+    assert len(EDGE_COLUMN_TILINGS) == 8
+    for tid in TilingId:
+        same_rep = any(s == r for r, darts in enumerate(template(tid).neighbors) for s, _ in darts)
+        assert map_core._same_rep_reverse(tid) is same_rep is (tid in SAME_REP_TILINGS), tid
+
+
+@pytest.mark.parametrize("tid", EDGE_COLUMN_TILINGS, ids=lambda t: t.name)
+def test_edge_columns_match_the_loop_on_small_lattices(tid):
+    for mat in [*enumerate_hnf(12), *NON_HERMITE_MATS]:
+        assert_edge_columns_match_loop(QuotientSpec(tid, mat))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tid=st.sampled_from(EDGE_COLUMN_TILINGS),
+    entries=st.tuples(*[st.integers(min_value=-12, max_value=12)] * 4).filter(
+        lambda t: t[0] * t[3] - t[1] * t[2] != 0
+    ),
+)
+def test_edge_columns_match_the_loop_on_random_matrices(tid, entries):
+    assert_edge_columns_match_loop(QuotientSpec(tid, SublatticeMat(*entries)))
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_edge_columns_serve_the_large_quotients_of_eight_tilings(tid, monkeypatch):
+    # The edge columns take the face columns' size rule, on the tilings
+    # with no same-rep reverse; the three others, smaller quotients and
+    # public maps keep the loop.
+    served = []
+    columns = map_core._edge_columns
+    monkeypatch.setattr(map_core, "_edge_columns", lambda *args: served.append(args[1]) or columns(*args))
+    cells = map_core._min_column_cells(tid)
+    build_quotient(QuotientSpec(tid, SublatticeMat(1, 0, 0, cells - 1)))
+    assert served == []
+    large = build_quotient(QuotientSpec(tid, SublatticeMat(1, 0, 0, cells)))
+    assert served == ([] if tid in SAME_REP_TILINGS else [tid])
+    public = FlagMap(large.dart_rev, SlotRotations(large.n_vertices, large.slot_degree), large.spec)
+    assert served == ([] if tid in SAME_REP_TILINGS else [tid])
+    assert (public.dart_edge, public.edge_dart) == (large.dart_edge, large.edge_dart)
+
+
 def assert_general_layout_matches_declared(spec: QuotientSpec) -> None:
     # build_quotient declares its layout with a SlotRotations; the same
     # rotations as a tuple of ranges are a general rotation system, read
