@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from operator import itemgetter
 from typing import NamedTuple
 
 from .lattice import (
@@ -27,7 +26,8 @@ from .lattice import (
     is_scaled_identity,
     scaled_identity,
 )
-from .map_core import FlagMap, QuotientSpec, build_quotient, is_automorphism
+from .map_core import FlagMap, QuotientSpec, _dart_projection, _gather, _vertex_projection
+from .map_core import build_quotient, is_automorphism
 from .tilings import PointGroupElem, TilingId, dihedral, parse_tiling, template
 
 
@@ -139,22 +139,7 @@ def cover_maps(
     y, x = quotient_pair(spec.tiling, spec.mat, cover_mat)
     fold = r * r * fold_index(spec.mat)
 
-    # Both maps list vertex v's darts as v·deg … v·deg+deg−1 (`slot_degree`),
-    # so slot k of every vertex is the dart column k::deg.
-    deg = x.slot_degree
-    # Both maps number vertices rep-major (build_quotient), so the Y-vertex
-    # (rep, c) goes to X's vertex rep * |det| + (X's index of the cell c):
-    # the cell map of R = I from Y's cosets to X's (m·Z² ⊆ K).  The vertex
-    # map holds X's own int objects, not a fresh int per Y cell: X's
-    # vertex v is x.dart_vertex[v·deg].
-    xs = x.coset_system
-    cells = y.coset_system.cell_map(xs)
-    ncos = xs.size()
-    x_vertices = x.dart_vertex[::deg]
-    vmap = []
-    for start in range(0, x.n_vertices, ncos):  # X's vertices of one rep
-        vmap += _gather(x_vertices[start : start + ncos], cells)
-    vmap = tuple(vmap)
+    vmap = _vertex_projection(y, x)  # the cell map of R = I, rep by rep (m·Z² ⊆ K)
     dmap = _dart_projection(y, x, vmap)
 
     # The projection commutes with cw (the layout) and, when the template
@@ -181,29 +166,6 @@ def cover_maps(
         cover_polyhedral=y.polyhedral,
     )
     return y, x, cert
-
-
-def _gather(table, idx) -> tuple:
-    """(table[i] for i in idx) as a tuple, read by one itemgetter call,
-    which loops in C.  itemgetter returns a bare item for one index and
-    raises for none, so those go through __getitem__."""
-    if len(idx) > 1:
-        return itemgetter(*idx)(table)
-    return tuple(map(table.__getitem__, idx))
-
-
-def _dart_projection(y: FlagMap, x: FlagMap, vm) -> list[int]:
-    """The dart map that sends dart k of Y-vertex v to dart k of X-vertex
-    vm[v], for two maps in build_quotient's layout with one degree deg
-    (`slot_degree`): Y's dart v·deg + k goes to vm[v]·deg + k.  One
-    gather and slice assignment per slot, and the images are X's own int
-    objects: X's dart u·deg + k is the cw successor of its dart
-    u·deg + k + 1."""
-    deg = y.slot_degree
-    dmap = [0] * y.n_darts
-    for k in range(deg):
-        dmap[k::deg] = _gather(x.dart_cw[(k + 1) % deg :: deg], vm)
-    return dmap
 
 
 def quotient_pair(

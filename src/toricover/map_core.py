@@ -50,16 +50,16 @@ tiling's face classes (`tilings.face_classes`) per coset.  So a quotient
 of at least MIN_COLUMN_CELLS cells fills its face tables by slot
 columns, as its tail and rotation tables, and proves that its walks
 close once per tiling, in face_trace; on the eight tilings where no
-dart is reversed at its own rep, it fills its edge tables by slot
-columns too (`_edge_columns`).  Any other map, and the edges of T4444,
-T333333 and T33344, are found dart by dart: every dart paired with its
-reverse, every dart's face traced.  Each fact is stored once: an edge
-is its smaller dart (the other is its reverse), a face is its smallest
-dart (`face_first[f]`) and its size (`face_sizes[f]`), from which
-face_walk traces it, d -> cw(rev(d)), when it is read, and there is no
-ccw table: the orbit scan inverts cw when it needs one.  So a quotient
-keeps no container per vertex, edge or face that the cyclic garbage
-collector tracks.
+dart is reversed at its own rep, one of at least MIN_COLUMN_CELLS[0]
+cells fills its edge tables so too (`_edge_columns`).  Any other map,
+and the edges of T4444, T333333 and T33344, are found dart by dart:
+every dart paired with its reverse, every dart's face traced.  Each
+fact is stored once: an edge is its smaller dart (the other is its
+reverse), a face is its smallest dart (`face_first[f]`) and its size
+(`face_sizes[f]`), from which face_walk traces it, d -> cw(rev(d)), when
+it is read, and there is no ccw table: the orbit scan inverts cw when it
+needs one.  So a quotient keeps no container per vertex, edge or face
+that the cyclic garbage collector tracks.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, groupby, islice
-from operator import eq
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .lattice import CosetSystem, SublatticeMat, cosets
@@ -84,16 +84,17 @@ from .tilings import TilingId, dihedral, face_classes, template
 MAX_FLAGS = 4_000_000
 
 # The least translation cells for which FlagMap numbers a quotient's faces
-# by slot columns (_face_columns) rather than dart by dart (_faces), and
-# its edges too (_edge_columns rather than _edges) on the tilings with no
-# same-rep reverse: the first when every face class meets its least rep
-# once (E2, E3, E5, E7), the second when some class's faces must be
-# sorted.  Edge column time over loop time, min of 15 runs, five lattices
-# per size (Python 3.11, 2 cores): E2, E3, E5 and E7 at 36 cells
-# 0.57–0.95; E1, E4, E6 and T666 at 256 cells 0.27–0.37; all eight at
-# 2,704 cells, two lattices, 0.25–0.38.  Face column time over loop
-# time, min of 15 interleaved runs, six lattices per size (Python 3.11, 2
-# cores): E2, E3, E5 and E7 at 25 cells 0.58–0.77, at 36 cells 0.45–0.60;
+# by slot columns (_face_columns) rather than dart by dart (_faces): the
+# first when every face class meets its least rep once (E2, E3, E5, E7),
+# the second when some class's faces must be sorted.  Its edges go by slot
+# columns (_edge_columns rather than _edges) from the first on all eight
+# tilings with no same-rep reverse.  Edge column time over loop time, min
+# of 15 runs, five lattices per size (Python 3.11, 2 cores): E2, E3, E5 and
+# E7 at 36 cells 0.57–0.95; E1, E4, E6 and T666 at 36 cells 0.61–0.89, at
+# 64 0.49–0.72, at 256 0.27–0.47 (two sessions); all eight at 2,704 cells,
+# two lattices, 0.25–0.38.  Face column time over loop time, min of 15
+# interleaved runs, six lattices per size (Python 3.11, 2 cores): E2, E3,
+# E5 and E7 at 25 cells 0.58–0.77, at 36 cells 0.45–0.60;
 # T4444 and T333333 at 144 cells 1.02–1.26, at 196 cells 0.98–1.16; E1,
 # E4, E6, T33344 and T666 at 256 cells 0.36–0.80.  T4444 and T333333, min
 # of 9 runs, four or five lattices per size, two sessions: at 256 cells
@@ -191,10 +192,10 @@ class FlagMap:
 
         # Edges, the {d, rev d} pairs, and faces: a big enough T/K from
         # build_quotient by slot columns (its edges only on a tiling with no
-        # same-rep reverse), any other map dart by dart; both number edges by
-        # smaller dart and faces by smallest dart.
-        columns = proven and vertex_darts.cs.size() >= _min_column_cells(spec.tiling)
-        if columns and not _same_rep_reverse(spec.tiling):
+        # same-rep reverse), each under its own size rule, any other map dart
+        # by dart; both number edges by smaller dart and faces by smallest.
+        cells = vertex_darts.cs.size() if proven else 0
+        if cells >= MIN_COLUMN_CELLS[0] and not _same_rep_reverse(spec.tiling):
             edge_of, edge_dart = _edge_columns(ids, spec.tiling, vertex_darts.cs)
         else:
             edge_of, edge_dart = _edges(ids, rev)
@@ -221,7 +222,7 @@ class FlagMap:
         self.edge_dart = edge_dart
         self.n_edges = len(edge_dart)
 
-        if columns:
+        if proven and cells >= _min_column_cells(spec.tiling):
             faces = _face_columns(ids, spec.tiling, vertex_darts.cs)
         else:
             faces = _faces(ids, rev, self.dart_cw)
@@ -557,6 +558,44 @@ def _anchors(m: FlagMap) -> range:
     (0, 0) is coset 0.  A map without a coset system gets every vertex."""
     cs = m.coset_system
     return range(0, m.n_vertices, 1 if cs is None else cs.size())
+
+
+def _gather(table, idx) -> tuple:
+    """(table[i] for i in idx) as a tuple, read by one itemgetter call,
+    which loops in C.  itemgetter returns a bare item for one index and
+    raises for none, so those go through __getitem__."""
+    if len(idx) > 1:
+        return itemgetter(*idx)(table)
+    return tuple(map(table.__getitem__, idx))
+
+
+def _vertex_projection(y: FlagMap, x: FlagMap, shift=(0, 0)) -> tuple:
+    """The vertex map of the lattice map w -> w + shift from Y = T/K′ to
+    X = T/K, two maps from build_quotient with K′ ⊆ K: the Y-vertex (rep,
+    c) goes to X's vertex rep·|det K| + X's index of the cell c + shift,
+    one cell map gathered per rep block.  The images are X's own ints:
+    X's vertex v is x.dart_vertex[v·deg]."""
+    xs = x.coset_system
+    cells, ncos = y.coset_system.cell_map(xs, shift=shift), xs.size()
+    vertices = x.dart_vertex[:: x.slot_degree]
+    vmap = []
+    for v in range(0, len(vertices), ncos):  # X's vertices of one rep
+        vmap += _gather(vertices[v : v + ncos], cells)
+    return tuple(vmap)
+
+
+def _dart_projection(y: FlagMap, x: FlagMap, vm) -> list[int]:
+    """The dart map that sends dart k of Y-vertex v to dart k of X-vertex
+    vm[v], for two maps in build_quotient's layout with one degree deg
+    (`slot_degree`): Y's dart v·deg + k goes to vm[v]·deg + k.  One
+    gather and slice assignment per slot, and the images are X's own int
+    objects: X's dart u·deg + k is the cw successor of its dart
+    u·deg + k + 1.  It commutes with cw by the layout."""
+    deg = y.slot_degree
+    dmap = [0] * y.n_darts
+    for k in range(deg):
+        dmap[k::deg] = _gather(x.dart_cw[(k + 1) % deg :: deg], vm)
+    return dmap
 
 
 def is_automorphism(m: FlagMap, perm: Sequence[int], reverses: bool) -> bool:

@@ -13,8 +13,12 @@ The orbit scan works on translation classes.  In a quotient T/K from
 in class (d // (D·ncos))·D + d % D: the ncos darts (rep, slot), one
 Z²/K-orbit.  A candidate is a class and a bit ε, scanned as index
 2·class + ε, which is the class of the flag 2d + ε.  The scan first
-checks that the Smith-generator translations are the automorphisms
-this numbering says, then tries one extension of dart 0 per candidate,
+checks each Smith-generator translation: its dart map, cover_maps'
+projection from the map to itself (`map_core._vertex_projection`,
+`_dart_projection`), moves the classes as this numbering says, and it
+must commute with rev and cw (`is_automorphism`), which on a connected
+map makes it the automorphism `flag_extension` would find through its
+image of dart 0.  Then it tries one extension of dart 0 per candidate,
 and spreads each verdict through the automorphisms found so far (an
 automorphism maps a candidate onto a candidate with the same verdict).
 A map without a coset system is the case ncos = 1, one class per dart.
@@ -31,11 +35,11 @@ keep the scan, the independent path.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from operator import eq
 from typing import NamedTuple
 
 from .lattice import enumerate_hnf
-from .map_core import FlagMap, QuotientSpec, _anchors, build_quotient
+from .map_core import FlagMap, QuotientSpec, _anchors, _dart_projection, _vertex_projection, build_quotient
+from .map_core import is_automorphism
 from .tilings import TilingId, full_point_group, rep_orbits, template
 
 
@@ -98,12 +102,12 @@ def _candidate_keys(m: FlagMap, flags: Iterable[int]) -> list[tuple[int, int]]:
     return [(len(vd[tail[x >> 1]]), fs[left[rev[x >> 1] if x & 1 else x >> 1]]) for x in flags]
 
 
-def _translation_cell(m: FlagMap, ccw: Sequence[int]) -> tuple[int, int, Sequence[int]]:
+def _translation_cell(m: FlagMap) -> tuple[int, int, Sequence[int]]:
     """(ncos, cell, firsts) of a quotient: its number of translations,
     its darts per vertex D and the first dart of each translation class,
-    after checking that the Smith-generator box shifts are the
-    automorphisms the index formula says (RuntimeError otherwise).  A
-    map without a coset system gets (1, n_darts, every dart)."""
+    after checking that the Smith-generator box shifts, as projected dart
+    maps, are automorphisms (RuntimeError otherwise; see the module
+    docstring).  A map without a coset system gets (1, n_darts, every dart)."""
     nd = m.n_darts
     cs = m.coset_system
     if cs is None or cs.size() == 1:
@@ -115,19 +119,14 @@ def _translation_cell(m: FlagMap, ccw: Sequence[int]) -> tuple[int, int, Sequenc
         raise RuntimeError(f"{nd} darts do not split into {ncos} translates")
     # The Smith generators u and w shift every coset by the boxes (1, 0) and (0, 1).
     for box, gen, order in zip(((1, 0), (0, 1)), cs.gens, (cs.s1, cs.s2)):
-        if order == 1:
-            continue
-        moved = [c * cell for c in cs.cell_map(cs, shift=gen)]
-        perm = (b + t + q for b in range(0, nd, block) for t in moved for q in range(cell))
-        auto = flag_extension(m, 0, 2 * moved[0], ccw)
-        if auto is None or auto[1] or not all(map(eq, auto[0], perm)):
+        if order > 1 and not is_automorphism(m, _dart_projection(m, m, _vertex_projection(m, m, gen)), False):
             raise RuntimeError(f"box shift {box} of {cs.mat} is not an automorphism")
     return ncos, cell, [c // cell * block + c % cell for c in range(nd // ncos)]
 
 
 def orbit_report(m: FlagMap) -> OrbitReport:
+    ncos, cell, firsts = _translation_cell(m)
     ccw = ccw_table(m)
-    ncos, cell, firsts = _translation_cell(m, ccw)
     block = cell * ncos
     # Candidate c is the class c >> 1 with ε = c & 1: the flag 2·first + ε.
     candidates = range(2 * len(firsts))

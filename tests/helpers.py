@@ -10,8 +10,9 @@ orbits of an orbit report, group-element arithmetic on automorphisms
 given as flag or dart lists (the image of each), translations as
 point-group elements, a coset system's coset indices and one vector per
 coset, a quotient's vertex numbering and the per-vertex
-descent of a tiling symmetry to it, lattices not in Hermite form, and
-the hypot scan that derives a seed's neighbours."""
+descent of a tiling symmetry to it, a quotient's reverse table with two
+edges crossed, lattices not in Hermite form, and the hypot scan that
+derives a seed's neighbours."""
 
 from __future__ import annotations
 
@@ -90,6 +91,15 @@ def reference_descend(m: FlagMap, elem: PointGroupElem) -> tuple[list[int], bool
         for d, k in zip(ds, elem.slot_maps[r]):
             perm[d] = image[k]
     return perm, elem.reverses_orientation
+
+
+def crossed_reverses(x: FlagMap) -> list[int]:
+    """x's reverse table with the reverses of its first two edges crossed,
+    as broken coset bookkeeping would leave them."""
+    (d1, d2), rev = x.edge_dart[:2], list(x.dart_rev)
+    r1, r2 = rev[d1], rev[d2]
+    rev[d1], rev[r2], rev[d2], rev[r1] = r2, d1, r1, d2
+    return rev
 
 
 def face_vertices(m: FlagMap, f: int) -> tuple[int, ...]:

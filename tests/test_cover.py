@@ -32,14 +32,15 @@ from toricover import (
 )
 from toricover import cover as cover_module
 from toricover.cli import main
-from toricover.cover import _STAGES, _dart_projection, torus_area
+from toricover.cover import _STAGES, torus_area
 from toricover.lattice import cover_exponent, enumerate_hnf, scaled_identity
-from toricover.map_core import SlotRotations, is_automorphism
+from toricover.map_core import SlotRotations, _dart_projection, is_automorphism
 from toricover.tilings import full_point_group
 
 from helpers import (
     NON_HERMITE_MATS,
     compose,
+    crossed_reverses,
     inverse,
     is_identity,
     order,
@@ -156,15 +157,6 @@ def test_r_family_members_cover_the_same_base():
         folds.append(cert.fold)
     m = cover_exponent(base.mat)
     assert folds == [r * r * m * m // base.mat.index() for r in (1, 2, 3)]
-
-
-def crossed_reverses(x: FlagMap) -> list[int]:
-    """X's reverse table with the reverses of its first two edges crossed,
-    as broken coset bookkeeping would leave them."""
-    (d1, d2), rev = x.edge_dart[:2], list(x.dart_rev)
-    r1, r2 = rev[d1], rev[d2]
-    rev[d1], rev[r2], rev[d2], rev[r1] = r2, d1, r1, d2
-    return rev
 
 
 @pytest.mark.parametrize("code, mat", [("E2", (2, 1, 0, 3)), ("T4444", (3, 1, -1, 2))])

@@ -444,13 +444,14 @@ def test_edge_columns_match_the_loop_on_random_matrices(tid, entries):
 
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
 def test_edge_columns_serve_the_large_quotients_of_eight_tilings(tid, monkeypatch):
-    # The edge columns take the face columns' size rule, on the tilings
-    # with no same-rep reverse; the three others, smaller quotients and
-    # public maps keep the loop.
+    # The edge columns have a size rule of their own, the least of
+    # MIN_COLUMN_CELLS on every tiling with no same-rep reverse, whatever
+    # its faces take; the three others, smaller quotients and public maps
+    # keep the loop.
     served = []
     columns = map_core._edge_columns
     monkeypatch.setattr(map_core, "_edge_columns", lambda *args: served.append(args[1]) or columns(*args))
-    cells = map_core._min_column_cells(tid)
+    cells = map_core.MIN_COLUMN_CELLS[0]
     build_quotient(QuotientSpec(tid, SublatticeMat(1, 0, 0, cells - 1)))
     assert served == []
     large = build_quotient(QuotientSpec(tid, SublatticeMat(1, 0, 0, cells)))

@@ -8,6 +8,7 @@ directly, with no reliance on the orbit bookkeeping under test.
 from __future__ import annotations
 
 import gc
+import re
 import tracemalloc
 from itertools import chain
 
@@ -31,12 +32,12 @@ from toricover import (
 )
 from toricover import symmetry, tilings
 from toricover.lattice import cosets, enumerate_hnf, scaled_identity
-from toricover.map_core import is_automorphism
+from toricover.map_core import _dart_projection, _vertex_projection, is_automorphism
 from toricover.symmetry import ccw_table, flag_extension, full_point_group
 from toricover.tilings import _validate_element
 
-from helpers import are_isomorphic, automorphism_group, exists_automorphism_mapping, face_vertices, from_faces
-from helpers import inverse, is_identity, order
+from helpers import are_isomorphic, automorphism_group, crossed_reverses, exists_automorphism_mapping, face_vertices
+from helpers import from_faces, inverse, is_identity, order, smith_generator_shifts, vertex_at
 from helpers import isomorphism_extension, probe_point_group, reference_flag_tables, to_darts, to_flags, vertex_orbits
 from helpers import compose as compose_flags
 
@@ -236,6 +237,38 @@ def test_orbit_scan_rejects_a_numbering_that_is_not_a_translation(code):
         orbit_report(m)
     with pytest.raises(RuntimeError):
         is_vertex_transitive(m)
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_projected_translations_are_the_flag_engines_automorphisms(tid):
+    # The scan checks each Smith-generator translation as the dart map
+    # that cover_maps projects by, from the map to itself.  It takes dart 0
+    # to dart 0 of the vertex (rep 0, gen), and the flag engine, extended
+    # from there, is the second path: it must find the same dart map,
+    # keeping the orientation.
+    for mat in enumerate_hnf(12):
+        m = build_quotient(QuotientSpec(tid, mat))
+        ccw = ccw_table(m)
+        for gen in smith_generator_shifts(m.coset_system):
+            perm = _dart_projection(m, m, _vertex_projection(m, m, gen))
+            assert perm[0] == m.vertex_darts[vertex_at(m, 0, gen)][0] != 0, (mat, gen)
+            assert flag_extension(m, 0, 2 * perm[0], ccw) == (perm, False), (mat, gen)
+
+
+@pytest.mark.parametrize(
+    "code, mat, box",
+    [("E2", (2, 1, 0, 3), (0, 1)), ("T4444", (3, 1, -1, 2), (0, 1)), ("E7", (3, 0, 0, 3), (1, 0))],
+)
+def test_orbit_scan_rejects_a_map_whose_reverses_are_crossed(code, mat, box):
+    # The coset system is sound and the map is not: the reverses of its
+    # first two edges are crossed after construction, so the translation
+    # by the first Smith generator with a box side over 1 no longer
+    # commutes with rev, and the scan names that box shift.
+    m = small_map(code, mat)
+    m.dart_rev = crossed_reverses(m)
+    message = f"box shift {box} of {m.coset_system.mat} is not an automorphism"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        orbit_report(m)
 
 
 # --- the closed form Aut(T/K) = N(K)/K against the flag engine ---
