@@ -33,6 +33,7 @@ from .lattice import SublatticeMat, cover_exponent, random_nonsingular
 from .map_core import (
     QuotientSpec,
     VertexTypeSig,
+    _gather,
     build_quotient,
     euler_characteristic,
     is_polyhedral,
@@ -62,6 +63,18 @@ COVER_DOCUMENT_KEYS = frozenset(("command", "r", "certificate", "cover_spec", "v
 _encode_leaf = json.JSONEncoder().encode
 
 
+class _Numbers:
+    """A list of ints each in range(count), such as a verified
+    certificate's map onto X's vertices, edges or faces, for _json_text
+    to write with no per-entry type scan."""
+
+    __slots__ = ("entries", "count")
+
+    def __init__(self, entries, count: int):
+        self.entries = entries
+        self.count = count
+
+
 def _json_text(value, indent: str = "") -> str:
     """json.dumps(value, indent=2, sort_keys=True), with every line after
     the first shifted right by `indent`.
@@ -69,9 +82,23 @@ def _json_text(value, indent: str = "") -> str:
     json.dumps leaves its C encoder when `indent` is set and writes each
     int of a certificate's maps from Python.  This writer makes the same
     text with the C encoder for the leaves and one `repr` for a list of
-    ints (`type` exactly int, so no bool or float).  A dict with a key
-    that is not a str is left to json.dumps."""
+    ints (`type` exactly int, so no bool or float).  A `_Numbers` value
+    skips that type scan.  When its count is below its length, as for a
+    map of an n-fold cover with n > 1, it is written from a table of the
+    count decimal strings, one `str` per number, and one gather of its
+    entries from that table, so each of X's numbers is formatted once,
+    not n times; else with one `repr`, which is faster than a `str` per
+    entry.  A dict with a key that is not a str is left to json.dumps."""
     inner = indent + "  "
+    if type(value) is _Numbers:
+        entries, count = value.entries, value.count
+        if not entries:
+            return "[]"
+        if count < len(entries):
+            body = (",\n" + inner).join(_gather(list(map(str, range(count))), entries))
+        else:
+            body = repr(list(entries))[1:-1].replace(", ", ",\n" + inner)
+        return "[\n" + inner + body + "\n" + indent + "]"
     if isinstance(value, dict) and value:
         if set(map(type, value)) != {str}:
             return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
@@ -128,11 +155,16 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     y, x, cert = cover_maps(spec, r=args.r)
     report = verify_covering(y, x, cert)
+    counts = (x.n_vertices, x.n_edges, x.n_faces)
     del y, x  # the maps go before the certificate text is built; cert's tuples keep the ints
+    certificate = cert.as_dict()
+    if report.ok:  # its shape stage proved every entry of each map lies in range(count)
+        for key, count in zip(("vertex_map", "edge_map", "face_map"), counts):
+            certificate[key] = _Numbers(certificate[key], count)
     payload = {
         "command": "cover",
         "r": args.r,
-        "certificate": cert.as_dict(),
+        "certificate": certificate,
         "cover_spec": {
             "tiling": spec.tiling.value,
             "matrix": list(cert.cover_mat.as_tuple()),

@@ -79,8 +79,9 @@ from .tilings import TilingId, dihedral, face_classes, template
 # stored every face's walk, 52 at the peak when it also made a second pool
 # and traced every face, 56 when it also copied the reverse table;
 # tracemalloc, E7 at 20·I to 150·I); `analyze` (the orbit scan) peaks at
-# about 56 bytes per flag over `info E7` (E7 at 150·I on Python 3.11; 58
-# with a representative per coset), so about 215 MiB at this limit.
+# about 53 bytes per flag over `info E7` (peak RSS of a fresh process, E7
+# at 150·I on Python 3.11; 58 with a representative per coset), so about
+# 203 MiB at this limit.
 MAX_FLAGS = 4_000_000
 
 # The least translation cells for which FlagMap numbers a quotient's faces
@@ -633,7 +634,7 @@ class VertexTypeSig(NamedTuple):
     def from_cycle(cls, sizes: tuple[int, ...]) -> "VertexTypeSig":
         if not sizes:
             raise ValueError("empty face cycle")
-        return cls(runs=min(dihedral(_cyclic_runs(tuple(sizes)))))
+        return cls(runs=_canonical_runs(tuple(sizes)))
 
     def expanded(self) -> tuple[int, ...]:
         out = []
@@ -647,6 +648,14 @@ class VertexTypeSig(NamedTuple):
     def __str__(self) -> str:
         parts = [f"{p}^{n}" if n > 1 else str(p) for p, n in self.runs]
         return "[" + ",".join(parts) + "]"
+
+
+@lru_cache
+def _canonical_runs(sizes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The least of the dihedral images of the run sequence of sizes,
+    cached per cycle: a tiling's vertices read a few cycles, one per
+    rotation of their vertex type, again at every anchor of every map."""
+    return min(dihedral(_cyclic_runs(sizes)))
 
 
 def _cyclic_runs(sizes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:

@@ -530,6 +530,85 @@ def test_emit_leaves_dicts_with_non_string_keys_to_json(tmp_path):
     assert out.read_text() == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
+# Lists of ints below a count, with the count: what cli._Numbers wraps.
+# The count is below the length (a table) or not (one repr).
+NUMBERED = st.lists(st.integers(0, 40), max_size=80).flatmap(
+    lambda entries: st.tuples(st.just(entries), st.integers(max(entries, default=-1) + 1, 60))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(NUMBERED, st.sampled_from(["", "  ", "      "]))
+@example(([], 0), "")
+@example(([0], 1), "  ")
+@example(([2], 3), "")
+@example(([1, 0], 2), "  ")
+def test_numbers_write_what_json_dumps_writes(numbered, indent):
+    entries, count = numbered
+    want = json.dumps({"m": entries}, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+    assert "{\n" + indent + '  "m": ' + cli._json_text(cli._Numbers(entries, count), indent + "  ") + "\n" + indent + "}" == want
+
+
+def _spy_gather(monkeypatch) -> list[int]:
+    """The table lengths of the gathers cli makes from here on."""
+    tables = []
+
+    def gather(table, idx):
+        tables.append(len(table))
+        return map_core._gather(table, idx)
+
+    monkeypatch.setattr(cli, "_gather", gather)
+    return tables
+
+
+# Every tiling at 1·I and 2·I, where X is Y and each map is as long as X's
+# table, and at one non-scalar M of fold 6, where `cover` writes each map
+# from a table of X's numbers: a gather per map.  T4444's and T333333's
+# vertex maps at 1·I have one entry.
+COVER_WRITER_CASES = [
+    ([tid.code, *entries], gathers)
+    for tid in tilings.TilingId
+    for entries, gathers in ((["1", "0", "0", "1"], 0), (["2", "0", "0", "2"], 0), (["2", "1", "0", "3"], 3))
+]
+
+
+@pytest.mark.parametrize("spec, gathers", COVER_WRITER_CASES, ids=[" ".join(spec) for spec, _ in COVER_WRITER_CASES])
+def test_cover_writes_what_json_dumps_writes(tmp_path, monkeypatch, capsys, spec, gathers):
+    tables = _spy_gather(monkeypatch)
+    out = tmp_path / "cover.json"
+    assert main(["cover", *spec]) == 0
+    text = capsys.readouterr().out
+    assert main(["cover", *spec, "--out", str(out)]) == 0
+    assert out.read_text() == text
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    cert = doc["certificate"]
+    assert (cert["n"] > 1) == (gathers > 0)
+    assert len(tables) == 2 * gathers
+    for count, key in zip(tables, ["edge_map", "face_map", "vertex_map"] * 2):  # in sorted key order
+        assert max(cert[key]) < count == len(cert[key]) // cert["n"], key
+
+
+def test_cover_writes_a_refused_certificate_by_the_generic_path(tmp_path, monkeypatch):
+    # An entry out of X's range fails the shape stage (exit 1); such maps
+    # are not known to lie in range(count), so no table is read.
+    real = cli.cover_maps
+
+    def tampered(spec, r=1):
+        y, x, cert = real(spec, r=r)
+        return y, x, cert._replace(vertex_map=(x.n_vertices, *cert.vertex_map[1:]))
+
+    monkeypatch.setattr(cli, "cover_maps", tampered)
+    tables = _spy_gather(monkeypatch)
+    out = tmp_path / "cover.json"
+    assert main(["cover", "E2", "2", "1", "0", "3", "--out", str(out)]) == 1
+    text = out.read_text()
+    doc = json.loads(text)
+    assert doc["verified"]["failure"].startswith("shape:")
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert tables == []
+
+
 def test_verify_output_is_schema_valid(tmp_path, capsys):
     out = tmp_path / "cover.json"
     assert main(["cover", "E6", "1", "0", "0", "3", "--out", str(out)]) == 0

@@ -13,7 +13,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, groupby
 from operator import eq
 
 import pytest
@@ -613,6 +613,32 @@ def test_semi_equivelar_matches_per_vertex_definition():
     for m in maps:
         assert is_semi_equivelar(m) == semi_equivelar_by_definition(m), m.spec
     assert is_semi_equivelar(maps[-1]) is None
+
+
+def uncached_runs(cycle: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The least run sequence of the cycle read from any dart in either
+    direction, by brute force: every rotation of the cycle and of its
+    reversal that starts a run, its runs counted by groupby."""
+    readings = [seq[k:] + seq[:k] for seq in (cycle, cycle[::-1]) for k in range(len(cycle))]
+    return min(
+        tuple((size, len(list(run))) for size, run in groupby(r))
+        for r in readings
+        if r[0] != r[-1] or len(set(r)) == 1
+    )
+
+
+def test_semi_equivelar_matches_an_uncached_reference():
+    # VertexTypeSig.from_cycle caches its runs per cycle; the reference
+    # recomputes them at every vertex, with no code shared with map_core.
+    map_core._canonical_runs.cache_clear()
+    cycles = set()
+    for m in hermite_maps(12):
+        here = [face_cycle(m, v) for v in range(m.n_vertices)]
+        cycles.update(here)
+        types = {uncached_runs(c) for c in here}
+        want = VertexTypeSig(runs=types.pop()) if len(types) == 1 else None
+        assert is_semi_equivelar(m) == want, m.spec
+    assert map_core._canonical_runs.cache_info().misses <= len(cycles)
 
 
 @settings(max_examples=60, deadline=None)
