@@ -139,8 +139,9 @@ def cover_maps(
     y, x = quotient_pair(spec.tiling, spec.mat, cover_mat)
     fold = r * r * fold_index(spec.mat)
 
-    vmap = _vertex_projection(y, x)  # the cell map of R = I, rep by rep (m·Z² ⊆ K)
-    dmap = _dart_projection(y, x, vmap)
+    reps = template(spec.tiling).rep_count
+    vmap = _vertex_projection(y, x, range(reps), ((1, 0), (0, 1)), ((0, 0),) * reps)  # m·Z² ⊆ K
+    dmap = _dart_projection(y, x, vmap, (range(y.slot_degree),))
 
     # The projection commutes with cw (the layout) and, when the template
     # and coset bookkeeping are sound, with rev, so with the face
@@ -344,7 +345,7 @@ def _projection_covers(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> bool:
         or y.n_darts != cert.fold * x.n_darts
     ):
         return False
-    dmap = _dart_projection(y, x, vm)
+    dmap = _dart_projection(y, x, vm, (range(deg),))
     yrev, yedge, yfirst, ysizes = y.dart_rev, y.edge_dart, y.face_first, y.face_sizes
     xrev, xedge, xface, xsizes = x.dart_rev, x.dart_edge, x.dart_face_left, x.face_sizes
     block = y.n_darts if y.coset_system is None else y.coset_system.size() * deg
@@ -408,27 +409,17 @@ def descend(m: FlagMap, elem: PointGroupElem) -> tuple[list[int], bool]:
     Defined exactly when R maps K into itself (then R K = K, since R is
     unimodular), so that the action on Z^2 / K is well defined:
     translations (R = I) descend to every quotient, and every point
-    symmetry to scalar ones.  The result is verified with
-    `is_automorphism`; a failure there would mean corrupt template data
-    and raises.
+    symmetry to scalar ones.  The dart map is map_core's projection pair
+    (`_vertex_projection`, `_dart_projection`) from the map to itself, one
+    block per rep.  The result is verified with `is_automorphism`; a
+    failure there would mean corrupt template data and raises.
     """
-    cs, deg = m.coset_system, m.slot_degree
-    if cs is None or deg is None:
+    cs = m.coset_system
+    if cs is None:
         raise ValueError("descend needs a map from build_quotient")
     if not cs.mat.preserved_by(elem.matrix):
         raise ValueError(f"{elem.name} does not preserve the lattice of {cs.mat.as_tuple()}")
-    # In build_quotient's layout the element sends (r, w) to
-    # (sigma[r], R·w + shifts[r]) and slot k to slot_maps[r][k], so the
-    # dart column (r, k) goes to the column (sigma[r], slot_maps[r][k]),
-    # its cosets moved by rep r's cell map.  The images are the map's own
-    # ints: dart u·deg + k is the cw successor of dart u·deg + k + 1.
-    block = cs.size() * deg  # the darts of one rep
-    perm = [0] * m.n_darts
-    for r, (t, shift, slots) in enumerate(zip(elem.sigma, elem.shifts, elem.slot_maps)):
-        cells = cs.cell_map(cs, elem.matrix, shift)
-        for k, k2 in enumerate(slots):
-            column = m.dart_cw[t * block + (k2 + 1) % deg : (t + 1) * block : deg]
-            perm[r * block + k : (r + 1) * block : deg] = map(column.__getitem__, cells)
+    perm = _dart_projection(m, m, _vertex_projection(m, m, elem.sigma, elem.matrix, elem.shifts), elem.slot_maps)
 
     if not is_automorphism(m, perm, elem.reverses_orientation):
         raise RuntimeError(

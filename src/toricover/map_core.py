@@ -74,14 +74,10 @@ from .lattice import CosetSystem, SublatticeMat, cosets
 from .tilings import TilingId, dihedral, face_classes, template
 
 # The largest map build_quotient makes.  A quotient retains about 39 bytes
-# per flag and peaks at about 44 while it is built (40 and 45 when its
-# coset system kept a representative per coset, 45 and 50 when FlagMap also
-# stored every face's walk, 52 at the peak when it also made a second pool
-# and traced every face, 56 when it also copied the reverse table;
-# tracemalloc, E7 at 20·I to 150·I); `analyze` (the orbit scan) peaks at
-# about 53 bytes per flag over `info E7` (peak RSS of a fresh process, E7
-# at 150·I on Python 3.11; 58 with a representative per coset), so about
-# 203 MiB at this limit.
+# per flag and peaks at about 44 while it is built (tracemalloc, E7 at 20·I
+# to 150·I); `analyze` (the orbit scan) peaks at about 53 bytes per flag
+# over `info E7` (peak RSS of a fresh process, E7 at 150·I on Python 3.11),
+# so about 203 MiB at this limit.
 MAX_FLAGS = 4_000_000
 
 # The least translation cells for which FlagMap numbers a quotient's faces
@@ -570,32 +566,47 @@ def _gather(table, idx) -> tuple:
     return tuple(map(table.__getitem__, idx))
 
 
-def _vertex_projection(y: FlagMap, x: FlagMap, shift=(0, 0)) -> tuple:
-    """The vertex map of the lattice map w -> w + shift from Y = T/K′ to
-    X = T/K, two maps from build_quotient with K′ ⊆ K: the Y-vertex (rep,
-    c) goes to X's vertex rep·|det K| + X's index of the cell c + shift,
-    one cell map gathered per rep block.  The images are X's own ints:
-    X's vertex v is x.dart_vertex[v·deg]."""
+def _vertex_projection(y: FlagMap, x: FlagMap, sigma, matrix, shifts) -> tuple:
+    """The vertex map of the lattice map (rep, w) -> (sigma[rep], R·w +
+    shifts[rep]), R = matrix, from Y = T/K′ to X = T/K, two maps from
+    build_quotient with R K′ ⊆ K: the Y-vertex (rep, c) goes to X's vertex
+    sigma[rep]·|det K| + X's index of the cell R·c + shifts[rep].  One
+    cell map per distinct shift, gathered once per rep block, so the
+    cover projection and a translation (sigma the identity, every shift
+    equal) make one.  The images are X's own ints: X's vertex v is
+    x.dart_vertex[v·deg]."""
     xs = x.coset_system
-    cells, ncos = y.coset_system.cell_map(xs, shift=shift), xs.size()
-    vertices = x.dart_vertex[:: x.slot_degree]
+    cells = {shift: y.coset_system.cell_map(xs, matrix, shift) for shift in set(shifts)}
+    ncos, vertices = xs.size(), x.dart_vertex[:: x.slot_degree]
+    # Grown by blocks and copied once: tuple(chain(...)) took 15 % longer (E7, Y at 52·I).
     vmap = []
-    for v in range(0, len(vertices), ncos):  # X's vertices of one rep
-        vmap += _gather(vertices[v : v + ncos], cells)
+    for t, shift in zip(sigma, shifts):  # Y's reps in order, each onto X's rep t
+        vmap += _gather(vertices[t * ncos : (t + 1) * ncos], cells[shift])
     return tuple(vmap)
 
 
-def _dart_projection(y: FlagMap, x: FlagMap, vm) -> list[int]:
-    """The dart map that sends dart k of Y-vertex v to dart k of X-vertex
-    vm[v], for two maps in build_quotient's layout with one degree deg
-    (`slot_degree`): Y's dart v·deg + k goes to vm[v]·deg + k.  One
-    gather and slice assignment per slot, and the images are X's own int
-    objects: X's dart u·deg + k is the cw successor of its dart
-    u·deg + k + 1.  It commutes with cw by the layout."""
-    deg = y.slot_degree
+def _dart_projection(y: FlagMap, x: FlagMap, vm, slot_maps) -> list[int]:
+    """The dart map of the vertex map vm and the slot maps, for two maps in
+    build_quotient's layout with one degree deg (`slot_degree`): Y's
+    vertices split, in order, into one block of equal size per slot map,
+    and dart v·deg + k of a block with slot map s goes to dart
+    vm[v]·deg + s[k] of X.  A block is a rep of Y (a point-group element's
+    slot_maps), or the whole map for a lattice map that fixes every slot
+    (one map, range(deg)).  This and `_vertex_projection` are the one
+    construction of a lattice map's dart map.  One gather and
+    slice assignment per (block, slot), each of X's deg columns of cw
+    sliced once and dropped before the next (so a whole-map block holds
+    one column at a time, not X's whole cw), and the images are X's own
+    int objects: X's dart u·deg + k is the cw successor of its dart
+    u·deg + k + 1.  With every slot map range(deg) it commutes with cw by
+    the layout."""
+    deg, size = y.slot_degree, len(vm) // len(slot_maps)  # size: the vertices of one block
+    inverses = [sorted(range(deg), key=slots.__getitem__) for slots in slot_maps]  # inv[k2]: the slot sent to k2
     dmap = [0] * y.n_darts
-    for k in range(deg):
-        dmap[k::deg] = _gather(x.dart_cw[(k + 1) % deg :: deg], vm)
+    for k2 in range(deg):  # X's cw column k2, sliced once; one column is alive at a time
+        column = x.dart_cw[(k2 + 1) % deg :: deg]
+        for b, inv in enumerate(inverses):
+            dmap[b * size * deg + inv[k2] : (b + 1) * size * deg : deg] = _gather(column, vm[b * size : (b + 1) * size])
     return dmap
 
 

@@ -465,6 +465,9 @@ def template(tid: TilingId) -> TilingTemplate:
 
 
 def all_templates() -> tuple[TilingTemplate, ...]:
+    """Every template, built and validated.  Nothing in the package or the
+    tests calls it; the benchmark's cold set-up (`cold_setup` in
+    perfbench/run.py) does, to time the eleven template builds."""
     return tuple(template(tid) for tid in TilingId)
 
 

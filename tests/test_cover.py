@@ -606,7 +606,7 @@ def octagon_cover():
         [2, 11, 0, 9, 6, 15, 4, 13, 14, 3, 12, 1, 10, 7, 8, 5], SlotRotations(4, 4)
     )
     assert y.face_sizes == (8, 8) and y.slot_degree == 4
-    dmap = _dart_projection(y, x, (0, 0, 0, 0))
+    dmap = _dart_projection(y, x, (0, 0, 0, 0), (range(4),))
     cert = cover_module.CoverCertificate(
         tiling=x.spec.tiling,
         base_mat=x.spec.mat,
@@ -682,7 +682,7 @@ def projection_covers(y, x, vm, em, fm) -> bool:
     and sends every Y dart into the X edge and the X face that the edge
     and face maps claim for it, decided dart by dart: what the accept-only
     pass of verify_covering checks of the projection."""
-    dmap = _dart_projection(y, x, vm)
+    dmap = _dart_projection(y, x, vm, (range(y.slot_degree),))
     return all(
         dmap[y.dart_rev[d]] == x.dart_rev[dmap[d]]
         and x.dart_edge[dmap[d]] == em[y.dart_edge[d]]

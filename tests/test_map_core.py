@@ -26,6 +26,7 @@ from toricover import (
     SublatticeMat,
     TilingId,
     build_quotient,
+    descend,
     is_polyhedral,
     is_semi_equivelar,
     map_summary,
@@ -302,7 +303,8 @@ POOL_MATS = [SublatticeMat(4, 1, 0, 5), SublatticeMat(16, 3, 0, 17)]
 @pytest.mark.parametrize("code", ["E7", "T4444", "E2"])
 def test_quotient_tables_share_one_int_object_per_dart(code):
     # The reverse table's own ints are the pool: every table holds the
-    # same object for the same dart, each face's smallest dart included.
+    # same object for the same dart, each face's smallest dart included,
+    # and so does every automorphism that descend makes.
     # The rotations keep no ints: they are one SlotRotations, of one size
     # whatever the map's.
     assert POOL_MATS[0].index() < map_core._min_column_cells(parse_tiling(code)) <= POOL_MATS[1].index()
@@ -314,6 +316,12 @@ def test_quotient_tables_share_one_int_object_per_dart(code):
             assert objects.setdefault(x, x) is x, (code, mat, x)
         assert len(objects) == m.n_darts
     bigger = build_quotient(QuotientSpec(parse_tiling(code), SublatticeMat(12, 0, 0, 12)))
+    # descend's images are the pool's too, for each generator (all descend
+    # to a scalar lattice).
+    pool = {d: d for d in bigger.dart_rev}
+    for elem in template(bigger.spec.tiling).point_group:
+        perm, _ = descend(bigger, elem)
+        assert all(pool[d] is d for d in perm), (code, elem.name)
     assert type(m.vertex_darts) is type(bigger.vertex_darts) is SlotRotations
     assert sys.getsizeof(m.vertex_darts) == sys.getsizeof(bigger.vertex_darts)
     assert not hasattr(m.vertex_darts, "__dict__")

@@ -249,8 +249,10 @@ def test_projected_translations_are_the_flag_engines_automorphisms(tid):
     for mat in enumerate_hnf(12):
         m = build_quotient(QuotientSpec(tid, mat))
         ccw = ccw_table(m)
+        reps = template(tid).rep_count
         for gen in smith_generator_shifts(m.coset_system):
-            perm = _dart_projection(m, m, _vertex_projection(m, m, gen))
+            vm = _vertex_projection(m, m, range(reps), ((1, 0), (0, 1)), (gen,) * reps)
+            perm = _dart_projection(m, m, vm, (range(m.slot_degree),))
             assert perm[0] == m.vertex_darts[vertex_at(m, 0, gen)][0] != 0, (mat, gen)
             assert flag_extension(m, 0, 2 * perm[0], ccw) == (perm, False), (mat, gen)
 
