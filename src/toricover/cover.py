@@ -26,8 +26,8 @@ from .lattice import (
     is_scaled_identity,
     scaled_identity,
 )
-from .map_core import FlagMap, QuotientSpec, _dart_projection, _gather, _vertex_projection
-from .map_core import build_quotient, is_automorphism
+from .map_core import FlagMap, QuotientSpec, _dart_projection, _gather, _rep_blocks, _translation_maps
+from .map_core import _vertex_projection, build_quotient, is_automorphism
 from .tilings import PointGroupElem, TilingId, dihedral, parse_tiling, template
 
 
@@ -139,9 +139,7 @@ def cover_maps(
     y, x = quotient_pair(spec.tiling, spec.mat, cover_mat)
     fold = r * r * fold_index(spec.mat)
 
-    reps = template(spec.tiling).rep_count
-    vmap = _vertex_projection(y, x, range(reps), ((1, 0), (0, 1)), ((0, 0),) * reps)  # m·Z² ⊆ K
-    dmap = _dart_projection(y, x, vmap, (range(y.slot_degree),))
+    vmap, dmap = _translation_maps(y, x, (0, 0))  # m·Z² ⊆ K
 
     # The projection commutes with cw (the layout) and, when the template
     # and coset bookkeeping are sound, with rev, so with the face
@@ -301,10 +299,11 @@ def _projection_covers(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> bool:
     """Whether the certificate's tables are those of a covering, decided
     by the dart projection (`_dart_projection`); False says only that the
     stages must decide.  The tables are read one Y rep block at a time
-    (the whole map when Y has no coset system), each equation by C-level
-    gathers (`_gather`) compared as tuples: edges and faces are numbered
-    by their smallest dart, so those of one block are a contiguous range,
-    found by bisection, and each block's transient tuples are of its size.
+    (`_rep_blocks`; the whole map when Y has no coset system), each
+    equation by C-level gathers (`_gather`) compared as tuples: edges and
+    faces are numbered by their smallest dart, so those of one block are
+    a contiguous range, found by bisection, and each block's transient
+    tuples are of its size.
 
     It needs both maps in build_quotient's layout with one degree deg
     (`slot_degree`), so that the projection commutes with cw.  Then:
@@ -348,9 +347,10 @@ def _projection_covers(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> bool:
     dmap = _dart_projection(y, x, vm, (range(deg),))
     yrev, yedge, yfirst, ysizes = y.dart_rev, y.edge_dart, y.face_first, y.face_sizes
     xrev, xedge, xface, xsizes = x.dart_rev, x.dart_edge, x.dart_face_left, x.face_sizes
-    block = y.n_darts if y.coset_system is None else y.coset_system.size() * deg
+    blocks = _rep_blocks(y)
     e0 = f0 = 0
-    for stop in range(block, y.n_darts + 1, block):
+    for start in blocks:
+        stop = start + blocks.step
         e1, f1 = bisect_left(yedge, stop, e0), bisect_left(yfirst, stop, f0)
         ds = yedge[e0:e1]
         images = _gather(dmap, ds)

@@ -557,6 +557,15 @@ def _anchors(m: FlagMap) -> range:
     return range(0, m.n_vertices, 1 if cs is None else cs.size())
 
 
+def _rep_blocks(m: FlagMap) -> range:
+    """The first dart of each rep's block of build_quotient's layout: rep
+    r has the darts blocks[r] … blocks[r] + blocks.step − 1, its ncos
+    vertices of deg darts each.  A map without a coset system is one
+    block of all its darts."""
+    cs = m.coset_system
+    return range(0, m.n_darts, m.n_darts if cs is None else cs.size() * m.slot_degree)
+
+
 def _gather(table, idx) -> tuple:
     """(table[i] for i in idx) as a tuple, read by one itemgetter call,
     which loops in C.  itemgetter returns a bare item for one index and
@@ -608,6 +617,18 @@ def _dart_projection(y: FlagMap, x: FlagMap, vm, slot_maps) -> list[int]:
         for b, inv in enumerate(inverses):
             dmap[b * size * deg + inv[k2] : (b + 1) * size * deg : deg] = _gather(column, vm[b * size : (b + 1) * size])
     return dmap
+
+
+def _translation_maps(y: FlagMap, x: FlagMap, shift) -> tuple[tuple, list[int]]:
+    """The vertex and dart maps of the translation by the cell shift from
+    Y = T/K′ to X = T/K, two maps from build_quotient with K′ ⊆ K: the
+    projection pair with every rep fixed, R = I, the one shift for every
+    rep and one slot map range(deg) for the whole map.  The cover
+    projection is the shift (0, 0) from Y to X; a translation of a map
+    is a shift from the map to itself."""
+    reps = len(_rep_blocks(y))
+    vm = _vertex_projection(y, x, range(reps), ((1, 0), (0, 1)), (shift,) * reps)
+    return vm, _dart_projection(y, x, vm, (range(y.slot_degree),))
 
 
 def is_automorphism(m: FlagMap, perm: Sequence[int], reverses: bool) -> bool:

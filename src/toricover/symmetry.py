@@ -14,11 +14,12 @@ in class (d // (D·ncos))·D + d % D: the ncos darts (rep, slot), one
 Z²/K-orbit.  A candidate is a class and a bit ε, scanned as index
 2·class + ε, which is the class of the flag 2d + ε.  The scan first
 checks each Smith-generator translation: its dart map, from the map to
-itself, is made by map_core's projection pair (`_vertex_projection`,
-`_dart_projection`, which also make cover_maps' projection and
-`cover.descend`'s automorphisms) with every rep and slot fixed, so it
-moves the classes as this numbering says, and it must commute with rev
-and cw (`is_automorphism`), which on a connected map makes it the
+itself, is map_core's `_translation_maps` (the projection pair,
+`_vertex_projection` and `_dart_projection`, with every rep and slot
+fixed; the same call makes cover_maps' projection, and the pair makes
+`cover.descend`'s automorphisms), so it moves the classes as this
+numbering says, and it must commute with rev and cw
+(`is_automorphism`), which on a connected map makes it the
 automorphism `flag_extension` would find through its image of dart 0.
 Then it tries one extension of dart 0 per candidate, and spreads each
 verdict through the automorphisms found so far (an automorphism maps a
@@ -40,7 +41,7 @@ from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 from .lattice import enumerate_hnf
-from .map_core import FlagMap, QuotientSpec, _anchors, _dart_projection, _vertex_projection, build_quotient
+from .map_core import FlagMap, QuotientSpec, _anchors, _rep_blocks, _translation_maps, build_quotient
 from .map_core import is_automorphism
 from .tilings import TilingId, full_point_group, rep_orbits, template
 
@@ -116,16 +117,14 @@ def _translation_cell(m: FlagMap) -> tuple[int, int, Sequence[int]]:
         return 1, nd, range(nd)
     ncos = cs.size()
     cell = len(m.vertex_darts[0])
-    block = cell * ncos
-    if nd % block:
+    block = _rep_blocks(m).step
+    if block != cell * ncos:
         raise RuntimeError(f"{nd} darts do not split into {ncos} translates")
     # The Smith generators u and w shift every coset by the boxes (1, 0) and
     # (0, 1); a translation fixes every rep and slot.
     for box, gen, order in zip(((1, 0), (0, 1)), cs.gens, (cs.s1, cs.s2)):
-        if order > 1:
-            vm = _vertex_projection(m, m, range(nd // block), ((1, 0), (0, 1)), (gen,) * (nd // block))
-            if not is_automorphism(m, _dart_projection(m, m, vm, (range(cell),)), False):
-                raise RuntimeError(f"box shift {box} of {cs.mat} is not an automorphism")
+        if order > 1 and not is_automorphism(m, _translation_maps(m, m, gen)[1], False):
+            raise RuntimeError(f"box shift {box} of {cs.mat} is not an automorphism")
     return ncos, cell, [c // cell * block + c % cell for c in range(nd // ncos)]
 
 

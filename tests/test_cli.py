@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import copy
 import functools
+import gc
 import hashlib
 import io
 import json
@@ -20,6 +21,7 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
@@ -432,14 +434,18 @@ def test_invalid_inputs_exit_two(capsys):
     assert main(["cover", "E1", "2", "0", "0", "99999999"]) == 2
 
 
-def cli_subprocess(*argv: str) -> subprocess.CompletedProcess:
-    """The CLI in a subprocess with a timeout, so a sampler that never
-    stops fails the test instead of hanging the suite."""
+def python_subprocess(*args: str) -> subprocess.CompletedProcess:
+    """Python in a subprocess that imports this checkout's package, with a
+    timeout, so a sampler that never stops fails the test instead of
+    hanging the suite."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run(
-        [sys.executable, "-m", "toricover.cli", *argv], capture_output=True, text=True, env=env, timeout=60
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def cli_subprocess(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a subprocess (`python_subprocess`)."""
+    return python_subprocess("-m", "toricover.cli", *argv)
 
 
 def test_batch_rejects_empty_entry_range():
@@ -1073,3 +1079,127 @@ def test_every_command_exits_zero_one_or_two_without_a_traceback(tmp_path, monke
             code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+
+
+# --- one parser per process ---
+
+
+def _warm_argvs(tmp_path: Path) -> dict[str, list[str]]:
+    """One small call of each command, and an input error (exit 2)."""
+    files = cli_files(tmp_path)
+    return {
+        "info": ["info", "E1"],
+        "analyze": ["analyze", "E2", "2", "1", "0", "3"],
+        "cover": ["cover", "E2", "2", "1", "0", "3", "--out", str(tmp_path / "cover.json")],
+        "verify": ["verify", files["cert.json"]],
+        "search-nonvt": ["search-nonvt", "E1", "--det-bound", "6"],
+        "batch": ["batch", "--samples", "3", "--seed", "7"],
+        "render": ["render", "E2", "2", "1", "0", "3", "--out", str(tmp_path / "out.svg")],
+        "input error": ["analyze", "nonagonal", "1", "0", "0", "1"],
+    }
+
+
+def _quiet_main(argv: list[str]) -> tuple[int | str | None, str, str]:
+    """main(argv) with stdout and stderr captured: (exit code, out, err),
+    an argparse exit read from its SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", [*COMMANDS, "input error"])
+def test_a_warm_main_call_leaves_no_cyclic_garbage(tmp_path, name):
+    # Garbage in reference cycles waits for the cyclic collector, and each
+    # collection it forces walks every young container the call still
+    # holds, such as a large certificate's tables.  A rebuilt argparse
+    # tree was about 350 such objects per call; a map or report with a
+    # back-reference would be some more.
+    argv = _warm_argvs(tmp_path)[name]
+    expected = 2 if name == "input error" else 0
+    assert _quiet_main(argv)[0] == expected  # the warm-up: the parser, templates and caches
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code = _quiet_main(argv)[0]
+        found = gc.collect()
+        kinds = Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert code == expected
+    assert found == 0, kinds.most_common()
+
+
+def test_main_builds_its_parser_on_the_first_call_only():
+    # Importing the CLI builds no parser; the first call builds the root
+    # and its 7 subparsers; later calls, argparse errors included, none.
+    script = """
+import argparse, contextlib, io
+built = 0
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+from toricover.cli import main
+counts = [built]
+for argv in (["info", "E1"], ["info", "E2"], ["analyze", "E1", "x", "0", "0", "1"], ["info", "X9"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+    counts.append(built)
+print(counts)
+"""
+    proc = python_subprocess("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 8, 8, 8, 8]\n"
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> tuple[object, str]:
+    """The namespace of argv as a dict, or the exit code of argparse's
+    exit, with what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv)), err.getvalue()
+        except SystemExit as exc:
+            return exc.code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_the_reused_parser_parses_as_a_fresh_one(tmp_path, command, data):
+    # The examples run one after another on the one parser main keeps.
+    files = cli_files(tmp_path)
+    argv = data.draw(cli_argvs(command, files, str(tmp_path / "out.json")), label="argv")
+    assert _parse(cli._parser(), argv) == _parse(cli.build_parser(), argv)
+
+
+def test_an_option_does_not_carry_over_to_the_next_call(capsys):
+    argv = ["cover", "E1", "1", "0", "0", "2"]
+    doc = run_json(capsys, [*argv, "--r", "2"])[1]
+    assert (doc["r"], doc["certificate"]["m"]) == (2, 4)
+    code, doc = run_json(capsys, argv)
+    assert (code, doc["r"], doc["certificate"]["m"]) == (0, 1, 2)
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["cover", "--help"], ["batch", "--help"]])
+def test_version_and_help_text_match_a_fresh_parser(argv):
+    fresh = io.StringIO()
+    with contextlib.redirect_stdout(fresh), pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 0
+    for _ in range(2):  # the reused parser, before and after a call that used it
+        assert _quiet_main(argv) == (0, fresh.getvalue(), "")
+    if argv == ["--version"]:
+        assert fresh.getvalue() == f"toricover {cli.__version__}\n"

@@ -47,6 +47,8 @@ from helpers import (
     reference_map_tables,
     reference_quotient,
     representatives,
+    smith_generator_shifts,
+    translation,
     vertex_at,
 )
 
@@ -668,6 +670,33 @@ def test_anchors_are_the_reps_in_cell_zero():
     for m in hermite_maps(12):
         reps = template(m.spec.tiling).rep_count
         assert list(map_core._anchors(m)) == [vertex_at(m, r, (0, 0)) for r in range(reps)], m.spec
+
+
+def test_rep_blocks_are_each_reps_darts():
+    # Rep r's block holds exactly the darts of its vertices (r, cell),
+    # which start at its anchor; a map without a coset system is one block.
+    for m in hermite_maps(12):
+        blocks, ncos = map_core._rep_blocks(m), m.coset_system.size()
+        assert list(blocks) == [m.vertex_darts[v][0] for v in map_core._anchors(m)], m.spec
+        for r, start in enumerate(blocks):
+            tails = m.dart_vertex[start : start + blocks.step]
+            assert len(tails) == blocks.step and {v // ncos for v in tails} == {r}, m.spec
+    loop = from_faces([[0, 1, 2], [0, 2, 1]])
+    assert map_core._rep_blocks(loop) == range(0, loop.n_darts, loop.n_darts)
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_translation_maps_are_the_descended_translations(tid):
+    # From a map to itself, the translation by a shift is `descend` of the
+    # element with R = I that shifts every rep by it; its vertex map is
+    # the tail of each vertex's first dart's image.
+    tpl = template(tid)
+    for mat in enumerate_hnf(12):
+        m = build_quotient(QuotientSpec(tid, mat))
+        for shift in ((0, 0), (1, 0), (0, 1), *smith_generator_shifts(m.coset_system)):
+            vm, dmap = map_core._translation_maps(m, m, shift)
+            assert (dmap, False) == descend(m, translation(tpl, shift)), (mat, shift)
+            assert list(vm) == [m.dart_vertex[d] for d in dmap[:: m.slot_degree]], (mat, shift)
 
 
 # --- from_faces and constructor validation ---

@@ -32,7 +32,7 @@ from toricover import (
 )
 from toricover import symmetry, tilings
 from toricover.lattice import cosets, enumerate_hnf, scaled_identity
-from toricover.map_core import _dart_projection, _vertex_projection, is_automorphism
+from toricover.map_core import _translation_maps, is_automorphism
 from toricover.symmetry import ccw_table, flag_extension, full_point_group
 from toricover.tilings import _validate_element
 
@@ -249,10 +249,8 @@ def test_projected_translations_are_the_flag_engines_automorphisms(tid):
     for mat in enumerate_hnf(12):
         m = build_quotient(QuotientSpec(tid, mat))
         ccw = ccw_table(m)
-        reps = template(tid).rep_count
         for gen in smith_generator_shifts(m.coset_system):
-            vm = _vertex_projection(m, m, range(reps), ((1, 0), (0, 1)), (gen,) * reps)
-            perm = _dart_projection(m, m, vm, (range(m.slot_degree),))
+            perm = _translation_maps(m, m, gen)[1]
             assert perm[0] == m.vertex_darts[vertex_at(m, 0, gen)][0] != 0, (mat, gen)
             assert flag_extension(m, 0, 2 * perm[0], ccw) == (perm, False), (mat, gen)
 
