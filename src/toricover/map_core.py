@@ -47,26 +47,27 @@ Edges are numbered by their smaller dart and faces by their smallest,
 each in one of two ways.  An edge of T/K is a template edge moved by a
 cell, and a face is a face of the tiling moved by a cell: one of the
 tiling's face classes (`tilings.face_classes`) per coset.  So a quotient
-of at least MIN_COLUMN_CELLS cells fills its face tables by slot
-columns, as its tail and rotation tables, and proves that its walks
-close once per tiling, in face_trace; on the eight tilings where no
-dart is reversed at its own rep, one of at least MIN_COLUMN_CELLS[0]
-cells fills its edge tables so too (`_edge_columns`).  Any other map,
-and the edges of T4444, T333333 and T33344, are found dart by dart:
-every dart paired with its reverse, every dart's face traced.  Each
-fact is stored once: an edge is its smaller dart (the other is its
-reverse), a face is its smallest dart (`face_first[f]`) and its size
-(`face_sizes[f]`), from which face_walk traces it, d -> cw(rev(d)), when
-it is read, and there is no ccw table: the orbit scan inverts cw when it
-needs one.  So a quotient keeps no container per vertex, edge or face
-that the cyclic garbage collector tracks.
+of at least MIN_COLUMN_CELLS cells, on every tiling, fills its edge and
+face tables by slot columns, as its tail and rotation tables
+(`_class_columns`), and proves that its walks close once per tiling, in
+face_trace.  Which of a class's darts at its least rep is the smallest
+turns on the cell only where the Smith box wraps, so the numbers come
+from rectangles of the box, with no sort and no loop per dart or per
+face.  Any other map is read dart by dart: every dart paired with its
+reverse, every dart's face traced.  Each fact is stored once: an edge
+is its smaller dart (the other is its reverse), a face is its smallest
+dart (`face_first[f]`) and its size (`face_sizes[f]`), from which
+face_walk traces it, d -> cw(rev(d)), when it is read, and there is no
+ccw table: the orbit scan inverts cw when it needs one.  So a quotient
+keeps no container per vertex, edge or face that the cyclic garbage
+collector tracks.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, groupby, islice
+from itertools import combinations, groupby, islice
 from operator import eq, itemgetter
 from typing import NamedTuple
 
@@ -75,31 +76,26 @@ from .tilings import TilingId, dihedral, face_classes, template
 
 # The largest map build_quotient makes.  A quotient retains about 39 bytes
 # per flag and peaks at about 44 while it is built (tracemalloc, E7 at 20·I
-# to 150·I); `analyze` (the orbit scan) peaks at about 53 bytes per flag
-# over `info E7` (peak RSS of a fresh process, E7 at 150·I on Python 3.11),
-# so about 203 MiB at this limit.
+# to 150·I).  Over `info E7`, in the peak RSS of a fresh process (E7 at
+# 150·I, 1.62 M flags, Python 3.11.7, 2 cores), `cover --out` peaks at
+# about 53 bytes per flag and `analyze` (the orbit scan) at 53, and
+# `verify` of that cover's certificate, the heaviest command per flag, at
+# 69: about 263 MiB at this limit.
 MAX_FLAGS = 4_000_000
 
-# The least translation cells for which FlagMap numbers a quotient's faces
-# by slot columns (_face_columns) rather than dart by dart (_faces): the
-# first when every face class meets its least rep once (E2, E3, E5, E7),
-# the second when some class's faces must be sorted.  Its edges go by slot
-# columns (_edge_columns rather than _edges) from the first on all eight
-# tilings with no same-rep reverse.  Edge column time over loop time, min
-# of 15 runs, five lattices per size (Python 3.11, 2 cores): E2, E3, E5 and
-# E7 at 36 cells 0.57–0.95; E1, E4, E6 and T666 at 36 cells 0.61–0.89, at
-# 64 0.49–0.72, at 256 0.27–0.47 (two sessions); all eight at 2,704 cells,
-# two lattices, 0.25–0.38.  Face column time over loop time, min of 15
-# interleaved runs, six lattices per size (Python 3.11, 2 cores): E2, E3,
-# E5 and E7 at 25 cells 0.58–0.77, at 36 cells 0.45–0.60;
-# T4444 and T333333 at 144 cells 1.02–1.26, at 196 cells 0.98–1.16; E1,
-# E4, E6, T33344 and T666 at 256 cells 0.36–0.80.  T4444 and T333333, min
-# of 9 runs, four or five lattices per size, two sessions: at 256 cells
-# 0.95–1.03 and 1.02–1.09, at 576 0.84–1.05 and 0.90–1.02, at 1,024
-# 0.71–0.87 and 0.85–0.98, at 2,500 0.76–0.86 and 0.80–0.94; so from 256
-# cells the column path costs at most 9 % of a face build under 0.25 ms,
-# and is faster at the sizes of the large T4444 covers.
-MIN_COLUMN_CELLS = (36, 256)
+# The least translation cells for which FlagMap numbers a quotient's edges
+# and faces by slot columns (_class_columns) rather than dart by dart
+# (_edges, _faces), on every tiling.  Column time over loop time, both
+# tables, min of 15 runs, five Hermite forms per size (Python 3.11, 2
+# cores): E2, E3, E5 and E7 at 36 cells 0.58–0.85, at 64 0.39–0.44; E1, E4
+# and E6 at 36 0.88–1.40, at 64 0.44–0.68; T666 and T33344 at 36
+# 1.43–2.30, at 64 0.65–1.13, at 144 0.51–0.90; T4444 and T333333, whose
+# smallest darts move between positions in both box directions, at 36
+# 2.92–4.52, at 144 0.94–1.78, at 256 0.64–0.93, at 576 0.29–0.75.  Summed
+# over the 1,437 builds of 16 to 399 cells in 120 recorded `batch` seeds,
+# this rule cost 1.4–1.8 % more than the best measured (49 cells) in two
+# sessions, 64 cells 0.6–0.7 % more, 144 cells 14 % and 256 cells 62–64 %.
+MIN_COLUMN_CELLS = 36
 
 
 class QuotientSpec(NamedTuple):
@@ -187,16 +183,6 @@ class FlagMap:
         # The coset system build_quotient's vertex numbering uses, else None.
         self.coset_system = vertex_darts.cs if proven else None
 
-        # Edges, the {d, rev d} pairs, and faces: a big enough T/K from
-        # build_quotient by slot columns (its edges only on a tiling with no
-        # same-rep reverse), each under its own size rule, any other map dart
-        # by dart; both number edges by smaller dart and faces by smallest.
-        cells = vertex_darts.cs.size() if proven else 0
-        if cells >= MIN_COLUMN_CELLS[0] and not _same_rep_reverse(spec.tiling):
-            edge_of, edge_dart = _edge_columns(ids, spec.tiling, vertex_darts.cs)
-        else:
-            edge_of, edge_dart = _edges(ids, rev)
-
         # build_quotient's layout, declared by a SlotRotations of nd darts:
         # vertex v lists darts v·deg … v·deg+deg−1, so slot k is the dart
         # column k::deg.  Any other sequence is a general rotation system,
@@ -215,14 +201,18 @@ class FlagMap:
         self.dart_rev = rev
         self.spec = spec
         self.n_vertices = nv
-        self.dart_edge = edge_of
-        self.edge_dart = edge_dart
-        self.n_edges = len(edge_dart)
 
-        if proven and cells >= _min_column_cells(spec.tiling):
-            faces = _face_columns(ids, spec.tiling, vertex_darts.cs)
+        # Edges, the {d, rev d} pairs, and faces, both numbered by smallest
+        # dart: a T/K from build_quotient of at least MIN_COLUMN_CELLS cells
+        # by slot columns, any other map dart by dart.
+        if proven and vertex_darts.cs.size() >= MIN_COLUMN_CELLS:
+            edges = _class_columns(ids, spec.tiling, vertex_darts.cs, faces=False)[:2]
+            faces = _class_columns(ids, spec.tiling, vertex_darts.cs, faces=True)
         else:
+            edges = _edges(ids, rev)
             faces = _faces(ids, rev, self.dart_cw)
+        self.dart_edge, self.edge_dart = edges
+        self.n_edges = len(self.edge_dart)
         self.dart_face_left, self.face_first, self.face_sizes = faces
         self.n_faces = len(self.face_first)
 
@@ -365,22 +355,6 @@ def _faces(ids: list[int], rev: list[int], cw: list[int]):
     return face_of, firsts, tuple(sizes)
 
 
-@lru_cache(maxsize=None)
-def _min_column_cells(tiling: TilingId) -> int:
-    """MIN_COLUMN_CELLS for the tiling: its second entry when a face class
-    meets its least rep, that of its first dart, more than once."""
-    classes = face_classes(tiling)
-    return MIN_COLUMN_CELLS[any(sum(rep == walk[0][0] for rep, _, _ in walk) > 1 for walk in classes)]
-
-
-@lru_cache(maxsize=None)
-def _same_rep_reverse(tiling: TilingId) -> bool:
-    """Whether some dart of the tiling is reversed at its own rep (T4444,
-    T333333, T33344), so that which dart of such an edge is the smaller
-    turns on the cell, and _edge_columns does not apply."""
-    return any(s == r for r, darts in enumerate(template(tiling).neighbors) for s, _ in darts)
-
-
 def _box_shift(src: list[int], first: int, step: int, s1: int, s2: int, di: int, dj: int) -> list[int]:
     """The column src[first + step·c′] for every coset c = (i, j) of the
     Smith box in order, c′ being the coset (i + di, j + dj): the s1·s2
@@ -396,7 +370,9 @@ def _box_shift(src: list[int], first: int, step: int, s1: int, s2: int, di: int,
     end = first + s1 * row
     if s1 == 1 or dj == 0:
         shift = first + di * row + dj * step
-        return src[shift:end:step] + src[first:shift:step]
+        out = src[shift:end:step]
+        out += src[first:shift:step]
+        return out
     if s1 <= min(dj, s2 - dj):
         out = []
         for i in range(s1):
@@ -416,99 +392,144 @@ def _box_shift(src: list[int], first: int, step: int, s1: int, s2: int, di: int,
     return out
 
 
-def _face_columns(ids: list[int], tiling: TilingId, cs: CosetSystem):
-    """_faces for T/K in build_quotient's layout, by slot columns.  A face
-    of T/K is a face class (`tilings.face_classes`) moved by a coset c, and
-    the darts at one position of a class's walk are, over every c, the
-    pool's (rep, slot) column shifted by the position's box offset.
+@lru_cache(maxsize=None)
+def _class_groups(tiling: TilingId, faces: bool):
+    """The tiling's faces up to translation (`tilings.face_classes`) if
+    faces, else its edges: for each dart (rep, slot) before its reverse,
+    the walk ((rep, (0, 0), slot), (reverse rep, offset, reverse slot)).
+    Each walk starts at its least (rep, slot), the walks are in the order
+    of those darts, and each has a dart at its least rep in cell (0, 0).
+    Returned grouped by that least rep r, as (r, walks, each walk's
+    positions (offset, slot) at r), with every offset the walks use."""
+    if faces:
+        classes = face_classes(tiling)
+    else:
+        tpl = template(tiling)
+        classes = [
+            ((r, (0, 0), k), (s, offset, tpl.reverse_slots[r][k]))
+            for r, darts in enumerate(tpl.neighbors)
+            for k, (s, offset) in enumerate(darts)
+            if (r, k) < (s, tpl.reverse_slots[r][k])
+        ]
+    groups = []
+    for r, walks in groupby(classes, key=lambda walk: walk[0][0]):
+        walks = tuple(walks)
+        groups.append((r, walks, tuple(tuple((o, k) for rep, o, k in walk if rep == r) for walk in walks)))
+    return tuple(groups), {offset for walk in classes for _, offset, _ in walk}
 
-    The faces are numbered as _faces numbers them, by smallest dart.  The
-    smallest dart of face (class, c) is at the class's least rep, so the
-    faces whose least rep is r take consecutive numbers, and only the
-    positions at rep r are laid out as columns.  When every class of rep r
-    meets r once, that dart is the class's first, in cell c itself: it is
-    r·block + c·deg + slot, so face (class, c) is number F + c·m + (the
-    class's place among the m of rep r, by slot), with F the faces of
-    smaller reps, and every table is filled by stride slices.  Otherwise
-    the smallest darts are a min over the positions at rep r and rep r's
-    faces are sorted by them."""
-    classes = face_classes(tiling)
+
+def _grid(dst: list, d0: int, d_row: int, d_col: int, src: list, s0: int, s_row: int, s_col: int, h: int, w: int):
+    """dst[d0 + i·d_row + j·d_col] = src[s0 + i·s_row + j·s_col] for every
+    i < h and j < w: one slice when each row runs on into the next in
+    both, else one per row or one per column, whichever are fewer."""
+    if d_row == w * d_col and s_row == w * s_col:
+        h, w = 1, h * w
+    if h <= w:
+        for i in range(h):
+            d, s = d0 + i * d_row, s0 + i * s_row
+            dst[d : d + w * d_col : d_col] = src[s : s + w * s_col : s_col]
+    else:
+        for j in range(w):
+            d, s = d0 + j * d_col, s0 + j * s_col
+            dst[d : d + h * d_row : d_row] = src[s : s + h * s_row : s_row]
+
+
+def _class_columns(ids: list[int], tiling: TilingId, cs: CosetSystem, faces: bool):
+    """(dart_face_left, face_first, face_sizes) if faces, else (dart_edge,
+    edge_dart, None), for T/K in build_quotient's layout: an object of T/K
+    (a face or an edge) is a class of `_class_groups` moved by a coset c,
+    and the objects are numbered as _faces and _edges number them, by
+    smallest dart.  Every table is filled by slices of slot columns over
+    rectangles of the Smith box, none dart by dart or object by object.
+
+    The smallest dart of (class, c) is at the class's least rep r, at the
+    one of its positions there whose dart (r, c + a, slot) is least, a
+    being the position's box offset.  In the cells x = c + a, position
+    (a, slot) beats (b, slot′) in the rows x_i < s1 − (b − a)_i when their
+    box rows differ, else in the columns x_j < s2 − (b − a)_j when their box
+    columns differ, else everywhere or nowhere by slot: the other's row or
+    column is the greater unless it wraps.  So the cells where a position
+    holds the smallest dart are a rectangle [0, h) × [0, w).  The objects
+    of smaller reps come first, so those of rep r take consecutive numbers,
+    by rank of that dart.  When each class has one such position, its
+    rectangle is the whole box, at offset (0, 0), and object (class, c) is
+    number F + c·m + its place among the m of rep r by slot, F the objects
+    of smaller reps: a stride slice of the pool.  Otherwise the rectangles'
+    bounds, and the offsets, where moving a cell back to c wraps, cut the
+    box into bands of rows and of columns; within one band of each, the
+    same positions hold a smallest dart in every cell, so one position's
+    numbers run on by their count along a row, and by the row band's total
+    from row to row, from the count at the band's corner (_grid).  Each
+    class's numbers, a column over c, are then moved back by each
+    position's box offset into its (rep, slot) column."""
+    groups, offsets = _class_groups(tiling, faces)
     deg = template(tiling).degree
     s1, s2, ncos = cs.s1, cs.s2, cs.size()
+    box = {offset: cs.box_coords(offset) for offset in offsets}
     block = ncos * deg
-    nf = len(classes) * ncos
-    face_left = [0] * len(ids)
-    firsts, sizes = [0] * nf, [0] * nf
-    fill = []  # (class walk, face number of (class, c) = src[first + step·c])
+    count = sum(len(walks) for _, walks, _ in groups) * ncos
+    dart_of, firsts = [0] * len(ids), [0] * count
+    sizes = [0] * count if faces else None
     f0 = 0
-    for r, group in groupby(classes, key=lambda walk: walk[0][0]):
-        group = list(group)
-        m, stop = len(group), f0 + len(group) * ncos
-        smallest, by_slot = [], True
-        for walk in group:
-            at_r = [
-                _box_shift(ids, rep * block + slot, deg, s1, s2, *cs.box_coords(offset))
-                for rep, offset, slot in walk
-                if rep == r
-            ]
-            by_slot = by_slot and len(at_r) == 1
-            smallest.append(at_r[0] if len(at_r) == 1 else list(map(min, *at_r)))
-        if by_slot:
-            for i, walk in enumerate(group):
-                firsts[f0 + i : stop : m] = smallest[i]
-                sizes[f0 + i : stop : m] = [len(walk)] * ncos
-                fill.append((walk, ids, f0 + i, m))
+    for r, walks, at_r in groups:
+        m = len(walks)
+        stop = f0 + m * ncos
+        wins = []  # (slot, h, w, box offset, q) of each position that holds a smallest dart
+        for q, positions in enumerate(at_r):
+            if len(positions) == 1:  # in cell (0, 0), and the smallest dart in every cell
+                wins.append((positions[0][1], s1, s2, 0, 0, q))
+                continue
+            for offset, k in positions:
+                (ai, aj), h, w = box[offset], s1, s2
+                for other, k2 in positions:
+                    bi, bj = box[other]
+                    if bi != ai:
+                        h = min(h, s1 - (bi - ai) % s1)
+                    elif bj != aj:
+                        w = min(w, s2 - (bj - aj) % s2)
+                    elif k2 < k:
+                        h = 0
+                if h:
+                    wins.append((k, h, w, ai, aj, q))
+        wins.sort()
+        numbers = {}  # q: (src, first, step), object (walks[q], c) being number src[first + step·c]
+        if len(wins) == m:
+            for t, (k, _, _, _, _, q) in enumerate(wins):
+                firsts[f0 + t : stop : m] = ids[r * block + k : (r + 1) * block : deg]
+                if faces:
+                    sizes[f0 + t : stop : m] = [len(walks[q])] * ncos
+                numbers[q] = (ids, f0 + t, m)
         else:
-            # face_left is scratch until it is filled: face f at its smallest dart.
-            firsts[f0:stop] = order = sorted(chain.from_iterable(smallest))
-            for d, f in zip(order, ids[f0:stop]):
-                face_left[d] = f
-            for walk, column in zip(group, smallest):
-                numbers = list(map(face_left.__getitem__, column))
-                for f in numbers:
-                    sizes[f] = len(walk)
-                fill.append((walk, numbers, 0, 1))
+            for q in range(m):
+                numbers[q] = ([0] * ncos, 0, 1)
+            rows = sorted({0, s1, *(p[1] for p in wins), *(p[3] for p in wins)})
+            cols = sorted({0, s2, *(p[2] for p in wins), *(p[4] for p in wins)})
+            first = f0  # the number of the first smallest dart of cell (i0, j0)
+            for i0, i1 in zip(rows, rows[1:]):
+                band = [p for p in wins if p[1] >= i1]
+                row_total = sum(p[2] for p in band)
+                for j0, j1 in zip(cols, cols[1:]):
+                    here = [p for p in band if p[2] >= j1]
+                    n, h, w = len(here), i1 - i0, j1 - j0
+                    for t, (k, _, _, ai, aj, q) in enumerate(here):
+                        c = (i0 - ai) % s1 * s2 + (j0 - aj) % s2
+                        _grid(numbers[q][0], c, s2, 1, ids, first + t, row_total, n, h, w)
+                        dart = r * block + (i0 * s2 + j0) * deg + k
+                        _grid(firsts, first + t, row_total, n, ids, dart, s2 * deg, deg, h, w)
+                    if faces and n:
+                        _grid(sizes, first, row_total, 1, [len(walks[p[5]]) for p in here] * (h * w), 0, w * n, 1, h, w * n)
+                    first += n * w
+                first += row_total * (h - 1)
+        # The dart at position p of (class, c) is in cell c + offset, so the
+        # (rep, slot) column holds the numbers moved back by the offset.
+        for q, walk in enumerate(walks):
+            for rep, offset, slot in walk:
+                di, dj = box[offset]
+                dart_of[rep * block + slot : (rep + 1) * block : deg] = _box_shift(
+                    *numbers[q], s1, s2, -di % s1, -dj % s2
+                )
         f0 = stop
-    # The dart at position p of face (class, c) is in cell c + offset, so the
-    # (rep, slot) column holds the face numbers shifted back by the offset.
-    for walk, src, first, step in fill:
-        for rep, offset, slot in walk:
-            di, dj = cs.box_coords(offset)
-            face_left[rep * block + slot : (rep + 1) * block : deg] = _box_shift(
-                src, first, step, s1, s2, -di % s1, -dj % s2
-            )
-    return face_left, firsts, tuple(sizes)
-
-
-def _edge_columns(ids: list[int], tiling: TilingId, cs: CosetSystem) -> tuple[list[int], list[int]]:
-    """_edges for T/K in build_quotient's layout, by slot columns, on a
-    tiling with no same-rep reverse (`_same_rep_reverse`).  There an edge's
-    smaller dart is the one at the lesser rep, in its own cell: the edges
-    whose smaller dart is at rep r are its n_r slots k whose neighbour rep
-    s is greater, and edge (r, cell c, i-th such slot) is number
-    e0 + c·n_r + i, with e0 the edges of smaller reps.  So edge_dart and the
-    slot's dart_edge column are stride slices of the pool, and the reverse
-    column (s, reverse slot) holds the same numbers shifted back by the
-    slot's box offset, as in _face_columns."""
-    tpl = template(tiling)
-    deg = tpl.degree
-    s1, s2, ncos = cs.s1, cs.s2, cs.size()
-    block = ncos * deg
-    edge_of = [0] * len(ids)
-    edge_dart = [0] * (len(ids) // 2)
-    e0 = 0
-    for r, darts in enumerate(tpl.neighbors):
-        forward = [k for k, (s, _) in enumerate(darts) if s > r]
-        n_r, stop = len(forward), e0 + len(forward) * ncos
-        for i, k in enumerate(forward):
-            s, offset = darts[k]
-            edge_dart[e0 + i : stop : n_r] = ids[r * block + k : (r + 1) * block : deg]
-            edge_of[r * block + k : (r + 1) * block : deg] = ids[e0 + i : stop : n_r]
-            di, dj = cs.box_coords(offset)
-            first = s * block + tpl.reverse_slots[r][k]
-            edge_of[first : (s + 1) * block : deg] = _box_shift(ids, e0 + i, n_r, s1, s2, -di % s1, -dj % s2)
-        e0 = stop
-    return edge_of, edge_dart
+    return dart_of, firsts, tuple(sizes) if faces else None
 
 
 def build_quotient(spec: QuotientSpec) -> FlagMap:

@@ -202,9 +202,10 @@ def quotient_report(spec: QuotientSpec) -> OrbitReport:
 
 
 # The largest determinant bound search_non_vt takes: 33,044 Hermite forms.
-# The count grows as the square of the bound; E7 at 200 took 20.5–20.8 s
-# and 71.6–73.3 MiB peak RSS in a fresh process, Python 3.11.7 on a 2-core
-# VM.
+# The count grows as the square of the bound; E7 at 200 took 20.6–22.0 s
+# wall (20.1–20.5 s CPU) and 72.7–73.9 MiB peak RSS, three runs, each in a
+# fresh process timed by os.wait4, Python 3.11.7 on a 2-core VM shared with
+# other work.
 MAX_DET_BOUND = 200
 
 

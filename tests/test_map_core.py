@@ -297,8 +297,8 @@ def test_build_quotient_peaks_at_most_75_bytes_per_flag():
     assert peak / m.n_flags <= 75
 
 
-# 20 cells, whose faces FlagMap numbers dart by dart, and 272, numbered by
-# slot columns (map_core.MIN_COLUMN_CELLS).
+# 20 cells, whose edges and faces FlagMap numbers dart by dart, and 272,
+# numbered by slot columns (map_core.MIN_COLUMN_CELLS).
 POOL_MATS = [SublatticeMat(4, 1, 0, 5), SublatticeMat(16, 3, 0, 17)]
 
 
@@ -309,7 +309,7 @@ def test_quotient_tables_share_one_int_object_per_dart(code):
     # and so does every automorphism that descend makes.
     # The rotations keep no ints: they are one SlotRotations, of one size
     # whatever the map's.
-    assert POOL_MATS[0].index() < map_core._min_column_cells(parse_tiling(code)) <= POOL_MATS[1].index()
+    assert POOL_MATS[0].index() < map_core.MIN_COLUMN_CELLS <= POOL_MATS[1].index()
     for mat in POOL_MATS:
         m = build_quotient(QuotientSpec(parse_tiling(code), mat))
         ints = [*m.dart_rev, *m.dart_vertex, *m.dart_cw, *m.dart_edge, *m.edge_dart, *m.dart_face_left, *m.face_first]
@@ -373,6 +373,25 @@ def test_box_shift_turns_the_box_rows_and_columns():
                     assert map_core._box_shift(src, first, step, s1, s2, di, dj) == want, (s1, s2, di, dj)
 
 
+# Lattices whose Smith boxes take every branch of _box_shift when the class
+# columns are moved back by the positions' offsets: a one-row box (1 × 40),
+# square boxes, where the unit offsets turn by whole rows (dj = 0) or mend
+# their wrapping box columns, and boxes of two rows whose offsets turn by
+# about half a row (s1 <= min(dj, s2 − dj)), so each row is two slices.
+# test_wrap_mats_take_every_branch_of_box_shift checks that they do.
+WRAP_MATS = [
+    SublatticeMat(1, 0, 0, 40),
+    SublatticeMat(7, 0, 0, 7),
+    SublatticeMat(6, 0, 0, 9),
+    SublatticeMat(2, 11, 0, 22),
+    SublatticeMat(2, 9, 2, 29),
+]
+# The tilings with a dart reversed at its own rep: an edge's smaller dart
+# there turns on the cell, as a face's smallest does on every tiling with a
+# face class that meets its least rep more than once.
+SAME_REP_TILINGS = {parse_tiling(code) for code in ("T4444", "T333333", "T33344")}
+
+
 def assert_face_columns_match_loop(spec: QuotientSpec) -> None:
     # The slot-column face builder against the dart-by-dart loop, called
     # directly, so MIN_COLUMN_CELLS hides no map from either.
@@ -382,7 +401,7 @@ def assert_face_columns_match_loop(spec: QuotientSpec) -> None:
     faces = ("dart_face_left", "face_first", "face_sizes")
     for built, tables in (
         (loop, map_core._faces(ids, m.dart_rev, m.dart_cw)),
-        (columns, map_core._face_columns(ids, spec.tiling, m.coset_system)),
+        (columns, map_core._class_columns(ids, spec.tiling, m.coset_system, faces=True)),
     ):
         # strict: a builder that returns fewer tables must not leave the
         # copied map's own in place.
@@ -391,6 +410,20 @@ def assert_face_columns_match_loop(spec: QuotientSpec) -> None:
         built.n_faces = len(built.face_first)
     for name in ("dart_face_left", "face_first", "face_sizes", "face_walk", "n_faces"):
         assert map_table(columns, name) == map_table(loop, name), (spec, name)
+    assert all(x is ids[x] for x in chain(columns.dart_face_left, columns.face_first)), spec
+
+
+def assert_edge_columns_match_loop(spec: QuotientSpec) -> None:
+    # The slot-column edge builder against the dart-by-dart loop, called
+    # directly, so MIN_COLUMN_CELLS hides no map from either.  Both give
+    # (dart_edge, edge_dart) of pool ints.
+    m = build_quotient(spec)
+    ids = list(range(m.n_darts))
+    loop = map_core._edges(ids, m.dart_rev)
+    edge_of, edge_dart, sizes = map_core._class_columns(ids, spec.tiling, m.coset_system, faces=False)
+    assert (edge_of, edge_dart) == loop == (m.dart_edge, m.edge_dart), spec
+    assert sizes is None
+    assert all(x is ids[x] for x in chain(edge_of, edge_dart)), spec
 
 
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
@@ -410,32 +443,14 @@ def test_face_columns_match_the_loop_on_random_matrices(tid, entries):
     assert_face_columns_match_loop(QuotientSpec(tid, SublatticeMat(*entries)))
 
 
-# The tilings with a dart reversed at its own rep keep the edge loop; the
-# other eight number a large quotient's edges by slot columns.
-SAME_REP_TILINGS = {parse_tiling(code) for code in ("T4444", "T333333", "T33344")}
-EDGE_COLUMN_TILINGS = [tid for tid in TilingId if tid not in SAME_REP_TILINGS]
-
-
-def assert_edge_columns_match_loop(spec: QuotientSpec) -> None:
-    # The slot-column edge builder against the dart-by-dart loop, called
-    # directly, so MIN_COLUMN_CELLS hides no map from either.  Both give
-    # (dart_edge, edge_dart) of pool ints.
-    m = build_quotient(spec)
-    ids = list(range(m.n_darts))
-    loop = map_core._edges(ids, m.dart_rev)
-    columns = map_core._edge_columns(ids, spec.tiling, m.coset_system)
-    assert columns == loop == (m.dart_edge, m.edge_dart), spec
-    assert all(x is ids[x] for x in chain(*columns)), spec
-
-
 def test_exactly_three_tilings_reverse_a_dart_at_its_own_rep():
-    assert len(EDGE_COLUMN_TILINGS) == 8
+    assert len(SAME_REP_TILINGS) == 3
     for tid in TilingId:
         same_rep = any(s == r for r, darts in enumerate(template(tid).neighbors) for s, _ in darts)
-        assert map_core._same_rep_reverse(tid) is same_rep is (tid in SAME_REP_TILINGS), tid
+        assert same_rep is (tid in SAME_REP_TILINGS), tid
 
 
-@pytest.mark.parametrize("tid", EDGE_COLUMN_TILINGS, ids=lambda t: t.name)
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
 def test_edge_columns_match_the_loop_on_small_lattices(tid):
     for mat in [*enumerate_hnf(12), *NON_HERMITE_MATS]:
         assert_edge_columns_match_loop(QuotientSpec(tid, mat))
@@ -443,7 +458,7 @@ def test_edge_columns_match_the_loop_on_small_lattices(tid):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    tid=st.sampled_from(EDGE_COLUMN_TILINGS),
+    tid=st.sampled_from(list(TilingId)),
     entries=st.tuples(*[st.integers(min_value=-12, max_value=12)] * 4).filter(
         lambda t: t[0] * t[3] - t[1] * t[2] != 0
     ),
@@ -453,22 +468,49 @@ def test_edge_columns_match_the_loop_on_random_matrices(tid, entries):
 
 
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
-def test_edge_columns_serve_the_large_quotients_of_eight_tilings(tid, monkeypatch):
-    # The edge columns have a size rule of their own, the least of
-    # MIN_COLUMN_CELLS on every tiling with no same-rep reverse, whatever
-    # its faces take; the three others, smaller quotients and public maps
-    # keep the loop.
-    served = []
-    columns = map_core._edge_columns
-    monkeypatch.setattr(map_core, "_edge_columns", lambda *args: served.append(args[1]) or columns(*args))
-    cells = map_core.MIN_COLUMN_CELLS[0]
-    build_quotient(QuotientSpec(tid, SublatticeMat(1, 0, 0, cells - 1)))
-    assert served == []
+def test_wrap_mats_take_every_branch_of_box_shift(tid, monkeypatch):
+    # Both builders match the loops on WRAP_MATS, whose offsets move each
+    # tiling's class columns by all four branches of _box_shift; on the
+    # three same-rep tilings an edge's smaller dart takes every slot.
+    taken = Counter()
+    shift = map_core._box_shift
+
+    def recording(src, first, step, s1, s2, di, dj):
+        taken["one row" if s1 == 1 else "dj = 0" if dj == 0 else "rows" if s1 <= min(dj, s2 - dj) else "mended"] += 1
+        return shift(src, first, step, s1, s2, di, dj)
+
+    monkeypatch.setattr(map_core, "_box_shift", recording)
+    for mat in WRAP_MATS:
+        assert_edge_columns_match_loop(QuotientSpec(tid, mat))
+        assert_face_columns_match_loop(QuotientSpec(tid, mat))
+    assert set(taken) == {"one row", "dj = 0", "rows", "mended"}, (tid, taken)
+    if tid in SAME_REP_TILINGS:
+        m = build_quotient(QuotientSpec(tid, WRAP_MATS[1]))
+        assert len({m.edge_dart[e] % m.slot_degree for e in range(m.n_edges)}) == m.slot_degree
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_columns_serve_the_large_quotients_of_every_tiling(tid, monkeypatch):
+    # One size rule, MIN_COLUMN_CELLS, for both tables on every tiling: a
+    # quotient of that many cells numbers its edges and faces by slot
+    # columns and never calls the loops; smaller quotients and public maps
+    # keep the loops, and agree.
+    served, loops = [], Counter()
+    columns, edges, faces = map_core._class_columns, map_core._edges, map_core._faces
+    monkeypatch.setattr(map_core, "_class_columns", lambda *args, **kw: served.append(args[1]) or columns(*args, **kw))
+    monkeypatch.setattr(map_core, "_edges", lambda *args: loops.update(["edges"]) or edges(*args))
+    monkeypatch.setattr(map_core, "_faces", lambda *args: loops.update(["faces"]) or faces(*args))
+    cells = map_core.MIN_COLUMN_CELLS
+    small = build_quotient(QuotientSpec(tid, SublatticeMat(1, 0, 0, cells - 1)))
+    assert served == [] and loops == {"edges": 1, "faces": 1}
+    loops.clear()
     large = build_quotient(QuotientSpec(tid, SublatticeMat(1, 0, 0, cells)))
-    assert served == ([] if tid in SAME_REP_TILINGS else [tid])
+    assert served == [tid, tid] and loops == Counter()
     public = FlagMap(large.dart_rev, SlotRotations(large.n_vertices, large.slot_degree), large.spec)
-    assert served == ([] if tid in SAME_REP_TILINGS else [tid])
-    assert (public.dart_edge, public.edge_dart) == (large.dart_edge, large.edge_dart)
+    assert served == [tid, tid] and loops == {"edges": 1, "faces": 1}
+    for name in ("dart_edge", "edge_dart", "dart_face_left", "face_first", "face_sizes"):
+        assert getattr(public, name) == getattr(large, name), name
+    assert small.n_darts < large.n_darts
 
 
 def assert_general_layout_matches_declared(spec: QuotientSpec) -> None:
