@@ -26,7 +26,7 @@ from .lattice import (
     is_scaled_identity,
     scaled_identity,
 )
-from .map_core import FlagMap, QuotientSpec, _dart_projection, _gather, _rep_blocks, _translation_maps
+from .map_core import FlagMap, QuotientSpec, _dart_projection, _gather, _read_blocks, _translation_maps
 from .map_core import _vertex_projection, build_quotient, is_automorphism
 from .tilings import PointGroupElem, TilingId, dihedral, parse_tiling, template
 
@@ -299,10 +299,11 @@ def _projection_covers(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> bool:
     """Whether the certificate's tables are those of a covering, decided
     by the dart projection (`_dart_projection`); False says only that the
     stages must decide.  The tables are read one Y rep block at a time
-    (`_rep_blocks`; the whole map when Y has no coset system), each
-    equation by C-level gathers (`_gather`) compared as tuples: edges and
-    faces are numbered by their smallest dart, so those of one block are
-    a contiguous range, found by bisection, and each block's transient
+    (`_read_blocks`: one row of the Smith box at a time when Y has one
+    rep, the whole map when it has no coset system), each equation by
+    C-level gathers (`_gather`) compared as tuples: edges and faces are
+    numbered by their smallest dart, so those of one block are a
+    contiguous range, found by bisection, and each block's transient
     tuples are of its size.
 
     It needs both maps in build_quotient's layout with one degree deg
@@ -347,7 +348,7 @@ def _projection_covers(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> bool:
     dmap = _dart_projection(y, x, vm, (range(deg),))
     yrev, yedge, yfirst, ysizes = y.dart_rev, y.edge_dart, y.face_first, y.face_sizes
     xrev, xedge, xface, xsizes = x.dart_rev, x.dart_edge, x.dart_face_left, x.face_sizes
-    blocks = _rep_blocks(y)
+    blocks = _read_blocks(y)
     e0 = f0 = 0
     for start in blocks:
         stop = start + blocks.step

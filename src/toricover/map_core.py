@@ -29,11 +29,23 @@ skips the reverse check and the union-find.  It takes build_quotient's
 pool, numbers the edges and the faces and keeps the coset system.
 Every other input, a public `SlotRotations` included, takes every check.
 
+A quotient of at least MIN_COLUMN_CELLS cells (a lazy map) keeps its
+pool and builds the reverse table, edge_dart, face_first and face_sizes
+up front, and dart_vertex with dart_cw, dart_edge and dart_face_left by
+the same column code on first read.  A cover and its check read none of
+those four on Y (fold > 1): the projection pair reads X's pool, and
+is_polyhedral and is_semi_equivelar read the layout (`_neighbourhood`,
+`face_cycle`).  The orbit scan, `descend`, `is_automorphism` and
+verify's fallback stages build them.  Every other map builds every
+table in its constructor.
+
 The rotations come in one of two layouts.  build_quotient declares
 its own, vertex v's rotation being darts v·deg … v·deg+deg−1 in order,
 by passing a `SlotRotations`, which makes vertex v's range when it is
 read and keeps nothing per vertex; the tail and rotation tables are then
-filled by columns, one slot of every vertex at a time.  Any other
+filled by columns, one slot of every vertex at a time (`_slot_columns`),
+or read off the layout: d's tail is d // deg, and cw(d) is d − 1, or
+d + deg − 1 at a vertex's first slot.  Any other
 sequence is a general rotation system, read vertex by vertex and kept
 as tuples.  The reverse table has one contract: an involution of exact
 ints without a fixed point, or an error that names its first bad dart,
@@ -47,24 +59,26 @@ Edges are numbered by their smaller dart and faces by their smallest,
 each in one of two ways.  An edge of T/K is a template edge moved by a
 cell, and a face is a face of the tiling moved by a cell: one of the
 tiling's face classes (`tilings.face_classes`) per coset.  So a quotient
-of at least MIN_COLUMN_CELLS cells, on every tiling, fills its edge and
-face tables by slot columns, as its tail and rotation tables
-(`_class_columns`), and proves that its walks close once per tiling, in
-face_trace.  Which of a class's darts at its least rep is the smallest
-turns on the cell only where the Smith box wraps, so the numbers come
-from rectangles of the box, with no sort and no loop per dart or per
-face.  Any other map is read dart by dart: every dart paired with its
-reverse, every dart's face traced.  Each fact is stored once: an edge
-is its smaller dart (the other is its reverse), a face is its smallest
-dart (`face_first[f]`) and its size (`face_sizes[f]`), from which
-face_walk traces it, d -> cw(rev(d)), when it is read, and there is no
-ccw table: the orbit scan inverts cw when it needs one.  So a quotient
-keeps no container per vertex, edge or face that the cyclic garbage
-collector tracks.
+of at least MIN_COLUMN_CELLS cells, on every tiling, numbers its edges
+and faces by slot columns (`_class_numbers`), moves the numbers into its
+per-dart edge and face tables by slot columns too when they are first
+read (`_class_columns`), and proves that its walks close once per
+tiling, in face_trace.  Which of a class's darts at its least rep is the
+smallest turns on the cell only where the Smith box wraps, so the
+numbers come from rectangles of the box, with no sort and no loop per
+dart or per face.  Any other map is read dart by dart: every dart
+paired with its reverse, every dart's face traced.  Each fact is stored
+once: an edge is its smaller dart (the other is its reverse), a face is
+its smallest dart (`face_first[f]`) and its size (`face_sizes[f]`), from
+which face_walk traces it, d -> cw(rev(d)), when it is read, and there
+is no ccw table: the orbit scan inverts cw when it needs one.  So a
+quotient keeps no container per vertex, edge or face that the cyclic
+garbage collector tracks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from functools import cached_property, lru_cache
 from itertools import combinations, groupby, islice
@@ -74,13 +88,15 @@ from typing import NamedTuple
 from .lattice import CosetSystem, SublatticeMat, cosets
 from .tilings import TilingId, dihedral, face_classes, template
 
-# The largest map build_quotient makes.  A quotient retains about 39 bytes
-# per flag and peaks at about 44 while it is built (tracemalloc, E7 at 20·I
-# to 150·I).  Over `info E7`, in the peak RSS of a fresh process (E7 at
+# The largest map build_quotient makes.  A quotient of at least
+# MIN_COLUMN_CELLS cells retains about 27 bytes per flag and peaks at about
+# 28 while it is built, its tail, cw, edge and face tables left to their
+# first read (tracemalloc, E7 at 20·I to 150·I; 39 and 44 with those
+# tables built).  Over `info E7`, in the peak RSS of a fresh process (E7 at
 # 150·I, 1.62 M flags, Python 3.11.7, 2 cores), `cover --out` peaks at
-# about 53 bytes per flag and `analyze` (the orbit scan) at 53, and
-# `verify` of that cover's certificate, the heaviest command per flag, at
-# 69: about 263 MiB at this limit.
+# about 48 bytes per flag, `analyze` (the orbit scan, which builds every
+# table) at 53, and `verify` of that cover's certificate, still the
+# heaviest command per flag, at 62: about 236 MiB at this limit.
 MAX_FLAGS = 4_000_000
 
 # The least translation cells for which FlagMap numbers a quotient's edges
@@ -154,7 +170,10 @@ class _QuotientSlots(SlotRotations):
 
 
 class FlagMap:
-    """Immutable-after-construction flag map; see module docstring."""
+    """Immutable-after-construction flag map; see module docstring.  A
+    quotient of at least MIN_COLUMN_CELLS cells (`_lazy`) builds
+    dart_vertex, dart_cw, dart_edge and dart_face_left on first read;
+    every other map, and every other table, is built up front."""
 
     def __init__(
         self,
@@ -180,8 +199,10 @@ class FlagMap:
                 raise error
             ids = list(range(nd))  # the pool: one int object per dart
             rev = list(dart_rev)
+        self._ids = ids
         # The coset system build_quotient's vertex numbering uses, else None.
         self.coset_system = vertex_darts.cs if proven else None
+        self._lazy = proven and vertex_darts.cs.size() >= MIN_COLUMN_CELLS
 
         # build_quotient's layout, declared by a SlotRotations of nd darts:
         # vertex v lists darts v·deg … v·deg+deg−1, so slot k is the dart
@@ -192,7 +213,8 @@ class FlagMap:
             deg = vertex_darts.deg
             if nv * deg != nd:
                 raise ValueError(f"the slot layout has {nv * deg} darts, the reverse table {nd}")
-            self.dart_vertex, self.dart_cw = _slot_columns(ids, nv, deg)
+            if not self._lazy:
+                self.dart_vertex, self.dart_cw = _slot_columns(ids, nv, deg)
             self.vertex_darts = SlotRotations(nv, deg)
         else:
             deg = None
@@ -203,21 +225,40 @@ class FlagMap:
         self.n_vertices = nv
 
         # Edges, the {d, rev d} pairs, and faces, both numbered by smallest
-        # dart: a T/K from build_quotient of at least MIN_COLUMN_CELLS cells
-        # by slot columns, any other map dart by dart.
-        if proven and vertex_darts.cs.size() >= MIN_COLUMN_CELLS:
-            edges = _class_columns(ids, spec.tiling, vertex_darts.cs, faces=False)[:2]
-            faces = _class_columns(ids, spec.tiling, vertex_darts.cs, faces=True)
+        # dart: a lazy map by slot columns, any other map dart by dart.
+        if self._lazy:
+            cs = vertex_darts.cs
+            self.edge_dart, _, self._edge_numbers = _class_numbers(ids, spec.tiling, cs, faces=False)
+            self.face_first, self.face_sizes, self._face_numbers = _class_numbers(ids, spec.tiling, cs, faces=True)
         else:
-            edges = _edges(ids, rev)
-            faces = _faces(ids, rev, self.dart_cw)
-        self.dart_edge, self.edge_dart = edges
+            self.dart_edge, self.edge_dart = _edges(ids, rev)
+            self.dart_face_left, self.face_first, self.face_sizes = _faces(ids, rev, self.dart_cw)
         self.n_edges = len(self.edge_dart)
-        self.dart_face_left, self.face_first, self.face_sizes = faces
         self.n_faces = len(self.face_first)
 
         if not proven and not self._connected(ids):
             raise ValueError("map is not connected")
+
+    # A lazy map's four per-dart tables; every other map sets them in __init__.
+    @cached_property
+    def dart_vertex(self) -> list[int]:
+        tail, self.dart_cw = _slot_columns(self._ids, self.n_vertices, self.slot_degree)
+        return tail
+
+    @cached_property
+    def dart_cw(self) -> list[int]:
+        self.dart_vertex, cw = _slot_columns(self._ids, self.n_vertices, self.slot_degree)
+        return cw
+
+    @cached_property
+    def dart_edge(self) -> list[int]:
+        numbers = vars(self).pop("_edge_numbers")
+        return _class_columns(self._ids, self.spec.tiling, self.coset_system, numbers, faces=False)
+
+    @cached_property
+    def dart_face_left(self) -> list[int]:
+        numbers = vars(self).pop("_face_numbers")
+        return _class_columns(self._ids, self.spec.tiling, self.coset_system, numbers, faces=True)
 
     @cached_property
     def polyhedral(self) -> bool:
@@ -226,7 +267,7 @@ class FlagMap:
 
     @property
     def n_darts(self) -> int:
-        return len(self.dart_vertex)
+        return len(self.dart_rev)
 
     @property
     def n_flags(self) -> int:
@@ -270,7 +311,7 @@ def _slot_columns(ids: list[int], nv: int, deg: int) -> tuple[list[int], list[in
     """(dart_vertex, dart_cw) when vertex v has darts v·deg … v·deg+deg−1
     in ccw order, as in build_quotient: slot k of every vertex is the
     column ids[k::deg], and each table is deg stride-slice assignments
-    from the pool."""
+    from the pool: in the constructor, or on a lazy map's first read."""
     nd = len(ids)
     vertices = ids[:nv]
     tail = [0] * nd
@@ -434,12 +475,15 @@ def _grid(dst: list, d0: int, d_row: int, d_col: int, src: list, s0: int, s_row:
             dst[d : d + h * d_row : d_row] = src[s : s + h * s_row : s_row]
 
 
-def _class_columns(ids: list[int], tiling: TilingId, cs: CosetSystem, faces: bool):
-    """(dart_face_left, face_first, face_sizes) if faces, else (dart_edge,
-    edge_dart, None), for T/K in build_quotient's layout: an object of T/K
-    (a face or an edge) is a class of `_class_groups` moved by a coset c,
-    and the objects are numbered as _faces and _edges number them, by
-    smallest dart.  Every table is filled by slices of slot columns over
+def _class_numbers(ids: list[int], tiling: TilingId, cs: CosetSystem, faces: bool):
+    """(face_first, face_sizes, numbers) if faces, else (edge_dart, None,
+    numbers), for T/K in build_quotient's layout: an object of T/K (a face
+    or an edge) is a class of `_class_groups` moved by a coset c, and the
+    objects are numbered as _faces and _edges number them, by smallest
+    dart.  numbers holds each class's numbers over c, in `_class_groups`
+    order, as (src, first, step): object (class, c) is number
+    src[first + step·c]; `_class_columns` moves them into the per-dart
+    table.  Every table is filled by slices of slot columns over
     rectangles of the Smith box, none dart by dart or object by object.
 
     The smallest dart of (class, c) is at the class's least rep r, at the
@@ -454,22 +498,22 @@ def _class_columns(ids: list[int], tiling: TilingId, cs: CosetSystem, faces: boo
     by rank of that dart.  When each class has one such position, its
     rectangle is the whole box, at offset (0, 0), and object (class, c) is
     number F + c·m + its place among the m of rep r by slot, F the objects
-    of smaller reps: a stride slice of the pool.  Otherwise the rectangles'
-    bounds, and the offsets, where moving a cell back to c wraps, cut the
-    box into bands of rows and of columns; within one band of each, the
-    same positions hold a smallest dart in every cell, so one position's
-    numbers run on by their count along a row, and by the row band's total
-    from row to row, from the count at the band's corner (_grid).  Each
-    class's numbers, a column over c, are then moved back by each
-    position's box offset into its (rep, slot) column."""
+    of smaller reps: a stride slice of the pool, so its column is the pool
+    itself.  Otherwise the rectangles' bounds, and the offsets, where
+    moving a cell back to c wraps, cut the box into bands of rows and of
+    columns; within one band of each, the same positions hold a smallest
+    dart in every cell, so one position's numbers run on by their count
+    along a row, and by the row band's total from row to row, from the
+    count at the band's corner (_grid), into a column of its own."""
     groups, offsets = _class_groups(tiling, faces)
     deg = template(tiling).degree
     s1, s2, ncos = cs.s1, cs.s2, cs.size()
     box = {offset: cs.box_coords(offset) for offset in offsets}
     block = ncos * deg
     count = sum(len(walks) for _, walks, _ in groups) * ncos
-    dart_of, firsts = [0] * len(ids), [0] * count
+    firsts = [0] * count
     sizes = [0] * count if faces else None
+    numbers = []
     f0 = 0
     for r, walks, at_r in groups:
         m = len(walks)
@@ -492,16 +536,15 @@ def _class_columns(ids: list[int], tiling: TilingId, cs: CosetSystem, faces: boo
                 if h:
                     wins.append((k, h, w, ai, aj, q))
         wins.sort()
-        numbers = {}  # q: (src, first, step), object (walks[q], c) being number src[first + step·c]
         if len(wins) == m:
+            columns = [None] * m  # q: the number column of class walks[q]
             for t, (k, _, _, _, _, q) in enumerate(wins):
                 firsts[f0 + t : stop : m] = ids[r * block + k : (r + 1) * block : deg]
                 if faces:
                     sizes[f0 + t : stop : m] = [len(walks[q])] * ncos
-                numbers[q] = (ids, f0 + t, m)
+                columns[q] = (ids, f0 + t, m)
         else:
-            for q in range(m):
-                numbers[q] = ([0] * ncos, 0, 1)
+            columns = [([0] * ncos, 0, 1) for _ in walks]
             rows = sorted({0, s1, *(p[1] for p in wins), *(p[3] for p in wins)})
             cols = sorted({0, s2, *(p[2] for p in wins), *(p[4] for p in wins)})
             first = f0  # the number of the first smallest dart of cell (i0, j0)
@@ -513,23 +556,37 @@ def _class_columns(ids: list[int], tiling: TilingId, cs: CosetSystem, faces: boo
                     n, h, w = len(here), i1 - i0, j1 - j0
                     for t, (k, _, _, ai, aj, q) in enumerate(here):
                         c = (i0 - ai) % s1 * s2 + (j0 - aj) % s2
-                        _grid(numbers[q][0], c, s2, 1, ids, first + t, row_total, n, h, w)
+                        _grid(columns[q][0], c, s2, 1, ids, first + t, row_total, n, h, w)
                         dart = r * block + (i0 * s2 + j0) * deg + k
                         _grid(firsts, first + t, row_total, n, ids, dart, s2 * deg, deg, h, w)
                     if faces and n:
                         _grid(sizes, first, row_total, 1, [len(walks[p[5]]) for p in here] * (h * w), 0, w * n, 1, h, w * n)
                     first += n * w
                 first += row_total * (h - 1)
-        # The dart at position p of (class, c) is in cell c + offset, so the
-        # (rep, slot) column holds the numbers moved back by the offset.
-        for q, walk in enumerate(walks):
-            for rep, offset, slot in walk:
-                di, dj = box[offset]
-                dart_of[rep * block + slot : (rep + 1) * block : deg] = _box_shift(
-                    *numbers[q], s1, s2, -di % s1, -dj % s2
-                )
+        numbers += columns
         f0 = stop
-    return dart_of, firsts, tuple(sizes) if faces else None
+    return firsts, tuple(sizes) if faces else None, numbers
+
+
+def _class_columns(ids: list[int], tiling: TilingId, cs: CosetSystem, numbers: list, faces: bool) -> list[int]:
+    """dart_face_left if faces, else dart_edge, of T/K in build_quotient's
+    layout, from `_class_numbers`' number columns: the dart at position
+    (rep, offset, slot) of (class, c) is in cell c + offset, so the (rep,
+    slot) column holds the class's numbers moved back by the offset
+    (_box_shift), slices of the column, which are the pool's ints."""
+    groups, offsets = _class_groups(tiling, faces)
+    deg = template(tiling).degree
+    s1, s2 = cs.s1, cs.s2
+    box = {offset: cs.box_coords(offset) for offset in offsets}
+    block = cs.size() * deg
+    dart_of = [0] * len(ids)
+    walks = (walk for _, walks, _ in groups for walk in walks)
+    for walk, column in zip(walks, numbers, strict=True):
+        for rep, offset, slot in walk:
+            di, dj = box[offset]
+            column_at = _box_shift(*column, s1, s2, -di % s1, -dj % s2)
+            dart_of[rep * block + slot : (rep + 1) * block : deg] = column_at
+    return dart_of
 
 
 def build_quotient(spec: QuotientSpec) -> FlagMap:
@@ -587,6 +644,17 @@ def _rep_blocks(m: FlagMap) -> range:
     return range(0, m.n_darts, m.n_darts if cs is None else cs.size() * m.slot_degree)
 
 
+def _read_blocks(m: FlagMap) -> range:
+    """_rep_blocks, except that a map of one rep, whose block is the whole
+    map, is cut into the rows of its Smith box (s2 vertices, so s2·deg
+    darts, each), so that a reader of one block at a time holds a row's
+    worth, not the map's."""
+    blocks = _rep_blocks(m)
+    if len(blocks) == 1 and m.coset_system is not None:
+        return range(0, m.n_darts, m.coset_system.s2 * m.slot_degree)
+    return blocks
+
+
 def _gather(table, idx) -> tuple:
     """(table[i] for i in idx) as a tuple, read by one itemgetter call,
     which loops in C.  itemgetter returns a bare item for one index and
@@ -603,11 +671,12 @@ def _vertex_projection(y: FlagMap, x: FlagMap, sigma, matrix, shifts) -> tuple:
     sigma[rep]·|det K| + X's index of the cell R·c + shifts[rep].  One
     cell map per distinct shift, gathered once per rep block, so the
     cover projection and a translation (sigma the identity, every shift
-    equal) make one.  The images are X's own ints: X's vertex v is
-    x.dart_vertex[v·deg]."""
+    equal) make one.  The images are X's own ints, read off its pool, not
+    its tail table (which a lazy X builds on first read): X's vertex v
+    is ids[v], the tail of its darts v·deg … v·deg+deg−1."""
     xs = x.coset_system
     cells = {shift: y.coset_system.cell_map(xs, matrix, shift) for shift in set(shifts)}
-    ncos, vertices = xs.size(), x.dart_vertex[:: x.slot_degree]
+    ncos, vertices = xs.size(), x._ids[: x.n_vertices]
     # Grown by blocks and copied once: tuple(chain(...)) took 15 % longer (E7, Y at 52·I).
     vmap = []
     for t, shift in zip(sigma, shifts):  # Y's reps in order, each onto X's rep t
@@ -624,17 +693,17 @@ def _dart_projection(y: FlagMap, x: FlagMap, vm, slot_maps) -> list[int]:
     slot_maps), or the whole map for a lattice map that fixes every slot
     (one map, range(deg)).  This and `_vertex_projection` are the one
     construction of a lattice map's dart map.  One gather and
-    slice assignment per (block, slot), each of X's deg columns of cw
-    sliced once and dropped before the next (so a whole-map block holds
-    one column at a time, not X's whole cw), and the images are X's own
-    int objects: X's dart u·deg + k is the cw successor of its dart
-    u·deg + k + 1.  With every slot map range(deg) it commutes with cw by
-    the layout."""
+    slice assignment per (block, slot), each of X's deg slot columns of
+    its pool sliced once and dropped before the next (so a whole-map block
+    holds one column at a time), and the images are X's own int objects,
+    with no read of its cw table: X's dart u·deg + k is ids[u·deg + k],
+    the cw successor of its dart u·deg + k + 1.  With every slot map
+    range(deg) it commutes with cw by the layout."""
     deg, size = y.slot_degree, len(vm) // len(slot_maps)  # size: the vertices of one block
     inverses = [sorted(range(deg), key=slots.__getitem__) for slots in slot_maps]  # inv[k2]: the slot sent to k2
     dmap = [0] * y.n_darts
-    for k2 in range(deg):  # X's cw column k2, sliced once; one column is alive at a time
-        column = x.dart_cw[(k2 + 1) % deg :: deg]
+    for k2 in range(deg):  # X's slot column k2, sliced once; one column is alive at a time
+        column = x._ids[k2::deg]
         for b, inv in enumerate(inverses):
             dmap[b * size * deg + inv[k2] : (b + 1) * size * deg : deg] = _gather(column, vm[b * size : (b + 1) * size])
     return dmap
@@ -669,8 +738,25 @@ def euler_characteristic(m: FlagMap) -> int:
 
 
 def face_cycle(m: FlagMap, v: int) -> tuple[int, ...]:
-    """Sizes of the faces around v in counterclockwise rotation order."""
+    """Sizes of the faces around v in counterclockwise rotation order; on a
+    lazy map, the lengths of the layout's walks from v's darts."""
+    if m._lazy:
+        rev, deg = m.dart_rev, m.slot_degree
+        return tuple(len(_layout_walk(rev, deg, d)) for d in m.vertex_darts[v])
     return tuple(m.face_sizes[m.dart_face_left[d]] for d in m.vertex_darts[v])
+
+
+def _layout_walk(rev: list[int], deg: int, d: int) -> list[int]:
+    """The walk d -> cw(rev(d)) of the face left of d, in build_quotient's
+    layout, with cw read off the layout."""
+    walk = [d]
+    r = rev[d]
+    x = r - 1 if r % deg else r + deg - 1
+    while x != d:
+        walk.append(x)
+        r = rev[x]
+        x = r - 1 if r % deg else r + deg - 1
+    return walk
 
 
 class VertexTypeSig(NamedTuple):
@@ -768,44 +854,68 @@ class PolyhedralReport:
 _MAX_VIOLATIONS = 20
 
 
-def _faces_meet_properly(m: FlagMap, vf, ef, vg, eg) -> bool:
-    """Two faces share nothing, one vertex, or one edge and its two ends."""
-    shared_e = ef & eg
-    if not shared_e:
-        return len(vf & vg) <= 1
-    if len(shared_e) == 1:
-        (e,) = shared_e
-        return vf & vg == set(m.edge_endpoints(e))
-    return False
+def _neighbourhood(m: FlagMap, vertices: Sequence[int]):
+    """(tail, edge_of, faces_at, walks): the tail and edge of each dart of
+    the faces at the vertices (both darts of each of their edges among
+    them), the faces at each vertex, and each such face's walk.  A lazy map
+    works them out from its layout, once per call, into dicts, building no
+    table: walks by _layout_walk, tails d // deg, and an edge or a face by
+    bisection of edge_dart at min(d, rev d) or of face_first at the walk's
+    least dart, both sorted as objects are numbered by smallest dart.  Any
+    other map reads its tables."""
+    vd = m.vertex_darts
+    if not m._lazy:
+        left = m.dart_face_left
+        faces_at = [{left[d] for d in vd[v]} for v in vertices]
+        walks = {f: m.face_walk(f) for f in set().union(*faces_at)}
+        return m.dart_vertex, m.dart_edge, faces_at, walks
+    rev, deg, firsts, edge_dart = m.dart_rev, m.slot_degree, m.face_first, m.edge_dart
+    face_of, walks = {}, {}
+    for v in vertices:
+        for d in vd[v]:
+            if d not in face_of:
+                walk = _layout_walk(rev, deg, d)
+                f = bisect_left(firsts, min(walk))
+                walks[f] = walk
+                face_of.update(dict.fromkeys(walk, f))
+    faces_at = [{face_of[d] for d in vd[v]} for v in vertices]
+    tail = {d: d // deg for d in face_of}
+    edge_of = {d: bisect_left(edge_dart, min(d, rev[d])) for d in face_of}
+    return tail, edge_of, faces_at, walks
 
 
 def _violations(m: FlagMap, vertices: Sequence[int]) -> Iterator[tuple[str, tuple[int, ...]]]:
     """Every violation of the five rules that involves one of the
     vertices, rule by rule and in index order: faces too small, faces
-    not simple, loops and parallel edges, face pairs that meet badly.
+    not simple, loops and parallel edges, face pairs that meet badly
+    (they share more than one vertex and no edge, or an edge and a vertex
+    that is not its end, or two edges).
 
     The faces and edges checked are those at the vertices, and the face
-    pairs those that meet at one of them.  Parallel edges share both
-    ends, so all edges parallel to one at a vertex are at it too.
+    pairs those that meet at one of them, read by _neighbourhood.
+    Parallel edges share both ends, so all edges parallel to one at a
+    vertex are at it too.
     """
-    faces_at = [{m.dart_face_left[d] for d in m.vertex_darts[v]} for v in vertices]
-    faces = sorted(set().union(*faces_at))
+    tail, edge_of, faces_at, walks = _neighbourhood(m, vertices)
+    faces = sorted(walks)
     for f in faces:
         if m.face_sizes[f] < 3:
             yield "face-too-small", (f,)
 
     face_sets = {}
     for f in faces:
-        walk = m.face_walk(f)
-        vset = set(map(m.dart_vertex.__getitem__, walk))
-        eset = set(map(m.dart_edge.__getitem__, walk))
+        walk = walks[f]
+        vset = set(map(tail.__getitem__, walk))
+        eset = set(map(edge_of.__getitem__, walk))
         if len(vset) < len(walk) or len(eset) < len(walk):
             yield "face-not-simple", (f,)
         face_sets[f] = (vset, eset)
 
+    rev, edge_dart = m.dart_rev, m.edge_dart
     first_with_ends: dict[tuple[int, int], int] = {}
-    for e in sorted({m.dart_edge[d] for v in vertices for d in m.vertex_darts[v]}):
-        ends = tuple(sorted(m.edge_endpoints(e)))
+    for e in sorted({edge_of[d] for v in vertices for d in m.vertex_darts[v]}):
+        d = edge_dart[e]
+        ends = tuple(sorted((tail[d], tail[rev[d]])))
         if ends[0] == ends[1]:
             yield "loop-edge", (e,)
         elif ends in first_with_ends:
@@ -815,7 +925,14 @@ def _violations(m: FlagMap, vertices: Sequence[int]) -> Iterator[tuple[str, tupl
 
     pairs = {pair for fs in faces_at for pair in combinations(sorted(fs), 2)}
     for f, g in sorted(pairs):
-        if not _faces_meet_properly(m, *face_sets[f], *face_sets[g]):
+        (vf, ef), (vg, eg) = face_sets[f], face_sets[g]
+        shared = ef & eg
+        if len(shared) == 1:
+            d = edge_dart[min(shared)]  # both its darts are on the two faces' walks
+            meet = vf & vg == {tail[d], tail[rev[d]]}
+        else:
+            meet = not shared and len(vf & vg) <= 1
+        if not meet:
             yield "face-pair", (f, g)
 
 

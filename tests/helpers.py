@@ -41,6 +41,10 @@ def translation(tpl: TilingTemplate, delta: IVec) -> PointGroupElem:
 
 
 # Lattices given by a matrix that is not their Hermite form.
+# The per-dart tables a quotient of at least MIN_COLUMN_CELLS cells builds
+# when they are first read.
+LAZY_TABLES = ("dart_vertex", "dart_cw", "dart_edge", "dart_face_left")
+
 NON_HERMITE_MATS = [
     SublatticeMat(1, -2, 3, 1),
     SublatticeMat(2, 1, 2, 4),

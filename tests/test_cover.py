@@ -34,10 +34,11 @@ from toricover import cover as cover_module
 from toricover.cli import main
 from toricover.cover import _STAGES, torus_area
 from toricover.lattice import cover_exponent, enumerate_hnf, scaled_identity
-from toricover.map_core import SlotRotations, _dart_projection, is_automorphism
+from toricover.map_core import MIN_COLUMN_CELLS, SlotRotations, _dart_projection, is_automorphism
 from toricover.tilings import full_point_group
 
 from helpers import (
+    LAZY_TABLES,
     NON_HERMITE_MATS,
     compose,
     crossed_reverses,
@@ -592,6 +593,56 @@ def test_a_wrong_entry_in_the_last_rep_block_falls_through_to_the_stages(table):
     assert not cover_module._projection_covers(y, x, wrong)
     report = verify_covering(y, x, wrong)
     assert not report.ok and report == staged_report(y, x, wrong)
+
+
+@pytest.mark.parametrize("table", ["edge_map", "face_map", "vertex_map"])
+@pytest.mark.parametrize("code", ["T4444", "T333333"])
+def test_a_wrong_entry_in_the_last_box_row_of_a_one_rep_cover_falls_through(code, table):
+    # A one-rep Y is read one row of its Smith box at a time, not as one
+    # block of the whole map.  One wrong entry in a late row's chunk (the
+    # last edge's is in the last row; the last face's, whose smallest dart
+    # is not there when the face wraps to row 0, in a row after the first)
+    # must make the pass refuse, and the stages give the report.
+    y, x, cert = cover_maps(spec_of(code, (2, 1, 0, 3)))
+    s1, row = y.coset_system.s1, y.coset_system.s2 * y.slot_degree  # row: darts per box row
+    assert y.n_vertices * y.slot_degree == s1 * row and s1 > 2
+    assert y.edge_dart[-1] >= (s1 - 1) * row and y.face_first[-1] >= row
+    entries = list(getattr(cert, table))
+    count = {"edge_map": x.n_edges, "face_map": x.n_faces, "vertex_map": x.n_vertices}[table]
+    entries[-1] = (entries[-1] + 1) % count
+    wrong = cert._replace(**{table: tuple(entries)})
+    assert not cover_module._projection_covers(y, x, wrong)
+    report = verify_covering(y, x, wrong)
+    assert not report.ok and report == staged_report(y, x, wrong)
+
+
+def test_a_one_rep_cover_is_read_by_box_rows(monkeypatch):
+    # Each chunk of T4444's Y at 52·I is one box row of 52 cells, so the
+    # pass's gathers are of about a row's size, not the whole map's: a row's
+    # darts at most (row 0 also holds the smaller darts of the edges that
+    # wrap from the last row).
+    y, x, cert = cover_maps(spec_of("T4444", (52, 0, 0, 52)))
+    sizes = []
+    gather = cover_module._gather
+    monkeypatch.setattr(cover_module, "_gather", lambda table, idx: sizes.append(len(idx)) or gather(table, idx))
+    assert cover_module._projection_covers(y, x, cert)
+    assert sizes and max(sizes) <= 52 * y.slot_degree
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_cover_and_verify_build_none_of_the_covers_lazy_tables(tid):
+    # cover_maps and verify_covering read Y's pool, reverse, edge and face
+    # numbers only, and X's pool in place of its tail and cw tables: on a
+    # fold > 1 cover none of Y's four lazy tables is built, nor X's tail and
+    # cw when X is lazy too.  The polyhedral claims are read at the anchors.
+    for mat in (SublatticeMat(1, 0, 0, 6), SublatticeMat(6, 0, 0, 12)):
+        y, x, cert = cover_maps(QuotientSpec(tid, mat))
+        assert cert.fold > 1 and y.coset_system.size() >= MIN_COLUMN_CELLS
+        assert verify_covering(y, x, cert).ok
+        assert not set(LAZY_TABLES) & vars(y).keys(), mat
+        if x.coset_system.size() >= MIN_COLUMN_CELLS:
+            assert not {"dart_vertex", "dart_cw"} & vars(x).keys(), mat
+    assert x.coset_system.size() >= MIN_COLUMN_CELLS
 
 
 def octagon_cover():

@@ -38,6 +38,7 @@ from toricover.lattice import enumerate_hnf
 from toricover.map_core import SlotRotations, VertexTypeSig, euler_characteristic, face_cycle, vertex_type
 
 from helpers import (
+    LAZY_TABLES,
     NON_HERMITE_MATS,
     are_isomorphic,
     face_vertices,
@@ -240,8 +241,8 @@ def test_flagmap_tables_match_per_dart_constructor_on_random_matrices(data):
 
 def test_build_quotient_retains_at_most_60_bytes_per_flag():
     # The tables share one int object per dart and keep each fact once,
-    # with no ccw table, no tuple per edge, face or vertex: about 39 bytes
-    # per flag on Python 3.11.
+    # with no ccw table, no tuple per edge, face or vertex: about 27 bytes
+    # per flag on Python 3.11, 39 with every per-dart table built.
     spec = QuotientSpec(parse_tiling("E7"), SublatticeMat(20, 0, 0, 20))
     build_quotient(spec)  # the template and its caches are not the map's
     gc.collect()
@@ -258,10 +259,11 @@ def test_build_quotient_retains_at_most_60_bytes_per_flag():
 def test_build_quotient_retains_at_most_45_bytes_per_flag():
     # The rotations are one SlotRotations, not a range per vertex, the
     # reverse table holds the pool's ints, sliced from it, and a face is
-    # its smallest dart and its size, with no stored walk: about 39 bytes
-    # per flag on Python 3.11 (40 when the coset system kept a
-    # representative per coset, 45 when every face's walk and its start were
-    # stored too), and 54 with a range per vertex.
+    # its smallest dart and its size, with no stored walk: about 27 bytes
+    # per flag on Python 3.11, with the tail, cw, edge and face tables left
+    # to their first read (39 with them built up front, 40 when the coset
+    # system kept a representative per coset, 45 when every face's walk and
+    # its start were stored too), and 54 with a range per vertex.
     spec = QuotientSpec(parse_tiling("E7"), SublatticeMat(20, 0, 0, 20))
     build_quotient(spec)  # the template and its caches are not the map's
     gc.collect()
@@ -278,9 +280,10 @@ def test_build_quotient_retains_at_most_45_bytes_per_flag():
 def test_build_quotient_peaks_at_most_75_bytes_per_flag():
     # FlagMap takes build_quotient's pool and reverse table, sliced from
     # it, keeps both without copying them and keeps no rotation per vertex
-    # and no face walk, so nothing per dart is made twice: about 44 bytes
-    # per flag at the peak on Python 3.11, 45 with a representative per
-    # coset, 50 when every face's walk was
+    # and no face walk, so nothing per dart is made twice: about 28 bytes
+    # per flag at the peak on Python 3.11 with the tail, cw, edge and face
+    # tables left to their first read, 44 with them built up front, 45 with
+    # a representative per coset, 50 when every face's walk was
     # stored, 52 with a second pool and faces traced dart by dart, 56 with
     # a copied reverse table too, and 102 with a per-dart head table as
     # well.
@@ -392,6 +395,15 @@ WRAP_MATS = [
 SAME_REP_TILINGS = {parse_tiling(code) for code in ("T4444", "T333333", "T33344")}
 
 
+def class_tables(ids: list[int], spec: QuotientSpec, faces: bool) -> tuple:
+    """(dart_of, firsts, sizes) of the slot-column builder: the numbers of
+    _class_numbers, moved into the per-dart table by _class_columns, as a
+    large quotient builds them, its per-dart table on first read."""
+    cs = build_quotient(spec).coset_system
+    firsts, sizes, numbers = map_core._class_numbers(ids, spec.tiling, cs, faces)
+    return map_core._class_columns(ids, spec.tiling, cs, numbers, faces), firsts, sizes
+
+
 def assert_face_columns_match_loop(spec: QuotientSpec) -> None:
     # The slot-column face builder against the dart-by-dart loop, called
     # directly, so MIN_COLUMN_CELLS hides no map from either.
@@ -401,7 +413,7 @@ def assert_face_columns_match_loop(spec: QuotientSpec) -> None:
     faces = ("dart_face_left", "face_first", "face_sizes")
     for built, tables in (
         (loop, map_core._faces(ids, m.dart_rev, m.dart_cw)),
-        (columns, map_core._class_columns(ids, spec.tiling, m.coset_system, faces=True)),
+        (columns, class_tables(ids, spec, faces=True)),
     ):
         # strict: a builder that returns fewer tables must not leave the
         # copied map's own in place.
@@ -420,7 +432,7 @@ def assert_edge_columns_match_loop(spec: QuotientSpec) -> None:
     m = build_quotient(spec)
     ids = list(range(m.n_darts))
     loop = map_core._edges(ids, m.dart_rev)
-    edge_of, edge_dart, sizes = map_core._class_columns(ids, spec.tiling, m.coset_system, faces=False)
+    edge_of, edge_dart, sizes = class_tables(ids, spec, faces=False)
     assert (edge_of, edge_dart) == loop == (m.dart_edge, m.edge_dart), spec
     assert sizes is None
     assert all(x is ids[x] for x in chain(edge_of, edge_dart)), spec
@@ -494,10 +506,14 @@ def test_columns_serve_the_large_quotients_of_every_tiling(tid, monkeypatch):
     # One size rule, MIN_COLUMN_CELLS, for both tables on every tiling: a
     # quotient of that many cells numbers its edges and faces by slot
     # columns and never calls the loops; smaller quotients and public maps
-    # keep the loops, and agree.
-    served, loops = [], Counter()
-    columns, edges, faces = map_core._class_columns, map_core._edges, map_core._faces
-    monkeypatch.setattr(map_core, "_class_columns", lambda *args, **kw: served.append(args[1]) or columns(*args, **kw))
+    # keep the loops, and agree.  The large quotient moves its numbers into
+    # dart_edge and dart_face_left when each is first read, once, with no
+    # second numbering.
+    served, filled, loops = [], [], Counter()
+    numbers, columns = map_core._class_numbers, map_core._class_columns
+    edges, faces = map_core._edges, map_core._faces
+    monkeypatch.setattr(map_core, "_class_numbers", lambda *args, **kw: served.append(args[1]) or numbers(*args, **kw))
+    monkeypatch.setattr(map_core, "_class_columns", lambda *args, **kw: filled.append(args[1]) or columns(*args, **kw))
     monkeypatch.setattr(map_core, "_edges", lambda *args: loops.update(["edges"]) or edges(*args))
     monkeypatch.setattr(map_core, "_faces", lambda *args: loops.update(["faces"]) or faces(*args))
     cells = map_core.MIN_COLUMN_CELLS
@@ -505,12 +521,94 @@ def test_columns_serve_the_large_quotients_of_every_tiling(tid, monkeypatch):
     assert served == [] and loops == {"edges": 1, "faces": 1}
     loops.clear()
     large = build_quotient(QuotientSpec(tid, SublatticeMat(1, 0, 0, cells)))
-    assert served == [tid, tid] and loops == Counter()
+    assert served == [tid, tid] and filled == [] and loops == Counter()
     public = FlagMap(large.dart_rev, SlotRotations(large.n_vertices, large.slot_degree), large.spec)
-    assert served == [tid, tid] and loops == {"edges": 1, "faces": 1}
-    for name in ("dart_edge", "edge_dart", "dart_face_left", "face_first", "face_sizes"):
+    assert served == [tid, tid] and filled == [] and loops == {"edges": 1, "faces": 1}
+    for name in ("dart_edge", "edge_dart", "dart_face_left", "face_first", "face_sizes", "dart_edge", "dart_face_left"):
         assert getattr(public, name) == getattr(large, name), name
+    assert served == filled == [tid, tid] and loops == {"edges": 1, "faces": 1}
     assert small.n_darts < large.n_darts
+
+
+def past_column_cells(mat: SublatticeMat) -> SublatticeMat:
+    """mat scaled by the least k with k²·|det| >= MIN_COLUMN_CELLS."""
+    k = 1
+    while k * k * mat.index() < map_core.MIN_COLUMN_CELLS:
+        k += 1
+    return SublatticeMat(*(k * e for e in mat.as_tuple()))
+
+
+def assert_lazy_tables_match_the_loops(spec: QuotientSpec, cw_first: bool) -> None:
+    # A large quotient builds none of its four per-dart tables up front; on
+    # first read each equals the table the small quotients' column and loop
+    # builders make from the same pool, and holds the pool's own ints.  The
+    # tail and cw tables are filled together, whichever is read first.
+    m = build_quotient(spec)
+    assert m.coset_system.size() >= map_core.MIN_COLUMN_CELLS, spec
+    assert not set(LAZY_TABLES) & vars(m).keys(), spec
+    ids, rev = m._ids, m.dart_rev
+    tail, cw = map_core._slot_columns(ids, m.n_vertices, m.slot_degree)
+    dart_edge, edge_dart = map_core._edges(ids, rev)
+    dart_face_left, face_first, face_sizes = map_core._faces(ids, rev, cw)
+    assert (m.edge_dart, m.face_first, m.face_sizes) == (edge_dart, face_first, face_sizes), spec
+    m.dart_cw if cw_first else m.dart_vertex
+    assert {"dart_vertex", "dart_cw"} <= vars(m).keys(), spec
+    for name, want in zip(LAZY_TABLES, (tail, cw, dart_edge, dart_face_left)):
+        table = getattr(m, name)
+        assert table == want, (spec, name)
+        assert all(x is ids[x] for x in table), (spec, name)
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_lazy_tables_match_the_loops_on_scaled_hermite_forms(tid):
+    for mat in enumerate_hnf(12):
+        assert_lazy_tables_match_the_loops(QuotientSpec(tid, past_column_cells(mat)), cw_first=mat.a % 2 == 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lazy_tables_match_the_loops_on_random_matrices(data):
+    tid = data.draw(st.sampled_from(list(TilingId)))
+    tpl = template(tid)
+    cell_flags = 2 * tpl.degree * tpl.rep_count
+    entries = data.draw(
+        st.tuples(*[st.integers(min_value=-12, max_value=12)] * 4).filter(
+            lambda t: map_core.MIN_COLUMN_CELLS <= abs(t[0] * t[3] - t[1] * t[2]) and
+            abs(t[0] * t[3] - t[1] * t[2]) * cell_flags <= 12_000
+        )
+    )
+    assert_lazy_tables_match_the_loops(QuotientSpec(tid, SublatticeMat(*entries)), data.draw(st.booleans()))
+
+
+# Quotients of at least MIN_COLUMN_CELLS cells that are not polyhedral on
+# some tilings: thin tori, one or two cells across, whose faces meet
+# themselves or each other around the short way.
+THIN_MATS = [SublatticeMat(1, 0, 0, 40), SublatticeMat(1, 0, 0, 36), SublatticeMat(2, 1, 0, 20), SublatticeMat(2, 0, 0, 18)]
+
+
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_lazy_maps_decide_polyhedrality_and_type_as_their_eager_twins(tid, monkeypatch):
+    # A large quotient reads its anchors' faces, edges and tails off its
+    # layout and builds no per-dart table for is_polyhedral (its `ok` and
+    # its full list of violations), is_semi_equivelar or face_cycle, which
+    # keeps the rotation's order; its eager twin, built with
+    # MIN_COLUMN_CELLS out of reach, reads its tables.  Both agree, on
+    # polyhedral maps and on maps that are not.
+    specs = [QuotientSpec(tid, mat) for mat in (*map(past_column_cells, enumerate_hnf(6)), *THIN_MATS)]
+    lazy = [build_quotient(spec) for spec in specs]
+    monkeypatch.setattr(map_core, "MIN_COLUMN_CELLS", 10**9)
+    outcomes = set()
+    for spec, m in zip(specs, lazy):
+        twin = build_quotient(spec)
+        assert set(LAZY_TABLES) <= vars(twin).keys()
+        report, want = is_polyhedral(m), is_polyhedral(twin)
+        assert (report.ok, report.violations) == (want.ok, want.violations), spec
+        assert is_semi_equivelar(m) == is_semi_equivelar(twin), spec
+        anchors = map_core._anchors(m)
+        assert [face_cycle(m, v) for v in anchors] == [face_cycle(twin, v) for v in anchors], spec
+        assert not set(LAZY_TABLES) & vars(m).keys(), spec
+        outcomes.add(report.ok)
+    assert outcomes == {True, False}, tid
 
 
 def assert_general_layout_matches_declared(spec: QuotientSpec) -> None:
@@ -725,6 +823,23 @@ def test_rep_blocks_are_each_reps_darts():
             assert len(tails) == blocks.step and {v // ncos for v in tails} == {r}, m.spec
     loop = from_faces([[0, 1, 2], [0, 2, 1]])
     assert map_core._rep_blocks(loop) == range(0, loop.n_darts, loop.n_darts)
+
+
+def test_read_blocks_cut_a_one_rep_map_into_box_rows():
+    # A map of one rep is read one row of its Smith box at a time: block i
+    # holds the darts of the vertices (0, c) whose cells c are row i.
+    # Maps of several reps keep their rep blocks.
+    for m in hermite_maps(12):
+        blocks, cs = map_core._read_blocks(m), m.coset_system
+        if len(map_core._rep_blocks(m)) > 1:
+            assert blocks == map_core._rep_blocks(m), m.spec
+            continue
+        assert len(blocks) == cs.s1, m.spec
+        for i, start in enumerate(blocks):
+            tails = m.dart_vertex[start : start + blocks.step]
+            assert set(tails) == set(range(i * cs.s2, (i + 1) * cs.s2)), m.spec
+    loop = from_faces([[0, 1, 2], [0, 2, 1]])
+    assert map_core._read_blocks(loop) == range(0, loop.n_darts, loop.n_darts)
 
 
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
