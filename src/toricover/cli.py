@@ -27,7 +27,6 @@ from .cover import (
     VerifyReport,
     certificate_from_dict,
     cover_maps,
-    quotient_pair,
     verify_covering,
 )
 from .lattice import SublatticeMat, cover_exponent, random_nonsingular
@@ -233,7 +232,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError(f"malformed certificate: {exc}") from exc
     cert = _verify_input(data)
     del data  # the parsed lists go before the maps are built; cert's tuples keep the ints
-    y, x = quotient_pair(cert.tiling, cert.base_mat, cert.cover_mat)
+    x = build_quotient(QuotientSpec(cert.tiling, cert.base_mat))
+    # Each map whose entries all index X's pool is swapped for the pool's
+    # ints of the same values, so the parsed ints are freed before Y is
+    # built and every check reads what it would have read.  Any other map
+    # stays as parsed, for the stages to reject: an entry past either end
+    # of the pool raises IndexError, and a negative one −j within it reads
+    # the pool's nd − j, nd more, so the sums differ by nd per such entry.
+    ids = x._ids
+    for key in ("vertex_map", "edge_map", "face_map"):
+        table = getattr(cert, key)
+        try:
+            pooled = _gather(ids, table)
+        except IndexError:
+            continue
+        if sum(pooled) == sum(table):
+            cert = cert._replace(**{key: pooled})
+        del table, pooled
+    # As quotient_pair: when M is m·I (fold 1) Y is X, built once.
+    y = x if cert.cover_mat == cert.base_mat else build_quotient(QuotientSpec(cert.tiling, cert.cover_mat))
     report = verify_covering(y, x, cert)
     _emit(
         args,

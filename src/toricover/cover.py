@@ -14,8 +14,8 @@ Y's vertices, which is what makes the cover vertex-transitive.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
+from operator import countOf
 from typing import NamedTuple
 
 from .lattice import (
@@ -26,7 +26,7 @@ from .lattice import (
     is_scaled_identity,
     scaled_identity,
 )
-from .map_core import FlagMap, QuotientSpec, _dart_projection, _gather, _read_blocks, _translation_maps
+from .map_core import FlagMap, QuotientSpec, _box_shift, _dart_projection, _gather, _number_columns, _translation_maps
 from .map_core import _vertex_projection, build_quotient, is_automorphism
 from .tilings import PointGroupElem, TilingId, dihedral, parse_tiling, template
 
@@ -70,7 +70,7 @@ def _typed(value, kind: type, field: str):
 
 
 def _int_list(value, field: str) -> tuple[int, ...]:
-    if type(value) is not list or not set(map(type, value)) <= {int}:
+    if type(value) is not list or countOf(map(type, value), int) != len(value):
         raise ValueError(f"{field} must be a list of integers")
     return tuple(value)
 
@@ -221,7 +221,7 @@ def verify_covering(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> VerifyRep
     faces.
 
     After the arithmetic, one accept-only pass (`_projection_covers`)
-    reads each certificate table once, one Y rep block at a time.  When it
+    reads each certificate table once, one template class at a time.  When it
     succeeds, every other stage passes, and the report says so; only when
     it fails do the five stages run one by one, so every failing verdict,
     message and list of stages passed is theirs.  The stages run edge by
@@ -297,35 +297,43 @@ def verify_covering(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> VerifyRep
 
 def _projection_covers(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> bool:
     """Whether the certificate's tables are those of a covering, decided
-    by the dart projection (`_dart_projection`); False says only that the
-    stages must decide.  The tables are read one Y rep block at a time
-    (`_read_blocks`: one row of the Smith box at a time when Y has one
-    rep, the whole map when it has no coset system), each equation by
-    C-level gathers (`_gather`) compared as tuples: edges and faces are
-    numbered by their smallest dart, so those of one block are a
-    contiguous range, found by bisection, and each block's transient
-    tuples are of its size.
+    by the dart projection of the vertex map, dart (v, k) to dart
+    (vm[v], k) (`_dart_projection`); False says only that the stages must
+    decide.  No dart map is built: Y is build_quotient's T/(m·I), a
+    template edge or face class moved by each coset c of its Smith box,
+    so each equation is read once per class, over the cosets, by C-level
+    gathers (`_gather`) of one class column each, compared as tuples.
 
-    It needs both maps in build_quotient's layout with one degree deg
-    (`slot_degree`), so that the projection commutes with cw.  Then:
-    the three table lengths; the vertex map in range (a negative entry
-    would index from the end); Y with n times X's darts; the projection
-    commuting with rev, compared at each Y edge's smaller dart d only
-    (both reverses are involutions, so the equation at d gives it at
-    rev d); the edge map equal to the induced one, each Y edge to the
-    edge of its smaller dart's image; the face map equal to the induced
-    one, read at each Y face's first dart; and equal face sizes (read
-    once a block's face map is X's own face numbers, so in range) and
-    true polyhedral claims.
+    It needs Y from build_quotient (a coset system) and X in its layout
+    with the same degree deg (`slot_degree`), so that the projection
+    commutes with cw.  X's dart (u, k) is the int of X's pool column k
+    at u, so the images of Y's darts (r, c, k) over c are that column
+    gathered at the vertex map's block of rep r.  Then: the three table
+    lengths; the vertex map in range (a negative entry would index from
+    the end); Y with n times X's darts; for each template edge (r, k) ->
+    (s, k2) with box offset o, whose darts (r, c, k) and (s, c + o, k2)
+    are the Y edge (class, c), the projection commuting with rev there,
+    X's pool column k2 at the vertex map's block of rep s turned by o
+    (`_box_shift`) equal to X's reverses of the images of (r, c, k)
+    (both reverses are involutions, so the equation at one dart of an
+    edge gives it at the other); the edge map, read at the class's number
+    column (`_number_columns`), equal to X's edges of those images; for
+    each face class, at the darts (r, c, k) of its position (r, (0, 0), k)
+    at its least rep r, the face map, read at its number column, equal to
+    X's faces of those darts' images, which are then X's own face numbers,
+    so in range, each of the class's size; and true polyhedral claims.
 
-    That is every stage after the arithmetic.  The edge and face maps
-    are in range because they equal X's own tables.  A dart map that
-    commutes with cw and rev sends the preimages of an X dart d one to
-    one onto those of cw d and of rev d, so on a connected X every dart
-    has the same number of preimages, n by the dart count: each X
-    vertex, edge (its two darts) and face (its darts, over Y faces of
-    its size) then has n.  The projection sends every Y dart's edge and
-    face where the edge and face maps say, so each Y edge's ends map
+    That is every stage after the arithmetic.  Every Y edge and face is
+    one (class, c), so each is read once, and the edge and face maps are
+    in range because they equal X's own tables.  A dart map that commutes
+    with cw and rev commutes with the face walk d -> cw(rev(d)), so it
+    sends every dart of a Y face into the X face of one of them, and both
+    darts of a Y edge into one X edge.  It sends the preimages of an X
+    dart d one to one onto those of cw d and of rev d, so on a connected
+    X every dart has the same number of preimages, n by the dart count:
+    each X vertex, edge (its two darts) and face (its darts, over Y faces
+    of its size) then has n.  The projection sends every Y dart's edge
+    and face where the edge and face maps say, so each Y edge's ends map
     onto its image's, and every Y-vertex's cycle is its image's, slot by
     slot.
 
@@ -334,10 +342,10 @@ def _projection_covers(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> bool:
     proves connected once per tiling (its darts join every rep and its
     closed walks' offsets span Z²), so FlagMap runs no union-find on it;
     any other map has passed that union-find in its constructor."""
-    deg = y.slot_degree
+    deg, cs = y.slot_degree, y.coset_system
     vm, em, fm = cert.vertex_map, cert.edge_map, cert.face_map
     if (
-        deg is None
+        cs is None
         or deg != x.slot_degree
         or (len(vm), len(em), len(fm)) != (y.n_vertices, y.n_edges, y.n_faces)
         or min(vm) < 0
@@ -345,25 +353,29 @@ def _projection_covers(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> bool:
         or y.n_darts != cert.fold * x.n_darts
     ):
         return False
-    dmap = _dart_projection(y, x, vm, (range(deg),))
-    yrev, yedge, yfirst, ysizes = y.dart_rev, y.edge_dart, y.face_first, y.face_sizes
+    s1, s2, ncos = cs.s1, cs.s2, cs.size()
+    # Y's number columns first: at fold 1 X is Y, and reading X's edge and
+    # face tables below drops a lazy map's columns.
+    edges, faces = _number_columns(y, faces=False), _number_columns(y, faces=True)
+    pool = [x._ids[k::deg] for k in range(deg)]
     xrev, xedge, xface, xsizes = x.dart_rev, x.dart_edge, x.dart_face_left, x.face_sizes
-    blocks = _read_blocks(y)
-    e0 = f0 = 0
-    for start in blocks:
-        stop = start + blocks.step
-        e1, f1 = bisect_left(yedge, stop, e0), bisect_left(yfirst, stop, f0)
-        ds = yedge[e0:e1]
-        images = _gather(dmap, ds)
-        faces = fm[f0:f1]
-        if not (
-            _gather(dmap, _gather(yrev, ds)) == _gather(xrev, images)
-            and _gather(xedge, images) == em[e0:e1]
-            and _gather(xface, _gather(dmap, yfirst[f0:f1])) == faces
-            and _gather(xsizes, faces) == ysizes[f0:f1]
-        ):
+
+    def images(r: int, k: int) -> tuple:  # X's darts of Y's darts (r, c, k), over c
+        return _gather(pool[k], vm[r * ncos : (r + 1) * ncos])
+
+    def read(table, column) -> tuple:  # table at the numbers of (class, c), over c
+        src, first, step = column
+        return _gather(table, src[first : first + step * ncos : step])
+
+    for ((r, _, _), (s, offset, k2)), k, column in edges:
+        ds = images(r, k)
+        turned = _box_shift(list(vm[s * ncos : (s + 1) * ncos]), 0, 1, s1, s2, *cs.box_coords(offset))
+        if _gather(xrev, ds) != _gather(pool[k2], turned) or _gather(xedge, ds) != read(em, column):
             return False
-        e0, f0 = e1, f1
+    for walk, k, column in faces:
+        left = _gather(xface, images(walk[0][0], k))
+        if left != read(fm, column) or countOf(_gather(xsizes, left), len(walk)) != ncos:
+            return False
     return cert.base_polyhedral == x.polyhedral and cert.cover_polyhedral == y.polyhedral
 
 

@@ -33,11 +33,12 @@ A quotient of at least MIN_COLUMN_CELLS cells (a lazy map) keeps its
 pool and builds the reverse table, edge_dart, face_first and face_sizes
 up front, and dart_vertex with dart_cw, dart_edge and dart_face_left by
 the same column code on first read.  A cover and its check read none of
-those four on Y (fold > 1): the projection pair reads X's pool, and
-is_polyhedral and is_semi_equivelar read the layout (`_neighbourhood`,
-`face_cycle`).  The orbit scan, `descend`, `is_automorphism` and
-verify's fallback stages build them.  Every other map builds every
-table in its constructor.
+those four on Y (fold > 1): the projection pair reads X's pool, the
+check's accept-only pass Y's class number columns (`_number_columns`),
+and is_polyhedral and is_semi_equivelar read the layout
+(`_neighbourhood`, `face_cycle`).  The orbit scan, `descend`,
+`is_automorphism` and verify's fallback stages build them.  Every other
+map builds every table in its constructor.
 
 The rotations come in one of two layouts.  build_quotient declares
 its own, vertex v's rotation being darts v·deg … v·deg+deg−1 in order,
@@ -94,9 +95,10 @@ from .tilings import TilingId, dihedral, face_classes, template
 # first read (tracemalloc, E7 at 20·I to 150·I; 39 and 44 with those
 # tables built).  Over `info E7`, in the peak RSS of a fresh process (E7 at
 # 150·I, 1.62 M flags, Python 3.11.7, 2 cores), `cover --out` peaks at
-# about 48 bytes per flag, `analyze` (the orbit scan, which builds every
-# table) at 53, and `verify` of that cover's certificate, still the
-# heaviest command per flag, at 62: about 236 MiB at this limit.
+# about 45 bytes per flag, `verify` of that cover's certificate at 50
+# (its maps hold X's own ints), and `analyze` (the orbit scan, which
+# builds every table), the heaviest command per flag, at 53: about
+# 203 MiB at this limit.
 MAX_FLAGS = 4_000_000
 
 # The least translation cells for which FlagMap numbers a quotient's edges
@@ -272,10 +274,6 @@ class FlagMap:
     @property
     def n_flags(self) -> int:
         return 2 * self.n_darts
-
-    def edge_endpoints(self, e: int) -> tuple[int, int]:
-        d = self.edge_dart[e]
-        return self.dart_vertex[d], self.dart_vertex[self.dart_rev[d]]
 
     def face_walk(self, f: int) -> list[int]:
         """The darts of face f in walk order, traced from its smallest."""
@@ -589,6 +587,28 @@ def _class_columns(ids: list[int], tiling: TilingId, cs: CosetSystem, numbers: l
     return dart_of
 
 
+def _number_columns(m: FlagMap, faces: bool) -> list[tuple[tuple, int, tuple[list[int], int, int]]]:
+    """(walk, k, column) for each class of `_class_groups` of a map from
+    build_quotient, faces if faces, else edges, in that order: the class's
+    walk, the slot k of its position (r, (0, 0), k) at its least rep r, and
+    its number column (src, first, step), object (class, c) being number
+    src[first + step·c].  Dart (r, c, k) is on object (class, c), so the
+    column is the (r, k) column of dart_face_left, or of dart_edge, once
+    that table is built; until then a lazy map's column is the one
+    `_class_numbers` made, and the table is not built."""
+    groups, _ = _class_groups(m.spec.tiling, faces)
+    numbers = vars(m).get("_face_numbers" if faces else "_edge_numbers")
+    if numbers is None:
+        table, deg = m.dart_face_left if faces else m.dart_edge, m.slot_degree
+        block = m.coset_system.size() * deg
+    out = []
+    for r, walks, at_r in groups:
+        for walk, positions in zip(walks, at_r):
+            k = next(slot for offset, slot in positions if offset == (0, 0))
+            out.append((walk, k, numbers[len(out)] if numbers is not None else (table, r * block + k, deg)))
+    return out
+
+
 def build_quotient(spec: QuotientSpec) -> FlagMap:
     """The quotient of the tiling by the row lattice of spec.mat.
 
@@ -642,17 +662,6 @@ def _rep_blocks(m: FlagMap) -> range:
     block of all its darts."""
     cs = m.coset_system
     return range(0, m.n_darts, m.n_darts if cs is None else cs.size() * m.slot_degree)
-
-
-def _read_blocks(m: FlagMap) -> range:
-    """_rep_blocks, except that a map of one rep, whose block is the whole
-    map, is cut into the rows of its Smith box (s2 vertices, so s2·deg
-    darts, each), so that a reader of one block at a time holds a row's
-    worth, not the map's."""
-    blocks = _rep_blocks(m)
-    if len(blocks) == 1 and m.coset_system is not None:
-        return range(0, m.n_darts, m.coset_system.s2 * m.slot_degree)
-    return blocks
 
 
 def _gather(table, idx) -> tuple:

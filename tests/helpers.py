@@ -106,6 +106,12 @@ def crossed_reverses(x: FlagMap) -> list[int]:
     return rev
 
 
+def edge_endpoints(m: FlagMap, e: int) -> tuple[int, int]:
+    """The tails of edge e's smaller dart and of its reverse."""
+    d = m.edge_dart[e]
+    return m.dart_vertex[d], m.dart_vertex[m.dart_rev[d]]
+
+
 def face_vertices(m: FlagMap, f: int) -> tuple[int, ...]:
     """The tails of face f's darts, in walk order from its smallest."""
     return tuple(map(m.dart_vertex.__getitem__, m.face_walk(f)))
@@ -300,8 +306,8 @@ def reference_adjacency(y: FlagMap, x: FlagMap, cert: CoverCertificate) -> str |
     that stage."""
     vm, em = cert.vertex_map, cert.edge_map
     for e in range(y.n_edges):
-        u, w = y.edge_endpoints(e)
-        xu, xw = x.edge_endpoints(em[e])
+        u, w = edge_endpoints(y, e)
+        xu, xw = edge_endpoints(x, em[e])
         if sorted((vm[u], vm[w])) != sorted((xu, xw)):
             return f"adjacency: edge {e} endpoints map to non-endpoints"
     return None
@@ -380,7 +386,7 @@ _MAX_VIOLATIONS = 20
 def _edge_key(m: FlagMap, e: int) -> tuple[int, int] | None:
     """The sorted endpoints of edge e, or None if e is a loop; two
     edges with one key are parallel."""
-    u, w = m.edge_endpoints(e)
+    u, w = edge_endpoints(m, e)
     if u == w:
         return None
     return (u, w) if u < w else (w, u)
@@ -402,7 +408,7 @@ def _faces_meet_properly(m: FlagMap, vf, ef, vg, eg) -> bool:
         return len(vf & vg) <= 1
     if len(shared_e) == 1:
         (e,) = shared_e
-        return vf & vg == set(m.edge_endpoints(e))
+        return vf & vg == set(edge_endpoints(m, e))
     return False
 
 

@@ -20,6 +20,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import Counter
 from pathlib import Path
@@ -31,7 +32,7 @@ from hypothesis import strategies as st
 from referencing import Registry, Resource
 
 from toricover import SublatticeMat, build_quotient, certificate_from_dict, cli, lattice, map_core, render, symmetry, tilings
-from toricover.cover import _STAGES, CERTIFICATE_KEYS, VerifyReport
+from toricover.cover import _STAGES, CERTIFICATE_KEYS, VerifyReport, quotient_pair, verify_covering
 from toricover.cli import COVER_DOCUMENT_KEYS, main
 from toricover.lattice import cosets
 
@@ -749,12 +750,94 @@ def test_verify_builds_each_distinct_quotient_once(tmp_path, monkeypatch, capsys
         pairs.append((y, x))
         return real_verify(y, x, cert)
 
-    monkeypatch.setattr("toricover.cover.build_quotient", counted)
+    monkeypatch.setattr("toricover.cli.build_quotient", counted)
     monkeypatch.setattr("toricover.cli.verify_covering", spy)
     assert main(["verify", path]) == 0
     assert len(built) == builds
     ((y, x),) = pairs
     assert (y is x) == (builds == 1)
+
+
+def traced_verify(path: str) -> tuple[int, int]:
+    """(exit status, tracemalloc peak in bytes) of `verify path`."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code = main(["verify", path])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    return code, peak
+
+
+def test_verify_peaks_at_most_40_bytes_per_flag_of_y(tmp_path, capsys):
+    # verify swaps the certificate's parsed ints for X's own before Y is
+    # built, and its accept-only pass builds no dart map: on this E7 cover
+    # (Y at 52·I, 194,688 flags, fold 26) it peaks at 33.5 bytes per flag
+    # of Y on Python 3.11, against 50.2 with the parsed ints kept and a
+    # dart map built.
+    path = str(tmp_path / "e7.json")
+    assert main(["cover", "E7", "4", "10", "-8", "6", "--out", path]) == 0
+    with open(path) as fh:
+        flags = 4 * len(json.load(fh)["certificate"]["edge_map"])  # two darts per edge, two flags per dart
+    code, peak = traced_verify(path)
+    assert code == 0 and peak <= 40 * flags, peak / flags
+
+
+def verify_spied(monkeypatch, path: str) -> tuple[int, list]:
+    """(exit status of `verify path`, the (y, x, certificate) that
+    verify_covering was given)."""
+    calls = []
+
+    def spy(y, x, cert):
+        calls.append((y, x, cert))
+        return verify_covering(y, x, cert)
+
+    monkeypatch.setattr("toricover.cli.verify_covering", spy)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["verify", path])
+    return code, calls
+
+
+@pytest.mark.parametrize("spec", [["T4444", "20", "0", "0", "20"], ["E2", "12", "0", "0", "6"]], ids=["fold 1", "fold 2"])
+def test_verify_checks_a_certificate_of_xs_own_ints(tmp_path, monkeypatch, capsys, spec):
+    # Every entry of each map is X's pool int of its value, not a parsed
+    # copy.  X has more than 256 vertices and faces, so entries past the
+    # small-int cache, which are objects of their own, are in every map.
+    path = str(tmp_path / "cert.json")
+    assert main(["cover", *spec, "--out", path]) == 0
+    code, ((_, x, cert),) = verify_spied(monkeypatch, path)
+    assert code == 0 and min(x.n_vertices, x.n_faces) > 256
+    for table in (cert.vertex_map, cert.edge_map, cert.face_map):
+        assert max(table) > 256 and all(v is x._ids[v] for v in table)
+
+
+@pytest.mark.parametrize("table", ["vertex_map", "edge_map", "face_map"])
+def test_verify_leaves_a_map_with_an_entry_outside_xs_pool_as_parsed(tmp_path, monkeypatch, capsys, table):
+    # A negative entry (one that would read from the pool's end, one that
+    # would read past its start) or one past the pool: that map stays as
+    # parsed, the others are swapped, and the report is the one that the
+    # parsed certificate gets from freshly built maps.
+    path = tmp_path / "cert.json"
+    assert main(["cover", "E2", "12", "0", "0", "6", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    nd = build_quotient(map_core.QuotientSpec(tilings.parse_tiling("E2"), SublatticeMat(12, 0, 0, 6))).n_darts
+    for bad in (-1, -nd, -nd - 1, nd, 10**30):
+        entries = list(doc["certificate"][table])
+        entries[-1] = bad
+        path.write_text(json.dumps({**doc["certificate"], table: entries}))
+        parsed = certificate_from_dict(json.loads(path.read_text()))
+        want = verify_covering(*quotient_pair(parsed.tiling, parsed.base_mat, parsed.cover_mat), parsed)
+        code, ((_, x, cert),) = verify_spied(monkeypatch, str(path))
+        assert code == 1
+        assert getattr(cert, table) == tuple(entries), bad
+        assert any(v is not x._ids[v] for v in getattr(cert, table)[:-1] if v > 256), bad
+        for other in {"vertex_map", "edge_map", "face_map"} - {table}:
+            assert all(v is x._ids[v] for v in getattr(cert, other)), (bad, other)
+        code, report = run_json(capsys, ["verify", str(path)])
+        assert (code, report["verified"]) == (1, want.as_dict()), bad
+        assert want.failure == "shape: " + table.replace("_map", "") + "_map has out-of-range entries", bad
 
 
 def test_batch_rejects_negative_vt_flag_cap(capsys):

@@ -42,6 +42,7 @@ from helpers import (
     NON_HERMITE_MATS,
     compose,
     crossed_reverses,
+    edge_endpoints,
     inverse,
     is_identity,
     order,
@@ -308,7 +309,7 @@ def test_verify_rejects_broken_rotation_order():
     seen: dict[tuple[int, int], int] = {}
     pair = None
     for e in range(x.n_edges):
-        key = tuple(sorted(x.edge_endpoints(e)))
+        key = tuple(sorted(edge_endpoints(x, e)))
         if key in seen:
             pair = (seen[key], e)
             break
@@ -363,8 +364,8 @@ def test_verify_checks_every_preimage_against_its_dihedral_set():
         for e in (y.dart_edge[d] for d in y.vertex_darts[v])
         for f in (y.dart_edge[d] for d in y.vertex_darts[v])
         if em[e] != em[f]
-        and sorted(x.edge_endpoints(em[e])) == sorted(x.edge_endpoints(em[f]))
-        and set(y.edge_endpoints(e)) | set(y.edge_endpoints(f)) <= late
+        and sorted(edge_endpoints(x, em[e])) == sorted(edge_endpoints(x, em[f]))
+        and set(edge_endpoints(y, e)) | set(edge_endpoints(y, f)) <= late
     )
     e, f = swap
     em[e], em[f] = em[f], em[e]
@@ -483,7 +484,7 @@ def draw_mutated(data, swap_vertices: bool = False):
     # Swaps that keep every earlier stage: the images of two Y-edges whose
     # images have the same ends, and of two Y-faces whose images have the
     # same size.
-    x_ends = [sorted(x.edge_endpoints(e)) for e in range(x.n_edges)]
+    x_ends = [sorted(edge_endpoints(x, e)) for e in range(x.n_edges)]
     for _ in range(data.draw(st.integers(0, 3))):
         e = data.draw(st.integers(0, y.n_edges - 1))
         mates = [f for f in range(y.n_edges) if em[f] != em[e] and x_ends[em[f]] == x_ends[em[e]]]
@@ -556,31 +557,36 @@ def test_the_pass_changes_no_report_on_mutated_maps(data):
 
 def rep_chunk_sizes(y) -> list[int]:
     """How many edges and faces have their smallest dart in each rep
-    block of Y: the chunks the accept-only pass gathers at once."""
+    block of Y."""
     block = y.coset_system.size() * y.slot_degree
     reps = range(y.n_darts // block)
     return [sum(d // block == r for d in table) for table in (y.edge_dart, y.face_first) for r in reps]
 
 
-def test_the_pass_gathers_chunks_of_one_entry_and_none():
-    # At 1·I and 2·I a rep block has few darts, so some chunks hold one
-    # entry, where itemgetter would return a bare item, or none, where it
-    # would raise; E7 at 1·I has a rep with no forward edge.
-    sizes = set()
+def recorded_gathers(monkeypatch) -> list[int]:
+    """The length of every index list the accept-only pass gathers at,
+    appended as it runs."""
+    sizes = []
+    gather = cover_module._gather
+    monkeypatch.setattr(cover_module, "_gather", lambda table, idx: sizes.append(len(idx)) or gather(table, idx))
+    return sizes
+
+
+def test_the_pass_gathers_columns_of_one_entry(monkeypatch):
+    # At 1·I Y has one coset, so every class column holds one entry, where
+    # itemgetter would return a bare item, not a tuple.
+    sizes = recorded_gathers(monkeypatch)
     for tid in TilingId:
         for k in (1, 2):
             y, x, cert = cover_maps(QuotientSpec(tid, scaled_identity(k)))
             assert cover_module._projection_covers(y, x, cert), (tid, k)
-            sizes.update(rep_chunk_sizes(y))
-    assert {0, 1} <= sizes
-    y, _, _ = cover_maps(spec_of("E7", (1, 0, 0, 1)))
-    assert 0 in rep_chunk_sizes(y)[:12]
+    assert 1 in sizes
 
 
 @pytest.mark.parametrize("table", ["edge_map", "vertex_map"])
 def test_a_wrong_entry_in_the_last_rep_block_falls_through_to_the_stages(table):
     # T33344 has two reps and edges within the last one, so its last rep
-    # block has an edge chunk; Y has 36 cells.  One wrong entry there, in
+    # has edges of its own; Y has 36 cells.  One wrong entry there, in
     # the last edge's image or the last Y-vertex's, must make the pass
     # refuse, and the stages give the report.
     y, x, cert = cover_maps(spec_of("T33344", (2, 1, 0, 3)))
@@ -598,11 +604,10 @@ def test_a_wrong_entry_in_the_last_rep_block_falls_through_to_the_stages(table):
 @pytest.mark.parametrize("table", ["edge_map", "face_map", "vertex_map"])
 @pytest.mark.parametrize("code", ["T4444", "T333333"])
 def test_a_wrong_entry_in_the_last_box_row_of_a_one_rep_cover_falls_through(code, table):
-    # A one-rep Y is read one row of its Smith box at a time, not as one
-    # block of the whole map.  One wrong entry in a late row's chunk (the
-    # last edge's is in the last row; the last face's, whose smallest dart
-    # is not there when the face wraps to row 0, in a row after the first)
-    # must make the pass refuse, and the stages give the report.
+    # One wrong entry in a late row of a one-rep Y's Smith box (the last
+    # edge's is in the last row; the last face's, whose smallest dart is not
+    # there when the face wraps to row 0, in a row after the first) must
+    # make the pass refuse, and the stages give the report.
     y, x, cert = cover_maps(spec_of(code, (2, 1, 0, 3)))
     s1, row = y.coset_system.s1, y.coset_system.s2 * y.slot_degree  # row: darts per box row
     assert y.n_vertices * y.slot_degree == s1 * row and s1 > 2
@@ -616,17 +621,41 @@ def test_a_wrong_entry_in_the_last_box_row_of_a_one_rep_cover_falls_through(code
     assert not report.ok and report == staged_report(y, x, wrong)
 
 
-def test_a_one_rep_cover_is_read_by_box_rows(monkeypatch):
-    # Each chunk of T4444's Y at 52·I is one box row of 52 cells, so the
-    # pass's gathers are of about a row's size, not the whole map's: a row's
-    # darts at most (row 0 also holds the smaller darts of the edges that
-    # wrap from the last row).
-    y, x, cert = cover_maps(spec_of("T4444", (52, 0, 0, 52)))
-    sizes = []
-    gather = cover_module._gather
-    monkeypatch.setattr(cover_module, "_gather", lambda table, idx: sizes.append(len(idx)) or gather(table, idx))
+@pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
+def test_a_wrong_last_entry_of_each_table_falls_through_on_every_tiling(tid):
+    # Y eager (under MIN_COLUMN_CELLS cells) and lazy, at fold 1 (Y is X)
+    # and fold > 1.  One wrong last entry in any table must make the pass
+    # refuse and the stages give the report: first while a lazy Y's number
+    # columns are its class columns, then, with its edge and face tables
+    # built, while they are slices of those.
+    for mat, cells, fold in (((3, 0, 0, 3), 9, 1), ((6, 0, 0, 6), 36, 1), ((1, 0, 0, 2), 4, 2), ((2, 1, 0, 3), 36, 6)):
+        for table in ("vertex_map", "edge_map", "face_map"):
+            _, _, cert = cover_maps(QuotientSpec(tid, SublatticeMat(*mat)))
+            y, x = cover_module.quotient_pair(tid, cert.base_mat, cert.cover_mat)  # as verify builds them
+            assert (y.coset_system.size(), cert.fold) == (cells, fold)
+            count = {"vertex_map": x.n_vertices, "edge_map": x.n_edges, "face_map": x.n_faces}[table]
+            entries = list(getattr(cert, table))
+            entries[-1] = (entries[-1] + 1) % count
+            wrong = cert._replace(**{table: tuple(entries)})
+            assert wrong != cert
+            for built in (False, True):
+                assert ("dart_edge" in vars(y)) == (built or cells < MIN_COLUMN_CELLS), (mat, table)
+                assert not cover_module._projection_covers(y, x, wrong), (mat, table)
+                report = verify_covering(y, x, wrong)
+                assert not report.ok and report == staged_report(y, x, wrong), (mat, table)
+                y.dart_edge, y.dart_face_left
+            assert cover_module._projection_covers(y, x, cert), (mat, table)
+
+
+@pytest.mark.parametrize("code, mat", [("T4444", (52, 0, 0, 52)), ("E7", (4, 10, -8, 6))], ids=["fold 1", "fold 26"])
+def test_no_gather_of_the_pass_is_longer_than_one_class_column(monkeypatch, code, mat):
+    # The pass reads each equation once per template class, over Y's
+    # cosets, so it gathers at most Y's coset count at once, not a rep
+    # block or the whole map.
+    y, x, cert = cover_maps(spec_of(code, mat))
+    sizes = recorded_gathers(monkeypatch)
     assert cover_module._projection_covers(y, x, cert)
-    assert sizes and max(sizes) <= 52 * y.slot_degree
+    assert sizes and max(sizes) == y.coset_system.size()
 
 
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
@@ -787,7 +816,7 @@ def test_local_stage_matches_reference_when_images_swap_within_a_slot_column(cod
     # it.
     y, x, cert = cover_maps(spec_of(code, mat))
     deg, em = y.slot_degree, list(cert.edge_map)
-    x_ends = [sorted(x.edge_endpoints(e)) for e in range(x.n_edges)]
+    x_ends = [sorted(edge_endpoints(x, e)) for e in range(x.n_edges)]
     e, f = next(
         (e, f)
         for k in range(deg)

@@ -41,6 +41,7 @@ from helpers import (
     LAZY_TABLES,
     NON_HERMITE_MATS,
     are_isomorphic,
+    edge_endpoints,
     face_vertices,
     from_faces,
     full_scan,
@@ -151,7 +152,7 @@ def test_involutions_preserve_the_right_incidences():
             # s0 moves the flag to the other endpoint of its edge, s2 to
             # the face across it; those coincide only on loops and on
             # edges with the same face on both sides.
-            u, w = m.edge_endpoints(m.dart_edge[x // 2])
+            u, w = edge_endpoints(m, m.dart_edge[x // 2])
             assert fv[s0[x]] == (w if fv[x] == u else u)
             d = x // 2
             faces = {m.dart_face_left[d], m.dart_face_left[m.dart_rev[d]]}
@@ -823,23 +824,6 @@ def test_rep_blocks_are_each_reps_darts():
             assert len(tails) == blocks.step and {v // ncos for v in tails} == {r}, m.spec
     loop = from_faces([[0, 1, 2], [0, 2, 1]])
     assert map_core._rep_blocks(loop) == range(0, loop.n_darts, loop.n_darts)
-
-
-def test_read_blocks_cut_a_one_rep_map_into_box_rows():
-    # A map of one rep is read one row of its Smith box at a time: block i
-    # holds the darts of the vertices (0, c) whose cells c are row i.
-    # Maps of several reps keep their rep blocks.
-    for m in hermite_maps(12):
-        blocks, cs = map_core._read_blocks(m), m.coset_system
-        if len(map_core._rep_blocks(m)) > 1:
-            assert blocks == map_core._rep_blocks(m), m.spec
-            continue
-        assert len(blocks) == cs.s1, m.spec
-        for i, start in enumerate(blocks):
-            tails = m.dart_vertex[start : start + blocks.step]
-            assert set(tails) == set(range(i * cs.s2, (i + 1) * cs.s2)), m.spec
-    loop = from_faces([[0, 1, 2], [0, 2, 1]])
-    assert map_core._read_blocks(loop) == range(0, loop.n_darts, loop.n_darts)
 
 
 @pytest.mark.parametrize("tid", list(TilingId), ids=lambda t: t.name)
